@@ -111,7 +111,7 @@ def _differential_tables(E) -> Dict[str, list]:
     return out
 
 
-def _h_profile(E, field: bool):
+def _h_profile(E):
     rep = cone_report(E.complex())
     betti = {str(q): r["betti"] for q, r in rep.items() if r["betti"]}
     torsion = {str(q): r["torsion"] for q, r in rep.items() if r["torsion"]}
@@ -167,7 +167,7 @@ def cmd_formality(args) -> int:
             res = model.resolution_n_points()
         report = res.validate()
         E = res.end_algebra()
-        betti, torsion = _h_profile(E, ring.is_field)
+        betti, torsion = _h_profile(E)
         results = {
             "end_ranks": {str(q): E.dim(q) for q in E.degrees()},
             "h_betti": betti,
@@ -455,7 +455,7 @@ def cmd_compute(args) -> int:
                           {i: d for i, d in enumerate(cores.maps)})
         exact = validate_resolution(J, {0: (total, cores.augmentation)})
         E = end_dg_algebra(J)
-        betti, torsion = _h_profile(E, ring.is_field)
+        betti, torsion = _h_profile(E)
         results["resolution_term_ranks"] = [t.total_rank()
                                             for t in cores.terms]
         results["resolution_exact"] = bool(exact.ok)

@@ -5,12 +5,32 @@ per degree, and sparse structure constants per degree pair.  Elements are
 (degree, {basis index: coefficient}) pairs.  Sub-algebras, two-sided ideals
 and quotients all work with exact lattice membership over the PID, not with
 rational span membership, so every verified identity holds integrally.
+
+Single products of sparse elements walk the structure-constant dicts
+(`DgAlgebra.multiply`).  Batched products -- every x_s * y_t for the
+columns of two matrices, optionally followed by a linear map P -- go through
+one bilinear kernel, `DgAlgebra.product_blocks`.  It reads the structure
+constants of a degree pair in coordinate form, the arrays (k, i, j, c) of
+the nonzero entries e_i * e_j = sum c e_k, built on first use and cached.
+With K = P[:, k] * c, the products of column s of X with every column of Y
+form one matrix product, (K * X[i, s]) @ Y[j, :].  The arithmetic is on
+integers: over Q each operand is first scaled by the least common
+denominator of its entries, and each block is divided by the product of
+those denominators at the end.  It runs on int64 when
+max|P| * max|c| * max|X| * max|Y| * nnz < 2**62 (of the scaled entries), so
+that no sum can overflow, and on object dtype (Python ints) otherwise.  The
+cohomology product, its perturbed-section re-check, the quotient's
+structure constants, the multiplicativity check of `DgMorphism.validate`
+and the identification check of `verify_formality_chain` all use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .chain_complex import (
     ChainComplex,
@@ -24,19 +44,48 @@ from .exact_linalg import (
     CoeffRing,
     ColumnLattice,
     ExactMatrix,
+    _vec_axpy,
+    integer_scaling,
     inverse,
 )
 
 Element = Tuple[int, Dict[int, object]]  # (degree, sparse coefficients)
+Table = Dict[Tuple[int, int], dict]      # (i, j) -> {k: c}: e_i * e_j
 
 
-def _vadd(dst: dict, src: dict, c=1):
-    for k, v in src.items():
-        w = dst.get(k, 0) + c * v
-        if w == 0:
-            dst.pop(k, None)
-        else:
-            dst[k] = w
+def _sparse_product(table: Optional[Table], c1: dict, c2: dict) -> dict:
+    """Sparse coefficients of x * y under one degree pair's table."""
+    out: dict = {}
+    if not table:
+        return out
+    if len(c1) * len(c2) > len(table):
+        # dense operands: walking the sparse table is cheaper
+        for (i, j), prod in table.items():
+            a = c1.get(i)
+            if not a:
+                continue
+            b = c2.get(j)
+            if b:
+                _vec_axpy(out, prod, a * b)
+    else:
+        for i, a in c1.items():
+            for j, b in c2.items():
+                prod = table.get((i, j))
+                if prod:
+                    _vec_axpy(out, prod, a * b)
+    return out
+
+
+def _table(blocks: Iterator[np.ndarray]) -> Table:
+    """{(s, t): {k: v}} for the nonzero entries v = block_s[k, t] of
+    `DgAlgebra.product_blocks` output."""
+    table: Table = {}
+    for s, block in enumerate(blocks):
+        ts, ks = np.nonzero(block.T)
+        for t, k, v in zip(ts.tolist(), ks.tolist(),
+                           block.T[ts, ks].tolist()):
+            table.setdefault((s, t), {})[k] = v
+    return table
 
 
 def _sparse_from_list(xs) -> dict:
@@ -64,6 +113,7 @@ class DgAlgebra:
         self.diff = {q: d for q, d in diff.items() if d.rows and d.cols}
         self.mult = mult
         self._complex: Optional[ChainComplex] = None
+        self._coo_cache: Dict[Tuple[int, int], Optional[tuple]] = {}
 
     # -- structure access -------------------------------------------------
 
@@ -104,27 +154,91 @@ class DgAlgebra:
         return table.get((i, j), {})
 
     def multiply(self, x: Element, y: Element) -> Element:
-        q1, c1 = x
-        q2, c2 = y
-        out: dict = {}
-        table = self.mult.get((q1, q2))
-        if table:
-            if len(c1) * len(c2) > len(table):
-                # dense operands: walking the sparse table is cheaper
-                for (i, j), prod in table.items():
-                    a = c1.get(i)
-                    if not a:
-                        continue
-                    b = c2.get(j)
-                    if b:
-                        _vadd(out, prod, a * b)
-            else:
-                for i, a in c1.items():
-                    for j, b in c2.items():
-                        prod = table.get((i, j))
-                        if prod:
-                            _vadd(out, prod, a * b)
-        return (q1 + q2, out)
+        (q1, c1), (q2, c2) = x, y
+        return (q1 + q2, _sparse_product(self.mult.get((q1, q2)), c1, c2))
+
+    # -- batched products --------------------------------------------------
+
+    def _coo(self, q1: int, q2: int) -> Optional[tuple]:
+        """The nonzero structure constants of (q1, q2) as (k, i, j, c, d,
+        max|c|): index arrays k, i, j and integers c / d (see
+        `integer_scaling`); None when the pair has none.
+
+        Built on first use and cached, so `mult` must not change after the
+        first batched product.
+        """
+        key = (q1, q2)
+        if key in self._coo_cache:
+            return self._coo_cache[key]
+        entries = [(k, i, j, c)
+                   for (i, j), prod in (self.mult.get(key) or {}).items()
+                   for k, c in prod.items() if c != 0]
+        coo = None
+        if entries:
+            ks, is_, js, cs = zip(*entries)
+            k, i, j = (np.array(v, dtype=np.intp) for v in (ks, is_, js))
+            if i.max() >= self.dim(q1) or j.max() >= self.dim(q2) or \
+                    k.max() >= self.dim(q1 + q2):
+                raise ValueError(f"structure constants of ({q1}, {q2}) "
+                                 "index past the basis")
+            coo = (k, i, j) + integer_scaling(cs)
+        self._coo_cache[key] = coo
+        return coo
+
+    def product_blocks(self, q1: int, q2: int, X: ExactMatrix,
+                       Y: ExactMatrix, P: Optional[ExactMatrix] = None
+                       ) -> Iterator[np.ndarray]:
+        """For each column x_s of X, the array whose column t is
+        P(x_s * y_t), where y_t is column t of Y.
+
+        X and Y hold coordinates in degrees q1 and q2; P (the identity when
+        omitted) maps degree q1 + q2 onward.  Over Z the blocks are int64
+        arrays when the bound in the module docstring rules out overflow,
+        object arrays of ints otherwise; over Q they are object arrays of
+        Fractions (and int zeros).  One block is live at a time: nothing of
+        size rows x cols(X) x cols(Y) is built.
+        """
+        coo = self._coo(q1, q2)
+        want = (self.dim(q1), self.dim(q2), self.dim(q1 + q2))
+        got = (X.rows, Y.rows, want[2] if P is None else P.cols)
+        if got != want:
+            raise ValueError(f"products in degrees ({q1}, {q2}) need "
+                             f"dims {want}, got {got}")
+        rows = want[2] if P is None else P.rows
+        zero = np.zeros((rows, Y.cols), dtype=np.int64)
+        if coo is None or not (rows and X.cols and Y.cols):
+            for _ in range(X.cols):
+                yield zero
+            return
+        k, i, j, c, dc, cmax = coo
+        Xd, dx, xmax = X.integer_scaling()
+        Yd, dy, ymax = Y.integer_scaling()
+        Pd, dp, pmax = (None, 1, 1) if P is None else P.integer_scaling()
+        if cmax * xmax * ymax * pmax * len(k) >= 2 ** 62:
+            # Python ints cannot overflow
+            Xd, Yd, c = (a.astype(object) for a in (Xd, Yd, c))
+            if Pd is not None:
+                Pd = Pd.astype(object)
+        if Pd is None:
+            K = np.zeros((rows, len(k)), dtype=c.dtype)
+            K[k, np.arange(len(k))] = c
+        else:
+            K = Pd[:, k] * c
+        Yj = Yd[j]
+        den = dc * dx * dy * dp
+        for s in range(X.cols):
+            w = Xd[i, s]
+            m = np.flatnonzero(w)
+            if not len(m):
+                yield zero
+                continue
+            block = (K[:, m] * w[m]) @ Yj[m]
+            if self.ring.is_field:
+                nz = np.nonzero(block)
+                exact = np.zeros(block.shape, dtype=object)
+                exact[nz] = [Fraction(v, den) for v in block[nz].tolist()]
+                block = exact
+            yield block
 
     def d_element(self, x: Element) -> Element:
         q, c = x
@@ -248,7 +362,7 @@ def validate_dg_algebra(A: DgAlgebra) -> list:
                     rhs = A.multiply(da, b)
                     rhs2 = A.multiply(a, A.d_element(b))
                     acc = dict(rhs[1])
-                    _vadd(acc, rhs2[1], sign)
+                    _vec_axpy(acc, rhs2[1], sign)
                     if lhs[1] != acc:
                         problems.append(
                             f"Leibniz fails on ({A.label(q1, i)}, "
@@ -332,7 +446,7 @@ class DgMorphism:
         q, c = x
         out: dict = {}
         for j, a in c.items():
-            _vadd(out, self._column(q, j), a)
+            _vec_axpy(out, self._column(q, j), a)
         return (q, out)
 
     def chain_map(self) -> ChainMap:
@@ -353,22 +467,19 @@ class DgMorphism:
         fu = self.apply(A.unit_element())
         if fu[1] != B.unit_element()[1]:
             problems.append("unit is not preserved")
-        images = {q: [self.apply((q, {i: A.ring.element(1)}))[1]
-                      for i in range(A.dim(q))] for q in A.degrees()}
+        eye = {q: ExactMatrix.identity(A.dim(q), A.ring) for q in A.degrees()}
         for q1 in A.degrees():
             for q2 in A.degrees():
-                table = A.mult.get((q1, q2), {})
-                q3 = q1 + q2
-                for i in range(A.dim(q1)):
-                    fa = (q1, images[q1][i])
-                    for j in range(A.dim(q2)):
-                        ab = table.get((i, j))
-                        lhs = self.apply((q3, ab))[1] if ab else {}
-                        rhs = B.multiply(fa, (q2, images[q2][j]))[1]
-                        if lhs != rhs:
-                            problems.append(
-                                f"not multiplicative on ({A.label(q1, i)}, "
-                                f"{A.label(q2, j)})")
+                # f(a_i * a_j) against f(a_i) * f(a_j), one i at a time
+                lhs = A.product_blocks(q1, q2, eye[q1], eye[q2],
+                                       self.component(q1 + q2))
+                rhs = B.product_blocks(q1, q2, self.component(q1),
+                                       self.component(q2))
+                for i, (fab, fafb) in enumerate(zip(lhs, rhs)):
+                    for j in np.flatnonzero((fab != fafb).any(axis=0)):
+                        problems.append(
+                            f"not multiplicative on ({A.label(q1, i)}, "
+                            f"{A.label(q2, int(j))})")
         return problems
 
     def compose(self, other: "DgMorphism") -> "DgMorphism":
@@ -400,9 +511,14 @@ def cohomology_algebra(A: DgAlgebra, verify_section: bool = True,
     """(H with zero differential, per-degree section of H-basis to cocycles).
 
     The product on H multiplies section representatives and reduces back to
-    cohomology coordinates.  Requires torsion-free cohomology; with a second
-    randomly perturbed section the structure constants are recomputed and
-    compared, re-verifying well-definedness.
+    cohomology coordinates: for each degree pair, P * M * (L1 (x) L2) with
+    M the structure constants, L1, L2 the section's lifts and P the
+    projection of cocycles to cohomology coordinates, computed by
+    `DgAlgebra.product_blocks` one column of L1 at a time (on int64 when
+    the overflow bound of the module docstring allows, on Python ints
+    otherwise).  Requires torsion-free cohomology; with a second randomly
+    perturbed section the structure constants are recomputed and compared,
+    re-verifying well-definedness.
     """
     profile = cohomology(A.complex())
     for q, mod in profile.modules.items():
@@ -414,27 +530,19 @@ def cohomology_algebra(A: DgAlgebra, verify_section: bool = True,
     dims = {q: mod.betti for q, mod in profile.modules.items() if mod.betti}
 
     def structure_constants(sect):
-        mult: Dict[Tuple[int, int], Dict[Tuple[int, int], dict]] = {}
+        mult: Dict[Tuple[int, int], Table] = {}
         for q1, l1 in sect.items():
-            cols1 = [_sparse_from_list(l1.col(i)) for i in range(l1.cols)]
             for q2, l2 in sect.items():
                 target = profile.modules.get(q1 + q2)
-                cols2 = [_sparse_from_list(l2.col(j)) for j in range(l2.cols)]
-                table = {}
-                for i, ci in enumerate(cols1):
-                    xi = (q1, ci)
-                    for j, cj in enumerate(cols2):
-                        prod = A.multiply(xi, (q2, cj))
-                        if not prod[1]:
-                            continue
-                        if target is None:
-                            raise AssertionError(
-                                "product of cocycles in empty degree")
-                        # products of cocycles are cocycles, so the free
-                        # part projects exactly
-                        entry = target.project_sparse(prod[1])
-                        if entry:
-                            table[(i, j)] = entry
+                if target is not None and not target.betti:
+                    continue
+                # products of cocycles are cocycles, so the free part
+                # projects exactly; with no degree q1 + q2 at all the
+                # blocks have no rows, and `_coo` still rejects structure
+                # constants that land there
+                table = _table(A.product_blocks(
+                    q1, q2, l1, l2,
+                    None if target is None else target.projection_matrix()))
                 if table:
                     mult[(q1, q2)] = table
         return mult
@@ -748,22 +856,6 @@ def quotient(U: DgAlgebra, I: DgIdeal):
                 m.data[i, j] = c
         if not m.is_zero():
             diff[q] = m
-    mult: Dict[Tuple[int, int], Dict[Tuple[int, int], dict]] = {}
-    for q1 in dims:
-        for q2 in dims:
-            table = {}
-            for i in range(dims[q1]):
-                xi = lift(q1, i)
-                for j in range(dims[q2]):
-                    prod = U.multiply(xi, lift(q2, j))
-                    co = project(q1 + q2, prod[1]) if prod[1] else {}
-                    if co:
-                        table[(i, j)] = co
-            if table:
-                mult[(q1, q2)] = table
-    labels = {q: [U.label(q, i) for i in I_keep]
-              for q, I_keep in keep.items() if I_keep}
-    Q = DgAlgebra(ring, dims, labels, unit, diff, mult)
     comps = {}
     for q, n in dims.items():
         m = ExactMatrix.zeros(n, U.dim(q), ring)
@@ -771,6 +863,22 @@ def quotient(U: DgAlgebra, I: DgIdeal):
             for i, c in project(q, {j: ring.element(1)}).items():
                 m.data[i, j] = c
         comps[q] = m
+    # project is linear, so the product of kept basis elements projects
+    # through the matrix comps[q1 + q2]
+    kept = {q: ExactMatrix.identity(U.dim(q), ring).take_cols(keep[q])
+            for q in dims}
+    mult: Dict[Tuple[int, int], Table] = {}
+    for q1 in dims:
+        for q2 in dims:
+            if q1 + q2 not in dims:
+                continue
+            table = _table(U.product_blocks(q1, q2, kept[q1], kept[q2],
+                                            comps[q1 + q2]))
+            if table:
+                mult[(q1, q2)] = table
+    labels = {q: [U.label(q, i) for i in I_keep]
+              for q, I_keep in keep.items() if I_keep}
+    Q = DgAlgebra(ring, dims, labels, unit, diff, mult)
     proj = DgMorphism(U, Q, comps, name="projection")
     return Q, proj
 
@@ -886,38 +994,43 @@ def verify_formality_chain(chain: FormalityChain) -> ChainVerdict:
             tfix = {}
             for q, mod in tprof.modules.items():
                 if mod.betti:
-                    tfix[q] = inverse(mod.lift) if mod.lift.rows == mod.lift.cols \
-                        else mod.lift
+                    if mod.lift.rows != mod.lift.cols:
+                        raise ValueError(
+                            f"lift of H(terminal) at degree {q} has shape "
+                            f"{mod.lift.shape}, expected "
+                            f"{(mod.lift.rows, mod.lift.rows)}")
+                    tfix[q] = inverse(mod.lift)
             identification = {}
-            for q, m in (total or {}).items():
+            for q, m in total.items():
                 t = tfix.get(q)
-                identification[q] = (t @ m) if t is not None and \
-                    t.cols == m.rows else m
+                if t is not None and t.cols != m.rows:
+                    raise ValueError(
+                        f"degree {q}: the terminal basis change of shape "
+                        f"{t.shape} does not compose with the induced map "
+                        f"of shape {m.shape}")
+                identification[q] = m if t is None else t @ m
             # the identification must carry the product of H(A_0) to the
             # product of the terminal algebra
             H0, _ = cohomology_algebra(algebras[0])
-            cols = {q: [_sparse_from_list(m.col(j)) for j in range(m.cols)]
-                    for q, m in identification.items()}
+            eye = {q: ExactMatrix.identity(H0.dim(q), H0.ring)
+                   for q in H0.degrees()}
             for q1 in H0.degrees():
                 for q2 in H0.degrees():
                     q3 = q1 + q2
                     if q3 not in identification and terminal.dim(q3) == 0:
                         continue
-                    for i in range(H0.dim(q1)):
-                        xi = cols[q1][i]
-                        for j in range(H0.dim(q2)):
-                            prod = H0.mult_entry(q1, q2, i, j)
-                            lhs: dict = {}
-                            if q3 in identification:
-                                for k, ck in prod.items():
-                                    _vadd(lhs, cols[q3][k], ck)
-                            rhs = terminal.multiply(
-                                (q1, xi), (q2, cols[q2][j]))
-                            if lhs != rhs[1]:
-                                notes.append(
-                                    "identification is not multiplicative "
-                                    f"at degrees ({q1}, {q2})")
-                                ok = False
+                    ident3 = identification[q3] if q3 in identification \
+                        else ExactMatrix.zeros(terminal.dim(q3), H0.dim(q3),
+                                               H0.ring)
+                    lhs = H0.product_blocks(q1, q2, eye[q1], eye[q2], ident3)
+                    rhs = terminal.product_blocks(
+                        q1, q2, identification[q1], identification[q2])
+                    for fab, fafb in zip(lhs, rhs):
+                        for _ in np.flatnonzero((fab != fafb).any(axis=0)):
+                            notes.append(
+                                "identification is not multiplicative "
+                                f"at degrees ({q1}, {q2})")
+                            ok = False
         except ValueError as exc:
             notes.append(f"identification failed: {exc}")
             ok = False
@@ -968,30 +1081,14 @@ class DgBimodule:
             d.matvec(_dense(c, self.dim(q), self.ring))))
 
     def act_left(self, a: Element, m: Element) -> Element:
-        qa, ca = a
-        qm, cm = m
-        out: dict = {}
-        table = self.left_action.get((qa, qm))
-        if table:
-            for i, x in ca.items():
-                for j, y in cm.items():
-                    prod = table.get((i, j))
-                    if prod:
-                        _vadd(out, prod, x * y)
-        return (qa + qm, out)
+        (qa, ca), (qm, cm) = a, m
+        return (qa + qm, _sparse_product(self.left_action.get((qa, qm)),
+                                         ca, cm))
 
     def act_right(self, m: Element, b: Element) -> Element:
-        qm, cm = m
-        qb, cb = b
-        out: dict = {}
-        table = self.right_action.get((qm, qb))
-        if table:
-            for i, x in cm.items():
-                for j, y in cb.items():
-                    prod = table.get((i, j))
-                    if prod:
-                        _vadd(out, prod, x * y)
-        return (qm + qb, out)
+        (qm, cm), (qb, cb) = m, b
+        return (qm + qb, _sparse_product(self.right_action.get((qm, qb)),
+                                         cm, cb))
 
 
 def bimodule_from_algebra(A: DgAlgebra, right_embedding: DgMorphism) -> DgBimodule:
@@ -1044,7 +1141,7 @@ def validate_dg_bimodule(M: DgBimodule) -> list:
             m = (qm, {j: M.ring.element(1)})
             lhs = M.d_element(M.act_left(a, m))
             acc = dict(M.act_left(da, m)[1])
-            _vadd(acc, M.act_left(a, M.d_element(m))[1], sign)
+            _vec_axpy(acc, M.act_left(a, M.d_element(m))[1], sign)
             if lhs[1] != acc:
                 problems.append(f"left Leibniz fails at a=({qa},{i}), "
                                 f"m=({qm},{j})")
@@ -1056,7 +1153,7 @@ def validate_dg_bimodule(M: DgBimodule) -> list:
             b = B.basis_element(qb, j)
             lhs = M.d_element(M.act_right(m, b))
             acc = dict(M.act_right(dm, b)[1])
-            _vadd(acc, M.act_right(m, B.d_element(b))[1], sign)
+            _vec_axpy(acc, M.act_right(m, B.d_element(b))[1], sign)
             if lhs[1] != acc:
                 problems.append(f"right Leibniz fails at m=({qm},{i}), "
                                 f"b=({qb},{j})")

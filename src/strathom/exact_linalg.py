@@ -14,6 +14,7 @@ values, which normalize on every operation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -75,12 +76,13 @@ class ExactMatrix:
     the result proves no overflow is possible.
     """
 
-    __slots__ = ("ring", "data", "_i64")
+    __slots__ = ("ring", "data", "_i64", "_scaled")
 
     def __init__(self, ring: CoeffRing, data: np.ndarray):
         self.ring = ring
         self.data = data
         self._i64 = None
+        self._scaled = None
 
     def _int64_view(self):
         """(int64 array, max abs) when entries fit, else False; cached."""
@@ -174,6 +176,19 @@ class ExactMatrix:
         return cls(ring, data)
 
     # -- arithmetic ------------------------------------------------------
+
+    def integer_scaling(self):
+        """`integer_scaling` of the entries, as a matrix; cached, and over
+        ZZ taken from the int64 view when it exists.  The matrix must be
+        nonempty."""
+        if self._scaled is None:
+            fit = self._int64_view()
+            if fit:
+                self._scaled = (fit[0], 1, fit[1])
+            else:
+                a, d, top = integer_scaling(self.data.reshape(-1))
+                self._scaled = (a.reshape(self.shape), d, top)
+        return self._scaled
 
     def _check_ring(self, other: "ExactMatrix"):
         if self.ring != other.ring:
@@ -280,6 +295,16 @@ class ExactMatrix:
             a[at:at + m.rows, :] = m.data
             at += m.rows
         return ExactMatrix(mats[0].ring, a)
+
+
+def integer_scaling(values: Sequence):
+    """(a, d, max|a|) with values = a / d: d is the least common denominator
+    and a is an int64 array when its entries fit, else an object array of
+    Python ints."""
+    d = math.lcm(*(x.denominator for x in values)) if len(values) else 1
+    nums = [x.numerator * (d // x.denominator) for x in values]
+    top = max(map(abs, nums), default=0)
+    return np.array(nums, dtype=np.int64 if top < 2 ** 63 else object), d, top
 
 
 @dataclass(frozen=True)
@@ -650,19 +675,6 @@ class SubquotientModule:
             free_rows = self._U.take_rows(range(self._r, self._K.cols))
             self._proj = free_rows @ solve_mat
         return self._proj
-
-    def project_sparse(self, coeffs: dict) -> dict:
-        """Free-part coordinates of a sparse ambient cocycle."""
-        if self.betti == 0:
-            return {}
-        P = self.projection_matrix().data
-        acc = None
-        for i, c in coeffs.items():
-            col = P[:, i] * c
-            acc = col if acc is None else acc + col
-        if acc is None:
-            return {}
-        return {i: v for i, v in enumerate(acc) if v != 0}
 
 
 def subquotient(kernel_gens: ExactMatrix, image_gens: ExactMatrix) -> SubquotientModule:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +223,15 @@ def test_tsv_output_contains_table(capsys):
     lines = [l for l in out.splitlines() if l]
     assert any(l.startswith("0\th1\t") for l in lines)
     assert len(lines) == 18
+
+
+def test_python_dash_m_strathom_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "strathom", "formality", "trivial"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["expected"]["pass"] is True

@@ -1,5 +1,11 @@
-import pytest
+import random
+from fractions import Fraction
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from strathom import dg
 from strathom.dg import (
     DgAlgebra,
     DgMorphism,
@@ -274,3 +280,169 @@ def test_quasi_equivalence_detects_non_iso():
     # c = y is a degree-0 element but not a cycle
     ok, report = verify_quasi_equivalence(a, a, m, a.basis_element(0, 1))
     assert not ok
+
+
+# ------------------------------------------------------------ bilinear kernel
+
+
+def _random_product_case(kind, seed):
+    """A random structure-constant table for one degree pair, operands X
+    and Y, and a map P (or None).  kind: "Z", "Q", or "Zbig" (entries
+    around 2**40)."""
+    rng = random.Random(seed)
+    ring = QQ if kind == "Q" else ZZ
+    top = 2 ** 40 if kind == "Zbig" else 3
+
+    def entry():
+        x = rng.randint(-top, top) if rng.random() < 0.6 else 0
+        return ring.element(Fraction(x, rng.randint(1, 4)) if kind == "Q"
+                            else x)
+
+    dims = {q: rng.randint(1, 3) for q in (0, 1, 2)}
+    q1, q2 = rng.choice([(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)])
+    q3 = q1 + q2
+    table = {}
+    for i in range(dims[q1]):
+        for j in range(dims[q2]):
+            prod = {k: c for k in range(dims[q3]) for c in [entry()] if c}
+            if prod:
+                table[(i, j)] = prod
+    A = DgAlgebra(ring, dims, {}, {0: ring.element(1)}, {},
+                  {(q1, q2): table} if table else {})
+
+    def matrix(r, c):
+        return ExactMatrix.from_rows([[entry() for _ in range(c)]
+                                      for _ in range(r)], ring, cols=c)
+
+    X = matrix(dims[q1], rng.randint(0, 3))
+    Y = matrix(dims[q2], rng.randint(0, 3))
+    P = matrix(rng.randint(0, 3), dims[q3]) if rng.random() < 0.5 else None
+    return A, q1, q2, X, Y, P
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["Z", "Q", "Zbig"]), st.integers(0, 2 ** 32))
+def test_product_blocks_match_multiply(kind, seed):
+    A, q1, q2, X, Y, P = _random_product_case(kind, seed)
+    blocks = list(A.product_blocks(q1, q2, X, Y, P))
+    assert len(blocks) == X.cols
+    for s, block in enumerate(blocks):
+        rows = P.rows if P is not None else A.dim(q1 + q2)
+        assert block.shape == (rows, Y.cols)
+        x = (q1, {i: v for i, v in enumerate(X.col(s)) if v})
+        for t in range(Y.cols):
+            y = (q2, {j: v for j, v in enumerate(Y.col(t)) if v})
+            q3, prod = A.multiply(x, y)
+            want = [prod.get(k, 0) for k in range(A.dim(q3))]
+            if P is not None:
+                want = P.matvec([A.ring.element(v) for v in want])
+            assert list(block[:, t]) == want
+
+
+def test_product_blocks_overflow_falls_back_to_python_ints():
+    big = 2 ** 40
+    A = DgAlgebra(ZZ, {0: 1}, {}, {0: 1}, {}, {(0, 0): {(0, 0): {0: big}}})
+    X = ExactMatrix.from_rows([[big]])
+    (block,) = A.product_blocks(0, 0, X, X)
+    assert block.dtype == object and block[0, 0] == big ** 3
+    (small,) = A.product_blocks(0, 0, ExactMatrix.from_rows([[2]]),
+                                ExactMatrix.from_rows([[3]]))
+    assert small.dtype == np.int64 and small[0, 0] == 6 * big
+
+
+def test_product_blocks_reject_misshaped_operands():
+    a = dual_numbers_deg2()
+    with pytest.raises(ValueError, match="need dims"):
+        list(a.product_blocks(0, 2, ExactMatrix.identity(2),
+                              ExactMatrix.identity(1)))
+
+
+def test_cohomology_algebra_detects_section_dependence():
+    # d(z) = w and x * w = e break Leibniz on (x, z): d(x * z) = 0 but
+    # x * d(z) = e.  So x * [e] is 0 on the section e and nonzero on a
+    # section e + a*w with a != 0, and the perturbed re-check must see it.
+    a = algebra_from_products(
+        ZZ,
+        basis=[(0, "1"), (0, "x"), (0, "z"), (1, "w"), (1, "e")],
+        unit_terms={"1": 1},
+        differentials={"z": {"w": 1}},
+        products={
+            ("1", "1"): {"1": 1}, ("1", "x"): {"x": 1}, ("x", "1"): {"x": 1},
+            ("1", "z"): {"z": 1}, ("z", "1"): {"z": 1},
+            ("1", "w"): {"w": 1}, ("w", "1"): {"w": 1},
+            ("1", "e"): {"e": 1}, ("e", "1"): {"e": 1},
+            ("x", "x"): {"x": 1}, ("x", "w"): {"e": 1},
+        },
+    )
+    assert any("Leibniz" in p for p in validate_dg_algebra(a))
+    H, _ = cohomology_algebra(a, verify_section=False)
+    assert H.dims == {0: 2, 1: 1}
+    with pytest.raises(AssertionError,
+                       match="cohomology product depends on the section"):
+        cohomology_algebra(a)
+
+
+def test_formality_chain_rejects_misshaped_identification(monkeypatch):
+    a = dual_numbers_deg2()
+    chain = FormalityChain([a, a], [(identity_dg_morphism(a), "forward")])
+    real = dg._induced_on_cohomology
+
+    def one_row_too_many(f, src, tgt):
+        out = real(f, src, tgt)
+        m = out[2]
+        out[2] = ExactMatrix.vstack([m, ExactMatrix.zeros(1, m.cols)])
+        return out
+
+    monkeypatch.setattr(dg, "_induced_on_cohomology", one_row_too_many)
+    verdict = verify_formality_chain(chain)
+    assert not verdict.ok
+    assert len(verdict.notes) == 1
+    note = verdict.notes[0]
+    assert note.startswith("identification failed: degree 2")
+    assert "(1, 1)" in note and "(2, 1)" in note
+
+
+def _multiplicativity_reference(f):
+    """The pairwise check that DgMorphism.validate batches."""
+    A, B = f.source, f.target
+    out = []
+    for q1 in A.degrees():
+        for q2 in A.degrees():
+            for i in range(A.dim(q1)):
+                a = A.basis_element(q1, i)
+                for j in range(A.dim(q2)):
+                    b = A.basis_element(q2, j)
+                    lhs = f.apply(A.multiply(a, b))[1]
+                    rhs = B.multiply(f.apply(a), f.apply(b))[1]
+                    if lhs != rhs:
+                        out.append(f"not multiplicative on ({A.label(q1, i)}, "
+                                   f"{A.label(q2, j)})")
+    return out
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_morphism_validate_matches_pairwise_reference(ring):
+    # y -> 2y, z -> 2z is a chain map, but 2y * 2y != f(y * y) = 2y
+    a = acyclic_interval(ring)
+    f = DgMorphism(a, a, {0: ExactMatrix.from_rows([[1, 0], [0, 2]], ring),
+                          1: ExactMatrix.from_rows([[2]], ring)})
+    problems = [p for p in f.validate() if p.startswith("not multiplicative")]
+    assert problems == _multiplicativity_reference(f) == [
+        "not multiplicative on (y, y)", "not multiplicative on (y, z)"]
+
+
+def test_morphism_validate_matches_reference_on_sphere_chain():
+    from strathom.sphere_models import SphereModel, formality_chain_n_points
+
+    E = SphereModel(3).resolution_n_points().end_algebra()
+    chain = formality_chain_n_points(E, 3)
+    proj = chain.projection
+    assert proj.validate() == [] == _multiplicativity_reference(proj)
+    comps = dict(proj.components)
+    bent = comps[0].data.copy()
+    bent[0, 0] += 1
+    bent[0, 2] += 1
+    comps[0] = ExactMatrix(E.ring, bent)
+    f = DgMorphism(proj.source, proj.target, comps)
+    problems = [p for p in f.validate() if p.startswith("not multiplicative")]
+    assert problems and problems == _multiplicativity_reference(f)
