@@ -23,7 +23,6 @@ from .exact_linalg import (
     ExactMatrix,
     SnfResult,
     SubquotientModule,
-    coordinates_in_subquotient,
     invariant_factors,
     kernel_basis,
     smith_normal_form,

@@ -12,15 +12,13 @@ Three commands:
 Exit codes: 0 on success, 1 when a computation disagrees with the embedded
 expectations, 2 on usage or input errors.  Reports serialize to canonical
 JSON (sorted keys, no whitespace) so byte-stable output can be diffed;
-tables can be emitted as TSV instead.  STRATHOM_JOBS > 1 runs the Ext table
-pairs on a thread pool (results are merged deterministically).
+tables can be emitted as TSV instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -230,21 +228,7 @@ def cmd_ext_table(args) -> int:
     model = SphereModel(args.n, ring=ring)
     strata = model.poset.strata
     reps = {s: model.closure_rep(s) for s in strata}
-    resolutions = {}
-
-    def resolve(s):
-        return s, projective_resolution(reps[s])
-
-    jobs = max(1, int(os.environ.get("STRATHOM_JOBS", "1")))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for s, r in pool.map(resolve, strata):
-                resolutions[s] = r
-    else:
-        for s in strata:
-            resolutions[s] = resolve(s)[1]
+    resolutions = {s: projective_resolution(reps[s]) for s in strata}
     pairs = {}
     hom_table = model.hom_rank_table()
     ok = True
@@ -303,7 +287,10 @@ POSET_SCHEMA = {
     },
 }
 
+# Matrix entries are JSON integers or strings such as "3/2".  In draft 4,
+# unlike later drafts, "integer" rejects floats like 1e23 (already rounded).
 REPS_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-04/schema#",
     "type": "object",
     "required": ["reps"],
     "properties": {
@@ -316,7 +303,14 @@ REPS_SCHEMA = {
                     "name": {"type": "string"},
                     "stalks": {"type": "object",
                                "additionalProperties": {"type": "integer"}},
-                    "arrows": {"type": "object"},
+                    "arrows": {
+                        "type": "object",
+                        "additionalProperties": {
+                            "type": "array",
+                            "items": {"type": "array", "items": {
+                                "type": ["integer", "string"]}},
+                        },
+                    },
                 },
             },
         },

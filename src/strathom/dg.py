@@ -703,17 +703,6 @@ class DgIdeal:
         return {q: lat.rank for q, lat in sorted(self.lattices.items())
                 if lat.rank}
 
-    def basis_matrix(self, q: int) -> ExactMatrix:
-        lat = self.lattices.get(q)
-        U = self.algebra
-        if lat is None or not lat.rank:
-            return ExactMatrix.zeros(U.dim(q), 0, U.ring)
-        m = ExactMatrix.zeros(U.dim(q), lat.rank, U.ring)
-        for j, vec in enumerate(lat.basis_vectors()):
-            for i, c in vec.items():
-                m.data[i, j] = c
-        return m
-
     def restricted_complex(self) -> ChainComplex:
         """The ideal as a subcomplex, in its echelon bases."""
         U = self.algebra
@@ -757,11 +746,9 @@ def ideal_from_span(U: DgAlgebra, elements: Sequence[Element]) -> DgIdeal:
     differential is verified afterwards and failure is an error.
     """
     lattices: Dict[int, ColumnLattice] = {}
-    initial: Dict[int, ColumnLattice] = {}
     for q, coeffs in elements:
         if coeffs:
             lattices.setdefault(q, ColumnLattice(U.ring)).add(dict(coeffs))
-            initial.setdefault(q, ColumnLattice(U.ring)).add(dict(coeffs))
     grew_any = False
     changed = True
     while changed:
@@ -796,75 +783,41 @@ def ideal_from_span(U: DgAlgebra, elements: Sequence[Element]) -> DgIdeal:
 def quotient(U: DgAlgebra, I: DgIdeal):
     """(U/I, projection).
 
-    Needs a free complement in every degree (over ZZ: all ideal pivot
-    values must be units, which is exactly quotient torsion-freeness);
-    the quotient basis is the set of ambient basis directions away from the
-    ideal pivots, so quotient labels are inherited.
+    In each degree q the ideal lattice splits off the ambient basis
+    directions away from its pivots (`ColumnLattice.split_projection`),
+    which needs every pivot to be a unit over ZZ: exactly torsion-freeness
+    of the quotient.  Those directions are the quotient basis, so quotient
+    labels are inherited, and with P_q the projection along the ideal the
+    rest is matrix algebra: the projection has components P_q, the
+    differential is P_(q+1) d_q on the kept columns, the unit is P_0 of the
+    unit and the products of kept basis elements go through P_(q1+q2).
     """
     if I.algebra is not U:
         raise ValueError("ideal does not belong to this algebra")
     ring = U.ring
-    pivots: Dict[int, dict] = {}
-    for q, lat in I.lattices.items():
-        for pr, pv in zip(lat.pivot_rows(), lat.pivot_values()):
-            if not ring.is_field and pv not in (1, -1):
-                raise ValueError(
-                    f"quotient has torsion at degree {q}: pivot {pv}")
-        pivots[q] = dict(zip(lat.pivot_rows(), lat.pivot_values()))
     keep: Dict[int, List[int]] = {}
-    dims = {}
+    comps: Dict[int, ExactMatrix] = {}
     for q in U.degrees():
-        pv = pivots.get(q, {})
-        keep[q] = [i for i in range(U.dim(q)) if i not in pv]
-        if keep[q]:
-            dims[q] = len(keep[q])
-
-    def project(q: int, coeffs: dict) -> dict:
-        lat = I.lattices.get(q)
-        vec = {i: ring.element(c) for i, c in coeffs.items() if c != 0}
-        if lat:
-            for pr, cvec, _ in lat.cols:
-                c = vec.get(pr)
-                if not c:
-                    continue
-                p = cvec[pr]
-                qq = c / p if ring.is_field else c // p
-                for k, v in cvec.items():
-                    w = vec.get(k, 0) - qq * v
-                    if w == 0:
-                        vec.pop(k, None)
-                    else:
-                        vec[k] = w
-        pos = {i: k for k, i in enumerate(keep[q])}
-        return {pos[i]: c for i, c in vec.items()}
-
-    unit = project(0, U.unit_element()[1])
+        lat = I.lattices.get(q, ColumnLattice(ring))
+        try:
+            rows, P = lat.split_projection(U.dim(q))
+        except ValueError as exc:
+            raise ValueError(f"quotient has torsion at degree {q}: {exc}") \
+                from exc
+        if rows:
+            keep[q], comps[q] = rows, P
+    dims = {q: len(rows) for q, rows in keep.items()}
+    unit = _sparse_from_list(comps[0].matvec(
+        _dense(U.unit, U.dim(0), ring))) if 0 in comps else {}
     if not unit:
         raise ValueError("quotient kills the unit")
-
-    def lift(q: int, k: int) -> Element:
-        return (q, {keep[q][k]: ring.element(1)})
-
     diff = {}
-    for q in sorted(dims):
-        if (q + 1) not in dims:
-            continue
-        m = ExactMatrix.zeros(dims[q + 1], dims[q], ring)
-        for j in range(dims[q]):
-            img = U.d_element(lift(q, j))
-            for i, c in project(q + 1, img[1]).items():
-                m.data[i, j] = c
-        if not m.is_zero():
-            diff[q] = m
-    comps = {}
-    for q, n in dims.items():
-        m = ExactMatrix.zeros(n, U.dim(q), ring)
-        for j in range(U.dim(q)):
-            for i, c in project(q, {j: ring.element(1)}).items():
-                m.data[i, j] = c
-        comps[q] = m
-    # project is linear, so the product of kept basis elements projects
-    # through the matrix comps[q1 + q2]
+    for q in dims:
+        d = U.diff.get(q)
+        if d is not None and q + 1 in dims:
+            m = (comps[q + 1] @ d).take_cols(keep[q])
+            if not m.is_zero():
+                diff[q] = m
     kept = {q: ExactMatrix.identity(U.dim(q), ring).take_cols(keep[q])
             for q in dims}
     mult: Dict[Tuple[int, int], Table] = {}
@@ -876,8 +829,7 @@ def quotient(U: DgAlgebra, I: DgIdeal):
                                             comps[q1 + q2]))
             if table:
                 mult[(q1, q2)] = table
-    labels = {q: [U.label(q, i) for i in I_keep]
-              for q, I_keep in keep.items() if I_keep}
+    labels = {q: [U.label(q, i) for i in rows] for q, rows in keep.items()}
     Q = DgAlgebra(ring, dims, labels, unit, diff, mult)
     proj = DgMorphism(U, Q, comps, name="projection")
     return Q, proj

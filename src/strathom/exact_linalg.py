@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,11 +169,6 @@ class ExactMatrix:
         for k, i in enumerate(rows):
             a[k, :] = self.data[i, :]
         return ExactMatrix(self.ring, a)
-
-    @classmethod
-    def wrap(cls, ring: CoeffRing, data: np.ndarray) -> "ExactMatrix":
-        """Adopt an object array whose entries are already ring elements."""
-        return cls(ring, data)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -653,10 +648,6 @@ class SubquotientModule:
                 for i in range(self._r) if self._diag[i] != 1]
         return free, tors
 
-    def is_boundary(self, x: Sequence) -> bool:
-        free, tors = self.coordinates(x)
-        return all(c == 0 for c in free) and all(c == 0 for c in tors)
-
     def projection_matrix(self) -> ExactMatrix:
         """Matrix sending an ambient cocycle to its free-part coordinates.
 
@@ -709,10 +700,6 @@ def subquotient(kernel_gens: ExactMatrix, image_gens: ExactMatrix) -> Subquotien
     return SubquotientModule(ring, kernel_gens, rel_snf)
 
 
-def coordinates_in_subquotient(x: Sequence, sq: SubquotientModule):
-    return sq.coordinates(x)
-
-
 def _xgcd(a: int, b: int):
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:
@@ -741,6 +728,12 @@ class ColumnLattice:
     coordinate dict so that membership queries can report coordinates in the
     original generators.  Over ZZ membership means exact lattice membership,
     not rational span membership.
+
+    `reduce` is the one reduction against the echelon columns; the
+    coordinate queries read its result.  When every pivot is a unit,
+    `split_projection` gives the matrix that projects along the lattice onto
+    the coordinate directions away from the pivot rows, so quotients by the
+    lattice (dg quotients, representation cokernels) are matrix algebra.
     """
 
     def __init__(self, ring: CoeffRing):
@@ -748,40 +741,9 @@ class ColumnLattice:
         self.cols: list = []  # (pivot_row, vec dict, coords dict), sorted
         self.ngens = 0
 
-    @staticmethod
-    def from_matrix(M: ExactMatrix) -> "ColumnLattice":
-        lat = ColumnLattice(M.ring)
-        for j in range(M.cols):
-            lat.add({i: M[i, j] for i in range(M.rows) if M[i, j] != 0})
-        return lat
-
     @property
     def rank(self) -> int:
         return len(self.cols)
-
-    def _reduce(self, vec: dict, coords: dict, need_exact: bool):
-        """Reduce vec against the echelon columns; mutates vec/coords.
-
-        Returns False if an exact-division step fails (ZZ only) while
-        need_exact is set.
-        """
-        field = self.ring.is_field
-        for pr, cvec, ccoords in self.cols:
-            c = vec.get(pr)
-            if not c:
-                continue
-            p = cvec[pr]
-            if field:
-                q = c / p
-            else:
-                q, r = divmod(c, p)
-                if r != 0:
-                    if need_exact:
-                        return False
-                    continue
-            _vec_axpy(vec, cvec, -q)
-            _vec_axpy(coords, ccoords, q)
-        return True
 
     def add(self, vec: dict, coord_key=None) -> bool:
         """Insert a generator; returns True when the lattice grew.
@@ -843,21 +805,10 @@ class ColumnLattice:
             grew = True
         return grew
 
-    def contains(self, vec: dict) -> bool:
-        return self.coordinates(vec) is not None
-
-    def coordinates(self, vec: dict) -> Optional[dict]:
-        """Coordinates of vec in the original generators, or None."""
-        v = {k: self.ring.element(x) for k, x in vec.items() if x != 0}
-        coords: dict = {}
-        if not self._reduce(v, coords, need_exact=True):
-            return None
-        if v:
-            return None
-        return coords
-
-    def echelon_coordinates(self, vec: dict) -> Optional[dict]:
-        """Coordinates of vec in the echelon basis columns, or None."""
+    def reduce(self, vec: dict) -> Optional[tuple]:
+        """(remainder, {echelon column index: multiple taken off}), or None
+        when over ZZ a pivot does not divide the entry it meets.  The
+        remainder is zero at every pivot row."""
         v = {k: self.ring.element(x) for k, x in vec.items() if x != 0}
         out: dict = {}
         field = self.ring.is_field
@@ -874,19 +825,50 @@ class ColumnLattice:
                     return None
             out[idx] = q
             _vec_axpy(v, cvec, -q)
-        return out if not v else None
+        return v, out
+
+    def contains(self, vec: dict) -> bool:
+        return self.echelon_coordinates(vec) is not None
+
+    def echelon_coordinates(self, vec: dict) -> Optional[dict]:
+        """Coordinates of vec in the echelon basis columns, or None."""
+        red = self.reduce(vec)
+        return None if red is None or red[0] else red[1]
+
+    def coordinates(self, vec: dict) -> Optional[dict]:
+        """Coordinates of vec in the original generators, or None."""
+        co = self.echelon_coordinates(vec)
+        if co is None:
+            return None
+        coords: dict = {}
+        for idx, q in co.items():
+            _vec_axpy(coords, self.cols[idx][2], q)
+        return coords
+
+    def split_projection(self, dim: int) -> Tuple[list, ExactMatrix]:
+        """(kept rows, P): the rows of R^dim away from the pivots, and P,
+        of shape len(kept) x dim, sending v to the kept entries of its
+        remainder.  Raises ValueError("pivot p") at the first pivot p that
+        is not a unit, which over ZZ is when the quotient has torsion."""
+        field = self.ring.is_field
+        pivots = set()
+        for pr, cvec, _ in self.cols:
+            if not field and cvec[pr] not in (1, -1):
+                raise ValueError(f"pivot {cvec[pr]}")
+            pivots.add(pr)
+        kept = [i for i in range(dim) if i not in pivots]
+        pos = {i: k for k, i in enumerate(kept)}
+        P = ExactMatrix.zeros(len(kept), dim, self.ring)
+        for j in range(dim):
+            for i, c in self.reduce({j: 1})[0].items():
+                P.data[pos[i], j] = c
+        return kept, P
 
     def lattice_equals(self, other: "ColumnLattice") -> bool:
         if self.rank != other.rank:
             return False
         return (all(other.contains(c[1]) for c in self.cols)
                 and all(self.contains(c[1]) for c in other.cols))
-
-    def pivot_rows(self) -> list:
-        return [c[0] for c in self.cols]
-
-    def pivot_values(self) -> list:
-        return [c[1][c[0]] for c in self.cols]
 
     def basis_vectors(self) -> list:
         return [dict(c[1]) for c in self.cols]

@@ -12,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .chain_complex import ChainComplex, cohomology
 from .exact_linalg import (
     CoeffRing,
+    ColumnLattice,
     ExactMatrix,
     PresolvedSolver,
     ZZ,
@@ -100,16 +103,8 @@ class Quiver:
         self.vertices = list(poset.strata)
         self.arrows = poset.hasse_covers()
         self._out: Dict[str, List[str]] = {v: [] for v in self.vertices}
-        self._in: Dict[str, List[str]] = {v: [] for v in self.vertices}
         for a, b in self.arrows:
             self._out[a].append(b)
-            self._in[b].append(a)
-
-    def arrows_from(self, v: str) -> List[str]:
-        return self._out[v]
-
-    def arrows_into(self, v: str) -> List[str]:
-        return self._in[v]
 
     def paths(self, src: str, dst: str) -> List[List[str]]:
         """All directed Hasse paths src -> ... -> dst."""
@@ -309,6 +304,8 @@ def hom_space(V: Representation, W: Representation) -> List[RepMorphism]:
     zero = ring.element(0)
     rows = []
     for a, b in V.quiver.arrows:
+        if not W.rank(b) or not V.rank(a):
+            continue  # no equations
         va, wa = V.arrow(a, b), W.arrow(a, b)
         # f_b . V_ab = W_ab . f_a, one equation per (i, j)
         for i in range(W.rank(b)):
@@ -328,12 +325,10 @@ def hom_space(V: Representation, W: Representation) -> List[RepMorphism]:
                 if nonzero and any(x != 0 for x in row):
                     rows.append(row)
     if rows:
-        import numpy as np
-
         arr = np.empty((len(rows), ncols), dtype=object)
         for i, row in enumerate(rows):
             arr[i, :] = row
-        system = ExactMatrix.wrap(ring, arr)
+        system = ExactMatrix(ring, arr)
     else:
         system = ExactMatrix.zeros(0, ncols, ring)
     basis = kernel_basis(system)
@@ -590,13 +585,16 @@ def _coevaluation_embedding(V: Representation):
 
 
 def _cokernel_rep(f: RepMorphism):
-    """Cokernel of a stalkwise split injection, with its projection."""
-    from .exact_linalg import ColumnLattice
+    """Cokernel of a stalkwise split injection, with its projection.
 
+    With P_v the projection along the image at v
+    (`ColumnLattice.split_projection`), the arrows are P_b W_ab on the kept
+    columns of a and the projection has components P_v.
+    """
     W = f.target
     quiver, ring = W.quiver, W.ring
-    lattices = {}
     keep = {}
+    proj = {}
     for v in quiver.vertices:
         if not W.rank(v):
             continue
@@ -605,58 +603,18 @@ def _cokernel_rep(f: RepMorphism):
         for j in range(comp.cols):
             lat.add({i: comp[i, j] for i in range(comp.rows)
                      if comp[i, j] != 0})
-        for pv in lat.pivot_values():
-            if not ring.is_field and pv not in (1, -1):
-                raise ValueError("cokernel has torsion; the embedding "
-                                 "was not stalkwise split")
-        lattices[v] = lat
-        pivots = set(lat.pivot_rows())
-        keep[v] = [i for i in range(W.rank(v)) if i not in pivots]
-
-    def project(v, vec):
-        lat = lattices.get(v)
-        work = {i: x for i, x in enumerate(vec) if x != 0}
-        if lat:
-            for pr, cvec, _ in lat.cols:
-                c = work.get(pr)
-                if not c:
-                    continue
-                p = cvec[pr]
-                q = c / p if ring.is_field else c // p
-                for kk, vv in cvec.items():
-                    w = work.get(kk, 0) - q * vv
-                    if w == 0:
-                        work.pop(kk, None)
-                    else:
-                        work[kk] = w
-        pos = {i: k for k, i in enumerate(keep.get(v, []))}
-        return {pos[i]: c for i, c in work.items()}
-
+        try:
+            keep[v], proj[v] = lat.split_projection(W.rank(v))
+        except ValueError as exc:
+            raise ValueError("cokernel has torsion; the embedding "
+                             "was not stalkwise split") from exc
     stalks = {v: len(keep.get(v, [])) for v in quiver.vertices}
     arrows = {}
     for a, b in quiver.arrows:
-        ra, rb = stalks.get(a, 0), stalks.get(b, 0)
-        if not ra or not rb:
-            continue
-        m = ExactMatrix.zeros(rb, ra, ring)
-        wab = W.arrow(a, b)
-        for j, i_src in enumerate(keep[a]):
-            img = wab.col(i_src)
-            for i, c in project(b, img).items():
-                m.data[i, j] = c
-        arrows[(a, b)] = m
+        if stalks[a] and stalks[b]:
+            arrows[(a, b)] = (proj[b] @ W.arrow(a, b)).take_cols(keep[a])
     C = Representation(quiver, ring, stalks, arrows)
-    comps = {}
-    for v in quiver.vertices:
-        if not W.rank(v) or not stalks.get(v, 0):
-            continue
-        m = ExactMatrix.zeros(stalks[v], W.rank(v), ring)
-        for j in range(W.rank(v)):
-            col = [ring.element(0)] * W.rank(v)
-            col[j] = ring.element(1)
-            for i, c in project(v, col).items():
-                m.data[i, j] = c
-        comps[v] = m
+    comps = {v: P for v, P in proj.items() if stalks[v]}
     return C, RepMorphism(W, C, comps)
 
 
@@ -696,8 +654,7 @@ def hom_complex_against(res: ProjectiveResolution,
         src_basis, dst_basis = bases[q], bases[q + 1]
         if not src_basis or not dst_basis:
             continue
-        flat = ExactMatrix(ring, _stack_flat(dst_basis, ring))
-        solver = PresolvedSolver(flat)
+        solver = PresolvedSolver(_stack_flat(dst_basis))
         cols = []
         for f in src_basis:
             g = f.compose(d)
@@ -713,15 +670,13 @@ def hom_complex_against(res: ProjectiveResolution,
     return ChainComplex(ring, ranks, diffs)
 
 
-def _stack_flat(morphisms: Sequence[RepMorphism], ring) -> "np.ndarray":
-    import numpy as np
-
+def _stack_flat(morphisms: Sequence[RepMorphism]) -> ExactMatrix:
+    """The flattened morphisms as the columns of one matrix."""
     flats = [m.flatten() for m in morphisms]
-    n = len(flats[0])
-    a = np.empty((n, len(flats)), dtype=object)
+    a = np.empty((len(flats[0]), len(flats)), dtype=object)
     for j, f in enumerate(flats):
         a[:, j] = f
-    return a
+    return ExactMatrix(morphisms[0].source.ring, a)
 
 
 def ext(V: Representation, W: Representation, q: int,

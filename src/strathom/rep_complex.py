@@ -23,6 +23,7 @@ from .quiver_rep import (
     Quiver,
     RepMorphism,
     Representation,
+    _stack_flat,
     hom_space,
     validate_representation,
 )
@@ -240,13 +241,7 @@ class _PairCache:
         key = (id(a), id(b))
         solver = self._solvers.get(key)
         if solver is None:
-            import numpy as np
-
-            flats = [m.flatten() for m in gens]
-            mat = np.empty((len(flats[0]), len(flats)), dtype=object)
-            for j, f in enumerate(flats):
-                mat[:, j] = f
-            solver = PresolvedSolver(ExactMatrix(a.ring, mat))
+            solver = PresolvedSolver(_stack_flat(gens))
             self._solvers[key] = solver
         return solver.solve(g.flatten())
 
@@ -475,10 +470,6 @@ class EndAlgebra(DgAlgebra):
         labels = {m: hom.rendered_labels(m) for m in hom.basis}
         super().__init__(ring, dict(cc.ranks), labels, unit,
                          dict(cc.differentials), mult)
-
-    def basis_index(self, m: int, kind: str, indices: tuple,
-                    p: Optional[int] = None) -> int:
-        return self.hom.find(m, kind, indices, p)
 
     def element(self, m, terms):
         return self.hom.element(m, terms)

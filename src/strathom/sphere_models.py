@@ -35,6 +35,7 @@ from .quiver_rep import (
     Representation,
     StratPoset,
     build_quiver,
+    closure_rep,
     direct_sum,
     hom_space,
 )
@@ -86,12 +87,7 @@ class SphereModel:
         if s not in self.poset.strata:
             raise ValueError(f"unknown stratum {s!r}")
         if s not in self._closure:
-            support = set(self.poset.down_set(s))
-            one = ExactMatrix.identity(1, self.ring)
-            arrows = {(a, b): one for a, b in self.quiver.arrows
-                      if a in support and b in support}
-            self._closure[s] = Representation(
-                self.quiver, self.ring, {v: 1 for v in support}, arrows)
+            self._closure[s] = closure_rep(self.quiver, s, self.ring)
         return self._closure[s]
 
     def skyscraper(self, i: int) -> Representation:

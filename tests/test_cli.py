@@ -123,13 +123,6 @@ def test_ext_table_bad_n(capsys):
     assert main(["ext-table", "--n", "0"]) == 2
 
 
-def test_ext_table_parallel_is_deterministic(capsys, monkeypatch):
-    _, serial = run(capsys, "ext-table", "--n", "2", "--qmax", "1")
-    monkeypatch.setenv("STRATHOM_JOBS", "3")
-    _, threaded = run(capsys, "ext-table", "--n", "2", "--qmax", "1")
-    assert serial == threaded
-
-
 def test_compute_end_cross_checks_trivial_scenario(files, capsys):
     poset, reps = files
     code, rep = run_json(capsys, "compute", "--poset", poset, "--reps", reps,
@@ -203,6 +196,35 @@ def test_compute_bad_matrix_shape(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "shape" in err
+
+
+def _compute_with_arrow(tmp_path, entry, ring):
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps(POSET_A2))
+    reps = tmp_path / "reps.json"
+    reps.write_text(json.dumps(
+        {"reps": [{"name": "V", "stalks": {"P1": 1, "E1": 1},
+                   "arrows": {"(P1,E1)": [[entry]]}}]}))
+    return main(["compute", "--poset", str(poset), "--reps", str(reps),
+                 "--action", "hom", "--ring", ring])
+
+
+@pytest.mark.parametrize("entry,ring", [
+    (1.5, "Z"), (1.5, "Q"), (True, "Z"), (1e23, "Z")])
+def test_compute_rejects_inexact_matrix_entries(tmp_path, capsys, entry,
+                                                ring):
+    # json reads 1e23 as a float that is not 10**23; 1.5 over Z used to
+    # truncate to 1, and True to count as 1
+    code = _compute_with_arrow(tmp_path, entry, ring)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "reps[0].arrows" in err and "(P1,E1)" in err
+
+
+def test_compute_accepts_rational_string_entries(tmp_path, capsys):
+    assert _compute_with_arrow(tmp_path, "3/2", "Q") == 0
+    assert json.loads(capsys.readouterr().out)["results"]["hom_ranks"] \
+        == {"V->V": 1}
 
 
 def test_compute_malformed_json_line_diagnostics(tmp_path, capsys):

@@ -92,6 +92,21 @@ def test_element_arithmetic():
     assert a.d_element(t)[1] == {}
 
 
+def test_quotient_rejects_torsion():
+    a = dual_numbers_deg2()
+    ideal = ideal_from_span(a, [(2, {0: 2})])
+    with pytest.raises(ValueError,
+                       match="^quotient has torsion at degree 2: pivot 2$"):
+        quotient(a, ideal)
+
+
+def test_quotient_rejects_killing_the_unit():
+    a = dual_numbers_deg2()
+    ideal = ideal_from_span(a, [a.unit_element()])
+    with pytest.raises(ValueError, match="^quotient kills the unit$"):
+        quotient(a, ideal)
+
+
 # ------------------------------------------------------------ cohomology
 
 

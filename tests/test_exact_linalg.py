@@ -10,7 +10,6 @@ from strathom.exact_linalg import (
     ColumnLattice,
     ExactMatrix,
     PresolvedSolver,
-    coordinates_in_subquotient,
     determinant,
     invariant_factors,
     inverse,
@@ -215,18 +214,18 @@ def test_subquotient_lift_and_coordinates():
     sq = subquotient(kernel, image)
     assert sq.betti == 1
     assert sq.torsion == [3]
-    free, tors = coordinates_in_subquotient(sq.lift.col(0), sq)
+    free, tors = sq.coordinates(sq.lift.col(0))
     assert free == [1] and tors == [0]
-    free, tors = coordinates_in_subquotient([0, 3], sq)
+    free, tors = sq.coordinates([0, 3])
     assert free == [0] and tors == [0]
-    free, tors = coordinates_in_subquotient([0, 1], sq)
+    free, tors = sq.coordinates([0, 1])
     assert free == [0] and tors != [0]
 
 
 def test_coordinates_rejects_non_cocycle():
     sq = subquotient(M([[2], [2]]), ExactMatrix.zeros(2, 0))
     with pytest.raises(ValueError, match="not a cocycle"):
-        coordinates_in_subquotient([1, 0], sq)
+        sq.coordinates([1, 0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,3 +305,45 @@ def test_column_lattice_equality():
     c = ColumnLattice(ZZ)
     c.add({0: 1, 1: 1})
     assert not a.lattice_equals(c)
+
+
+def _combine(cs, gens):
+    out = {}
+    for c, g in zip(cs, gens):
+        for k, v in g.items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32), st.sampled_from([ZZ, QQ]))
+def test_split_projection_property(n, seed, ring):
+    rng = random.Random(seed)
+    # echelon vectors with +-1 pivots span a lattice whose pivots stay units
+    # however it is generated; mix them into generators with integer
+    # combinations that keep the span (add a multiple of another generator)
+    pivots = sorted(rng.sample(range(n), rng.randint(0, n)))
+    gens = [{**{r: rng.randint(-3, 3) for r in range(p + 1, n)},
+             p: rng.choice([1, -1])} for p in pivots]
+    for _ in range(2 * len(gens)):
+        if len(gens) > 1:
+            i, j = rng.sample(range(len(gens)), 2)
+            gens[i] = _combine([1, rng.randint(-3, 3)], [gens[i], gens[j]])
+    gens += [_combine([rng.randint(-2, 2) for _ in gens], gens)
+             for _ in range(rng.randint(0, 2))]
+    gens = [{k: ring.element(v) for k, v in g.items()} for g in gens]
+    lat = ColumnLattice(ring)
+    for g in gens:
+        lat.add(g)
+    assert lat.rank == len(pivots)
+    kept, P = lat.split_projection(n)
+    assert len(kept) == n - len(pivots)
+    for g in gens:
+        dense = [g.get(i, ring.element(0)) for i in range(n)]
+        assert all(x == 0 for x in P.matvec(dense))
+    assert P.take_cols(kept) == ExactMatrix.identity(len(kept), ring)
+    cs = [rng.randint(-4, 4) for _ in gens]
+    v = _combine(cs, gens)
+    co = lat.coordinates(v)
+    assert co is not None
+    assert _combine([co.get(g, 0) for g in range(len(gens))], gens) == v

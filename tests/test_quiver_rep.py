@@ -8,6 +8,7 @@ from strathom.quiver_rep import (
     RepMorphism,
     Representation,
     StratPoset,
+    _cokernel_rep,
     build_quiver,
     direct_sum,
     ext,
@@ -274,3 +275,12 @@ def test_ext_over_rationals(q2):
     ip1 = closure_rep(q2, "P1", QQ)
     assert ext(ih1, ip1, 1) == (0, [])
     assert ext(ih1, ip1, 0) == (1, [])
+
+
+def test_cokernel_rejects_non_split_embedding(q2):
+    ie1 = closure_rep(q2, "E1")
+    two = RepMorphism(ie1, ie1, {v: ExactMatrix.identity(1).scale(2)
+                                 for v in ie1.support()})
+    with pytest.raises(ValueError, match="^cokernel has torsion; the "
+                       "embedding was not stalkwise split$"):
+        _cokernel_rep(two)
