@@ -58,7 +58,6 @@ from .rep_complex import (
     ComplexOfReps,
     HomComplex,
     end_dg_algebra,
-    hom_complex,
     validate_resolution,
 )
 from .dg import (
@@ -78,7 +77,6 @@ from .dg import (
 from .sphere_models import (
     DeRhamModel,
     SphereModel,
-    build_An,
     de_rham_model,
     formality_chain_n_points,
     formality_witness_one_point,

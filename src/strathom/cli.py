@@ -10,9 +10,10 @@ Three commands:
       representation files
 
 Exit codes: 0 on success, 1 when a computation disagrees with the embedded
-expectations, 2 on usage or input errors.  Reports serialize to canonical
-JSON (sorted keys, no whitespace) so byte-stable output can be diffed;
-tables can be emitted as TSV instead.
+expectations, 2 on usage or input errors, 3 on an internal error (an
+unexpected exception, reported on stderr with its traceback).  Reports
+serialize to canonical JSON (sorted keys, no whitespace) so byte-stable
+output can be diffed; tables can be emitted as TSV instead.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 from typing import Dict
 
@@ -50,6 +52,7 @@ from .expectations import formality_expectations
 
 USAGE_ERROR = 2
 MISMATCH = 1
+INTERNAL_ERROR = 3
 
 
 class InputError(Exception):
@@ -265,7 +268,10 @@ def cmd_ext_table(args) -> int:
     return 0 if ok else MISMATCH
 
 
+# Both schemas name draft 4: unlike later drafts, its "integer" rejects
+# integral floats such as 2.0 or 1e23 (which json has already rounded).
 POSET_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-04/schema#",
     "type": "object",
     "required": ["strata", "covers"],
     "properties": {
@@ -287,8 +293,7 @@ POSET_SCHEMA = {
     },
 }
 
-# Matrix entries are JSON integers or strings such as "3/2".  In draft 4,
-# unlike later drafts, "integer" rejects floats like 1e23 (already rounded).
+# Matrix entries are JSON integers or strings such as "3/2".
 REPS_SCHEMA = {
     "$schema": "http://json-schema.org/draft-04/schema#",
     "type": "object",
@@ -552,6 +557,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ and the identification check of `verify_formality_chain` all use it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +43,7 @@ from .exact_linalg import (
     CoeffRing,
     ColumnLattice,
     ExactMatrix,
+    _unscale,
     _vec_axpy,
     integer_scaling,
     inverse,
@@ -195,8 +195,9 @@ class DgAlgebra:
         omitted) maps degree q1 + q2 onward.  Over Z the blocks are int64
         arrays when the bound in the module docstring rules out overflow,
         object arrays of ints otherwise; over Q they are object arrays of
-        Fractions (and int zeros).  One block is live at a time: nothing of
-        size rows x cols(X) x cols(Y) is built.
+        Fractions, except that a block with no product terms is the int64
+        zero array.  One block is live at a time: nothing of size
+        rows x cols(X) x cols(Y) is built.
         """
         coo = self._coo(q1, q2)
         want = (self.dim(q1), self.dim(q2), self.dim(q1 + q2))
@@ -233,12 +234,7 @@ class DgAlgebra:
                 yield zero
                 continue
             block = (K[:, m] * w[m]) @ Yj[m]
-            if self.ring.is_field:
-                nz = np.nonzero(block)
-                exact = np.zeros(block.shape, dtype=object)
-                exact[nz] = [Fraction(v, den) for v in block[nz].tolist()]
-                block = exact
-            yield block
+            yield _unscale(block, den) if self.ring.is_field else block
 
     def d_element(self, x: Element) -> Element:
         q, c = x

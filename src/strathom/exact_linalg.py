@@ -10,6 +10,13 @@ dtype) so there is no fixed-width overflow; as a fast path, Smith reduction
 runs on int64 arrays with explicit growth bounds and restarts on object
 dtype if a bound is ever at risk.  Rational entries are `fractions.Fraction`
 values, which normalize on every operation.
+
+Products (`ExactMatrix.__matmul__` and `matvec`) run on int64 when
+max|a| * max|b| * (inner dimension) < 2**62, so that no sum can overflow,
+and on Python ints otherwise.  Over Q each operand is first scaled to
+integers by the least common denominator of its entries
+(`integer_scaling`), and each entry of the integer product is divided by
+the product of the two denominators once, at the end.
 """
 
 from __future__ import annotations
@@ -71,9 +78,10 @@ class ExactMatrix:
     """Immutable dense matrix over a CoeffRing.
 
     The wrapped array has dtype=object with int or Fraction entries.  All
-    arithmetic is exact; operations return new matrices.  Products of
-    small-integer matrices run through int64 numpy kernels when a bound on
-    the result proves no overflow is possible.
+    arithmetic is exact; operations return new matrices.  Products run
+    through int64 numpy kernels when a bound on the result proves no
+    overflow is possible; over Q on the entries scaled to integers, the
+    result is divided back into Fractions.
     """
 
     __slots__ = ("ring", "data", "_i64", "_scaled")
@@ -195,6 +203,11 @@ class ExactMatrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return ExactMatrix.zeros(self.rows, other.cols, self.ring)
+        if self.ring.is_field:
+            a, da, ta = self.integer_scaling()
+            b, db, tb = other.integer_scaling()
+            return ExactMatrix(self.ring, _unscale(
+                _int_dot(a, b, ta * tb * self.cols), da * db))
         fa, fb = self._int64_view(), other._int64_view()
         if fa and fb and fa[1] * fb[1] * self.cols < 2 ** 62:
             return ExactMatrix(self.ring, fa[0].dot(fb[0]).astype(object))
@@ -225,6 +238,11 @@ class ExactMatrix:
             return []
         if self.cols == 0:
             return [self.ring.element(0)] * self.rows
+        if self.ring.is_field:
+            a, da, ta = self.integer_scaling()
+            vv, dv, tv = integer_scaling(v)
+            return list(_unscale(_int_dot(a, vv, ta * tv * self.cols),
+                                 da * dv))
         fa = self._int64_view()
         if fa:
             try:
@@ -302,6 +320,26 @@ def integer_scaling(values: Sequence):
     return np.array(nums, dtype=np.int64 if top < 2 ** 63 else object), d, top
 
 
+def _int_dot(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """a.dot(b) for integer arrays, on int64 when bound (max|a| * max|b| *
+    inner dimension) < 2**62, else on Python ints."""
+    if bound < 2 ** 62:
+        return a.dot(b)
+    return a.astype(object).dot(b.astype(object))
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _unscale(a: np.ndarray, den: int) -> np.ndarray:
+    """The object array of Fractions a / den, for an integer array a; every
+    zero is the one shared Fraction(0)."""
+    out = np.full(a.shape, _FRACTION_ZERO, dtype=object)
+    nz = np.nonzero(a)
+    out[nz] = [Fraction(x, den) for x in a[nz].tolist()]
+    return out
+
+
 @dataclass(frozen=True)
 class SnfResult:
     """Smith decomposition D = U @ M @ V with U, V unimodular."""
@@ -340,16 +378,18 @@ def _snf_core(a: np.ndarray, field: bool, transforms: bool):
 
     a may be int64 (raises _Overflow when entry growth gets near the limit)
     or object dtype.  The transforms are always kept in object dtype since
-    their entries outgrow the working matrix.  Pivoting selects an entry of
-    minimal nonzero absolute value, which keeps intermediate entries small,
-    and row/column updates touch only the rows/columns with nonzero
-    quotients (most, for the incidence-like matrices this package meets).
+    their entries outgrow the working matrix; over a field they start as
+    the identity of Fractions, so that no later division meets two ints
+    and returns a float.  Pivoting selects an entry of minimal nonzero
+    absolute value, which keeps intermediate entries small, and row/column
+    updates touch only the rows/columns with nonzero quotients (most, for
+    the incidence-like matrices this package meets).
     """
     m, n = a.shape
     guarded = a.dtype != object
     if transforms:
-        U = ExactMatrix.identity(m, ZZ).data
-        V = ExactMatrix.identity(n, ZZ).data
+        U = ExactMatrix.identity(m, QQ if field else ZZ).data
+        V = ExactMatrix.identity(n, QQ if field else ZZ).data
     else:
         U = V = None
     t = 0

@@ -419,10 +419,6 @@ class HomComplex:
         return rows
 
 
-def hom_complex(X: ComplexOfReps, Y: ComplexOfReps) -> HomComplex:
-    return HomComplex(X, Y)
-
-
 # ---------------------------------------------------------------------------
 # endomorphism dg algebras
 # ---------------------------------------------------------------------------
@@ -480,4 +476,4 @@ def end_dg_algebra(X: ComplexOfReps) -> EndAlgebra:
     problems = validate_complex_of_reps(X)
     if problems:
         raise ValueError("invalid complex: " + "; ".join(problems))
-    return EndAlgebra(hom_complex(X, X))
+    return EndAlgebra(HomComplex(X, X))

@@ -238,11 +238,6 @@ class SphereModel:
         return Resolution(self, J, targets)
 
 
-def build_An(n: int, ring: CoeffRing = ZZ) -> SphereModel:
-    """The marked-sphere model with n points on the separating circle."""
-    return SphereModel(n, ring=ring)
-
-
 @dataclass
 class Resolution:
     """A complex of representations together with its augmentation data."""

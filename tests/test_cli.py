@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from strathom import cli
 from strathom.cli import main
 
 
@@ -221,6 +222,19 @@ def test_compute_rejects_inexact_matrix_entries(tmp_path, capsys, entry,
     assert "reps[0].arrows" in err and "(P1,E1)" in err
 
 
+@pytest.mark.parametrize("dim", [2.0, 1e23])
+def test_compute_rejects_integral_float_dims(tmp_path, files, capsys, dim):
+    poset = tmp_path / "float_dim.json"
+    strata = [dict(s) for s in POSET_A2["strata"]]
+    strata[0]["dim"] = dim
+    poset.write_text(json.dumps({**POSET_A2, "strata": strata}))
+    code = main(["compute", "--poset", str(poset), "--reps", files[1],
+                 "--action", "hom"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "$.strata[0].dim" in err
+
+
 def test_compute_accepts_rational_string_entries(tmp_path, capsys):
     assert _compute_with_arrow(tmp_path, "3/2", "Q") == 0
     assert json.loads(capsys.readouterr().out)["results"]["hom_ranks"] \
@@ -237,6 +251,31 @@ def test_compute_malformed_json_line_diagnostics(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 2" in err
+
+
+def test_mismatch_exit_code(monkeypatch, capsys):
+    real = cli.formality_expectations
+
+    def bent(scenario, n):
+        return {**real(scenario, n), "end_ranks": {"0": 7, "1": 8, "2": 4}}
+
+    monkeypatch.setattr(cli, "formality_expectations", bent)
+    code, rep = run_json(capsys, "formality", "trivial")
+    assert code == cli.MISMATCH == 1
+    assert rep["expected"]["pass"] is False
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def boom(args):
+        raise AssertionError("morphism escaped the Hom lattice")
+
+    monkeypatch.setattr(cli, "cmd_formality", boom)
+    code = main(["formality", "trivial"])
+    captured = capsys.readouterr()
+    assert code == cli.INTERNAL_ERROR == 3
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "internal error: AssertionError: morphism escaped the Hom lattice")
 
 
 def test_tsv_output_contains_table(capsys):

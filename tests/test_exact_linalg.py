@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ def test_snf_rejects_rationals():
         smith_normal_form(M([[1]], QQ))
 
 
+def test_q_kernel_and_solve_hold_fractions():
+    # Smith transforms over Q used to start from the integer identity, so
+    # kernel columns kept int entries and later divisions made floats
+    m = M([[0, 2, 0]], QQ)
+    k = kernel_basis(m)
+    assert k.cols == 2
+    assert _all_fractions(k.entries)
+    x = solve_in_image(m, [Fraction(1, 3)])
+    assert x == [0, Fraction(1, 6), 0]
+    assert _all_fractions(x)
+
+
 def test_invariant_factors_matches_snf():
     m = M([[2, 0], [0, 6], [0, 0]])
     assert invariant_factors(m) == [2, 6]
@@ -106,6 +119,76 @@ def test_snf_random_properties(r, c, seed):
                 prod *= d
         if det != 0:
             assert prod == abs(det)
+
+
+# ---------------------------------------------------------------- products
+
+# Small fractions take the int64 product; numerators and denominators near
+# 2**40 push the scaled operands past the 2**62 bound (or past int64), so
+# the product runs on Python ints.
+_SMALL_Q = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_BIG_Q = st.builds(lambda s, n, d: Fraction(s * n, d),
+                   st.sampled_from([1, -1]),
+                   st.integers(2 ** 40 - 9, 2 ** 40 + 9),
+                   st.integers(2 ** 40 - 9, 2 ** 40 + 9))
+
+
+def _q_matrix(data, entry, rows, cols):
+    return ExactMatrix.from_rows(
+        [[data.draw(entry) for _ in range(cols)] for _ in range(rows)],
+        QQ, cols=cols)
+
+
+def _all_fractions(xs):
+    return all(type(x) is Fraction for x in xs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),
+       st.sampled_from([_SMALL_Q, st.one_of(_SMALL_Q, _BIG_Q)]))
+def test_q_products_match_fraction_dot(data, r, k, c, entry):
+    A = _q_matrix(data, entry, r, k)
+    B = _q_matrix(data, entry, k, c)
+    v = [data.draw(entry) for _ in range(k)]
+    AB = A @ B
+    assert AB.shape == (r, c)
+    assert AB.tolist() == A.data.dot(B.data).tolist()
+    assert _all_fractions(AB.entries)
+    vv = np.empty(k, dtype=object)
+    vv[:] = v
+    Av = A.matvec(v)
+    assert Av == list(A.data.dot(vv))
+    assert _all_fractions(Av)
+
+
+def test_q_product_past_the_int64_bound():
+    # scaled by 3 and 5, every term is 2**62 or more: int64 would wrap
+    a, b = 2 ** 31, Fraction(2 ** 31, 3)
+    A = M([[b, a]], QQ)
+    B = M([[a], [Fraction(a, 5)]], QQ)
+    want = Fraction(2 ** 62, 3) + Fraction(2 ** 62, 5)
+    assert (A @ B).tolist() == [[want]]
+    assert A.matvec([a, Fraction(a, 5)]) == [want]
+    assert _all_fractions((A @ B).entries)
+
+
+def test_q_product_zeros_are_fractions():
+    # 1/2 * 2/3 - 1/3 * 1 cancels to zero
+    A = M([[Fraction(1, 2), Fraction(1, 3)]], QQ)
+    B = M([[Fraction(2, 3)], [-1]], QQ)
+    assert (A @ B).tolist() == [[0]]
+    assert _all_fractions((A @ B).entries)
+    assert A.matvec([Fraction(2, 3), -1]) == [0]
+    assert _all_fractions(A.matvec([Fraction(2, 3), -1]))
+
+
+def test_q_product_with_empty_inner_dimension():
+    A = ExactMatrix.zeros(3, 0, QQ)
+    B = ExactMatrix.zeros(0, 2, QQ)
+    assert A @ B == ExactMatrix.zeros(3, 2, QQ)
+    assert _all_fractions((A @ B).entries)
+    assert A.matvec([]) == [0, 0, 0]
+    assert _all_fractions(A.matvec([]))
 
 
 # ---------------------------------------------------------------- kernels

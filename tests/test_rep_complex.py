@@ -6,8 +6,8 @@ from strathom.exact_linalg import ZZ, ExactMatrix
 from strathom.quiver_rep import hom_space
 from strathom.rep_complex import (
     ComplexOfReps,
+    HomComplex,
     end_dg_algebra,
-    hom_complex,
     shift_complex_of_reps,
     validate_complex_of_reps,
     validate_resolution,
@@ -98,7 +98,7 @@ def test_end_trivial_cohomology(E_trivial):
 
 def test_hom_complex_rank_additivity(J_trivial):
     X = J_trivial.complex
-    hc = hom_complex(X, X)
+    hc = HomComplex(X, X)
     for m, basis in hc.basis.items():
         total = 0
         for p in X.degrees():
@@ -113,7 +113,7 @@ def test_hom_complex_single_term(model2):
 
     X = ComplexOfReps(model2.quiver, ZZ,
                       {0: direct_sum([ip1], names=["P1"])}, {})
-    hc = hom_complex(X, X)
+    hc = HomComplex(X, X)
     assert hc.ranks() == {0: 1}
     assert hc.complex.d(0).is_zero()
     E = end_dg_algebra(X)
@@ -122,7 +122,7 @@ def test_hom_complex_single_term(model2):
 
 def test_one_point_hom_ranks(model2):
     J = model2.resolution_one_point()
-    hc = hom_complex(J.complex, J.complex)
+    hc = HomComplex(J.complex, J.complex)
     assert hc.ranks() == {-1: 1, 0: 9, 1: 11, 2: 4}
     basis_m1 = hc.rendered_labels(-1)
     assert basis_m1 == ["p1"]
@@ -130,7 +130,7 @@ def test_one_point_hom_ranks(model2):
 
 def test_one_point_superscripts(model2):
     J = model2.resolution_one_point()
-    hc = hom_complex(J.complex, J.complex)
+    hc = HomComplex(J.complex, J.complex)
     labels0 = hc.rendered_labels(0)
     assert "p1^(0)" in labels0 and "p1^(1)" in labels0
     # unambiguous labels carry no superscript
@@ -237,4 +237,4 @@ def test_hom_complex_mismatched_quivers(model2):
     X = model2.resolution_trivial().complex
     Y = other.resolution_n_points().complex
     with pytest.raises(ValueError):
-        hom_complex(X, Y)
+        HomComplex(X, Y)

@@ -11,7 +11,6 @@ from strathom.dg import (
 )
 from strathom.exact_linalg import QQ, ZZ
 from strathom.quiver_rep import ext, hom_space, projective_resolution
-from strathom.rep_complex import hom_complex
 from strathom.sphere_models import (
     SphereModel,
     de_rham_model,
@@ -43,13 +42,6 @@ def expected_hom_rank(model, s, t):
 def test_build_rejects_single_point():
     with pytest.raises(ValueError):
         SphereModel(1)
-
-
-def test_build_an_alias():
-    from strathom.sphere_models import build_An
-
-    m = build_An(2)
-    assert len(m.quiver.arrows) == 8
 
 
 def test_every_end_algebra_fully_validates():
