@@ -126,25 +126,6 @@ def cohomology(C: ChainComplex) -> CohomologyProfile:
     return profile
 
 
-def betti_numbers(C: ChainComplex) -> Dict[int, int]:
-    """Betti numbers via ranks only (no representative lifts).
-
-    Much cheaper than cohomology() and enough for rank comparisons.
-    """
-    ranks = {}
-    for q, d in C.differentials.items():
-        ranks[q] = len(invariant_factors(d))
-    out = {}
-    for q in C.support():
-        n = C.rank(q)
-        if not n:
-            continue
-        b = n - ranks.get(q, 0) - ranks.get(q - 1, 0)
-        if b:
-            out[q] = b
-    return out
-
-
 def is_acyclic(C: ChainComplex) -> bool:
     """True iff H = 0 in all degrees including torsion.
 

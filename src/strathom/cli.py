@@ -34,7 +34,7 @@ from .quiver_rep import (
     Representation,
     StratPoset,
     build_quiver,
-    ext,
+    ext_all,
     hom_space,
     injective_coresolution,
     projective_resolution,
@@ -240,9 +240,8 @@ def cmd_ext_table(args) -> int:
     for s in strata:
         for t in strata:
             cell = {}
-            for q in range(args.qmax + 1):
-                betti, torsion = ext(reps[s], reps[t], q,
-                                     resolution=resolutions[s])
+            for q, (betti, torsion) in enumerate(
+                    ext_all(reps[s], reps[t], args.qmax, resolutions[s])):
                 cell[f"q{q}"] = [betti, torsion]
                 if q > 0 and (betti or torsion):
                     ok = False
@@ -397,6 +396,8 @@ def _build_reps(data: dict, quiver: Quiver, ring) -> Dict[str, Representation]:
 
 def cmd_compute(args) -> int:
     ring = _ring(args.ring)
+    if args.action in ("ext", "cohomology") and args.qmax < 0:
+        raise InputError("qmax must be nonnegative")
     t0 = time.perf_counter()
     pdata = _load_json(args.poset, POSET_SCHEMA, "poset")
     if not pdata["strata"]:
@@ -434,10 +435,8 @@ def cmd_compute(args) -> int:
         for a in names:
             res = projective_resolution(reps[a])
             for b in names:
-                cell = {}
-                for q in range(args.qmax + 1):
-                    betti, torsion = ext(reps[a], reps[b], q, resolution=res)
-                    cell[f"q{q}"] = [betti, torsion]
+                cell = {f"q{q}": list(e) for q, e in enumerate(
+                    ext_all(reps[a], reps[b], args.qmax, res))}
                 table[f"{a}->{b}"] = cell
                 rows.append([a, b] + [str(cell[f"q{q}"][0])
                                       for q in range(args.qmax + 1)])
@@ -473,10 +472,8 @@ def cmd_compute(args) -> int:
         table = {}
         rows = [["rep"] + [f"H{q}" for q in range(args.qmax + 1)]]
         for a in names:
-            cell = {}
-            for q in range(args.qmax + 1):
-                betti, torsion = ext(const, reps[a], q, resolution=res)
-                cell[f"q{q}"] = [betti, torsion]
+            cell = {f"q{q}": list(e) for q, e in enumerate(
+                ext_all(const, reps[a], args.qmax, res))}
             table[a] = cell
             rows.append([a] + [str(cell[f"q{q}"][0])
                                for q in range(args.qmax + 1)])

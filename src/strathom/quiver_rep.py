@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chain_complex import ChainComplex, cohomology
+from .chain_complex import ChainComplex, cone_report, validate_complex
 from .exact_linalg import (
     CoeffRing,
     ColumnLattice,
@@ -679,14 +679,31 @@ def _stack_flat(morphisms: Sequence[RepMorphism]) -> ExactMatrix:
     return ExactMatrix(morphisms[0].source.ring, a)
 
 
+def ext_all(V: Representation, W: Representation, qmax: int,
+            resolution: Optional[ProjectiveResolution] = None
+            ) -> List[Tuple[int, list]]:
+    """[(betti, torsion) of Ext^q(V, W) for q = 0..qmax] from one Hom complex.
+
+    The complex Hom(Q_q, W) is built once.  Over a PID its kernels are
+    saturated, so every degree is read off the invariant factors of the
+    differentials alone: no kernel transforms and no representative lifts.
+    """
+    if qmax < 0:
+        raise ValueError("ext degree must be nonnegative")
+    res = resolution if resolution is not None else projective_resolution(V)
+    cc = hom_complex_against(res, W)
+    problems = validate_complex(cc)
+    if problems:
+        raise ValueError("invalid complex: " + "; ".join(problems))
+    report = cone_report(cc)
+    out = []
+    for q in range(qmax + 1):
+        r = report.get(q)
+        out.append((r["betti"], r["torsion"]) if r else (0, []))
+    return out
+
+
 def ext(V: Representation, W: Representation, q: int,
         resolution: Optional[ProjectiveResolution] = None) -> Tuple[int, list]:
     """(betti, torsion) of Ext^q(V, W) via a projective resolution of V."""
-    if q < 0:
-        raise ValueError("ext degree must be nonnegative")
-    res = resolution if resolution is not None else projective_resolution(V)
-    if q > res.length():
-        return (0, [])
-    cc = hom_complex_against(res, W)
-    h = cohomology(cc)
-    return (h.betti(q), h.torsion(q))
+    return ext_all(V, W, q, resolution)[q]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .chain_complex import ChainComplex, cohomology
+from .chain_complex import ChainComplex, cone_report
 from .dg import (
     DgAlgebra,
     DgIdeal,
@@ -266,7 +266,8 @@ def _witness_from_representatives(E: EndAlgebra, elements, labels,
     if not sub.has_zero_differential():
         raise ValueError("representative system is not made of cocycles "
                          "closed under d")
-    h_betti = {q: m["betti"] for q, m in _betti_of(E).items() if m["betti"]}
+    h_betti = {q: m["betti"] for q, m in cone_report(E.complex()).items()
+               if m["betti"]}
     if {q: n for q, n in sub.dims.items()} != h_betti:
         raise ValueError(
             f"representative system has dimensions {sub.dims}, cohomology "
@@ -275,12 +276,6 @@ def _witness_from_representatives(E: EndAlgebra, elements, labels,
         raise ValueError("representative system does not represent a basis "
                          "of cohomology")
     return incl
-
-
-def _betti_of(E: DgAlgebra) -> Dict[int, dict]:
-    from .chain_complex import cone_report
-
-    return cone_report(E.complex())
 
 
 def formality_witness_trivial(E: EndAlgebra) -> DgMorphism:
@@ -442,11 +437,8 @@ class DeRhamModel:
         return out
 
     def h_entry_dims(self) -> Dict[Tuple[int, int], int]:
-        out = {}
-        for entry, cc in self.entry_complexes().items():
-            h = cohomology(cc)
-            out[entry] = sum(h.betti(q) for q in cc.support())
-        return out
+        return {entry: sum(r["betti"] for r in cone_report(cc).values())
+                for entry, cc in self.entry_complexes().items()}
 
 
 def de_rham_model(n: int) -> DeRhamModel:

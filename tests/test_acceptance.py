@@ -27,7 +27,7 @@ from strathom.exact_linalg import (
     rank,
     smith_normal_form,
 )
-from strathom.quiver_rep import ext, projective_resolution
+from strathom.quiver_rep import ext_all, projective_resolution
 from strathom.rep_complex import end_dg_algebra, shift_complex_of_reps
 from strathom.sphere_models import (
     SphereModel,
@@ -164,11 +164,10 @@ def test_criterion_4_ext_vanishing():
             for s in model.poset.strata:
                 res = projective_resolution(reps[s])
                 for t in model.poset.strata:
-                    b0, t0_ = ext(reps[s], reps[t], 0, resolution=res)
-                    assert (b0, t0_) == (hom_table[(s, t)], []), (n, s, t)
+                    table = ext_all(reps[s], reps[t], 4, res)
+                    assert table[0] == (hom_table[(s, t)], []), (n, s, t)
                     for q in (1, 2, 3, 4):
-                        assert ext(reps[s], reps[t], q, resolution=res) == \
-                            (0, []), (n, s, t, q)
+                        assert table[q] == (0, []), (n, s, t, q)
     assert c["elapsed"] < 30.0
 
 

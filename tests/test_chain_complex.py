@@ -5,8 +5,8 @@ import pytest
 from strathom.chain_complex import (
     ChainComplex,
     ChainMap,
-    betti_numbers,
     cohomology,
+    cone_report,
     identity_chain_map,
     is_acyclic,
     is_quasi_iso,
@@ -68,8 +68,9 @@ def test_cohomology_representatives_are_cocycles():
     assert (c.d(0) @ lift).is_zero()
 
 
-def test_betti_numbers_match_cohomology():
+def test_cone_report_matches_cohomology():
     rng = random.Random(3)
+    checked = 0
     for _ in range(25):
         ranks = {q: rng.randint(0, 3) for q in range(-1, 3)}
         diffs = {}
@@ -82,11 +83,17 @@ def test_betti_numbers_match_cohomology():
         if validate_complex(c):
             continue
         h = cohomology(c)
-        assert betti_numbers(c) == h.betti_profile()
+        report = cone_report(c)
+        assert sorted(report) == [q for q in c.support() if c.rank(q)]
+        for q in c.support():
+            r = report.get(q, {"betti": 0, "torsion": []})
+            assert (r["betti"], r["torsion"]) == (h.betti(q), h.torsion(q))
+        checked += 1
         # Euler characteristic identity over the rationals
         chi_ranks = c.euler_characteristic()
         chi_h = sum((-1) ** q * h.betti(q) for q in c.support())
         assert chi_ranks == chi_h
+    assert checked
 
 
 def test_cone_of_identity_is_acyclic():

@@ -163,6 +163,18 @@ def test_compute_ext_action(files, capsys):
     assert rep["results"]["ext"]["C->C"]["q0"] == [1, []]
 
 
+@pytest.mark.parametrize("action,qmax", [("ext", "-1"),
+                                         ("cohomology", "-2")])
+def test_compute_rejects_negative_qmax(files, capsys, action, qmax):
+    poset, reps = files
+    code = main(["compute", "--poset", poset, "--reps", reps,
+                 "--action", action, "--qmax", qmax])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "qmax must be nonnegative" in captured.err
+
+
 def test_compute_empty_poset_rejected(tmp_path, capsys):
     poset = tmp_path / "poset.json"
     reps = tmp_path / "reps.json"

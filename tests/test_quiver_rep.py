@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from strathom.chain_complex import cohomology
 from strathom.exact_linalg import QQ, ZZ, ExactMatrix
 from strathom.quiver_rep import (
     Quiver,
@@ -12,13 +14,17 @@ from strathom.quiver_rep import (
     build_quiver,
     direct_sum,
     ext,
+    ext_all,
+    hom_complex_against,
     hom_space,
     indecomposable_projective,
+    injective_coresolution,
     projective_resolution,
     resolution_is_exact,
     validate_representation,
     zero_rep,
 )
+from strathom.rep_complex import ComplexOfReps, HomComplex
 
 
 def sphere_poset_2():
@@ -275,6 +281,136 @@ def test_ext_over_rationals(q2):
     ip1 = closure_rep(q2, "P1", QQ)
     assert ext(ih1, ip1, 1) == (0, [])
     assert ext(ih1, ip1, 0) == (1, [])
+
+
+def test_ext_all_zero_qmax(q2):
+    ih1, ip1 = closure_rep(q2, "H1"), closure_rep(q2, "P1")
+    assert ext_all(ih1, ip1, 0) == [(1, [])]
+
+
+def test_ext_all_above_resolution_length(q2):
+    c = constant_rep(q2)
+    res = projective_resolution(c)
+    table = ext_all(c, c, res.length() + 3, res)
+    assert len(table) == res.length() + 4
+    assert table[0] == (1, [])
+    assert table[res.length() + 1:] == [(0, [])] * 3
+
+
+def test_ext_rejects_negative_degree(q2):
+    c = constant_rep(q2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ext(c, c, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ext_all(c, c, -1)
+
+
+def test_ext_is_one_degree_of_ext_all(q2):
+    reps = [closure_rep(q2, s) for s in ("H1", "E1", "P2")] + \
+        [constant_rep(q2)]
+    for v in reps:
+        res = projective_resolution(v)
+        for w in reps:
+            table = ext_all(v, w, 4, res)
+            assert [ext(v, w, q, resolution=res) for q in range(5)] == table
+
+
+def _times_two(ring):
+    # a < b with V = (R --2--> R)
+    quiver = build_quiver(StratPoset([("a", 0), ("b", 1)], [("a", "b")]))
+    two = ExactMatrix.from_rows([[2]], ring)
+    return Representation(quiver, ring, {"a": 1, "b": 1}, {("a", "b"): two})
+
+
+def _lift_route(res, w, qmax):
+    h = cohomology(hom_complex_against(res, w))
+    return [(h.betti(q), h.torsion(q)) for q in range(qmax + 1)]
+
+
+def test_ext_all_torsion_over_integers():
+    v = _times_two(ZZ)
+    res = projective_resolution(v)
+    assert ext_all(v, v, 2) == [(1, []), (0, [2]), (0, [])]
+    assert ext_all(v, v, 2, res) == _lift_route(res, v, 2)
+
+
+def test_ext_all_torsion_vanishes_over_rationals():
+    v = _times_two(QQ)
+    res = projective_resolution(v)
+    assert ext_all(v, v, 2)[1] == (0, [])
+    assert ext_all(v, v, 2, res) == _lift_route(res, v, 2)
+
+
+def _random_quiver(rng) -> Quiver:
+    names = [f"s{i}" for i in range(rng.randint(1, 7))]
+    covers = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+              if rng.random() < 0.35]
+    return build_quiver(StratPoset([(s, 0) for s in names], covers))
+
+
+def _random_line(quiver, ring, rng) -> Representation:
+    """Rank 1 on a convex support with arrows p^(w(b) - w(a)), w monotone.
+
+    The support is the intersection of an up-set and a down-set, so every
+    path between two supported strata stays in the support, and the scalars
+    along it multiply to p^(w(end) - w(start)): parallel paths agree.
+    """
+    poset = quiver.poset
+    n = len(quiver.vertices)
+    lows = rng.sample(quiver.vertices, rng.randint(1, n))
+    highs = rng.sample(quiver.vertices, rng.randint(1, n))
+    marks = rng.sample(quiver.vertices, rng.randint(0, min(2, n)))
+    support = [v for v in quiver.vertices
+               if any(poset.leq(a, v) for a in lows)
+               and any(poset.leq(v, b) for b in highs)]
+    weight = {v: sum(poset.leq(t, v) for t in marks) for v in support}
+    p = rng.choice([1, 2, 3])
+    arrows = {(a, b): ExactMatrix.from_rows(
+        [[p ** (weight[b] - weight[a])]], ring)
+        for a, b in quiver.arrows if a in weight and b in weight}
+    return Representation(quiver, ring, {v: 1 for v in support}, arrows)
+
+
+def _random_rep(quiver, ring, rng) -> Representation:
+    """Stalk ranks <= 2: two lines, then a unimodular change of basis at
+    every stalk of rank 2, so arrows are not diagonal."""
+    v = direct_sum([_random_line(quiver, ring, rng) for _ in range(2)])
+    change = {}
+    for x in quiver.vertices:
+        if v.rank(x) == 2:
+            k = rng.randint(-2, 2)
+            change[x] = (ExactMatrix.from_rows([[1, k], [0, 1]], ring),
+                         ExactMatrix.from_rows([[1, -k], [0, 1]], ring))
+    arrows = {}
+    for (a, b), m in v.arrow_map.items():
+        if b in change:
+            m = change[b][0] @ m
+        if a in change:
+            m = m @ change[a][1]
+        arrows[(a, b)] = m
+    w = Representation(quiver, ring, v.stalk_rank, arrows)
+    assert validate_representation(w) == []
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(0, 2 ** 32))
+def test_ext_all_matches_lift_route_and_injective_coresolution(ring, seed):
+    """Ext^q(V, W) three ways: invariant factors of Hom(P(V), W), its
+    subquotients with lifts, and H^q Hom(V, I(W)) through closure reps."""
+    rng = random.Random(seed)
+    quiver = _random_quiver(rng)
+    v, w = _random_rep(quiver, ring, rng), _random_rep(quiver, ring, rng)
+    res = projective_resolution(v)
+    cores = injective_coresolution(w)
+    qmax = max(res.length(), len(cores.terms) - 1) + 1
+    table = ext_all(v, w, qmax, res)
+    assert table == _lift_route(res, w, qmax)
+    source = ComplexOfReps(quiver, ring, {0: v}, {})
+    target = ComplexOfReps(quiver, ring, dict(enumerate(cores.terms)),
+                           dict(enumerate(cores.maps)))
+    h = cohomology(HomComplex(source, target).complex)
+    assert table == [(h.betti(q), h.torsion(q)) for q in range(qmax + 1)]
 
 
 def test_cokernel_rejects_non_split_embedding(q2):
