@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,10 +132,6 @@ class ExactMatrix:
         for i in range(n):
             m.data[i, i] = one
         return m
-
-    @classmethod
-    def column(cls, entries: Sequence, ring: CoeffRing = ZZ) -> "ExactMatrix":
-        return cls.from_rows([[x] for x in entries], ring, cols=1)
 
     # -- shape / access -------------------------------------------------
 
@@ -584,6 +580,28 @@ class PresolvedSolver:
             elif ci != 0:
                 return None
         return self.V.matvec(y)
+
+    def solve_many(self, B: ExactMatrix) -> List[Optional[list]]:
+        """`solve` for every column of B, or None for a column outside the
+        image.  With D = U M V, the rows of U B past the rank must vanish,
+        the first `rank` rows are divided by the nonzero diagonal of D (a
+        prefix of it), and V maps the quotients back, all in one product
+        each."""
+        if B.rows != self.M.rows:
+            raise ValueError("rhs length mismatch")
+        r = self.rank
+        C = (self.U @ B).data
+        ok = ~(C[r:] != 0).any(axis=0)
+        Y = ExactMatrix.zeros(self.M.cols, B.cols, self.ring)
+        if r and B.cols:
+            d = np.array(self.diag[:r], dtype=object)[:, None]
+            if self.ring.is_field:
+                Y.data[:r] = C[:r] / d
+            else:
+                ok &= ~(C[:r] % d != 0).any(axis=0)
+                Y.data[:r] = C[:r] // d
+        X = self.V @ Y
+        return [X.col(j) if ok[j] else None for j in range(B.cols)]
 
 
 def solve_in_image(M: ExactMatrix, b: Sequence) -> Optional[list]:

@@ -139,6 +139,7 @@ class Representation:
         self.stalk_rank = {v: stalk_rank.get(v, 0) for v in quiver.vertices}
         self.arrow_map = dict(arrow_map)
         self.blocks = blocks if blocks is not None else [("", self)]
+        self._support = [v for v in quiver.vertices if self.stalk_rank[v]]
 
     def rank(self, v: str) -> int:
         return self.stalk_rank[v]
@@ -159,7 +160,7 @@ class Representation:
         return sum(self.stalk_rank.values())
 
     def support(self) -> List[str]:
-        return [v for v in self.quiver.vertices if self.rank(v)]
+        return list(self._support)
 
     def block_offsets(self, v: str) -> List[int]:
         offs = [0]
@@ -243,16 +244,6 @@ class RepMorphism:
                 comps[v] = m
         return RepMorphism(other.source, self.target, comps)
 
-    def __add__(self, other: "RepMorphism") -> "RepMorphism":
-        comps = {}
-        for v in set(self.components) | set(other.components):
-            comps[v] = self.component(v) + other.component(v)
-        return RepMorphism(self.source, self.target, comps)
-
-    def __neg__(self) -> "RepMorphism":
-        return RepMorphism(self.source, self.target,
-                           {v: -m for v, m in self.components.items()})
-
     def scale(self, c) -> "RepMorphism":
         return RepMorphism(self.source, self.target,
                            {v: m.scale(c) for v, m in self.components.items()})
@@ -260,27 +251,10 @@ class RepMorphism:
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.components.values())
 
-    def flatten(self) -> list:
-        """Entries in a fixed (vertex, row, col) order, for linear algebra."""
-        out = []
-        for v in self.source.quiver.vertices:
-            r, c = self.target.rank(v), self.source.rank(v)
-            if r and c:
-                out.extend(self.component(v).entries)
-        return out
 
-
-def _hom_entry_index(V: Representation, W: Representation):
-    """Column index map for the flattened Hom unknowns f_v[i, j]."""
-    index = {}
-    count = 0
-    for v in V.quiver.vertices:
-        r, c = W.rank(v), V.rank(v)
-        for i in range(r):
-            for j in range(c):
-                index[(v, i, j)] = count
-                count += 1
-    return index, count
+def _common_support(V: Representation, W: Representation) -> List[str]:
+    """The vertices where both V and W are nonzero, in quiver order."""
+    return [v for v in V._support if W.stalk_rank[v]]
 
 
 def hom_space(V: Representation, W: Representation) -> List[RepMorphism]:
@@ -296,11 +270,16 @@ def hom_space(V: Representation, W: Representation) -> List[RepMorphism]:
                 V.quiver.arrows != W.quiver.arrows:
             raise ValueError("representations live on different quivers")
     ring = V.ring
-    if not any(V.rank(v) and W.rank(v) for v in V.quiver.vertices):
+    common = _common_support(V, W)
+    if not common:
         return []
-    index, ncols = _hom_entry_index(V, W)
-    if ncols == 0:
-        return []
+    # column index of each flattened unknown f_v[i, j]
+    index = {}
+    for v in common:
+        for i in range(W.rank(v)):
+            for j in range(V.rank(v)):
+                index[(v, i, j)] = len(index)
+    ncols = len(index)
     zero = ring.element(0)
     rows = []
     for a, b in V.quiver.arrows:
@@ -341,14 +320,13 @@ def hom_space(V: Representation, W: Representation) -> List[RepMorphism]:
         elif lead < 0:
             col = [-x for x in col]
         comps = {}
-        for v in V.quiver.vertices:
+        for v in common:
             r, c = W.rank(v), V.rank(v)
-            if r and c:
-                m = ExactMatrix.zeros(r, c, ring)
-                for i in range(r):
-                    for j in range(c):
-                        m.data[i, j] = col[index[(v, i, j)]]
-                comps[v] = m
+            m = ExactMatrix.zeros(r, c, ring)
+            for i in range(r):
+                for j in range(c):
+                    m.data[i, j] = col[index[(v, i, j)]]
+            comps[v] = m
         out.append(RepMorphism(V, W, comps))
     return out
 
@@ -430,14 +408,20 @@ class ProjectiveResolution:
         return len(self.terms) - 1
 
 
-def _evaluation_cover(V: Representation):
-    """Surjection from a sum of projectives onto V, plus section data."""
+def _evaluation_cover(V: Representation,
+                      projectives: Dict[str, Representation]):
+    """Surjection from a sum of projectives onto V, plus section data.
+
+    `projectives` holds the one P_x per vertex that every cover of a
+    resolution shares; missing ones are built and added."""
     quiver, ring = V.quiver, V.ring
     pieces = []
     piece_info = []  # (vertex x, basis index k)
-    for x in quiver.vertices:
+    for x in V.support():
+        if x not in projectives:
+            projectives[x] = indecomposable_projective(quiver, x, ring)
         for k in range(V.rank(x)):
-            pieces.append(indecomposable_projective(quiver, x, ring))
+            pieces.append(projectives[x])
             piece_info.append((x, k))
     cover = direct_sum(pieces, names=[f"P[{x}:{k}]" for x, k in piece_info],
                        quiver=quiver, ring=ring)
@@ -477,16 +461,8 @@ def _kernel_rep(f: RepMorphism) -> Tuple[Representation, RepMorphism]:
         ka, kb = stalks.get(a, 0), stalks.get(b, 0)
         if not ka or not kb:
             continue
-        m = ExactMatrix.zeros(kb, ka, ring)
-        va = V.arrow(a, b)
-        for j in range(ka):
-            img = va.matvec(bases[a].col(j))
-            coords = solvers[b].solve(img)
-            if coords is None:
-                raise AssertionError("kernel not arrow-stable")
-            for i in range(kb):
-                m.data[i, j] = coords[i]
-        arrows[(a, b)] = m
+        arrows[(a, b)] = _solve_all(solvers[b], V.arrow(a, b) @ bases[a],
+                                    "kernel not arrow-stable")
     K = Representation(quiver, ring, stalks, arrows)
     incl = RepMorphism(K, V, {v: bases[v] for v in bases if bases[v].cols})
     return K, incl
@@ -504,14 +480,15 @@ def projective_resolution(V: Representation,
         max_len = len(V.quiver.vertices) + 2
     terms: List[Representation] = []
     maps: List[RepMorphism] = []
-    cover, aug = _evaluation_cover(V)
+    projectives: Dict[str, Representation] = {}
+    cover, aug = _evaluation_cover(V, projectives)
     terms.append(cover)
     current = (cover, aug)
     for _ in range(max_len + 1):
         K, incl = _kernel_rep(current[1])
         if K.is_zero():
             return ProjectiveResolution(V, terms, maps, aug)
-        cover, onto = _evaluation_cover(K)
+        cover, onto = _evaluation_cover(K, projectives)
         terms.append(cover)
         maps.append(incl.compose(onto))
         current = (cover, onto)
@@ -554,15 +531,21 @@ class InjectiveCoresolution:
     augmentation: RepMorphism           # V -> T_0
 
 
-def _coevaluation_embedding(V: Representation):
-    """Split embedding of V into a sum of closure representations."""
+def _coevaluation_embedding(V: Representation,
+                            closures: Dict[str, Representation]):
+    """Split embedding of V into a sum of closure representations.
+
+    `closures` holds the one I_y per vertex that every term of a
+    coresolution shares; missing ones are built and added."""
     quiver, ring = V.quiver, V.ring
     pieces = []
     names = []
     info = []
-    for y in quiver.vertices:
+    for y in V.support():
+        if y not in closures:
+            closures[y] = closure_rep(quiver, y, ring)
         for k in range(V.rank(y)):
-            pieces.append(closure_rep(quiver, y, ring))
+            pieces.append(closures[y])
             names.append(y if V.rank(y) == 1 else f"{y}.{k}")
             info.append((y, k))
     term = direct_sum(pieces, names=names, quiver=quiver, ring=ring)
@@ -628,7 +611,8 @@ def injective_coresolution(V: Representation,
     """
     if max_len is None:
         max_len = len(V.quiver.vertices) + 2
-    term, aug = _coevaluation_embedding(V)
+    closures: Dict[str, Representation] = {}
+    term, aug = _coevaluation_embedding(V, closures)
     terms = [term]
     maps: List[RepMorphism] = []
     emb = aug
@@ -636,7 +620,7 @@ def injective_coresolution(V: Representation,
         C, proj = _cokernel_rep(emb)
         if C.is_zero():
             return InjectiveCoresolution(V, terms, maps, aug)
-        nxt, emb2 = _coevaluation_embedding(C)
+        nxt, emb2 = _coevaluation_embedding(C, closures)
         terms.append(nxt)
         maps.append(emb2.compose(proj))
         emb = emb2
@@ -654,29 +638,37 @@ def hom_complex_against(res: ProjectiveResolution,
         src_basis, dst_basis = bases[q], bases[q + 1]
         if not src_basis or not dst_basis:
             continue
-        solver = PresolvedSolver(_stack_flat(dst_basis))
-        cols = []
-        for f in src_basis:
-            g = f.compose(d)
-            coords = solver.solve(g.flatten())
-            if coords is None:
-                raise AssertionError("composite escaped the Hom lattice")
-            cols.append(coords)
-        m = ExactMatrix.zeros(len(dst_basis), len(src_basis), ring)
-        for j, c in enumerate(cols):
-            for i, x in enumerate(c):
-                m.data[i, j] = x
-        diffs[q] = m
+        diffs[q] = _solve_all(
+            PresolvedSolver(_stack_flat(dst_basis)),
+            _stack_flat([f.compose(d) for f in src_basis]),
+            "composite escaped the Hom lattice")
     return ChainComplex(ring, ranks, diffs)
 
 
 def _stack_flat(morphisms: Sequence[RepMorphism]) -> ExactMatrix:
-    """The flattened morphisms as the columns of one matrix."""
-    flats = [m.flatten() for m in morphisms]
-    a = np.empty((len(flats[0]), len(flats)), dtype=object)
-    for j, f in enumerate(flats):
-        a[:, j] = f
-    return ExactMatrix(morphisms[0].source.ring, a)
+    """Morphisms V -> W (at least one) as the columns of one matrix: the
+    entries of each, in (vertex, row, col) order over the common support of
+    V and W, as `hom_space` numbers its unknowns."""
+    V, W = morphisms[0].source, morphisms[0].target
+    parts = [np.stack([m.component(v).data.reshape(-1) for m in morphisms],
+                      axis=1)
+             for v in _common_support(V, W)]
+    if not parts:
+        return ExactMatrix.zeros(0, len(morphisms), V.ring)
+    return ExactMatrix(V.ring, np.concatenate(parts))
+
+
+def _solve_all(solver: PresolvedSolver, B: ExactMatrix,
+               failure: str) -> ExactMatrix:
+    """The coordinates of every column of B, as the columns of one matrix;
+    AssertionError(failure) when a column lies outside the lattice."""
+    cols = solver.solve_many(B)
+    if any(c is None for c in cols):
+        raise AssertionError(failure)
+    a = np.empty((solver.M.cols, B.cols), dtype=object)
+    for j, c in enumerate(cols):
+        a[:, j] = c
+    return ExactMatrix(B.ring, a)
 
 
 def ext_all(V: Representation, W: Representation, qmax: int,

@@ -16,6 +16,8 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .chain_complex import ChainComplex, ChainMap, is_acyclic, mapping_cone
 from .dg import DgAlgebra
 from .exact_linalg import CoeffRing, ExactMatrix, PresolvedSolver
@@ -23,6 +25,7 @@ from .quiver_rep import (
     Quiver,
     RepMorphism,
     Representation,
+    _solve_all,
     _stack_flat,
     hom_space,
     validate_representation,
@@ -221,54 +224,83 @@ class HomBasisElement:
 
 
 class _PairCache:
-    """Hom bases and solvers per (source block rep, target block rep)."""
+    """Hom bases, solvers and composition tables of block representations.
+
+    Keys are the block objects themselves.  A resolution shares one block
+    object per vertex, so End of it meets at most |vertices|^2 pairs.
+    Coordinates are sparse: tuples of (generator index, nonzero coefficient)
+    pairs in generator order.
+    """
 
     def __init__(self):
         self._gens: Dict[tuple, list] = {}
         self._solvers: Dict[tuple, PresolvedSolver] = {}
+        self._tables: Dict[tuple, dict] = {}
+        self._units: Dict[Representation, tuple] = {}
 
     def gens(self, a: Representation, b: Representation) -> list:
-        key = (id(a), id(b))
+        key = (a, b)
         if key not in self._gens:
             self._gens[key] = hom_space(a, b)
         return self._gens[key]
 
-    def coords(self, a: Representation, b: Representation,
-               g: RepMorphism) -> Optional[list]:
+    def coordinates(self, a: Representation, b: Representation,
+                    morphisms: Sequence[RepMorphism]) -> List[tuple]:
+        """Sparse coordinates of morphisms a -> b, with one solve."""
         gens = self.gens(a, b)
         if not gens:
-            return [] if g.is_zero() else None
-        key = (id(a), id(b))
-        solver = self._solvers.get(key)
+            if not all(g.is_zero() for g in morphisms):
+                raise AssertionError("morphism escaped the Hom lattice")
+            return [()] * len(morphisms)
+        solver = self._solvers.get((a, b))
         if solver is None:
-            solver = PresolvedSolver(_stack_flat(gens))
-            self._solvers[key] = solver
-        return solver.solve(g.flatten())
+            solver = self._solvers[(a, b)] = PresolvedSolver(_stack_flat(gens))
+        X = _solve_all(solver, _stack_flat(morphisms),
+                       "morphism escaped the Hom lattice").data
+        return [tuple((k, c) for k, c in enumerate(X[:, j]) if c != 0)
+                for j in range(X.shape[1])]
+
+    def table(self, a: Representation, b: Representation,
+              c: Representation) -> Dict[Tuple[int, int], tuple]:
+        """{(k, l): coordinates of gens(b, c)[k] . gens(a, b)[l]} for the
+        nonzero composites; built once per triple."""
+        key = (a, b, c)
+        if key not in self._tables:
+            outer, inner = self.gens(b, c), self.gens(a, b)
+            kl = [(k, l) for k in range(len(outer)) for l in range(len(inner))]
+            coords = self.coordinates(
+                a, c, [outer[k].compose(inner[l]) for k, l in kl]) if kl else []
+            self._tables[key] = {x: co for x, co in zip(kl, coords) if co}
+        return self._tables[key]
+
+    def unit(self, a: Representation) -> tuple:
+        """Coordinates of the identity of a."""
+        if a not in self._units:
+            ident = RepMorphism(a, a, {v: ExactMatrix.identity(a.rank(v),
+                                                               a.ring)
+                                       for v in a.support()})
+            self._units[a] = self.coordinates(a, a, [ident])[0]
+        return self._units[a]
 
 
 def _block_components(d: RepMorphism) -> Dict[Tuple[int, int], RepMorphism]:
-    """Decompose a morphism of direct sums into nonzero block morphisms."""
+    """The nonzero block morphisms of a morphism of direct sums, keyed
+    (source block, target block); each keeps its nonzero components only.
+
+    Only the nonzero entries of d are visited, and the block offsets are
+    computed once per vertex."""
     src, dst = d.source, d.target
-    out = {}
-    for bi, (bname, brep) in enumerate(dst.blocks):
-        for ai, (aname, arep) in enumerate(src.blocks):
-            comps = {}
-            nonzero = False
-            for v in src.quiver.vertices:
-                if not arep.rank(v) or not brep.rank(v):
-                    continue
-                roff = dst.block_offsets(v)
-                coff = src.block_offsets(v)
-                full = d.component(v)
-                sub = full.submatrix(
-                    range(roff[bi], roff[bi + 1]),
-                    range(coff[ai], coff[ai + 1]))
-                comps[v] = sub
-                if not sub.is_zero():
-                    nonzero = True
-            if nonzero:
-                out[(ai, bi)] = RepMorphism(arep, brep, comps)
-    return out
+    comps: Dict[Tuple[int, int], dict] = {}
+    for v, full in d.components.items():
+        roff, coff = dst.block_offsets(v), src.block_offsets(v)
+        rows, cols = np.nonzero(full.data != 0)
+        bis = np.searchsorted(roff, rows, side="right") - 1
+        ais = np.searchsorted(coff, cols, side="right") - 1
+        for ai, bi in set(zip(ais.tolist(), bis.tolist())):
+            comps.setdefault((ai, bi), {})[v] = full.submatrix(
+                range(roff[bi], roff[bi + 1]), range(coff[ai], coff[ai + 1]))
+    return {(ai, bi): RepMorphism(src.blocks[ai][1], dst.blocks[bi][1], c)
+            for (ai, bi), c in sorted(comps.items())}
 
 
 class HomComplex:
@@ -288,15 +320,16 @@ class HomComplex:
                 basis = self._degree_basis(m)
                 if basis:
                     self.basis[m] = basis
-        self._index: Dict[int, Dict[tuple, int]] = {
-            m: {(e.p, e.src_block, e.dst_block, e.k): i
-                for i, e in enumerate(bs)}
-            for m, bs in self.basis.items()
-        }
-        self._dblocks_X = {q: _block_components(d)
-                           for q, d in X.differentials.items()}
-        self._dblocks_Y = {q: _block_components(d)
-                           for q, d in Y.differentials.items()}
+        # (p, src_block, dst_block) -> index of its generator 0 in degree m;
+        # generator k of the block pair sits at that index + k
+        self._start: Dict[int, Dict[tuple, int]] = {}
+        for m, bs in self.basis.items():
+            starts = self._start[m] = {}
+            for i, e in enumerate(bs):
+                starts.setdefault((e.p, e.src_block, e.dst_block), i)
+        dX = self._differential_blocks(X)
+        self._dX_into = dX[1]
+        self._dY_from = (dX if Y is X else self._differential_blocks(Y))[0]
         self.complex = self._build_complex()
 
     # -- basis ------------------------------------------------------------
@@ -351,52 +384,57 @@ class HomComplex:
 
     # -- differential -------------------------------------------------------
 
-    def _coords_of(self, m: int, p: int, src_block: int, dst_block: int,
-                   g: RepMorphism) -> Dict[int, object]:
-        """Coordinates of a block morphism inside the degree-m basis."""
-        xt = self.X.term(p)
-        yt = self.Y.term(p + m)
-        arep = xt.blocks[src_block][1]
-        brep = yt.blocks[dst_block][1]
-        co = self.pairs.coords(arep, brep, g)
-        if co is None:
-            raise AssertionError("morphism escaped the Hom lattice")
-        out = {}
-        for k, c in enumerate(co):
-            if c != 0:
-                out[self._index[m][(p, src_block, dst_block, k)]] = c
-        return out
+    def _differential_blocks(self, Z: ComplexOfReps) -> Tuple[dict, dict]:
+        """The nonzero blocks ai -> bi of every d_Z^q in generator
+        coordinates, with one solve per pair of block reps (a, b), indexed
+        twice: (q, ai) -> [(bi, b, coordinates)] for the blocks leaving ai,
+        and (q, bi) -> [(ai, a, coordinates)] for those entering bi."""
+        groups: Dict[tuple, list] = {}
+        for q, d in Z.differentials.items():
+            for (ai, bi), blk in _block_components(d).items():
+                groups.setdefault((blk.source, blk.target), []).append(
+                    (q, ai, bi, blk))
+        leaving: Dict[Tuple[int, int], list] = {}
+        entering: Dict[Tuple[int, int], list] = {}
+        for (a, b), group in groups.items():
+            coords = self.pairs.coordinates(a, b, [x[3] for x in group])
+            for (q, ai, bi, _), co in zip(group, coords):
+                leaving.setdefault((q, ai), []).append((bi, b, co))
+                entering.setdefault((q, bi), []).append((ai, a, co))
+        return leaving, entering
 
     def _build_complex(self) -> ChainComplex:
+        """d(f) = d_Y . f - (-1)^m f . d_X on each generator f of degree m,
+        contracted from the blocks' coordinates and the composition
+        tables."""
         ranks = self.ranks()
         diffs = {}
         for m, basis in self.basis.items():
-            tgt = self.basis.get(m + 1)
-            if not tgt:
+            starts = self._start.get(m + 1)
+            if not starts:
                 continue
-            mat = ExactMatrix.zeros(len(tgt), len(basis), self.ring)
+            mat = ExactMatrix.zeros(len(self.basis[m + 1]), len(basis),
+                                    self.ring)
             sign = -1 if m % 2 else 1
             for j, e in enumerate(basis):
+                a, b = e.morphism.source, e.morphism.target
                 col: Dict[int, object] = {}
-                # d_Y . f : target blocks reachable from e.dst_block
-                for (ai, bi), blk in self._dblocks_Y.get(e.p + m, {}).items():
-                    if ai != e.dst_block:
-                        continue
-                    comp = blk.compose(e.morphism)
-                    if not comp.is_zero():
-                        for idx, c in self._coords_of(
-                                m + 1, e.p, e.src_block, bi, comp).items():
-                            col[idx] = col.get(idx, 0) + c
-                # -(-1)^m f . d_X : source blocks mapping into e.src_block
-                for (ai, bi), blk in self._dblocks_X.get(e.p - 1, {}).items():
-                    if bi != e.src_block:
-                        continue
-                    comp = e.morphism.compose(blk)
-                    if not comp.is_zero():
-                        for idx, c in self._coords_of(
-                                m + 1, e.p - 1, ai, e.dst_block,
-                                comp).items():
-                            col[idx] = col.get(idx, 0) - sign * c
+                # d_Y . f: blocks bi -> ci of d_Y leaving f's target block
+                for ci, c, coords in self._dY_from.get(
+                        (e.p + m, e.dst_block), ()):
+                    table = self.pairs.table(a, b, c)
+                    for r, x in coords:
+                        for s, y in table.get((r, e.k), ()):
+                            i = starts[(e.p, e.src_block, ci)] + s
+                            col[i] = col.get(i, 0) + x * y
+                # -(-1)^m f . d_X: blocks a0 -> ai of d_X entering f's source
+                for a0i, a0, coords in self._dX_into.get(
+                        (e.p - 1, e.src_block), ()):
+                    table = self.pairs.table(a0, a, b)
+                    for r, x in coords:
+                        for s, y in table.get((e.k, r), ()):
+                            i = starts[(e.p - 1, a0i, e.dst_block)] + s
+                            col[i] = col.get(i, 0) - sign * x * y
                 for i, c in col.items():
                     if c != 0:
                         mat.data[i, j] = self.ring.element(c)
@@ -433,36 +471,34 @@ class EndAlgebra(DgAlgebra):
         ring = hom.ring
         unit: Dict[int, object] = {}
         for p in hom.X.degrees():
-            xt = hom.X.term(p)
-            for ai, (aname, arep) in enumerate(xt.blocks):
-                ident = RepMorphism(arep, arep, {
-                    v: ExactMatrix.identity(arep.rank(v), ring)
-                    for v in arep.support()})
-                for idx, c in hom._coords_of(0, p, ai, ai, ident).items():
-                    unit[idx] = unit.get(idx, 0) + c
+            for ai, (_, arep) in enumerate(hom.X.term(p).blocks):
+                coords = hom.pairs.unit(arep)
+                if coords:
+                    i0 = hom._start[0][(p, ai, ai)]
+                    for r, c in coords:
+                        unit[i0 + r] = c
         by_src: Dict[Tuple[int, int, int],
                      List[Tuple[int, HomBasisElement]]] = {}
         for m, basis in hom.basis.items():
             for i, e in enumerate(basis):
                 by_src.setdefault((m, e.p, e.src_block), []).append((i, e))
+        # f . g for g: a -> b and f: b -> c is the (f.k, g.k) entry of the
+        # table of (a, b, c)
         mult: Dict[Tuple[int, int], Dict[Tuple[int, int], dict]] = {}
         for m2, basis2 in hom.basis.items():
             for j, g in enumerate(basis2):
-                # candidates f with f.p == g.p + m2 and matching block
+                a, b = g.morphism.source, g.morphism.target
                 for m1 in hom.basis:
-                    if (m1 + m2) not in hom.basis:
+                    starts = hom._start.get(m1 + m2)
+                    if not starts:
                         continue
-                    cands = by_src.get((m1, g.p + m2, g.dst_block))
-                    if not cands:
-                        continue
-                    for i, f in cands:
-                        comp = f.morphism.compose(g.morphism)
-                        if comp.is_zero():
-                            continue
-                        entry = hom._coords_of(
-                            m1 + m2, g.p, g.src_block, f.dst_block, comp)
-                        if entry:
-                            mult.setdefault((m1, m2), {})[(i, j)] = entry
+                    for i, f in by_src.get((m1, g.p + m2, g.dst_block), ()):
+                        coords = hom.pairs.table(
+                            a, b, f.morphism.target).get((f.k, g.k))
+                        if coords:
+                            i0 = starts[(g.p, g.src_block, f.dst_block)]
+                            mult.setdefault((m1, m2), {})[(i, j)] = {
+                                i0 + r: c for r, c in coords}
         labels = {m: hom.rendered_labels(m) for m in hom.basis}
         super().__init__(ring, dict(cc.ranks), labels, unit,
                          dict(cc.differentials), mult)

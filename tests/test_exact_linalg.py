@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from itertools import combinations
+from math import gcd
+
 from strathom.exact_linalg import (
     QQ,
     ZZ,
     ColumnLattice,
     ExactMatrix,
     PresolvedSolver,
+    _prepare_int64,
     determinant,
     invariant_factors,
     inverse,
@@ -119,6 +123,51 @@ def test_snf_random_properties(r, c, seed):
                 prod *= d
         if det != 0:
             assert prod == abs(det)
+
+
+def _determinantal_divisors(m):
+    """d_k = gcd of the k x k minors of m, for k = 1 .. rank (d_0 = 1)."""
+    out = []
+    for k in range(1, min(m.rows, m.cols) + 1):
+        g = 0
+        for rows in combinations(range(m.rows), k):
+            for cols in combinations(range(m.cols), k):
+                g = gcd(g, determinant(m.submatrix(rows, cols)))
+        if g == 0:
+            break
+        out.append(g)
+    return out
+
+
+# Small entries stay on the int64 path; entries near 2**40 force the
+# object-dtype path (`_prepare_int64` refuses them).
+_SNF_ENTRIES = {"int64": st.integers(-6, 6),
+                "object": st.integers(2 ** 40, 2 ** 40 + 6)
+                | st.integers(-2 ** 40 - 6, -2 ** 40) | st.just(0)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_SNF_ENTRIES)), st.integers(0, 5),
+       st.integers(0, 5), st.sampled_from([1, 2, 6]))
+def test_snf_matches_determinantal_divisors(data, path, r, c, scale):
+    """Invariant factors s_k = d_k / d_(k-1), with d_k the gcd of the k x k
+    minors; the transforms are unimodular and D = U M V."""
+    rows = data.draw(st.lists(st.lists(_SNF_ENTRIES[path], min_size=c,
+                                       max_size=c), min_size=r, max_size=r))
+    m = ExactMatrix.from_rows([[scale * x for x in row] for row in rows],
+                              ZZ, cols=c)
+    if path == "object" and not m.is_zero():
+        assert _prepare_int64(m) is None
+    divisors = _determinantal_divisors(m)
+    factors = [b // a for a, b in zip([1] + divisors, divisors)]
+    assert invariant_factors(m) == factors
+    if r and c:
+        res = smith_normal_form(m)
+        assert res.D == res.U @ m @ res.V
+        assert abs(determinant(res.U)) == 1
+        assert abs(determinant(res.V)) == 1
+        diag = res.diagonal()
+        assert diag == factors + [0] * (len(diag) - len(factors))
 
 
 # ---------------------------------------------------------------- products
@@ -264,6 +313,54 @@ def test_presolved_solver_reuse():
     for x in ([1, 0], [0, 1], [7, -7]):
         b = m.matvec(x)
         assert s.solve(b) == x
+
+
+def test_solve_many_non_unit_invariant_factors():
+    s = PresolvedSolver(M([[2, 0], [0, 6], [0, 0]]))
+    b = M([[2, 1, 4, 0], [6, 6, 3, 0], [0, 0, 0, 1]])
+    assert s.solve_many(b) == [[1, 1], None, None, None]
+    assert s.solve_many(M([[2], [0], [0]]).scale(3)) == [[3, 0]]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_solve_many_empty_shapes(ring, shape):
+    m = ExactMatrix.zeros(*shape, ring)
+    s = PresolvedSolver(m)
+    for cols in (0, 2):
+        b = ExactMatrix.zeros(shape[0], cols, ring)
+        assert s.solve_many(b) == [s.solve(b.col(j)) for j in range(cols)]
+    if shape[0]:
+        assert s.solve_many(ExactMatrix.identity(shape[0], ring)) == \
+            [None] * shape[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(0, 5), st.integers(0, 5),
+       st.integers(0, 6), st.integers(0, 2 ** 32))
+def test_solve_many_matches_solve(ring, r, c, k, seed):
+    """Column by column the same answers as `solve`, None included: half
+    the right-hand sides are images M x, the others arbitrary."""
+    rng = random.Random(seed)
+    scale = rng.choice([1, 2, 3])
+    m = ExactMatrix.from_rows(
+        [[scale * rng.randint(-3, 3) for _ in range(c)] for _ in range(r)],
+        ring, cols=c)
+    cols = []
+    for j in range(k):
+        if j % 2:
+            cols.append([rng.randint(-5, 5) for _ in range(r)])
+        else:
+            cols.append(m.matvec([ring.element(rng.randint(-3, 3))
+                                  for _ in range(c)]))
+    b = ExactMatrix.from_rows([[col[i] for col in cols] for i in range(r)],
+                              ring, cols=k)
+    s = PresolvedSolver(m)
+    got = s.solve_many(b)
+    assert got == [s.solve(col) for col in cols]
+    assert all(got[j] is not None for j in range(0, k, 2))
+    kind = Fraction if ring.is_field else int
+    assert all(type(x) is kind for x_s in got if x_s for x in x_s)
 
 
 def test_inverse_unimodular():

@@ -1,9 +1,18 @@
-import pytest
+import random
 
-from strathom.chain_complex import cohomology, validate_complex
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from strathom.chain_complex import cohomology, cone_report, validate_complex
 from strathom.dg import DgMorphism, is_quasi_iso_dg, validate_dg_algebra
-from strathom.exact_linalg import ZZ, ExactMatrix
-from strathom.quiver_rep import hom_space
+from strathom.exact_linalg import QQ, ZZ, ExactMatrix, PresolvedSolver
+from strathom.quiver_rep import (
+    RepMorphism,
+    direct_sum,
+    hom_space,
+    injective_coresolution,
+    projective_resolution,
+)
 from strathom.rep_complex import (
     ComplexOfReps,
     HomComplex,
@@ -13,6 +22,7 @@ from strathom.rep_complex import (
     validate_resolution,
 )
 from strathom.sphere_models import SphereModel
+from test_quiver_rep import _random_quiver, _random_rep
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +248,212 @@ def test_hom_complex_mismatched_quivers(model2):
     Y = other.resolution_n_points().complex
     with pytest.raises(ValueError):
         HomComplex(X, Y)
+
+
+# ------------------------------------------- tables against the pairwise route
+
+
+def _flat(f):
+    """Entries of a morphism in (vertex, row, col) order."""
+    return [x for v in f.source.quiver.vertices
+            if f.source.rank(v) and f.target.rank(v)
+            for x in f.component(v).entries]
+
+
+def _fresh_coords(hom, m, p, ai, bi, f):
+    """Coordinates {index: c} of a block morphism X^p[ai] -> Y^(p+m)[bi]
+    in the degree-m basis, from a solver built for this call alone."""
+    idx = [i for i, e in enumerate(hom.basis.get(m, []))
+           if (e.p, e.src_block, e.dst_block) == (p, ai, bi)]
+    if not idx:
+        assert f.is_zero()
+        return {}
+    gens = [_flat(hom.basis[m][i].morphism) for i in idx]
+    x = PresolvedSolver(ExactMatrix.from_rows(
+        [list(r) for r in zip(*gens)], hom.ring, cols=len(idx))).solve(_flat(f))
+    assert x is not None
+    return {i: c for i, c in zip(idx, x) if c != 0}
+
+
+def _blocks_of(F):
+    """((source block, target block), block morphism) of a morphism of
+    direct sums, for every block pair."""
+    src, dst = F.source, F.target
+    for ai, (_, a) in enumerate(src.blocks):
+        for bi, (_, b) in enumerate(dst.blocks):
+            comps = {}
+            for v in src.quiver.vertices:
+                if a.rank(v) and b.rank(v):
+                    r0, c0 = dst.block_offsets(v)[bi], src.block_offsets(v)[ai]
+                    comps[v] = F.component(v).submatrix(
+                        range(r0, r0 + b.rank(v)), range(c0, c0 + a.rank(v)))
+            yield ai, bi, RepMorphism(a, b, comps)
+
+
+def _embed(hom, m, e):
+    """A generator as a morphism of the whole terms X^p -> Y^(p+m)."""
+    src, dst = hom.X.term(e.p), hom.Y.term(e.p + m)
+    comps = {}
+    for v in hom.X.quiver.vertices:
+        if src.rank(v) and dst.rank(v):
+            full = ExactMatrix.zeros(dst.rank(v), src.rank(v), hom.ring)
+            g = e.morphism.component(v)
+            r0 = dst.block_offsets(v)[e.dst_block]
+            c0 = src.block_offsets(v)[e.src_block]
+            full.data[r0:r0 + g.rows, c0:c0 + g.cols] = g.data
+            comps[v] = full
+    return RepMorphism(src, dst, comps)
+
+
+def _pairwise_differential(hom, m):
+    """d on degree m column by column: d_Y . f - (-1)^m f . d_X on whole
+    terms, cut into blocks and solved pair by pair."""
+    cols = []
+    sign = -1 if m % 2 else 1
+    for e in hom.basis[m]:
+        F = _embed(hom, m, e)
+        col = {}
+        dy, dx = hom.Y.differential(e.p + m), hom.X.differential(e.p - 1)
+        parts = []
+        if dy is not None:
+            parts.append((e.p, 1, dy.compose(F)))
+        if dx is not None:
+            parts.append((e.p - 1, -sign, F.compose(dx)))
+        for p, c, G in parts:
+            for ai, bi, blk in _blocks_of(G):
+                for i, x in _fresh_coords(hom, m + 1, p, ai, bi, blk).items():
+                    col[i] = col.get(i, 0) + c * x
+        cols.append({i: x for i, x in col.items() if x != 0})
+    return cols
+
+
+def _check_differential(hom):
+    for m, basis in hom.basis.items():
+        d = hom.complex.d(m)
+        got = [{i: d[i, j] for i in range(d.rows) if d[i, j] != 0}
+               for j in range(len(basis))]
+        assert got == _pairwise_differential(hom, m)
+
+
+def _check_end(E):
+    """Unit, differential and structure constants of End against the
+    pairwise route: compose each basis pair, solve with a fresh solver."""
+    hom = E.hom
+    unit = {}
+    for p in hom.X.degrees():
+        for ai, (_, a) in enumerate(hom.X.term(p).blocks):
+            ident = RepMorphism(a, a, {v: ExactMatrix.identity(a.rank(v),
+                                                               hom.ring)
+                                       for v in a.support()})
+            unit.update(_fresh_coords(hom, 0, p, ai, ai, ident))
+    assert E.unit == unit
+    _check_differential(hom)
+    mult = {}
+    for m2, basis2 in hom.basis.items():
+        for j, g in enumerate(basis2):
+            for m1, basis1 in hom.basis.items():
+                for i, f in enumerate(basis1):
+                    if (f.p, f.src_block) != (g.p + m2, g.dst_block):
+                        continue
+                    entry = _fresh_coords(
+                        hom, m1 + m2, g.p, g.src_block, f.dst_block,
+                        f.morphism.compose(g.morphism))
+                    if entry:
+                        mult.setdefault((m1, m2), {})[(i, j)] = entry
+    assert E.mult == mult
+
+
+def _coresolution_complex(v):
+    cores = injective_coresolution(v)
+    return ComplexOfReps(v.quiver, v.ring, dict(enumerate(cores.terms)),
+                         dict(enumerate(cores.maps)))
+
+
+def _betti(E):
+    return {q: r["betti"] for q, r in cone_report(E.complex()).items()}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_tables_match_pairwise_route_on_random_coresolutions(seed):
+    """On injective coresolutions of random reps, over Z and Q: End's unit,
+    differential and structure constants, and the differential of
+    Hom(X, Y) for X != Y, equal the pairwise route; H(End) has the same
+    Betti numbers over Q as over Z.  Closure blocks have Hom ranks <= 1, so
+    the cone of the identity of a random rep V (one block V per term)
+    checks tables with several generators per block pair."""
+    ends = {}
+    for ring in (ZZ, QQ):
+        rng = random.Random(seed)
+        quiver = _random_quiver(rng)
+        v, w = _random_rep(quiver, ring, rng), _random_rep(quiver, ring, rng)
+        X, Y = _coresolution_complex(v), _coresolution_complex(w)
+        assume(sum(t.total_rank() for t in X.terms.values()) <= 20)
+        ends[ring] = E = end_dg_algebra(X)
+        _check_end(E)
+        _check_differential(HomComplex(X, Y))
+        cone = ComplexOfReps(quiver, ring, {0: v, 1: v},
+                             {0: _identity_morphism(v)})
+        _check_end(end_dg_algebra(cone))
+        _check_differential(HomComplex(cone, Y))
+    assert _betti(ends[ZZ]) == _betti(ends[QQ])
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_tables_match_pairwise_route_on_sphere_models(n, ring):
+    _check_end(SphereModel(n, ring).resolution_n_points().end_algebra())
+
+
+def test_table_build_raises_when_a_composite_escapes_the_lattice(
+        monkeypatch):
+    """Doubling the generators of Hom(I_H, I_P) puts the composite
+    e . h of two undoubled generators outside their lattice."""
+    import strathom.rep_complex as rc
+
+    original = rc.hom_space
+
+    def doubled(a, b):
+        gens = original(a, b)
+        if len(a.support()) == 5 and len(b.support()) == 1:
+            return [g.scale(2) for g in gens]
+        return gens
+
+    monkeypatch.setattr(rc, "hom_space", doubled)
+    J = SphereModel(2).resolution_trivial().complex
+    with pytest.raises(AssertionError,
+                       match="^morphism escaped the Hom lattice$") as info:
+        end_dg_algebra(J)
+    assert any(entry.name == "table" for entry in info.traceback)
+
+
+def test_end_of_a_coresolution_shares_blocks_and_bounds_hom_calls(
+        model2, monkeypatch):
+    """Summands at one vertex are one object, across all terms, so End of
+    the coresolution solves at most |vertices|^2 Hom systems."""
+    import strathom.rep_complex as rc
+
+    reps = [model2.closure_rep(s) for s in ("H1", "E2", "P1")]
+    reps.append(model2.constant_rep())
+    total = direct_sum(reps + reps[1:3])
+    J = _coresolution_complex(total)
+    seen = {}
+    for t in J.terms.values():
+        for name, block in t.blocks:
+            assert seen.setdefault(name.split(".")[0], block) is block
+    res = projective_resolution(total)
+    covers = {}
+    for t in res.terms:
+        for name, block in t.blocks:
+            assert covers.setdefault(name.split(":")[0], block) is block
+    calls = []
+    original = rc.hom_space
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(rc, "hom_space", counted)
+    E = end_dg_algebra(J)
+    assert E.total_dim() > 0
+    assert len(calls) == len(set(calls)) <= len(model2.quiver.vertices) ** 2
