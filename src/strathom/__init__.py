@@ -10,7 +10,7 @@ Layers, bottom up:
   rep_complex     complexes of representations, labeled Hom complexes,
                   endomorphism dg algebras
   dg              dg algebras with structure constants, sub-algebras,
-                  ideals, quotients, formality chains, quasi-equivalence
+                  ideals, quotients, formality chains
   sphere_models   the marked-sphere models, their resolutions, formality
                   witnesses, and the finite de Rham algebra
   cli             the `strathom` command
@@ -62,7 +62,6 @@ from .rep_complex import (
 )
 from .dg import (
     DgAlgebra,
-    DgBimodule,
     DgMorphism,
     FormalityChain,
     cohomology_algebra,
@@ -72,7 +71,6 @@ from .dg import (
     subalgebra_from_span,
     validate_dg_algebra,
     verify_formality_chain,
-    verify_quasi_equivalence,
 )
 from .sphere_models import (
     DeRhamModel,

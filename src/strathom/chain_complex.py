@@ -95,9 +95,6 @@ class CohomologyProfile:
         m = self.modules.get(q)
         return list(m.torsion) if m else []
 
-    def betti_profile(self) -> Dict[int, int]:
-        return {q: m.betti for q, m in sorted(self.modules.items()) if m.betti}
-
     def is_zero(self) -> bool:
         return all(m.is_zero for m in self.modules.values())
 
@@ -124,26 +121,6 @@ def cohomology(C: ChainComplex) -> CohomologyProfile:
     profile = CohomologyProfile(C.ring, modules)
     C._cohomology_profile = profile
     return profile
-
-
-def is_acyclic(C: ChainComplex) -> bool:
-    """True iff H = 0 in all degrees including torsion.
-
-    Over a PID: exactness of ranks plus unit invariant factors of every
-    differential (saturated kernels make quotient torsion exactly the
-    nontrivial invariant factors of the incoming differential).
-    """
-    ranks = {}
-    for q, d in C.differentials.items():
-        factors = invariant_factors(d)
-        if not C.ring.is_field and any(f != 1 for f in factors):
-            return False
-        ranks[q] = len(factors)
-    for q in C.support():
-        n = C.rank(q)
-        if n and n != ranks.get(q, 0) + ranks.get(q - 1, 0):
-            return False
-    return True
 
 
 def cone_report(C: ChainComplex) -> Dict[int, dict]:

@@ -245,9 +245,6 @@ class DgAlgebra:
             out = _sparse_from_list(vec)
         return (q + 1, out)
 
-    def element_equal(self, x: Element, y: Element) -> bool:
-        return x[0] == y[0] and x[1] == y[1]
-
 
 def algebra_from_products(ring: CoeffRing, basis: Sequence[Tuple[int, str]],
                           unit_terms: Dict[str, object],
@@ -341,9 +338,9 @@ def validate_dg_algebra(A: DgAlgebra) -> list:
     for q in A.degrees():
         for i in range(A.dim(q)):
             b = A.basis_element(q, i)
-            if not A.element_equal(A.multiply(one, b), b):
+            if A.multiply(one, b) != b:
                 problems.append(f"1*b != b for {A.label(q, i)}")
-            if not A.element_equal(A.multiply(b, one), b):
+            if A.multiply(b, one) != b:
                 problems.append(f"b*1 != b for {A.label(q, i)}")
     # Leibniz on all basis pairs
     for q1 in A.degrees():
@@ -382,7 +379,7 @@ def validate_dg_algebra(A: DgAlgebra) -> list:
                 rhs = A.multiply(
                     A.basis_element(q1, i),
                     A.multiply(A.basis_element(q2, j), A.basis_element(q3, k)))
-                if not A.element_equal(lhs, rhs):
+                if lhs != rhs:
                     problems.append(
                         f"associativity fails on ({A.label(q1, i)}, "
                         f"{A.label(q2, j)}, {A.label(q3, k)})")
@@ -399,7 +396,7 @@ def validate_dg_algebra(A: DgAlgebra) -> list:
                                A.basis_element(q2, j)),
                     A.basis_element(q3, k))
                 rhs = A.multiply(A.basis_element(q1, i), bc)
-                if not A.element_equal(lhs, rhs):
+                if lhs != rhs:
                     problems.append(
                         f"associativity fails on ({A.label(q1, i)}, "
                         f"{A.label(q2, j)}, {A.label(q3, k)})")
@@ -477,14 +474,6 @@ class DgMorphism:
                             f"not multiplicative on ({A.label(q1, i)}, "
                             f"{A.label(q2, int(j))})")
         return problems
-
-    def compose(self, other: "DgMorphism") -> "DgMorphism":
-        comps = {}
-        for q in set(self.source.degrees()) | set(other.source.degrees()):
-            m = self.component(q) @ other.component(q)
-            if m.rows and m.cols:
-                comps[q] = m
-        return DgMorphism(other.source, self.target, comps)
 
 
 def is_quasi_iso_dg(f: DgMorphism) -> QuasiIsoReport:
@@ -725,13 +714,6 @@ class DgIdeal:
             if m.rows and m.cols:
                 diffs[q] = m
         return ChainComplex(U.ring, ranks, diffs)
-
-    def contains(self, x: Element) -> bool:
-        q, coeffs = x
-        if not coeffs:
-            return True
-        lat = self.lattices.get(q)
-        return bool(lat) and lat.contains(coeffs)
 
 
 def ideal_from_span(U: DgAlgebra, elements: Sequence[Element]) -> DgIdeal:
@@ -983,203 +965,3 @@ def verify_formality_chain(chain: FormalityChain) -> ChainVerdict:
             notes.append(f"identification failed: {exc}")
             ok = False
     return ChainVerdict(ok, reports, notes, identification)
-
-
-# ---------------------------------------------------------------------------
-# bimodules and quasi-equivalence
-# ---------------------------------------------------------------------------
-
-
-class DgBimodule:
-    """A-B-dg-bimodule with explicit action structure constants."""
-
-    def __init__(self, left: DgAlgebra, right: DgAlgebra,
-                 dims: Dict[int, int], diff: Dict[int, ExactMatrix],
-                 left_action: Dict[Tuple[int, int], Dict[Tuple[int, int], dict]],
-                 right_action: Dict[Tuple[int, int], Dict[Tuple[int, int], dict]],
-                 labels: Optional[Dict[int, list]] = None):
-        self.left = left
-        self.right = right
-        self.ring = left.ring
-        self.dims = {q: n for q, n in dims.items() if n}
-        self.diff = {q: d for q, d in diff.items() if d.rows and d.cols}
-        self.left_action = left_action
-        self.right_action = right_action
-        self.labels = labels or {}
-        self._complex: Optional[ChainComplex] = None
-
-    def dim(self, q: int) -> int:
-        return self.dims.get(q, 0)
-
-    def degrees(self) -> List[int]:
-        return sorted(self.dims)
-
-    def complex(self) -> ChainComplex:
-        if self._complex is None:
-            self._complex = ChainComplex(self.ring, dict(self.dims),
-                                         dict(self.diff), dict(self.labels))
-        return self._complex
-
-    def d_element(self, x: Element) -> Element:
-        q, c = x
-        d = self.diff.get(q)
-        if d is None or not c:
-            return (q + 1, {})
-        return (q + 1, _sparse_from_list(
-            d.matvec(_dense(c, self.dim(q), self.ring))))
-
-    def act_left(self, a: Element, m: Element) -> Element:
-        (qa, ca), (qm, cm) = a, m
-        return (qa + qm, _sparse_product(self.left_action.get((qa, qm)),
-                                         ca, cm))
-
-    def act_right(self, m: Element, b: Element) -> Element:
-        (qm, cm), (qb, cb) = m, b
-        return (qm + qb, _sparse_product(self.right_action.get((qm, qb)),
-                                         cm, cb))
-
-
-def bimodule_from_algebra(A: DgAlgebra, right_embedding: DgMorphism) -> DgBimodule:
-    """A as an (A, B)-bimodule: left = multiplication, right through B -> A."""
-    B = right_embedding.source
-    if right_embedding.target is not A:
-        raise ValueError("embedding must land in the algebra itself")
-    left_action = A.mult
-    right_action: Dict[Tuple[int, int], Dict[Tuple[int, int], dict]] = {}
-    for qm in A.degrees():
-        for qb in B.degrees():
-            table = {}
-            for j in range(B.dim(qb)):
-                eb = right_embedding.apply(B.basis_element(qb, j))
-                for i in range(A.dim(qm)):
-                    prod = A.multiply(A.basis_element(qm, i), eb)
-                    if prod[1]:
-                        table[(i, j)] = prod[1]
-            if table:
-                right_action[(qm, qb)] = table
-    return DgBimodule(A, B, dict(A.dims), dict(A.diff),
-                      left_action, right_action, dict(A.labels))
-
-
-def validate_dg_bimodule(M: DgBimodule) -> list:
-    """Leibniz for both actions, associativity, commuting actions, units."""
-    problems = []
-    A, B = M.left, M.right
-    for q in M.degrees():
-        d0, d1 = M.diff.get(q), M.diff.get(q + 1)
-        if d0 is not None and d1 is not None and not (d1 @ d0).is_zero():
-            problems.append(f"d.d != 0 at degree {q}")
-
-    def elements(alg_dims):
-        return [(q, i) for q in sorted(alg_dims) for i in range(alg_dims[q])]
-
-    one_a = A.unit_element()
-    one_b = B.unit_element()
-    for qm, i in elements(M.dims):
-        m = (qm, {i: M.ring.element(1)})
-        if M.act_left(one_a, m)[1] != m[1]:
-            problems.append(f"1*m != m at ({qm},{i})")
-        if M.act_right(m, one_b)[1] != m[1]:
-            problems.append(f"m*1 != m at ({qm},{i})")
-    for qa, i in elements(A.dims):
-        a = A.basis_element(qa, i)
-        da = A.d_element(a)
-        sign = -1 if qa % 2 else 1
-        for qm, j in elements(M.dims):
-            m = (qm, {j: M.ring.element(1)})
-            lhs = M.d_element(M.act_left(a, m))
-            acc = dict(M.act_left(da, m)[1])
-            _vec_axpy(acc, M.act_left(a, M.d_element(m))[1], sign)
-            if lhs[1] != acc:
-                problems.append(f"left Leibniz fails at a=({qa},{i}), "
-                                f"m=({qm},{j})")
-    for qm, i in elements(M.dims):
-        m = (qm, {i: M.ring.element(1)})
-        dm = M.d_element(m)
-        sign = -1 if qm % 2 else 1
-        for qb, j in elements(B.dims):
-            b = B.basis_element(qb, j)
-            lhs = M.d_element(M.act_right(m, b))
-            acc = dict(M.act_right(dm, b)[1])
-            _vec_axpy(acc, M.act_right(m, B.d_element(b))[1], sign)
-            if lhs[1] != acc:
-                problems.append(f"right Leibniz fails at m=({qm},{i}), "
-                                f"b=({qb},{j})")
-    for qa, i in elements(A.dims):
-        a = A.basis_element(qa, i)
-        for qm, j in elements(M.dims):
-            m = (qm, {j: M.ring.element(1)})
-            for qb, k in elements(B.dims):
-                b = B.basis_element(qb, k)
-                lhs = M.act_right(M.act_left(a, m), b)
-                rhs = M.act_left(a, M.act_right(m, b))
-                if lhs[1] != rhs[1]:
-                    problems.append(
-                        f"actions do not commute at ({qa},{i}),({qm},{j}),"
-                        f"({qb},{k})")
-    for qa, i in elements(A.dims):
-        a1 = A.basis_element(qa, i)
-        for qa2, i2 in elements(A.dims):
-            a12 = A.multiply(a1, A.basis_element(qa2, i2))
-            for qm, j in elements(M.dims):
-                m = (qm, {j: M.ring.element(1)})
-                lhs = M.act_left(a12, m)
-                rhs = M.act_left(a1, M.act_left(
-                    A.basis_element(qa2, i2), m))
-                if lhs[1] != rhs[1]:
-                    problems.append(
-                        f"left action not associative at ({qa},{i}),"
-                        f"({qa2},{i2}),({qm},{j})")
-    for qm, j in elements(M.dims):
-        m = (qm, {j: M.ring.element(1)})
-        for qb, k in elements(B.dims):
-            b1 = B.basis_element(qb, k)
-            mb1 = M.act_right(m, b1)
-            for qb2, k2 in elements(B.dims):
-                b2 = B.basis_element(qb2, k2)
-                lhs = M.act_right(mb1, b2)
-                rhs = M.act_right(m, B.multiply(b1, b2))
-                if lhs[1] != rhs[1]:
-                    problems.append(
-                        f"right action not associative at ({qm},{j}),"
-                        f"({qb},{k}),({qb2},{k2})")
-    return problems
-
-
-def verify_quasi_equivalence(A: DgAlgebra, B: DgAlgebra, M: DgBimodule,
-                             c: Element):
-    """Is c a degree-0 cycle whose action maps are quasi-isomorphisms?
-
-    Checks d(c) = 0 and that a -> a.c and b -> c.b are chain maps inducing
-    isomorphisms on all cohomology (mapping-cone acyclicity on both sides).
-    """
-    report = {}
-    if c[0] != 0:
-        return False, {"reason": f"cycle must have degree 0, got {c[0]}"}
-    if M.d_element(c)[1]:
-        return False, {"reason": "c is not a cycle"}
-
-    def action_map(alg: DgAlgebra, side: str) -> ChainMap:
-        comps = {}
-        for q in alg.degrees():
-            m = ExactMatrix.zeros(M.dim(q), alg.dim(q), M.ring)
-            for j in range(alg.dim(q)):
-                x = alg.basis_element(q, j)
-                img = M.act_left(x, c) if side == "left" else M.act_right(c, x)
-                for i, v in img[1].items():
-                    m.data[i, j] = v
-            if m.rows and m.cols:
-                comps[q] = m
-        return ChainMap(alg.complex(), M.complex(), comps)
-
-    left = action_map(A, "left")
-    right = action_map(B, "right")
-    bad = left.validate() + right.validate()
-    if bad:
-        return False, {"reason": "action maps are not chain maps",
-                       "problems": bad[:5]}
-    lq = is_quasi_iso(left)
-    rq = is_quasi_iso(right)
-    report["left_quasi_iso"] = lq.ok
-    report["right_quasi_iso"] = rq.ok
-    return (lq.ok and rq.ok), report

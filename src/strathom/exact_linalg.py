@@ -224,9 +224,6 @@ class ExactMatrix:
         c = self.ring.element(c)
         return ExactMatrix(self.ring, self.data * c)
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.ring, self.data.T.copy())
-
     def matvec(self, v: Sequence) -> list:
         if self.cols != len(v):
             raise ValueError("shape mismatch in matvec")

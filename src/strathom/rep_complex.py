@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chain_complex import ChainComplex, ChainMap, is_acyclic, mapping_cone
+from .chain_complex import ChainComplex, ChainMap, is_quasi_iso
 from .dg import DgAlgebra
 from .exact_linalg import CoeffRing, ExactMatrix, PresolvedSolver
 from .quiver_rep import (
@@ -141,13 +141,9 @@ def validate_resolution(J: ComplexOfReps,
             m = morph.component(v)
             if m.rows and m.cols:
                 comps[q] = m
-        phi = ChainMap(t_complex, J.stalk_complex(v), comps)
-        cone = mapping_cone(phi)
-        if not is_acyclic(cone):
-            from .chain_complex import cone_report
-
-            rep = cone_report(cone)
-            bad_degrees = [q for q, r in rep.items()
+        verdict = is_quasi_iso(ChainMap(t_complex, J.stalk_complex(v), comps))
+        if not verdict.ok:
+            bad_degrees = [q for q, r in verdict.cone_profile.items()
                            if r["betti"] or r["torsion"]]
             failures.append({"vertex": v, "degrees": bad_degrees})
     return ResolutionReport(not failures, failures)

@@ -159,83 +159,51 @@ class SphereModel:
             comps[v] = m
         return RepMorphism(rep, term, comps)
 
+    def _resolution(self, marked: List[int]) -> "Resolution":
+        """J = H1+H2 -> E_1..E_n + P_marked -> P_1..P_n in degrees low..low+2,
+        low = -1 if a point is marked and 0 otherwise, resolving the constant
+        representation at low plus the marked skyscrapers at 0."""
+        low = -1 if marked else 0
+        hemis = self._sum(["H1", "H2"])
+        arcs = self._sum([f"E{i}" for i in self.irange()] +
+                         [f"P{i}" for i in marked])
+        points = self._sum([f"P{i}" for i in self.irange()])
+        he, ep = {}, {}
+        for i in self.irange():
+            he[(i - 1, 0)] = 1                  # he_1i into E_i
+            he[(i - 1, 1)] = -1                 # -he_2i
+            ep[(i - 1, i - 1)] = 1              # e_ii from E_i
+            ep[(i - 1, self.nxt(i) - 1)] = -1   # -e_(i+1)i from E_(i+1)
+        J = ComplexOfReps(
+            self.quiver, self.ring, {low: hemis, low + 1: arcs, low + 2: points},
+            {low: self._block_morphism(hemis, arcs, he),
+             low + 1: self._block_morphism(arcs, points, ep)})
+        c = self.constant_rep()
+        targets = {low: (c, self._diagonal_augmentation(c, hemis))}
+        if marked:
+            w = self._sum([f"P{i}" for i in marked])
+            targets[0] = (w, self._block_morphism(
+                w, arcs, {(self.n + k, k): 1 for k in range(len(marked))}))
+        return Resolution(self, J, targets)
+
     def resolution_trivial(self) -> "Resolution":
         """The hemisphere/arc/point coresolution of the constant
         representation, for n = 2, in degrees 0..2."""
         if self.n != 2:
             raise ValueError("the trivial-stratification resolution is the "
                              "n = 2 model")
-        j0 = self._sum(["H1", "H2"])
-        j1 = self._sum(["E1", "E2"])
-        j2 = self._sum(["P1", "P2"])
-        d0 = self._block_morphism(j0, j1, {
-            (0, 0): 1, (0, 1): -1,   # row E1: he_11, -he_21
-            (1, 0): 1, (1, 1): -1,   # row E2: he_12, -he_22
-        })
-        d1 = self._block_morphism(j1, j2, {
-            (0, 0): 1, (0, 1): -1,   # row P1: e_11, -e_21
-            (1, 0): -1, (1, 1): 1,   # row P2: -e_12, e_22
-        })
-        J = ComplexOfReps(self.quiver, self.ring, {0: j0, 1: j1, 2: j2},
-                          {0: d0, 1: d1})
-        c = self.constant_rep()
-        targets = {0: (c, self._diagonal_augmentation(c, j0))}
-        return Resolution(self, J, targets)
+        return self._resolution([])
 
     def resolution_one_point(self) -> "Resolution":
         """Resolution of (skyscraper at P1) + (constant shifted by 1), for
         n = 2, in degrees -1..1 so that labels carry the table exponents."""
         if self.n != 2:
             raise ValueError("the one-point resolution is the n = 2 model")
-        jm1 = self._sum(["H1", "H2"])
-        j0 = self._sum(["E1", "E2", "P1"])
-        j1 = self._sum(["P1", "P2"])
-        dm1 = self._block_morphism(jm1, j0, {
-            (0, 0): 1, (0, 1): -1,
-            (1, 0): 1, (1, 1): -1,
-        })
-        d0 = self._block_morphism(j0, j1, {
-            (0, 0): 1, (0, 1): -1,
-            (1, 0): -1, (1, 1): 1,
-        })
-        J = ComplexOfReps(self.quiver, self.ring, {-1: jm1, 0: j0, 1: j1},
-                          {-1: dm1, 0: d0})
-        c = self.constant_rep()
-        w = self.skyscraper(1)
-        w_into = self._block_morphism(
-            direct_sum([w], names=["P1"], quiver=self.quiver, ring=self.ring),
-            j0, {(2, 0): 1})
-        w_aug = RepMorphism(w, j0, dict(w_into.components))
-        targets = {-1: (c, self._diagonal_augmentation(c, jm1)),
-                   0: (w, w_aug)}
-        return Resolution(self, J, targets)
+        return self._resolution([1])
 
     def resolution_n_points(self) -> "Resolution":
         """Resolution of W_1 + ... + W_n + constant, degrees -1..1."""
-        n = self.n
-        jm1 = self._sum(["H1", "H2"])
-        j0 = self._sum([f"E{i}" for i in self.irange()] +
-                       [f"P{i}" for i in self.irange()])
-        j1 = self._sum([f"P{i}" for i in self.irange()])
-        dm1_entries = {}
-        for i in self.irange():
-            dm1_entries[(i - 1, 0)] = 1    # he_1i into E_i
-            dm1_entries[(i - 1, 1)] = -1   # -he_2i
-        d0_entries = {}
-        for i in self.irange():
-            d0_entries[(i - 1, i - 1)] = 1            # e_ii from E_i
-            d0_entries[(i - 1, self.nxt(i) - 1)] = -1  # -e_(i+1)i from E_(i+1)
-        dm1 = self._block_morphism(jm1, j0, dm1_entries)
-        d0 = self._block_morphism(j0, j1, d0_entries)
-        J = ComplexOfReps(self.quiver, self.ring, {-1: jm1, 0: j0, 1: j1},
-                          {-1: dm1, 0: d0})
-        c = self.constant_rep()
-        wsum = self._sum([f"P{i}" for i in self.irange()])
-        entries = {(n + i - 1, i - 1): 1 for i in self.irange()}
-        w_aug = self._block_morphism(wsum, j0, entries)
-        targets = {-1: (c, self._diagonal_augmentation(c, jm1)),
-                   0: (wsum, w_aug)}
-        return Resolution(self, J, targets)
+        return self._resolution(list(self.irange()))
 
 
 @dataclass

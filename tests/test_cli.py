@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -84,6 +85,22 @@ def test_report_is_byte_stable(capsys):
     _, out1 = run(capsys, "formality", "trivial")
     _, out2 = run(capsys, "formality", "trivial")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("trivial",),
+     "b42a3c550ce3a15632380875fcc2968fe934a1b0e3027a13c75608f5209af86c"),
+    (("one-point",),
+     "16c6678950495d270d738698581413ca51af700b8170e7255e83f6511f5bc251"),
+    (("trivial", "--ring", "Q"),
+     "291b08b60d7ebdfbe6f8686c2749beb62e29f69b42a137d7a1de7d94b4e87251"),
+    (("one-point", "--ring", "Q"),
+     "35a80ae03ff4af176183b4cf085f876f62b858a0184545ec2cd10212924d175b"),
+])
+def test_formality_n2_golden_bytes(capsys, argv, digest):
+    code, out = run(capsys, "formality", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_timing_flag_adds_field(capsys):

@@ -11,7 +11,6 @@ from strathom.dg import (
     DgMorphism,
     FormalityChain,
     algebra_from_products,
-    bimodule_from_algebra,
     cohomology_algebra,
     ideal_from_span,
     identity_dg_morphism,
@@ -19,9 +18,7 @@ from strathom.dg import (
     quotient,
     subalgebra_from_span,
     validate_dg_algebra,
-    validate_dg_bimodule,
     verify_formality_chain,
-    verify_quasi_equivalence,
 )
 from strathom.exact_linalg import QQ, ZZ, ExactMatrix
 
@@ -268,33 +265,6 @@ def test_formality_chain_rejects_non_quasi_iso():
     verdict = verify_formality_chain(chain)
     assert not verdict.ok
     assert any(not r["quasi_iso"] for r in verdict.arrow_reports)
-
-
-# ------------------------------------------------------------ bimodules
-
-
-def test_identity_bimodule_quasi_equivalence():
-    a = dual_numbers_deg2()
-    m = bimodule_from_algebra(a, identity_dg_morphism(a))
-    assert validate_dg_bimodule(m) == []
-    ok, report = verify_quasi_equivalence(a, a, m, a.unit_element())
-    assert ok, report
-
-
-def test_quasi_equivalence_rejects_wrong_degree_cycle():
-    a = dual_numbers_deg2()
-    m = bimodule_from_algebra(a, identity_dg_morphism(a))
-    ok, report = verify_quasi_equivalence(a, a, m, a.basis_element(2, 0))
-    assert not ok
-    assert "degree" in report["reason"]
-
-
-def test_quasi_equivalence_detects_non_iso():
-    a = acyclic_interval()
-    m = bimodule_from_algebra(a, identity_dg_morphism(a))
-    # c = y is a degree-0 element but not a cycle
-    ok, report = verify_quasi_equivalence(a, a, m, a.basis_element(0, 1))
-    assert not ok
 
 
 # ------------------------------------------------------------ bilinear kernel

@@ -223,6 +223,17 @@ def test_validate_resolution_accepts_and_rejects(model2, J_trivial):
         any("structural" in f for f in report.failures)
 
 
+def test_validate_resolution_names_failing_vertices_and_degrees():
+    # without the skyscrapers at degree 0, each point stalk of J has
+    # cohomology left over in degree 0
+    res = SphereModel(3).resolution_n_points()
+    report = validate_resolution(res.complex, {-1: res.targets[-1]})
+    assert not report.ok
+    assert report.failures == [{"vertex": "P1", "degrees": [0]},
+                               {"vertex": "P2", "degrees": [0]},
+                               {"vertex": "P3", "degrees": [0]}]
+
+
 def test_complex_of_reps_validation(model2, J_trivial):
     assert validate_complex_of_reps(J_trivial.complex) == []
     # compose two maps that do not multiply to zero

@@ -220,16 +220,6 @@ def test_cohomology_algebra_of_trivial_end():
         assert (E.complex().d(q) @ lift).is_zero()
 
 
-def test_quasi_equivalence_end_with_its_cohomology():
-    from strathom.dg import bimodule_from_algebra, verify_quasi_equivalence
-
-    E = SphereModel(2).resolution_trivial().end_algebra()
-    w = formality_witness_trivial(E)          # H(E) -> E, multiplicative
-    M = bimodule_from_algebra(E, w)
-    ok, report = verify_quasi_equivalence(E, w.source, M, E.unit_element())
-    assert ok, report
-
-
 def test_witness_one_point():
     E = SphereModel(2).resolution_one_point().end_algebra()
     w = formality_witness_one_point(E)
