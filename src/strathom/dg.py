@@ -481,11 +481,6 @@ def is_quasi_iso_dg(f: DgMorphism) -> QuasiIsoReport:
     return is_quasi_iso(f.chain_map())
 
 
-def identity_dg_morphism(A: DgAlgebra) -> DgMorphism:
-    comps = {q: ExactMatrix.identity(A.dim(q), A.ring) for q in A.degrees()}
-    return DgMorphism(A, A, comps, name="id")
-
-
 # ---------------------------------------------------------------------------
 # cohomology algebra
 # ---------------------------------------------------------------------------

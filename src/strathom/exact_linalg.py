@@ -9,7 +9,9 @@ Matrices are dense numpy arrays.  Integer matrices use Python ints (object
 dtype) so there is no fixed-width overflow; as a fast path, Smith reduction
 runs on int64 arrays with explicit growth bounds and restarts on object
 dtype if a bound is ever at risk.  Rational entries are `fractions.Fraction`
-values, which normalize on every operation.
+values, which normalize on every operation.  There is one Smith engine, the
+integer one: over Q each row is scaled to integers by the lcm of its
+denominators first, and the invariant factors are divided out of U after.
 
 Products (`ExactMatrix.__matmul__` and `matvec`) run on int64 when
 max|a| * max|b| * (inner dimension) < 2**62, so that no sum can overflow,
@@ -349,9 +351,6 @@ class SnfResult:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
 
-    def torsion(self) -> list:
-        return [d for d in self.diagonal() if d != 0 and d != 1]
-
 
 class _Overflow(Exception):
     pass
@@ -366,23 +365,23 @@ def _guard(*vals):
             raise _Overflow
 
 
-def _snf_core(a: np.ndarray, field: bool, transforms: bool):
-    """In-place Smith reduction of a; returns (U, V, diag) or (None, None, diag).
+def _snf_core(a: np.ndarray, transforms: bool):
+    """In-place Smith reduction of the integer matrix a; returns (U, V,
+    diag) or (None, None, diag).
 
     a may be int64 (raises _Overflow when entry growth gets near the limit)
-    or object dtype.  The transforms are always kept in object dtype since
-    their entries outgrow the working matrix; over a field they start as
-    the identity of Fractions, so that no later division meets two ints
-    and returns a float.  Pivoting selects an entry of minimal nonzero
-    absolute value, which keeps intermediate entries small, and row/column
-    updates touch only the rows/columns with nonzero quotients (most, for
-    the incidence-like matrices this package meets).
+    or object dtype holding Python ints.  The transforms are always kept in
+    object dtype since their entries outgrow the working matrix.  Pivoting
+    selects an entry of minimal nonzero absolute value, which keeps
+    intermediate entries small, and row/column updates touch only the
+    rows/columns with nonzero quotients (most, for the incidence-like
+    matrices this package meets).
     """
     m, n = a.shape
     guarded = a.dtype != object
     if transforms:
-        U = ExactMatrix.identity(m, QQ if field else ZZ).data
-        V = ExactMatrix.identity(n, QQ if field else ZZ).data
+        U = ExactMatrix.identity(m).data
+        V = ExactMatrix.identity(n).data
     else:
         U = V = None
     t = 0
@@ -415,16 +414,10 @@ def _snf_core(a: np.ndarray, field: bool, transforms: bool):
             if transforms:
                 U[t, :] = -U[t, :]
         p = a[t, t]
-        if field and p != 1:
-            inv = 1 / p
-            a[t, :] = a[t, :] * inv
-            if transforms:
-                U[t, :] = U[t, :] * inv
-            p = a[t, t]
 
         col = a[t + 1:, t]
         if (col != 0).any():
-            q = col.copy() if field else col // p
+            q = col // p
             nzq = np.nonzero(q)[0]
             if len(nzq):
                 qq = q[nzq]
@@ -440,7 +433,7 @@ def _snf_core(a: np.ndarray, field: bool, transforms: bool):
                 continue  # remainders < pivot; re-pick pivot
         row = a[t, t + 1:]
         if (row != 0).any():
-            q = row.copy() if field else row // p
+            q = row // p
             nzq = np.nonzero(q)[0]
             if len(nzq):
                 qq = q[nzq]
@@ -454,28 +447,24 @@ def _snf_core(a: np.ndarray, field: bool, transforms: bool):
                     V[:, cidx] -= V[:, t][:, None] * qo[None, :]
             if (a[t, t + 1:] != 0).any():
                 continue
-        if not field:
-            # pivot must divide the remaining block for the divisor chain
-            rest = a[t + 1:, t + 1:]
-            if rest.size and p != 1:
-                rem = rest % p
-                bad = rem != 0
-                if bad.any():
-                    i = t + 1 + int(np.argmax(bad.any(axis=1)))
-                    if guarded:
-                        _guard(int(abs(a[t, t:]).max()) + int(abs(a[i, t:]).max()))
-                    a[t, t:] += a[i, t:]
-                    if transforms:
-                        U[t, :] += U[i, :]
-                    continue
+        # pivot must divide the remaining block for the divisor chain
+        rest = a[t + 1:, t + 1:]
+        if rest.size and p != 1:
+            bad = rest % p != 0
+            if bad.any():
+                i = t + 1 + int(np.argmax(bad.any(axis=1)))
+                if guarded:
+                    _guard(int(abs(a[t, t:]).max()) + int(abs(a[i, t:]).max()))
+                a[t, t:] += a[i, t:]
+                if transforms:
+                    U[t, :] += U[i, :]
+                continue
         t += 1
     diag = [a[i, i] for i in range(min(m, n))]
     return U, V, diag
 
 
 def _prepare_int64(M: ExactMatrix) -> Optional[np.ndarray]:
-    if M.ring.is_field:
-        return None
     try:
         a = M.data.astype(np.int64)
     except (OverflowError, TypeError):
@@ -486,26 +475,45 @@ def _prepare_int64(M: ExactMatrix) -> Optional[np.ndarray]:
 
 
 def _snf_any(M: ExactMatrix, transforms: bool):
-    """Run Smith reduction, preferring the int64 fast path over ZZ."""
+    """(U, V, D, diag) with D = U M V, on the integer engine: int64 while
+    the growth bounds hold, Python ints after an overflow restart.
+
+    Over QQ row i is first scaled to integers by the lcm s_i of its
+    denominators.  With D' = U' (S M) V over ZZ, the result is U = E U' S
+    and D = E D' = diag(1, ..., 1, 0, ...), where E = diag(1/d_i) on the
+    nonzero invariant factors d_i of D'; every entry is a Fraction.
+    """
     field = M.ring.is_field
+    if field:
+        s = [math.lcm(*(x.denominator for x in row)) for row in M.data]
+        a = np.empty(M.shape, dtype=object)
+        for i, row in enumerate(M.data):
+            a[i] = [x.numerator * (s[i] // x.denominator) for x in row]
+        M = ExactMatrix(ZZ, a)
+    a = _prepare_int64(M)
+    if a is not None:
+        try:
+            U, V, diag = _snf_core(a, transforms)
+            a, diag = a.astype(object), [int(d) for d in diag]
+        except _Overflow:
+            a = None
+    if a is None:
+        a = np.empty(M.shape, dtype=object)
+        a[:, :] = M.data
+        U, V, diag = _snf_core(a, transforms)
     if not field:
-        a = _prepare_int64(M)
-        if a is not None:
-            try:
-                U, V, diag = _snf_core(a, False, transforms)
-                return (ExactMatrix(ZZ, U) if transforms else None,
-                        ExactMatrix(ZZ, V) if transforms else None,
-                        ExactMatrix(ZZ, a.astype(object)),
-                        [int(d) for d in diag])
-            except _Overflow:
-                pass
-    a = np.empty(M.shape, dtype=object)
-    a[:, :] = M.data
-    U, V, diag = _snf_core(a, field, transforms)
-    ring = M.ring
-    return (ExactMatrix(ring, U) if transforms else None,
-            ExactMatrix(ring, V) if transforms else None,
-            ExactMatrix(ring, a), diag)
+        return (ExactMatrix(ZZ, U) if transforms else None,
+                ExactMatrix(ZZ, V) if transforms else None,
+                ExactMatrix(ZZ, a), diag)
+    r = sum(1 for d in diag if d != 0)
+    D = ExactMatrix.zeros(*M.shape, QQ)
+    D.data[range(r), range(r)] = Fraction(1)
+    if transforms:
+        U = U * np.array(s, dtype=object)[None, :]
+        for i in range(M.rows):
+            U[i] = _unscale(U[i], diag[i] if i < r else 1)
+        U, V = ExactMatrix(QQ, U), ExactMatrix(QQ, _unscale(V, 1))
+    return U, V, D, [D[i, i] for i in range(len(diag))]
 
 
 def smith_normal_form(M: ExactMatrix) -> SnfResult:
@@ -567,13 +575,11 @@ class PresolvedSolver:
         for i, ci in enumerate(c):
             if i < len(self.diag) and self.diag[i] != 0:
                 d = self.diag[i]
-                if self.ring.is_field:
-                    y[i] = ci / d
-                else:
-                    q, r = divmod(ci, d)
+                if d != 1:
+                    ci, r = divmod(ci, d)
                     if r != 0:
                         return None
-                    y[i] = q
+                y[i] = ci
             elif ci != 0:
                 return None
         return self.V.matvec(y)
@@ -592,11 +598,10 @@ class PresolvedSolver:
         Y = ExactMatrix.zeros(self.M.cols, B.cols, self.ring)
         if r and B.cols:
             d = np.array(self.diag[:r], dtype=object)[:, None]
-            if self.ring.is_field:
-                Y.data[:r] = C[:r] / d
-            else:
+            if (d != 1).any():
                 ok &= ~(C[:r] % d != 0).any(axis=0)
-                Y.data[:r] = C[:r] // d
+                C[:r] //= d
+            Y.data[:r] = C[:r]
         X = self.V @ Y
         return [X.col(j) if ok[j] else None for j in range(B.cols)]
 
@@ -609,26 +614,18 @@ def solve_in_image(M: ExactMatrix, b: Sequence) -> Optional[list]:
 def inverse(M: ExactMatrix) -> ExactMatrix:
     """Exact inverse; over ZZ requires M unimodular.
 
-    With D = U M V the inverse is V D^-1 U, which only needs the one
-    decomposition.
+    M is invertible exactly when D = U M V is the identity (the Smith
+    diagonal is 1 on its rank prefix over QQ and >= 0 over ZZ), and then
+    the inverse is V U.
     """
     if M.rows != M.cols:
         raise ValueError("inverse of non-square matrix")
     if M.rows == 0:
         return ExactMatrix.zeros(0, 0, M.ring)
     U, V, _, diag = _snf_any(M, transforms=True)
-    if len(diag) < M.rows or any(d == 0 for d in diag):
+    if any(d != 1 for d in diag):
         raise ValueError("matrix is not invertible over the ring")
-    if not M.ring.is_field and any(d not in (1, -1) for d in diag):
-        raise ValueError("matrix is not invertible over the ring")
-    scaled = V.data.copy()
-    for j, d in enumerate(diag):
-        if d != 1:
-            if M.ring.is_field:
-                scaled[:, j] = scaled[:, j] * (1 / d)
-            else:
-                scaled[:, j] = scaled[:, j] * d  # d = -1
-    return ExactMatrix(M.ring, scaled) @ U
+    return V @ U
 
 
 def determinant(M: ExactMatrix):
@@ -747,12 +744,8 @@ def subquotient(kernel_gens: ExactMatrix, image_gens: ExactMatrix) -> Subquotien
                 raise ValueError("image not contained in kernel")
             rel[:, j] = c if k else []
         relmat = ExactMatrix(ring, rel)
-    if ring.is_field:
-        U, V, D, _ = _snf_any(relmat, transforms=True)
-        rel_snf = SnfResult(U=U, D=D, V=V)
-    else:
-        rel_snf = smith_normal_form(relmat)
-    return SubquotientModule(ring, kernel_gens, rel_snf)
+    U, V, D, _ = _snf_any(relmat, transforms=True)
+    return SubquotientModule(ring, kernel_gens, SnfResult(U=U, D=D, V=V))
 
 
 def _xgcd(a: int, b: int):

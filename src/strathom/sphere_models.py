@@ -90,9 +90,6 @@ class SphereModel:
             self._closure[s] = closure_rep(self.quiver, s, self.ring)
         return self._closure[s]
 
-    def skyscraper(self, i: int) -> Representation:
-        return self.closure_rep(f"P{i}")
-
     def generator(self, s: str, t: str) -> RepMorphism:
         """Canonical generator of Hom(I_s, I_t); identity where possible."""
         key = (s, t)

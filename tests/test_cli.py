@@ -103,6 +103,18 @@ def test_formality_n2_golden_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("formality", "n-points", "--n", "4", "--ring", "Q"),
+     "537d6423052e276b089d9eb4a18fdbc76377e6fd6705cf0b7fd622685f2896df"),
+    (("ext-table", "--n", "5", "--qmax", "4", "--ring", "Q"),
+     "a4b4e03b2c9e22557d40d47e6539fdcb8dcf4491f777aa7f6a3ea215fe320f3a"),
+])
+def test_q_golden_bytes(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_timing_flag_adds_field(capsys):
     code, rep = run_json(capsys, "formality", "trivial", "--timing")
     assert code == 0

@@ -13,7 +13,6 @@ from strathom.dg import (
     algebra_from_products,
     cohomology_algebra,
     ideal_from_span,
-    identity_dg_morphism,
     is_quasi_iso_dg,
     quotient,
     subalgebra_from_span,
@@ -33,6 +32,11 @@ def dual_numbers_deg2(ring=ZZ):
         products={("1", "1"): {"1": 1}, ("1", "t"): {"t": 1},
                   ("t", "1"): {"t": 1}},
     )
+
+
+def _identity(A):
+    comps = {q: ExactMatrix.identity(A.dim(q), A.ring) for q in A.degrees()}
+    return DgMorphism(A, A, comps, name="id")
 
 
 def acyclic_interval(ring=ZZ):
@@ -236,7 +240,7 @@ def test_quotient_by_acyclic_ideal_is_quasi_iso():
 
 def test_formality_chain_identity():
     a = dual_numbers_deg2()
-    chain = FormalityChain([a, a], [(identity_dg_morphism(a), "forward")])
+    chain = FormalityChain([a, a], [(_identity(a), "forward")])
     verdict = verify_formality_chain(chain)
     assert verdict.ok, (verdict.arrow_reports, verdict.notes)
 
@@ -252,7 +256,7 @@ def test_formality_chain_through_quotient():
 
 def test_formality_chain_rejects_nonzero_terminal_differential():
     a = acyclic_interval()
-    chain = FormalityChain([a, a], [(identity_dg_morphism(a), "forward")])
+    chain = FormalityChain([a, a], [(_identity(a), "forward")])
     verdict = verify_formality_chain(chain)
     assert not verdict.ok
     assert any("terminal" in n for n in verdict.notes)
@@ -369,7 +373,7 @@ def test_cohomology_algebra_detects_section_dependence():
 
 def test_formality_chain_rejects_misshaped_identification(monkeypatch):
     a = dual_numbers_deg2()
-    chain = FormalityChain([a, a], [(identity_dg_morphism(a), "forward")])
+    chain = FormalityChain([a, a], [(_identity(a), "forward")])
     real = dg._induced_on_cohomology
 
     def one_row_too_many(f, src, tgt):

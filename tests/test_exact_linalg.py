@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
+from strathom import exact_linalg
+from strathom.cli import main
 from strathom.exact_linalg import (
     QQ,
     ZZ,
@@ -15,6 +17,7 @@ from strathom.exact_linalg import (
     ExactMatrix,
     PresolvedSolver,
     _prepare_int64,
+    _snf_any,
     determinant,
     invariant_factors,
     inverse,
@@ -190,6 +193,64 @@ def _q_matrix(data, entry, rows, cols):
 
 def _all_fractions(xs):
     return all(type(x) is Fraction for x in xs)
+
+
+# Denominators near 2**40: a row that mixes one with a small denominator
+# scales to integers past 2**40, so its Smith reduction runs on Python ints.
+_BIG_DEN_Q = st.builds(Fraction, st.integers(-3, 3),
+                       st.integers(2 ** 40 - 9, 2 ** 40 + 9))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(["int64", "object"]), st.integers(0, 5),
+       st.integers(0, 5))
+def test_q_snf_runs_on_the_integer_engine(data, path, r, c):
+    """Over Q, D = U M V = diag(1, ..., 1, 0, ...) with as many ones as the
+    row-scaled integer matrix has nonzero determinantal divisors; U and V
+    are invertible, every entry is a Fraction, and the kernel basis has
+    the complementary size."""
+    entry = _SMALL_Q if path == "int64" else st.one_of(_SMALL_Q, _BIG_DEN_Q)
+    rows = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                              min_size=r, max_size=r))
+    if path == "object" and r and c:
+        rows[0][0] = Fraction(2 ** 41 + 1, 2 ** 40 + 1)
+    m = ExactMatrix.from_rows(rows, QQ, cols=c)
+    scaled = ExactMatrix.from_rows(
+        [[x * lcm(*(y.denominator for y in row)) for x in row]
+         for row in rows], ZZ, cols=c)
+    assert (_prepare_int64(scaled) is None) == (path == "object" and r * c > 0)
+    rk = len(_determinantal_divisors(scaled))
+    U, V, D, _ = _snf_any(m, transforms=True)
+    assert D == U @ m @ V
+    assert D == ExactMatrix.from_rows(
+        [[int(i == j < rk) for j in range(c)] for i in range(r)], QQ, cols=c)
+    assert _all_fractions(U.entries + V.entries + D.entries)
+    assert U @ inverse(U) == ExactMatrix.identity(r, QQ)
+    assert V @ inverse(V) == ExactMatrix.identity(c, QQ)
+    k = kernel_basis(m)
+    assert k.cols == c - rk
+    assert (m @ k).is_zero()
+
+
+def test_every_smith_reduction_sees_integers(monkeypatch, capsys):
+    """The one Smith engine is the integer one: over Q too, `_snf_core`
+    receives int64 arrays or object arrays of Python ints, never Fractions."""
+    seen = []
+    real = exact_linalg._snf_core
+
+    def spy(a, transforms):
+        seen.append(a.dtype == np.int64 or (
+            a.dtype == object and all(type(x) is int for x in a.flat)))
+        return real(a, transforms)
+
+    monkeypatch.setattr(exact_linalg, "_snf_core", spy)
+    assert main(["formality", "n-points", "--n", "3", "--ring", "Q"]) == 0
+    capsys.readouterr()
+    calls = len(seen)
+    k = kernel_basis(M([[Fraction(1, 3), Fraction(2 ** 41 + 1, 7), 0],
+                        [Fraction(2, 3), 1, Fraction(-5, 2)]], QQ))
+    assert k.cols == 1
+    assert calls and len(seen) > calls and all(seen)
 
 
 @settings(max_examples=150, deadline=None)

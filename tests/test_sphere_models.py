@@ -66,13 +66,6 @@ def test_closure_rep_supports():
         ["E1", "E2", "H1", "P1", "P2"]
 
 
-def test_skyscraper_is_point_closure():
-    m = SphereModel(3)
-    w = m.skyscraper(2)
-    assert w is m.closure_rep("P2")
-    assert w.support() == ["P2"]
-
-
 def test_arc_endpoints_follow_index_convention():
     m = SphereModel(4)
     # E_i is closed by P_(i-1) and P_i
