@@ -26,7 +26,6 @@ from .exact_linalg import (
     invariant_factors,
     kernel_basis,
     smith_normal_form,
-    solve_in_image,
     subquotient,
 )
 from .chain_complex import (

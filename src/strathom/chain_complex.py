@@ -60,9 +60,6 @@ class ChainComplex:
     def total_rank(self) -> int:
         return sum(self.ranks.values())
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** q * r for q, r in self.ranks.items())
-
 
 def validate_complex(C: ChainComplex) -> list:
     """All shape and d.d = 0 violations; empty list means valid."""

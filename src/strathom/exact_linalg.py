@@ -6,19 +6,24 @@ transforms, saturated kernel lattices, exact solving, and presentations of
 subquotient modules ker/im.
 
 Matrices are dense numpy arrays.  Integer matrices use Python ints (object
-dtype) so there is no fixed-width overflow; as a fast path, Smith reduction
-runs on int64 arrays with explicit growth bounds and restarts on object
-dtype if a bound is ever at risk.  Rational entries are `fractions.Fraction`
-values, which normalize on every operation.  There is one Smith engine, the
-integer one: over Q each row is scaled to integers by the lcm of its
-denominators first, and the invariant factors are divided out of U after.
+dtype) so there is no fixed-width overflow; rational entries are
+`fractions.Fraction` values.  Each ring-independent operation has one
+integer path for both rings:
 
-Products (`ExactMatrix.__matmul__` and `matvec`) run on int64 when
-max|a| * max|b| * (inner dimension) < 2**62, so that no sum can overflow,
-and on Python ints otherwise.  Over Q each operand is first scaled to
-integers by the least common denominator of its entries
-(`integer_scaling`), and each entry of the integer product is divided by
-the product of the two denominators once, at the end.
+- Smith reduction runs on int64 arrays with explicit growth bounds and
+  restarts on Python ints if a bound is ever at risk.  Over Q each row is
+  scaled to integers by the lcm of its denominators first, and the
+  invariant factors are divided out of U after.
+- Products (`ExactMatrix.__matmul__` and `matvec`) scale each operand to
+  integers by the least common denominator of its entries
+  (`integer_scaling`; over Z that is the int64 view, with denominator 1,
+  whenever the entries fit).  The integer product runs on int64 when
+  max|a| * max|b| * (inner dimension) < 2**62, so that no sum can
+  overflow, and on Python ints otherwise; over Q each entry is divided by
+  the product of the two denominators once, at the end.
+- Solving (`PresolvedSolver.solve_many`, which `solve` and `subquotient`
+  call) is two products with the Smith transforms and one exact
+  divisibility check.
 """
 
 from __future__ import annotations
@@ -80,10 +85,10 @@ class ExactMatrix:
     """Immutable dense matrix over a CoeffRing.
 
     The wrapped array has dtype=object with int or Fraction entries.  All
-    arithmetic is exact; operations return new matrices.  Products run
-    through int64 numpy kernels when a bound on the result proves no
-    overflow is possible; over Q on the entries scaled to integers, the
-    result is divided back into Fractions.
+    arithmetic is exact; operations return new matrices.  Products run on
+    the entries scaled to integers, through int64 numpy kernels when a
+    bound on the result proves no overflow is possible; over Q the result
+    is divided back into Fractions.
     """
 
     __slots__ = ("ring", "data", "_i64", "_scaled")
@@ -180,15 +185,15 @@ class ExactMatrix:
 
     def integer_scaling(self):
         """`integer_scaling` of the entries, as a matrix; cached, and over
-        ZZ taken from the int64 view when it exists.  The matrix must be
-        nonempty."""
+        ZZ read off the cached int64 view when it exists (no second cache
+        entry: every Z product operand goes through here).  The matrix must
+        be nonempty."""
+        fit = self._int64_view()
+        if fit:
+            return fit[0], 1, fit[1]
         if self._scaled is None:
-            fit = self._int64_view()
-            if fit:
-                self._scaled = (fit[0], 1, fit[1])
-            else:
-                a, d, top = integer_scaling(self.data.reshape(-1))
-                self._scaled = (a.reshape(self.shape), d, top)
+            a, d, top = integer_scaling(self.data.reshape(-1))
+            self._scaled = (a.reshape(self.shape), d, top)
         return self._scaled
 
     def _check_ring(self, other: "ExactMatrix"):
@@ -201,15 +206,15 @@ class ExactMatrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return ExactMatrix.zeros(self.rows, other.cols, self.ring)
-        if self.ring.is_field:
-            a, da, ta = self.integer_scaling()
-            b, db, tb = other.integer_scaling()
-            return ExactMatrix(self.ring, _unscale(
-                _int_dot(a, b, ta * tb * self.cols), da * db))
-        fa, fb = self._int64_view(), other._int64_view()
-        if fa and fb and fa[1] * fb[1] * self.cols < 2 ** 62:
-            return ExactMatrix(self.ring, fa[0].dot(fb[0]).astype(object))
-        return ExactMatrix(self.ring, self.data.dot(other.data))
+        a, da, ta = self.integer_scaling()
+        b, db, tb = other.integer_scaling()
+        return ExactMatrix(self.ring, self._from_integers(
+            _int_dot(a, b, ta * tb * self.cols), da * db))
+
+    def _from_integers(self, a: np.ndarray, den: int) -> np.ndarray:
+        """The integer array a, divided by den into Fractions over QQ, as
+        an object array of ring elements."""
+        return _unscale(a, den) if self.ring.is_field else a.astype(object)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_ring(other)
@@ -233,23 +238,10 @@ class ExactMatrix:
             return []
         if self.cols == 0:
             return [self.ring.element(0)] * self.rows
-        if self.ring.is_field:
-            a, da, ta = self.integer_scaling()
-            vv, dv, tv = integer_scaling(v)
-            return list(_unscale(_int_dot(a, vv, ta * tv * self.cols),
-                                 da * dv))
-        fa = self._int64_view()
-        if fa:
-            try:
-                vv = np.array(v, dtype=np.int64)
-                vmax = int(abs(vv).max())
-                if fa[1] * vmax * self.cols < 2 ** 62:
-                    return [int(x) for x in fa[0].dot(vv)]
-            except (OverflowError, TypeError, ValueError):
-                pass
-        vv = np.empty(len(v), dtype=object)
-        vv[:] = v
-        return list(self.data.dot(vv))
+        a, da, ta = self.integer_scaling()
+        vv, dv, tv = integer_scaling(v)
+        return list(self._from_integers(_int_dot(a, vv, ta * tv * self.cols),
+                                        da * dv))
 
     # -- predicates -------------------------------------------------------
 
@@ -566,30 +558,20 @@ class PresolvedSolver:
         self.rank = sum(1 for d in self.diag if d != 0)
 
     def solve(self, b: Sequence) -> Optional[list]:
-        """Coefficients x with Mx = b, or None if b is not in the image."""
-        if len(b) != self.M.rows:
-            raise ValueError("rhs length mismatch")
-        c = self.U.matvec(b)
-        zero = self.ring.element(0)
-        y = [zero] * self.M.cols
-        for i, ci in enumerate(c):
-            if i < len(self.diag) and self.diag[i] != 0:
-                d = self.diag[i]
-                if d != 1:
-                    ci, r = divmod(ci, d)
-                    if r != 0:
-                        return None
-                y[i] = ci
-            elif ci != 0:
-                return None
-        return self.V.matvec(y)
+        """Coefficients x with Mx = b, or None if b is not in the image:
+        `solve_many` on the one column b."""
+        B = np.empty((len(b), 1), dtype=object)
+        B[:, 0] = b
+        return self.solve_many(ExactMatrix(self.ring, B))[0]
 
     def solve_many(self, B: ExactMatrix) -> List[Optional[list]]:
-        """`solve` for every column of B, or None for a column outside the
-        image.  With D = U M V, the rows of U B past the rank must vanish,
-        the first `rank` rows are divided by the nonzero diagonal of D (a
-        prefix of it), and V maps the quotients back, all in one product
-        each."""
+        """Coefficients x with Mx = b for every column b of B, or None for
+        a column outside the image; the one solve path for both rings.
+
+        With D = U M V, the rows of U B past the rank must vanish and the
+        first `rank` rows must be divisible by the nonzero diagonal of D (a
+        prefix of it; all ones over QQ).  V maps the quotients back.  Both
+        tests are exact, so None means b is not in the image."""
         if B.rows != self.M.rows:
             raise ValueError("rhs length mismatch")
         r = self.rank
@@ -604,11 +586,6 @@ class PresolvedSolver:
             Y.data[:r] = C[:r]
         X = self.V @ Y
         return [X.col(j) if ok[j] else None for j in range(B.cols)]
-
-
-def solve_in_image(M: ExactMatrix, b: Sequence) -> Optional[list]:
-    """Solve Mx = b exactly; None means b is not in the image (not an error)."""
-    return PresolvedSolver(M).solve(b)
 
 
 def inverse(M: ExactMatrix) -> ExactMatrix:
@@ -724,27 +701,12 @@ def subquotient(kernel_gens: ExactMatrix, image_gens: ExactMatrix) -> Subquotien
     """Invariants and representatives of span(kernel_gens)/span(image_gens)."""
     ring = kernel_gens.ring
     solver = PresolvedSolver(kernel_gens)
-    k = kernel_gens.cols
-    relmat = None
-    if k and image_gens.cols and solver.rank == k and \
-            all(d == 1 for d in solver.diag[:k]):
-        # saturated kernel basis: solve all columns with one product, then
-        # confirm containment exactly
-        smat = solver.V.take_cols(range(k)) @ solver.U.take_rows(range(k))
-        cand = smat @ image_gens
-        if kernel_gens @ cand == image_gens:
-            relmat = cand
-        else:
+    rel = np.empty((kernel_gens.cols, image_gens.cols), dtype=object)
+    for j, c in enumerate(solver.solve_many(image_gens)):
+        if c is None:
             raise ValueError("image not contained in kernel")
-    if relmat is None:
-        rel = np.empty((k, image_gens.cols), dtype=object)
-        for j in range(image_gens.cols):
-            c = solver.solve(image_gens.col(j))
-            if c is None:
-                raise ValueError("image not contained in kernel")
-            rel[:, j] = c if k else []
-        relmat = ExactMatrix(ring, rel)
-    U, V, D, _ = _snf_any(relmat, transforms=True)
+        rel[:, j] = c
+    U, V, D, _ = _snf_any(ExactMatrix(ring, rel), transforms=True)
     return SubquotientModule(ring, kernel_gens, SnfResult(U=U, D=D, V=V))
 
 
@@ -911,12 +873,6 @@ class ColumnLattice:
             for i, c in self.reduce({j: 1})[0].items():
                 P.data[pos[i], j] = c
         return kept, P
-
-    def lattice_equals(self, other: "ColumnLattice") -> bool:
-        if self.rank != other.rank:
-            return False
-        return (all(other.contains(c[1]) for c in self.cols)
-                and all(self.contains(c[1]) for c in other.cols))
 
     def basis_vectors(self) -> list:
         return [dict(c[1]) for c in self.cols]

@@ -511,10 +511,8 @@ def resolution_is_exact(res: ProjectiveResolution) -> bool:
             if not (d_out @ d_in).is_zero():
                 return False
             ker = kernel_basis(d_out)
-            solver = PresolvedSolver(d_in)
-            for j in range(ker.cols):
-                if solver.solve(ker.col(j)) is None:
-                    return False
+            if None in PresolvedSolver(d_in).solve_many(ker):
+                return False
         last = mats[-1]
         if last.cols and kernel_basis(last).cols:
             return False

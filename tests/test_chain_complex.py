@@ -88,7 +88,7 @@ def test_cone_report_matches_cohomology():
             assert (r["betti"], r["torsion"]) == (h.betti(q), h.torsion(q))
         checked += 1
         # Euler characteristic identity over the rationals
-        chi_ranks = c.euler_characteristic()
+        chi_ranks = sum((-1) ** q * r for q, r in c.ranks.items())
         chi_h = sum((-1) ** q * h.betti(q) for q in c.support())
         assert chi_ranks == chi_h
     assert checked

@@ -24,7 +24,6 @@ from strathom.exact_linalg import (
     kernel_basis,
     rank,
     smith_normal_form,
-    solve_in_image,
     subquotient,
 )
 
@@ -91,7 +90,7 @@ def test_q_kernel_and_solve_hold_fractions():
     k = kernel_basis(m)
     assert k.cols == 2
     assert _all_fractions(k.entries)
-    x = solve_in_image(m, [Fraction(1, 3)])
+    x = PresolvedSolver(m).solve([Fraction(1, 3)])
     assert x == [0, Fraction(1, 6), 0]
     assert _all_fractions(x)
 
@@ -177,18 +176,25 @@ def test_snf_matches_determinantal_divisors(data, path, r, c, scale):
 
 # Small fractions take the int64 product; numerators and denominators near
 # 2**40 push the scaled operands past the 2**62 bound (or past int64), so
-# the product runs on Python ints.
+# the product runs on Python ints.  Over Z, entries near 2**31 cross the
+# bound once two terms are summed, and entries of 2**62 or more have no
+# int64 view (or cross the bound at once).
 _SMALL_Q = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 _BIG_Q = st.builds(lambda s, n, d: Fraction(s * n, d),
                    st.sampled_from([1, -1]),
                    st.integers(2 ** 40 - 9, 2 ** 40 + 9),
                    st.integers(2 ** 40 - 9, 2 ** 40 + 9))
+_Z_PAST_BOUND = st.one_of(
+    st.integers(-4, 4),
+    st.integers(2 ** 31 - 5, 2 ** 31 + 5),
+    st.integers(-2 ** 31 - 5, -2 ** 31 + 5),
+    st.integers(2 ** 62, 2 ** 64), st.integers(-2 ** 64, -2 ** 62))
 
 
-def _q_matrix(data, entry, rows, cols):
+def _matrix(data, entry, rows, cols, ring):
     return ExactMatrix.from_rows(
         [[data.draw(entry) for _ in range(cols)] for _ in range(rows)],
-        QQ, cols=cols)
+        ring, cols=cols)
 
 
 def _all_fractions(xs):
@@ -255,20 +261,25 @@ def test_every_smith_reduction_sees_integers(monkeypatch, capsys):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),
-       st.sampled_from([_SMALL_Q, st.one_of(_SMALL_Q, _BIG_Q)]))
-def test_q_products_match_fraction_dot(data, r, k, c, entry):
-    A = _q_matrix(data, entry, r, k)
-    B = _q_matrix(data, entry, k, c)
+       st.sampled_from([(QQ, _SMALL_Q), (QQ, st.one_of(_SMALL_Q, _BIG_Q)),
+                        (ZZ, _Z_PAST_BOUND)]))
+def test_q_products_match_fraction_dot(data, r, k, c, ring_entry):
+    """Products equal the object-dtype dot of Fractions over Q and of
+    Python ints over Z, entry by entry and type by type."""
+    ring, entry = ring_entry
+    A = _matrix(data, entry, r, k, ring)
+    B = _matrix(data, entry, k, c, ring)
     v = [data.draw(entry) for _ in range(k)]
+    kind = Fraction if ring.is_field else int
     AB = A @ B
     assert AB.shape == (r, c)
     assert AB.tolist() == A.data.dot(B.data).tolist()
-    assert _all_fractions(AB.entries)
+    assert all(type(x) is kind for x in AB.entries)
     vv = np.empty(k, dtype=object)
     vv[:] = v
     Av = A.matvec(v)
     assert Av == list(A.data.dot(vv))
-    assert _all_fractions(Av)
+    assert all(type(x) is kind for x in Av)
 
 
 def test_q_product_past_the_int64_bound():
@@ -341,18 +352,18 @@ def test_rank_nullity(r, c, seed):
 
 
 def test_solve_identity():
-    x = solve_in_image(ExactMatrix.identity(3), [5, -1, 2])
+    x = PresolvedSolver(ExactMatrix.identity(3)).solve([5, -1, 2])
     assert x == [5, -1, 2]
 
 
 def test_solve_not_in_image_over_zz():
-    assert solve_in_image(M([[2]]), [3]) is None
+    assert PresolvedSolver(M([[2]])).solve([3]) is None
 
 
 def test_solve_in_image_over_qq():
     from fractions import Fraction
 
-    x = solve_in_image(M([[2]], QQ), [3])
+    x = PresolvedSolver(M([[2]], QQ)).solve([3])
     assert x == [Fraction(3, 2)]
 
 
@@ -363,7 +374,7 @@ def test_solve_round_trip(r, c, seed):
     m = M([[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)])
     x = [rng.randint(-4, 4) for _ in range(c)]
     b = m.matvec(x)
-    sol = solve_in_image(m, b)
+    sol = PresolvedSolver(m).solve(b)
     assert sol is not None
     assert m.matvec(sol) == b
 
@@ -383,6 +394,21 @@ def test_solve_many_non_unit_invariant_factors():
     assert s.solve_many(M([[2], [0], [0]]).scale(3)) == [[3, 0]]
 
 
+def _check_against_lattice(m, B, got):
+    """Each answer of `solve_many` against an oracle that uses no Smith
+    form: None exactly when the column lies outside the lattice spanned by
+    m's columns (`ColumnLattice`, by echelon form and xgcd), else m x = b."""
+    lat = ColumnLattice(m.ring)
+    for j in range(m.cols):
+        lat.add(dict(enumerate(m.col(j))))
+    assert len(got) == B.cols
+    for j, x in enumerate(got):
+        b = B.col(j)
+        assert (x is None) == (not lat.contains(dict(enumerate(b))))
+        if x is not None:
+            assert m.matvec(x) == b
+
+
 @pytest.mark.parametrize("ring", [ZZ, QQ])
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
 def test_solve_many_empty_shapes(ring, shape):
@@ -390,7 +416,7 @@ def test_solve_many_empty_shapes(ring, shape):
     s = PresolvedSolver(m)
     for cols in (0, 2):
         b = ExactMatrix.zeros(shape[0], cols, ring)
-        assert s.solve_many(b) == [s.solve(b.col(j)) for j in range(cols)]
+        _check_against_lattice(m, b, s.solve_many(b))
     if shape[0]:
         assert s.solve_many(ExactMatrix.identity(shape[0], ring)) == \
             [None] * shape[0]
@@ -400,8 +426,8 @@ def test_solve_many_empty_shapes(ring, shape):
 @given(st.sampled_from([ZZ, QQ]), st.integers(0, 5), st.integers(0, 5),
        st.integers(0, 6), st.integers(0, 2 ** 32))
 def test_solve_many_matches_solve(ring, r, c, k, seed):
-    """Column by column the same answers as `solve`, None included: half
-    the right-hand sides are images M x, the others arbitrary."""
+    """`solve_many` and `solve` against the lattice oracle, None included:
+    half the right-hand sides are images M x, the others arbitrary."""
     rng = random.Random(seed)
     scale = rng.choice([1, 2, 3])
     m = ExactMatrix.from_rows(
@@ -418,6 +444,7 @@ def test_solve_many_matches_solve(ring, r, c, k, seed):
                               ring, cols=k)
     s = PresolvedSolver(m)
     got = s.solve_many(b)
+    _check_against_lattice(m, b, got)
     assert got == [s.solve(col) for col in cols]
     assert all(got[j] is not None for j in range(0, k, 2))
     kind = Fraction if ring.is_field else int
@@ -446,6 +473,17 @@ def test_subquotient_z_mod_2():
 def test_subquotient_rejects_bad_image():
     with pytest.raises(ValueError, match="image not contained in kernel"):
         subquotient(M([[2], [0]]), M([[1], [1]]))
+    # a saturated kernel, with the image outside its span
+    with pytest.raises(ValueError, match="image not contained in kernel"):
+        subquotient(M([[1], [0]]), M([[0], [1]]))
+
+
+def test_subquotient_containment_depends_on_the_ring():
+    # 1 is in the Q-span of 2 but not in the Z-span
+    with pytest.raises(ValueError, match="image not contained in kernel"):
+        subquotient(M([[2]]), M([[1]]))
+    sq = subquotient(M([[2]], QQ), M([[1]], QQ))
+    assert (sq.betti, sq.torsion) == (0, [])
 
 
 def test_subquotient_lift_and_coordinates():
@@ -533,19 +571,6 @@ def test_column_lattice_coordinates_reconstruct():
                 rebuilt[k] = rebuilt.get(k, 0) + c * v
         rebuilt = {k: v for k, v in rebuilt.items() if v}
         assert rebuilt == target
-
-
-def test_column_lattice_equality():
-    a = ColumnLattice(ZZ)
-    a.add({0: 1, 1: 1})
-    a.add({1: 2})
-    b = ColumnLattice(ZZ)
-    b.add({0: 1, 1: 3})
-    b.add({1: 2})
-    assert a.lattice_equals(b)
-    c = ColumnLattice(ZZ)
-    c.add({0: 1, 1: 1})
-    assert not a.lattice_equals(c)
 
 
 def _combine(cs, gens):
