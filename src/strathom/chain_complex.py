@@ -53,13 +53,6 @@ class ChainComplex:
             return ExactMatrix.zeros(self.rank(q + 1), self.rank(q), self.ring)
         return m
 
-    def label(self, q: int, i: int):
-        ls = self.labels.get(q)
-        return ls[i] if ls else f"c{q}[{i}]"
-
-    def total_rank(self) -> int:
-        return sum(self.ranks.values())
-
 
 def validate_complex(C: ChainComplex) -> list:
     """All shape and d.d = 0 violations; empty list means valid."""

@@ -130,14 +130,12 @@ def cmd_formality(args) -> int:
             raise InputError(f"scenario {scenario} is the 2-point model")
     elif n is None:
         n = 2 if scenario == "de-rham" else 3
-    if scenario != "de-rham" and n < 2:
+    if n < 2:
         raise InputError("n must be at least 2")
     t0 = time.perf_counter()
     results: dict = {}
     tables: dict = {}
     if scenario == "de-rham":
-        if n < 2:
-            raise InputError("n must be at least 2")
         dr = de_rham_model(n)
         A = dr.algebra
         idx = {lab: (q, i) for q, labs in A.labels.items()
@@ -179,17 +177,15 @@ def cmd_formality(args) -> int:
         tables["differential"] = []
         for rows in _differential_tables(E).values():
             tables["differential"].extend(rows)
-        if scenario == "trivial":
-            w = formality_witness_trivial(E)
-            results["witness_quasi_iso"] = bool(
-                w.validate() == [] and is_quasi_iso_dg(w).ok)
-        elif scenario == "one-point":
+        if scenario == "one-point":
             cc = E.complex()
             results["kernel_ranks"] = {
                 str(q): kernel_basis(cc.d(q)).cols for q in (-1, 0, 1, 2)}
             results["image_ranks"] = {
                 str(q): rank(cc.d(q)) for q in (-1, 0, 1)}
-            w = formality_witness_one_point(E)
+        if scenario != "n-points":
+            w = (formality_witness_trivial if scenario == "trivial"
+                 else formality_witness_one_point)(E)
             results["witness_quasi_iso"] = bool(
                 w.validate() == [] and is_quasi_iso_dg(w).ok)
         else:
@@ -215,10 +211,15 @@ def cmd_formality(args) -> int:
         "tables": tables,
         "expected": {"pass": not failures, "failures": failures},
     }
-    if args.timing:
-        report["timing_ms"] = round(1000 * (time.perf_counter() - t0), 1)
-    _emit(report, args)
+    _emit(report, args, t0)
     return 0 if not failures else MISMATCH
+
+
+def _ext_cell(exts):
+    """The {"q<i>": [betti, torsion]} cell of one Ext sequence and its
+    table row of ranks."""
+    cell = {f"q{q}": list(e) for q, e in enumerate(exts)}
+    return cell, [str(betti) for betti, _ in cell.values()]
 
 
 def cmd_ext_table(args) -> int:
@@ -239,17 +240,14 @@ def cmd_ext_table(args) -> int:
             [f"ext{q}" for q in range(args.qmax + 1)]]
     for s in strata:
         for t in strata:
-            cell = {}
-            for q, (betti, torsion) in enumerate(
-                    ext_all(reps[s], reps[t], args.qmax, resolutions[s])):
-                cell[f"q{q}"] = [betti, torsion]
-                if q > 0 and (betti or torsion):
-                    ok = False
-            if cell["q0"][0] != hom_table[(s, t)]:
+            cell, ranks = _ext_cell(
+                ext_all(reps[s], reps[t], args.qmax, resolutions[s]))
+            higher = list(cell.values())[1:]
+            if any(betti or torsion for betti, torsion in higher) or \
+                    cell["q0"][0] != hom_table[(s, t)]:
                 ok = False
             pairs[f"{s}->{t}"] = cell
-            rows.append([s, t] + [str(cell[f"q{q}"][0])
-                                  for q in range(args.qmax + 1)])
+            rows.append([s, t] + ranks)
     report = {
         "command": "ext-table",
         "ring": args.ring,
@@ -261,9 +259,7 @@ def cmd_ext_table(args) -> int:
                      "failures": [] if ok else
                      [{"item": "ext-vanishing-or-hom-match"}]},
     }
-    if args.timing:
-        report["timing_ms"] = round(1000 * (time.perf_counter() - t0), 1)
-    _emit(report, args)
+    _emit(report, args, t0)
     return 0 if ok else MISMATCH
 
 
@@ -435,11 +431,10 @@ def cmd_compute(args) -> int:
         for a in names:
             res = projective_resolution(reps[a])
             for b in names:
-                cell = {f"q{q}": list(e) for q, e in enumerate(
-                    ext_all(reps[a], reps[b], args.qmax, res))}
+                cell, ranks = _ext_cell(ext_all(reps[a], reps[b], args.qmax,
+                                                res))
                 table[f"{a}->{b}"] = cell
-                rows.append([a, b] + [str(cell[f"q{q}"][0])
-                                      for q in range(args.qmax + 1)])
+                rows.append([a, b] + ranks)
         results["ext"] = table
         tables["ext"] = rows
     elif action == "end":
@@ -472,11 +467,9 @@ def cmd_compute(args) -> int:
         table = {}
         rows = [["rep"] + [f"H{q}" for q in range(args.qmax + 1)]]
         for a in names:
-            cell = {f"q{q}": list(e) for q, e in enumerate(
-                ext_all(const, reps[a], args.qmax, res))}
+            cell, ranks = _ext_cell(ext_all(const, reps[a], args.qmax, res))
             table[a] = cell
-            rows.append([a] + [str(cell[f"q{q}"][0])
-                               for q in range(args.qmax + 1)])
+            rows.append([a] + ranks)
         results["cohomology"] = table
         tables["cohomology"] = rows
     report = {
@@ -486,13 +479,14 @@ def cmd_compute(args) -> int:
         "results": results,
         "tables": tables,
     }
-    if args.timing:
-        report["timing_ms"] = round(1000 * (time.perf_counter() - t0), 1)
-    _emit(report, args)
+    _emit(report, args, t0)
     return 0
 
 
-def _emit(report: dict, args):
+def _emit(report: dict, args, t0: float):
+    """Write the report, with the wall time since t0 under --timing."""
+    if args.timing:
+        report["timing_ms"] = round(1000 * (time.perf_counter() - t0), 1)
     text = render_report(report, args.out)
     if args.out_file:
         with open(args.out_file, "w") as fh:

@@ -20,8 +20,9 @@ those denominators at the end.  It runs on int64 when
 max|P| * max|c| * max|X| * max|Y| * nnz < 2**62 (of the scaled entries), so
 that no sum can overflow, and on object dtype (Python ints) otherwise.  The
 cohomology product, its perturbed-section re-check, the quotient's
-structure constants, the multiplicativity check of `DgMorphism.validate`
-and the identification check of `verify_formality_chain` all use it.
+structure constants, the unit, Leibniz and associativity laws of
+`validate_dg_algebra`, and the multiplicativity checks of
+`DgMorphism.validate` and `verify_formality_chain` all use it.
 """
 
 from __future__ import annotations
@@ -300,13 +301,26 @@ def algebra_from_products(ring: CoeffRing, basis: Sequence[Tuple[int, str]],
     return DgAlgebra(ring, dims, labels, unit, diff, mult)
 
 
+def _product_matrix(A: DgAlgebra, q1: int, q2: int, eye: dict) -> ExactMatrix:
+    """The products e_i * e_j of degrees (q1, q2) as the columns of one
+    matrix, column i * dim(q2) + j for the pair (i, j)."""
+    d2 = A.dim(q2)
+    M = ExactMatrix.zeros(A.dim(q1 + q2), A.dim(q1) * d2, A.ring)
+    for i, block in enumerate(A.product_blocks(q1, q2, eye[q1], eye[q2])):
+        if block.any():  # skip zero blocks: over Q they are int64
+            M.data[:, i * d2:(i + 1) * d2] = block
+    return M
+
+
 def validate_dg_algebra(A: DgAlgebra) -> list:
     """d^2, Leibniz, associativity, unit laws and degree bookkeeping.
 
-    Associativity is checked on every triple that can be nonzero: both
-    orders of bracketing vanish outright unless one of the two inner
-    products is nonzero, so iterating over nonzero pairs times the basis
-    is exhaustive.
+    The laws are identities of bilinear maps on `DgAlgebra.product_blocks`:
+    1 * e_t and e_s * 1 against the identity; d(e_i * e_j) against
+    d(e_i) * e_j + (-1)^q1 e_i * d(e_j); and, with the products of each
+    degree pair as the columns of one matrix M(q1, q2), M(q1, q2) * e_k
+    against e_i * M(q2, q3).  Failures come in degree order, then basis
+    order; associativity in (q1, q2, q3, i, j, k) order.
     """
     problems = []
     ring = A.ring
@@ -330,76 +344,48 @@ def validate_dg_algebra(A: DgAlgebra) -> list:
                                 f"lands outside degree {q1 + q2}")
     if problems:
         return problems
-    # unit: a cycle and a two-sided identity
-    du = A.d_element(A.unit_element())
-    if du[1]:
+    if A.d_element(A.unit_element())[1]:
         problems.append("unit is not a cycle")
-    one = A.unit_element()
-    for q in A.degrees():
+    degs = A.degrees()
+    eye = {q: ExactMatrix.identity(A.dim(q), ring) for q in degs}
+    unit = ExactMatrix.from_rows([[c] for c in _dense(A.unit, A.dim(0), ring)],
+                                 ring, cols=1)
+    for q in degs:
+        (left,) = A.product_blocks(0, q, unit, eye[q])
+        right = np.hstack(list(A.product_blocks(q, 0, eye[q], unit)))
         for i in range(A.dim(q)):
-            b = A.basis_element(q, i)
-            if A.multiply(one, b) != b:
+            if (left[:, i] != eye[q].data[:, i]).any():
                 problems.append(f"1*b != b for {A.label(q, i)}")
-            if A.multiply(b, one) != b:
+            if (right[:, i] != eye[q].data[:, i]).any():
                 problems.append(f"b*1 != b for {A.label(q, i)}")
-    # Leibniz on all basis pairs
-    for q1 in A.degrees():
+    d = A.complex().d  # zero where A has no differential
+    for q1 in degs:
         sign = -1 if q1 % 2 else 1
-        for q2 in A.degrees():
-            for i in range(A.dim(q1)):
-                a = A.basis_element(q1, i)
-                da = A.d_element(a)
-                for j in range(A.dim(q2)):
-                    b = A.basis_element(q2, j)
-                    lhs = A.d_element(A.multiply(a, b))
-                    rhs = A.multiply(da, b)
-                    rhs2 = A.multiply(a, A.d_element(b))
-                    acc = dict(rhs[1])
-                    _vec_axpy(acc, rhs2[1], sign)
-                    if lhs[1] != acc:
+        for q2 in degs:
+            lhs = A.product_blocks(q1, q2, eye[q1], eye[q2], d(q1 + q2))
+            rhs1 = A.product_blocks(q1 + 1, q2, d(q1), eye[q2])
+            rhs2 = A.product_blocks(q1, q2 + 1, eye[q1], d(q2))
+            for i, (left, r1, r2) in enumerate(zip(lhs, rhs1, rhs2)):
+                for j in np.flatnonzero((left != r1 + sign * r2).any(axis=0)):
+                    problems.append(f"Leibniz fails on ({A.label(q1, i)}, "
+                                    f"{A.label(q2, int(j))})")
+    products = {(q1, q2): _product_matrix(A, q1, q2, eye)
+                for q1 in degs for q2 in degs}
+    for q1 in degs:
+        for q2 in degs:
+            for q3 in degs:
+                # column j * dim(q3) + k of both blocks i: e_i e_j e_k
+                lhs = A.product_blocks(q1 + q2, q3, products[(q1, q2)],
+                                       eye[q3])
+                rhs = A.product_blocks(q1, q2 + q3, eye[q1],
+                                       products[(q2, q3)])
+                for i, right in enumerate(rhs):
+                    left = np.hstack([next(lhs) for _ in range(A.dim(q2))])
+                    for c in np.flatnonzero((left != right).any(axis=0)):
+                        j, k = divmod(int(c), A.dim(q3))
                         problems.append(
-                            f"Leibniz fails on ({A.label(q1, i)}, "
-                            f"{A.label(q2, j)})")
-    # associativity over potentially nonzero triples
-    nonzero_pairs = []
-    for (q1, q2), table in A.mult.items():
-        for (i, j), prod in table.items():
-            if prod:
-                nonzero_pairs.append((q1, i, q2, j))
-    seen = set()
-    for (q1, i, q2, j) in nonzero_pairs:
-        ab = A.multiply(A.basis_element(q1, i), A.basis_element(q2, j))
-        for q3 in A.degrees():
-            for k in range(A.dim(q3)):
-                key = (q1, i, q2, j, q3, k)
-                if key in seen:
-                    continue
-                seen.add(key)
-                lhs = A.multiply(ab, A.basis_element(q3, k))
-                rhs = A.multiply(
-                    A.basis_element(q1, i),
-                    A.multiply(A.basis_element(q2, j), A.basis_element(q3, k)))
-                if lhs != rhs:
-                    problems.append(
-                        f"associativity fails on ({A.label(q1, i)}, "
-                        f"{A.label(q2, j)}, {A.label(q3, k)})")
-    for (q2, j, q3, k) in nonzero_pairs:
-        bc = A.multiply(A.basis_element(q2, j), A.basis_element(q3, k))
-        for q1 in A.degrees():
-            for i in range(A.dim(q1)):
-                key = (q1, i, q2, j, q3, k)
-                if key in seen:
-                    continue
-                seen.add(key)
-                lhs = A.multiply(
-                    A.multiply(A.basis_element(q1, i),
-                               A.basis_element(q2, j)),
-                    A.basis_element(q3, k))
-                rhs = A.multiply(A.basis_element(q1, i), bc)
-                if lhs != rhs:
-                    problems.append(
-                        f"associativity fails on ({A.label(q1, i)}, "
-                        f"{A.label(q2, j)}, {A.label(q3, k)})")
+                            f"associativity fails on ({A.label(q1, i)}, "
+                            f"{A.label(q2, j)}, {A.label(q3, k)})")
     return problems
 
 
@@ -413,7 +399,6 @@ class DgMorphism:
         self.components = {q: m for q, m in components.items()
                            if m.rows and m.cols}
         self.name = name
-        self._cols: Dict[int, list] = {}
 
     def component(self, q: int) -> ExactMatrix:
         m = self.components.get(q)
@@ -422,25 +407,11 @@ class DgMorphism:
                                      self.source.ring)
         return m
 
-    def _column(self, q: int, j: int) -> dict:
-        cols = self._cols.get(q)
-        if cols is None:
-            m = self.components.get(q)
-            n = self.source.dim(q)
-            if m is None:
-                cols = [{}] * n
-            else:
-                cols = [{i: m[i, j] for i in range(m.rows) if m[i, j] != 0}
-                        for j in range(n)]
-            self._cols[q] = cols
-        return cols[j]
-
     def apply(self, x: Element) -> Element:
         q, c = x
-        out: dict = {}
-        for j, a in c.items():
-            _vec_axpy(out, self._column(q, j), a)
-        return (q, out)
+        vec = self.component(q).matvec(_dense(c, self.source.dim(q),
+                                              self.source.ring))
+        return (q, _sparse_from_list(vec))
 
     def chain_map(self) -> ChainMap:
         return ChainMap(self.source.complex(), self.target.complex(),
@@ -460,6 +431,16 @@ class DgMorphism:
         fu = self.apply(A.unit_element())
         if fu[1] != B.unit_element()[1]:
             problems.append("unit is not preserved")
+        for q1, q2, i, j in self._not_multiplicative():
+            problems.append(f"not multiplicative on ({A.label(q1, i)}, "
+                            f"{A.label(q2, j)})")
+        return problems
+
+    def _not_multiplicative(self) -> Iterator[Tuple[int, int, int, int]]:
+        """(q1, q2, i, j) for every basis pair of the source with
+        f(e_i * e_j) != f(e_i) * f(e_j), in degree order, then basis
+        order."""
+        A, B = self.source, self.target
         eye = {q: ExactMatrix.identity(A.dim(q), A.ring) for q in A.degrees()}
         for q1 in A.degrees():
             for q2 in A.degrees():
@@ -470,10 +451,7 @@ class DgMorphism:
                                        self.component(q2))
                 for i, (fab, fafb) in enumerate(zip(lhs, rhs)):
                     for j in np.flatnonzero((fab != fafb).any(axis=0)):
-                        problems.append(
-                            f"not multiplicative on ({A.label(q1, i)}, "
-                            f"{A.label(q2, int(j))})")
-        return problems
+                        yield q1, q2, i, int(j)
 
 
 def is_quasi_iso_dg(f: DgMorphism) -> QuasiIsoReport:
@@ -538,18 +516,11 @@ def cohomology_algebra(A: DgAlgebra, verify_section: bool = True,
             if im is None or not im.cols:
                 perturbed[q] = l
                 continue
-            cols = []
-            for i in range(l.cols):
-                noise = [rng.randint(-2, 2) for _ in range(im.cols)]
-                if A.ring.is_field:
-                    noise = [A.ring.element(x) for x in noise]
-                bump = im.matvec(noise)
-                cols.append([a + b for a, b in zip(l.col(i), bump)])
-            pm = ExactMatrix.zeros(l.rows, l.cols, A.ring)
-            for j, c in enumerate(cols):
-                for i, x in enumerate(c):
-                    pm.data[i, j] = x
-            perturbed[q] = pm
+            # the noise N is drawn one column at a time
+            noise = [[rng.randint(-2, 2) for _ in range(im.cols)]
+                     for _ in range(l.cols)]
+            perturbed[q] = l + im @ ExactMatrix.from_rows(
+                list(zip(*noise)), A.ring)
         if structure_constants(perturbed) != mult:
             raise AssertionError(
                 "cohomology product depends on the section choice")
@@ -937,25 +908,11 @@ def verify_formality_chain(chain: FormalityChain) -> ChainVerdict:
             # the identification must carry the product of H(A_0) to the
             # product of the terminal algebra
             H0, _ = cohomology_algebra(algebras[0])
-            eye = {q: ExactMatrix.identity(H0.dim(q), H0.ring)
-                   for q in H0.degrees()}
-            for q1 in H0.degrees():
-                for q2 in H0.degrees():
-                    q3 = q1 + q2
-                    if q3 not in identification and terminal.dim(q3) == 0:
-                        continue
-                    ident3 = identification[q3] if q3 in identification \
-                        else ExactMatrix.zeros(terminal.dim(q3), H0.dim(q3),
-                                               H0.ring)
-                    lhs = H0.product_blocks(q1, q2, eye[q1], eye[q2], ident3)
-                    rhs = terminal.product_blocks(
-                        q1, q2, identification[q1], identification[q2])
-                    for fab, fafb in zip(lhs, rhs):
-                        for _ in np.flatnonzero((fab != fafb).any(axis=0)):
-                            notes.append(
-                                "identification is not multiplicative "
-                                f"at degrees ({q1}, {q2})")
-                            ok = False
+            ident = DgMorphism(H0, terminal, identification)
+            for q1, q2, _, _ in ident._not_multiplicative():
+                notes.append("identification is not multiplicative "
+                             f"at degrees ({q1}, {q2})")
+                ok = False
         except ValueError as exc:
             notes.append(f"identification failed: {exc}")
             ok = False

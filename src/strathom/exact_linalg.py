@@ -642,13 +642,12 @@ class SubquotientModule:
     representatives of a basis of the free part, as ambient columns.
     """
 
-    def __init__(self, ring: CoeffRing, kernel_basis_mat: ExactMatrix,
-                 rel_snf: SnfResult):
-        self.ring = ring
-        self._K = kernel_basis_mat
-        self._Usolve = PresolvedSolver(kernel_basis_mat)
+    def __init__(self, solver: PresolvedSolver, rel_snf: SnfResult):
+        ring = self.ring = solver.ring
+        self._K = solver.M
+        self._Usolve = solver
         diag = rel_snf.diagonal()
-        k = kernel_basis_mat.cols
+        k = self._K.cols
         self._r = sum(1 for d in diag if d != 0)
         self._diag = diag
         self._U = rel_snf.U
@@ -706,8 +705,11 @@ def subquotient(kernel_gens: ExactMatrix, image_gens: ExactMatrix) -> Subquotien
         if c is None:
             raise ValueError("image not contained in kernel")
         rel[:, j] = c
+    # the module keeps the solver: free the int views its one solve cached
+    for m in (solver.U, solver.V):
+        m._i64 = m._scaled = None
     U, V, D, _ = _snf_any(ExactMatrix(ring, rel), transforms=True)
-    return SubquotientModule(ring, kernel_gens, SnfResult(U=U, D=D, V=V))
+    return SubquotientModule(solver, SnfResult(U=U, D=D, V=V))
 
 
 def _xgcd(a: int, b: int):

@@ -19,7 +19,7 @@ from strathom.dg import (
     validate_dg_algebra,
     verify_formality_chain,
 )
-from strathom.exact_linalg import QQ, ZZ, ExactMatrix
+from strathom.exact_linalg import QQ, ZZ, ExactMatrix, _vec_axpy
 
 
 def dual_numbers_deg2(ring=ZZ):
@@ -435,3 +435,199 @@ def test_morphism_validate_matches_reference_on_sphere_chain():
     f = DgMorphism(proj.source, proj.target, comps)
     problems = [p for p in f.validate() if p.startswith("not multiplicative")]
     assert problems and problems == _multiplicativity_reference(f)
+
+
+# ------------------------------------------------------------ dg-algebra laws
+
+
+def _validate_reference(A):
+    """The pairwise loops that `validate_dg_algebra` ran before it checked
+    the laws as identities of bilinear maps.  Associativity runs over the
+    nonzero pairs times the basis, so its strings come in another order."""
+    problems = []
+    for q, d in A.diff.items():
+        if d.shape != (A.dim(q + 1), A.dim(q)):
+            problems.append(f"differential at degree {q} has shape {d.shape}, "
+                            f"expected {(A.dim(q + 1), A.dim(q))}")
+    if problems:
+        return problems
+    for q in A.degrees():
+        d0, d1 = A.diff.get(q), A.diff.get(q + 1)
+        if d0 is not None and d1 is not None and not (d1 @ d0).is_zero():
+            problems.append(f"d.d != 0 at degree {q}")
+    for (q1, q2), table in A.mult.items():
+        for (i, j), prod in table.items():
+            if i >= A.dim(q1) or j >= A.dim(q2):
+                problems.append(f"structure constant at bad index "
+                                f"({q1},{q2},{i},{j})")
+            elif any(k >= A.dim(q1 + q2) for k in prod):
+                problems.append(f"product of ({q1},{i}) and ({q2},{j}) "
+                                f"lands outside degree {q1 + q2}")
+    if problems:
+        return problems
+    if A.d_element(A.unit_element())[1]:
+        problems.append("unit is not a cycle")
+    one = A.unit_element()
+    for q in A.degrees():
+        for i in range(A.dim(q)):
+            b = A.basis_element(q, i)
+            if A.multiply(one, b) != b:
+                problems.append(f"1*b != b for {A.label(q, i)}")
+            if A.multiply(b, one) != b:
+                problems.append(f"b*1 != b for {A.label(q, i)}")
+    for q1 in A.degrees():
+        sign = -1 if q1 % 2 else 1
+        for q2 in A.degrees():
+            for i in range(A.dim(q1)):
+                a = A.basis_element(q1, i)
+                da = A.d_element(a)
+                for j in range(A.dim(q2)):
+                    b = A.basis_element(q2, j)
+                    lhs = A.d_element(A.multiply(a, b))
+                    rhs = A.multiply(da, b)
+                    rhs2 = A.multiply(a, A.d_element(b))
+                    acc = dict(rhs[1])
+                    _vec_axpy(acc, rhs2[1], sign)
+                    if lhs[1] != acc:
+                        problems.append(
+                            f"Leibniz fails on ({A.label(q1, i)}, "
+                            f"{A.label(q2, j)})")
+    # associativity over potentially nonzero triples
+    nonzero_pairs = []
+    for (q1, q2), table in A.mult.items():
+        for (i, j), prod in table.items():
+            if prod:
+                nonzero_pairs.append((q1, i, q2, j))
+    seen = set()
+    for (q1, i, q2, j) in nonzero_pairs:
+        ab = A.multiply(A.basis_element(q1, i), A.basis_element(q2, j))
+        for q3 in A.degrees():
+            for k in range(A.dim(q3)):
+                key = (q1, i, q2, j, q3, k)
+                if key in seen:
+                    continue
+                seen.add(key)
+                lhs = A.multiply(ab, A.basis_element(q3, k))
+                rhs = A.multiply(
+                    A.basis_element(q1, i),
+                    A.multiply(A.basis_element(q2, j), A.basis_element(q3, k)))
+                if lhs != rhs:
+                    problems.append(
+                        f"associativity fails on ({A.label(q1, i)}, "
+                        f"{A.label(q2, j)}, {A.label(q3, k)})")
+    for (q2, j, q3, k) in nonzero_pairs:
+        bc = A.multiply(A.basis_element(q2, j), A.basis_element(q3, k))
+        for q1 in A.degrees():
+            for i in range(A.dim(q1)):
+                key = (q1, i, q2, j, q3, k)
+                if key in seen:
+                    continue
+                seen.add(key)
+                lhs = A.multiply(
+                    A.multiply(A.basis_element(q1, i),
+                               A.basis_element(q2, j)),
+                    A.basis_element(q3, k))
+                rhs = A.multiply(A.basis_element(q1, i), bc)
+                if lhs != rhs:
+                    problems.append(
+                        f"associativity fails on ({A.label(q1, i)}, "
+                        f"{A.label(q2, j)}, {A.label(q3, k)})")
+    return problems
+
+
+def _random_dg_algebra(ring, seed):
+    """A square-zero extension R + M (M * M = 0, d(1) = 0, d^2 = 0 on M),
+    which is a dg algebra, with its unit, Leibniz, d^2 and associativity
+    then broken at random.  Labels are "q:i"."""
+    rng = random.Random(seed)
+
+    def entry(top=2):
+        x = rng.randint(-top, top)
+        return ring.element(Fraction(x, rng.randint(1, 3))
+                            if ring.is_field else x)
+
+    dims = {q: rng.randint(0, 2) for q in (-1, 0, 1, 2)}
+    dims[0] += 1  # the unit is basis element 0 of degree 0
+    degs = [q for q in dims if dims[q]]
+    labels = {q: [f"{q}:{i}" for i in range(n)] for q, n in dims.items()}
+    diff = {}
+    for q in (-1, 0, 1):  # nonzero d only on alternate degrees: d^2 = 0
+        if (q % 2 == seed % 2 or rng.random() < 0.15) and dims.get(q + 1):
+            m = ExactMatrix.zeros(dims[q + 1], dims[q], ring)
+            for r in range(m.rows):
+                for c in range(m.cols):
+                    if c or q != 0 or rng.random() < 0.1:  # keep d(1) = 0
+                        m.data[r, c] = entry()
+            diff[q] = m
+    one = ring.element(1)
+    mult = {}
+    for q in degs:
+        mult.setdefault((0, q), {}).update(
+            {(0, i): {i: one} for i in range(dims[q])})
+        mult.setdefault((q, 0), {}).update(
+            {(i, 0): {i: one} for i in range(dims[q])})
+    for _ in range(rng.randint(0, 4)):  # products that break the laws
+        q1, q2 = rng.choice(degs), rng.choice(degs)
+        if dims.get(q1 + q2):
+            i, j = rng.randrange(dims[q1]), rng.randrange(dims[q2])
+            k = rng.randrange(dims[q1 + q2])
+            c = entry()
+            if c:
+                mult.setdefault((q1, q2), {})[(i, j)] = {k: c}
+    unit = {0: one}
+    if rng.random() < 0.2:
+        unit = {0: ring.element(rng.choice([-1, 2]))}
+    return DgAlgebra(ring, dims, labels, unit, diff, mult)
+
+
+def _assoc_key(problem):
+    inner = problem[len("associativity fails on ("):-1]
+    return [tuple(map(int, e.split(":"))) for e in inner.split(", ")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(0, 2 ** 32))
+def test_validate_matches_pairwise_reference(ring, seed):
+    A = _random_dg_algebra(ring, seed)
+    got, want = validate_dg_algebra(A), _validate_reference(A)
+    assert sorted(got) == sorted(want)
+
+    def assoc(ps):
+        return [p for p in ps if p.startswith("associativity")]
+
+    assert [p for p in got if p not in assoc(got)] == \
+        [p for p in want if p not in assoc(want)]
+    # associativity in (q1, q2, q3, i, j, k) order
+    order = [[e[0] for e in key] + [e[1] for e in key]
+             for key in map(_assoc_key, assoc(got))]
+    assert order == sorted(order)
+
+
+def test_random_dg_algebras_break_every_law():
+    # the generator reaches each kind of failure the property compares
+    seen = set()
+    for seed in range(200):
+        for ring in (ZZ, QQ):
+            for p in _validate_reference(_random_dg_algebra(ring, seed)):
+                seen.add(p.split(" ")[0])
+    assert {"d.d", "1*b", "b*1", "Leibniz", "associativity"} <= seen
+
+
+def test_formality_chain_names_non_multiplicative_identification(
+        monkeypatch):
+    a = dual_numbers_deg2()
+    chain = FormalityChain([a, a], [(_identity(a), "forward")])
+    real = dg._induced_on_cohomology
+
+    def doubled_in_degree_0(f, src, tgt):
+        out = real(f, src, tgt)
+        out[0] = out[0].scale(2)
+        return out
+
+    monkeypatch.setattr(dg, "_induced_on_cohomology", doubled_in_degree_0)
+    verdict = verify_formality_chain(chain)
+    assert not verdict.ok
+    # f(1 * 1) = 2 but f(1) * f(1) = 4; f(1 * t) = t but f(1) * f(t) = 2t
+    assert verdict.notes == [
+        f"identification is not multiplicative at degrees {pair}"
+        for pair in ("(0, 0)", "(0, 2)", "(2, 0)")]
