@@ -14,6 +14,13 @@ integer path for both rings:
   restarts on Python ints if a bound is ever at risk.  Over Q each row is
   scaled to integers by the lcm of its denominators first, and the
   invariant factors are divided out of U after.
+- Invariant factors and ranks, which need no transforms, first go through
+  a sparse front end (`_unit_pivot_core`): +-1 pivots of least Markowitz
+  cost are eliminated on a dict-of-rows copy, each splitting off one
+  invariant factor 1, and only the residual core reaches the dense
+  engine.  The matrices met here are incidence-like, so the core is
+  usually empty.  Transforms (kernels, solves, inverses, subquotients)
+  stay on the dense engine, since their bases reach the output.
 - Products (`ExactMatrix.__matmul__` and `matvec`) scale each operand to
   integers by the least common denominator of its entries
   (`integer_scaling`; over Z that is the int64 view, with denominator 1,
@@ -28,6 +35,7 @@ integer path for both rings:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -339,10 +347,6 @@ class SnfResult:
         n = min(self.D.rows, self.D.cols)
         return [self.D[i, i] for i in range(n)]
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
-
 
 class _Overflow(Exception):
     pass
@@ -466,6 +470,91 @@ def _prepare_int64(M: ExactMatrix) -> Optional[np.ndarray]:
     return a
 
 
+def _unit_pivot_core(a: np.ndarray) -> Tuple[int, ExactMatrix]:
+    """(k, C) with SNF(a) = diag(1, ..., 1) (+) SNF(C) and k ones, for the
+    object array a of Python ints.
+
+    Sparse elimination of +-1 pivots (Dumas, Saunders and Villard 2001):
+    the matrix is a dict of rows {col: int} plus the row set of each
+    column.  The next pivot is a +-1 entry of least Markowitz cost
+    (r - 1)(c - 1), with r and c the nonzero counts of its row and column.
+    Candidates wait in a heap and are checked again when popped, since
+    fill-in moves costs and can turn entries into or out of units.  A unit
+    pivot clears its column by row operations and then its row by column
+    operations that meet no other row, so it splits off one invariant
+    factor 1.  Fill-in is on Python ints.  C holds the rows and columns
+    that keep a nonzero entry, dense, as Python ints.
+    """
+    rows: dict = {}
+    cols: dict = {}
+    ri, ci = np.nonzero(a)
+    for i, j, x in zip(ri.tolist(), ci.tolist(), a[ri, ci].tolist()):
+        rows.setdefault(i, {})[j] = x
+        cols.setdefault(j, set()).add(i)
+    heap = [((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j)
+            for i, row in rows.items() for j, x in row.items()
+            if x == 1 or x == -1]
+    heapq.heapify(heap)
+    k = 0
+    while heap:
+        cost, i, j = heapq.heappop(heap)
+        row = rows.get(i)
+        p = row.get(j) if row is not None else None
+        if p != 1 and p != -1:
+            continue
+        now = (len(row) - 1) * (len(cols[j]) - 1)
+        if now != cost:
+            heapq.heappush(heap, (now, i, j))
+            continue
+        k += 1
+        del rows[i]
+        for c in row:
+            cols[c].discard(i)
+        for r in cols.pop(j):
+            target = rows[r]
+            f = target.pop(j) * p
+            for c, v in row.items():
+                if c == j:
+                    continue
+                w = target.get(c, 0) - f * v
+                if w == 0:
+                    del target[c]
+                    cols[c].discard(r)
+                    continue
+                if c not in target:
+                    cols[c].add(r)
+                target[c] = w
+                if w == 1 or w == -1:
+                    heapq.heappush(heap, (0, r, c))
+            if not target:
+                del rows[r]
+    rkeys = sorted(rows)
+    ckeys = sorted(c for c, rs in cols.items() if rs)
+    pos = {c: t for t, c in enumerate(ckeys)}
+    core = np.zeros((len(rkeys), len(ckeys)), dtype=object)
+    for t, i in enumerate(rkeys):
+        for c, x in rows[i].items():
+            core[t, pos[c]] = x
+    return k, ExactMatrix(ZZ, core)
+
+
+def _smith_reduce(M: ExactMatrix, transforms: bool):
+    """(U, V, reduced matrix, diag) of the integer matrix M by `_snf_core`:
+    on int64 while the growth bounds hold, on Python ints after an
+    overflow restart."""
+    a = _prepare_int64(M)
+    if a is not None:
+        try:
+            U, V, diag = _snf_core(a, transforms)
+            return U, V, a.astype(object), [int(d) for d in diag]
+        except _Overflow:
+            pass
+    a = np.empty(M.shape, dtype=object)
+    a[:, :] = M.data
+    U, V, diag = _snf_core(a, transforms)
+    return U, V, a, diag
+
+
 def _snf_any(M: ExactMatrix, transforms: bool):
     """(U, V, D, diag) with D = U M V, on the integer engine: int64 while
     the growth bounds hold, Python ints after an overflow restart.
@@ -474,6 +563,12 @@ def _snf_any(M: ExactMatrix, transforms: bool):
     denominators.  With D' = U' (S M) V over ZZ, the result is U = E U' S
     and D = E D' = diag(1, ..., 1, 0, ...), where E = diag(1/d_i) on the
     nonzero invariant factors d_i of D'; every entry is a Fraction.
+
+    Without transforms the result is (None, None, None, factors), with
+    factors the nonzero invariant factors (over QQ, one Fraction(1) per
+    unit of rank).  The integer matrix then goes through
+    `_unit_pivot_core` first, and only its residual core reaches
+    `_snf_core`.
     """
     field = M.ring.is_field
     if field:
@@ -482,29 +577,23 @@ def _snf_any(M: ExactMatrix, transforms: bool):
         for i, row in enumerate(M.data):
             a[i] = [x.numerator * (s[i] // x.denominator) for x in row]
         M = ExactMatrix(ZZ, a)
-    a = _prepare_int64(M)
-    if a is not None:
-        try:
-            U, V, diag = _snf_core(a, transforms)
-            a, diag = a.astype(object), [int(d) for d in diag]
-        except _Overflow:
-            a = None
-    if a is None:
-        a = np.empty(M.shape, dtype=object)
-        a[:, :] = M.data
-        U, V, diag = _snf_core(a, transforms)
+    if not transforms:
+        k, core = _unit_pivot_core(M.data)
+        factors = [1] * k
+        if core.rows:
+            factors += [d for d in _smith_reduce(core, False)[3] if d != 0]
+        return None, None, None, (
+            [Fraction(1)] * len(factors) if field else factors)
+    U, V, a, diag = _smith_reduce(M, True)
     if not field:
-        return (ExactMatrix(ZZ, U) if transforms else None,
-                ExactMatrix(ZZ, V) if transforms else None,
-                ExactMatrix(ZZ, a), diag)
+        return ExactMatrix(ZZ, U), ExactMatrix(ZZ, V), ExactMatrix(ZZ, a), diag
     r = sum(1 for d in diag if d != 0)
     D = ExactMatrix.zeros(*M.shape, QQ)
     D.data[range(r), range(r)] = Fraction(1)
-    if transforms:
-        U = U * np.array(s, dtype=object)[None, :]
-        for i in range(M.rows):
-            U[i] = _unscale(U[i], diag[i] if i < r else 1)
-        U, V = ExactMatrix(QQ, U), ExactMatrix(QQ, _unscale(V, 1))
+    U = U * np.array(s, dtype=object)[None, :]
+    for i in range(M.rows):
+        U[i] = _unscale(U[i], diag[i] if i < r else 1)
+    U, V = ExactMatrix(QQ, U), ExactMatrix(QQ, _unscale(V, 1))
     return U, V, D, [D[i, i] for i in range(len(diag))]
 
 
@@ -517,9 +606,10 @@ def smith_normal_form(M: ExactMatrix) -> SnfResult:
 
 
 def invariant_factors(M: ExactMatrix) -> list:
-    """Nonzero diagonal of the Smith form (no transforms; fast path)."""
-    _, _, _, diag = _snf_any(M, transforms=False)
-    return [d for d in diag if d != 0]
+    """Nonzero diagonal of the Smith form, without transforms: +-1 pivots
+    are eliminated sparsely and only the residual core is reduced densely
+    (`_unit_pivot_core`)."""
+    return _snf_any(M, transforms=False)[3]
 
 
 def rank(M: ExactMatrix) -> int:

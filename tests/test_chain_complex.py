@@ -14,6 +14,7 @@ from strathom.chain_complex import (
     validate_complex,
 )
 from strathom.exact_linalg import QQ, ZZ, ExactMatrix
+from strathom.sphere_models import SphereModel, formality_chain_n_points
 
 
 def M(rows, ring=ZZ):
@@ -66,6 +67,22 @@ def test_cohomology_representatives_are_cocycles():
     assert (c.d(0) @ lift).is_zero()
 
 
+def _assert_cone_report_matches_cohomology(c):
+    """`cone_report` (invariant factors, sparse unit pivots first) and
+    `cohomology` (Smith transforms) give the same Betti numbers and
+    torsion in every degree."""
+    h = cohomology(c)
+    report = cone_report(c)
+    assert sorted(report) == [q for q in c.support() if c.rank(q)]
+    for q in c.support():
+        r = report.get(q, {"betti": 0, "torsion": []})
+        assert (r["betti"], r["torsion"]) == (h.betti(q), h.torsion(q))
+    # Euler characteristic identity over the rationals
+    chi_ranks = sum((-1) ** q * r for q, r in c.ranks.items())
+    chi_h = sum((-1) ** q * h.betti(q) for q in c.support())
+    assert chi_ranks == chi_h
+
+
 def test_cone_report_matches_cohomology():
     rng = random.Random(3)
     checked = 0
@@ -80,18 +97,24 @@ def test_cone_report_matches_cohomology():
         c = ChainComplex(ZZ, ranks, diffs)
         if validate_complex(c):
             continue
-        h = cohomology(c)
-        report = cone_report(c)
-        assert sorted(report) == [q for q in c.support() if c.rank(q)]
-        for q in c.support():
-            r = report.get(q, {"betti": 0, "torsion": []})
-            assert (r["betti"], r["torsion"]) == (h.betti(q), h.torsion(q))
+        _assert_cone_report_matches_cohomology(c)
         checked += 1
-        # Euler characteristic identity over the rationals
-        chi_ranks = sum((-1) ** q * r for q, r in c.ranks.items())
-        chi_h = sum((-1) ** q * h.betti(q) for q in c.support())
-        assert chi_ranks == chi_h
     assert checked
+
+
+@pytest.mark.parametrize("n,ring", [(n, ZZ) for n in range(2, 7)]
+                         + [(n, QQ) for n in range(2, 5)], ids=str)
+def test_cone_report_matches_cohomology_on_end_j(n, ring):
+    E = SphereModel(n, ring=ring).resolution_n_points().end_algebra()
+    _assert_cone_report_matches_cohomology(E.complex())
+
+
+def test_cone_report_matches_cohomology_on_formality_cones():
+    E = SphereModel(4).resolution_n_points().end_algebra()
+    arrows = formality_chain_n_points(E, 4).chain.arrows
+    assert len(arrows) == 3
+    for f, _ in arrows:
+        _assert_cone_report_matches_cohomology(mapping_cone(f.chain_map()))
 
 
 def test_cone_of_identity_is_acyclic():

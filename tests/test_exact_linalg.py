@@ -75,7 +75,7 @@ def test_snf_zero_matrix():
 
 def test_snf_rectangular():
     res = check_snf(M([[1, 2, 3], [4, 5, 6]]))
-    assert res.rank == 2
+    assert res.diagonal() == [1, 3]
 
 
 def test_snf_rejects_rationals():
@@ -141,21 +141,52 @@ def _determinantal_divisors(m):
     return out
 
 
+def _planted(rows, cols, ones, ops):
+    """diag(1, ..., 1, 2, 6, 0, ...) (`ones` ones) changed by the unit row
+    and column operations ops = (on_rows, i, j, f): add f times line i to
+    line j.  Its invariant factors are the nonzero planted diagonal."""
+    planted = ([1] * ones + [2, 6])[:min(rows, cols)]
+    a = [[0] * cols for _ in range(rows)]
+    for t, d in enumerate(planted):
+        a[t][t] = d
+    for on_rows, i, j, f in ops:
+        n = rows if on_rows else cols
+        if i >= n or j >= n or i == j:
+            continue
+        if on_rows:
+            a[j] = [x + f * y for x, y in zip(a[j], a[i])]
+        else:
+            for row in a:
+                row[j] += f * row[i]
+    return a, planted
+
+
 # Small entries stay on the int64 path; entries near 2**40 force the
-# object-dtype path (`_prepare_int64` refuses them).
+# object-dtype path (`_prepare_int64` refuses them).  Sparse +-1 matrices
+# are mostly eliminated by unit pivots before the dense engine; planted
+# matrices keep a core with the factors 2 and 6.
 _SNF_ENTRIES = {"int64": st.integers(-6, 6),
                 "object": st.integers(2 ** 40, 2 ** 40 + 6)
-                | st.integers(-2 ** 40 - 6, -2 ** 40) | st.just(0)}
+                | st.integers(-2 ** 40 - 6, -2 ** 40) | st.just(0),
+                "sparse-units": st.sampled_from([0, 0, 0, 1, -1])}
+_UNIT_OPS = st.lists(st.tuples(st.booleans(), st.integers(0, 4),
+                               st.integers(0, 4), st.sampled_from([1, -1, 2])),
+                     max_size=4)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.data(), st.sampled_from(sorted(_SNF_ENTRIES)), st.integers(0, 5),
-       st.integers(0, 5), st.sampled_from([1, 2, 6]))
+@settings(max_examples=160, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_SNF_ENTRIES) + ["planted"]),
+       st.integers(0, 5), st.integers(0, 5), st.sampled_from([1, 2, 6]))
 def test_snf_matches_determinantal_divisors(data, path, r, c, scale):
     """Invariant factors s_k = d_k / d_(k-1), with d_k the gcd of the k x k
     minors; the transforms are unimodular and D = U M V."""
-    rows = data.draw(st.lists(st.lists(_SNF_ENTRIES[path], min_size=c,
-                                       max_size=c), min_size=r, max_size=r))
+    if path == "planted":
+        rows, planted = _planted(r, c, data.draw(st.integers(0, 5)),
+                                 data.draw(_UNIT_OPS))
+    else:
+        rows = data.draw(st.lists(st.lists(_SNF_ENTRIES[path], min_size=c,
+                                           max_size=c), min_size=r,
+                                  max_size=r))
     m = ExactMatrix.from_rows([[scale * x for x in row] for row in rows],
                               ZZ, cols=c)
     if path == "object" and not m.is_zero():
@@ -163,6 +194,8 @@ def test_snf_matches_determinantal_divisors(data, path, r, c, scale):
     divisors = _determinantal_divisors(m)
     factors = [b // a for a, b in zip([1] + divisors, divisors)]
     assert invariant_factors(m) == factors
+    if path == "planted" and scale == 1:
+        assert factors == planted
     if r and c:
         res = smith_normal_form(m)
         assert res.D == res.U @ m @ res.V
@@ -170,6 +203,53 @@ def test_snf_matches_determinantal_divisors(data, path, r, c, scale):
         assert abs(determinant(res.V)) == 1
         diag = res.diagonal()
         assert diag == factors + [0] * (len(diag) - len(factors))
+
+
+def _dense_factors(rows, c):
+    """Nonzero diagonal of `_snf_core` on the dense object array."""
+    a = ExactMatrix.from_rows(rows, ZZ, cols=c).data
+    return [d for d in exact_linalg._snf_core(a, False)[2] if d != 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 50), st.integers(0, 2 ** 32),
+       st.booleans())
+def test_unit_pivot_front_end_matches_dense_engine(r, c, seed, plant):
+    """On sparse matrices of up to 40 x 50, mostly +-1 with a few entries
+    of +-2..+-6, at most 10% nonzero, and some with planted factors:
+    `invariant_factors` over Z equals the dense engine's nonzero diagonal,
+    and over Q it is one Fraction(1) per unit of the Z rank of the
+    row-scaled matrix."""
+    rng = random.Random(seed)
+    density = rng.uniform(0, 0.1)
+    rows = [[(rng.choice([1, -1]) if rng.random() < 0.9
+              else rng.choice([-1, 1]) * rng.randint(2, 6))
+             if rng.random() < density else 0 for _ in range(c)]
+            for _ in range(r)]
+    if plant and r and c:
+        # clear a few lines, put 2, 6, 12 on a new diagonal there, and mix
+        # it in by unit row operations
+        for d in [2, 6, 12][:min(r, c)]:
+            i, j = rng.randrange(r), rng.randrange(c)
+            rows[i] = [0] * c
+            for row in rows:
+                row[j] = 0
+            rows[i][j] = d
+        for _ in range(3):
+            i, j = rng.randrange(r), rng.randrange(r)
+            if i != j:
+                rows[j] = [x + rng.choice([1, -1]) * y
+                           for x, y in zip(rows[j], rows[i])]
+    factors = _dense_factors(rows, c)
+    assert invariant_factors(ExactMatrix.from_rows(rows, ZZ, cols=c)) == factors
+    dens = [rng.randint(1, 4) for _ in range(r)]
+    q_rows = [[Fraction(x, d * rng.choice([1, 2])) for x in row]
+              for row, d in zip(rows, dens)]
+    scaled = [[x * lcm(*(y.denominator for y in row)) for x in row]
+              for row in q_rows]
+    got = invariant_factors(ExactMatrix.from_rows(q_rows, QQ, cols=c))
+    assert got == [Fraction(1)] * len(_dense_factors(scaled, c))
+    assert _all_fractions(got)
 
 
 # ---------------------------------------------------------------- products
