@@ -31,6 +31,7 @@ from .exact_linalg import (
 from .chain_complex import (
     ChainComplex,
     ChainMap,
+    CohomologyModule,
     CohomologyProfile,
     cohomology,
     is_quasi_iso,

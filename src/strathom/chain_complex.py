@@ -1,20 +1,26 @@
 """Bounded cochain complexes of free modules.
 
 Complexes carry per-degree ranks, optional basis labels, and differentials
-d^q: C^q -> C^(q+1).  Cohomology is computed exactly as ker/im subquotients;
-quasi-isomorphisms are detected through acyclicity of the mapping cone, for
-which a rank-and-invariant-factor check avoids transform bookkeeping.
+d^q: C^q -> C^(q+1).  Cohomology first reduces the whole complex by sparse
+elimination of +-1 pivots (Kaczynski, Mrozek and Slusarek 1998), keeping
+chain maps G: C' -> C and F: C -> C' with F G = 1; the exact ker/im
+subquotients, on the dense Smith engine, then see only the residual core
+C'.  Quasi-isomorphisms are detected through acyclicity of the mapping
+cone, for which a rank-and-invariant-factor check avoids transform
+bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .exact_linalg import (
     CoeffRing,
     ExactMatrix,
     SubquotientModule,
+    _vec_axpy,
+    eliminate_unit_pivots,
     invariant_factors,
     kernel_basis,
     subquotient,
@@ -70,12 +76,45 @@ def validate_complex(C: ChainComplex) -> list:
     return problems
 
 
+class CohomologyModule:
+    """H^q of C, read off `core`, the subquotient H^q(C') of the reduced
+    complex, through the degree-q components of G: C' -> C and F: C -> C'
+    (`_reduce_units`): `lift` = G lift', projections and coordinates read
+    F x in the core.  d is d^q of C."""
+
+    def __init__(self, core: SubquotientModule, G: ExactMatrix,
+                 F: ExactMatrix, d: ExactMatrix):
+        self.core = core
+        self.betti = core.betti
+        self.torsion = core.torsion
+        self.is_zero = core.is_zero
+        self.lift = G @ core.lift
+        self._F = F
+        self._d = d
+        self._proj: Optional[ExactMatrix] = None
+
+    def coordinates(self, x: Sequence):
+        """Free-part and torsion coordinates of the class of x.  Raises
+        ValueError("not a cocycle") unless d x = 0 in C itself: F of a
+        non-cocycle can be a cocycle of C'."""
+        if any(self._d.matvec(x)):
+            raise ValueError("not a cocycle")
+        return self.core.coordinates(self._F.matvec(x))
+
+    def projection_matrix(self) -> ExactMatrix:
+        """Matrix sending a cocycle of C to its free-part coordinates:
+        proj' F; undefined off the cocycles, as for `SubquotientModule`."""
+        if self._proj is None:
+            self._proj = self.core.projection_matrix() @ self._F
+        return self._proj
+
+
 @dataclass
 class CohomologyProfile:
-    """Per-degree subquotients H^q = ker d^q / im d^(q-1)."""
+    """Per-degree modules H^q = ker d^q / im d^(q-1)."""
 
     ring: CoeffRing
-    modules: Dict[int, SubquotientModule]
+    modules: Dict[int, CohomologyModule]
 
     def betti(self, q: int) -> int:
         m = self.modules.get(q)
@@ -89,11 +128,70 @@ class CohomologyProfile:
         return all(m.is_zero for m in self.modules.values())
 
 
+def _matrix(ring: CoeffRing, rows: int, cols: int, entries) -> ExactMatrix:
+    m = ExactMatrix.zeros(rows, cols, ring)
+    for i, j, x in entries:
+        m.data[i, j] = x
+    return m
+
+
+def _reduce_units(C: ChainComplex):
+    """(C', G, F): C reduced by elimination of +-1 pivots, degree by degree
+    in ascending order, with the per-degree matrices of the chain maps
+    G: C' -> C and F: C -> C', F G = 1.
+
+    A pivot p = d^q[b, a] with alpha column a and beta row b of d^q turns
+    d^q into delta - alpha p beta (`eliminate_unit_pivots`); d^(q-1) loses
+    row a and d^(q+1) column b, with no fill-in outside degree q.  G
+    changes in degree q only, g(x) -= p beta_x g(a) for each surviving x,
+    and drops column b in degree q + 1; F changes in degree q + 1 only,
+    f(y) -= alpha_y p f(b), and drops row a in degree q.  g and f hold the
+    columns of G and the rows of F sparsely, keyed by the surviving basis
+    vectors of C.
+    """
+    ring = C.ring
+    one = ring.element(1)
+    g = {q: {x: {x: one} for x in range(n)} for q, n in C.ranks.items()}
+    f = {q: {x: {x: one} for x in range(n)} for q, n in C.ranks.items()}
+    residual = {}
+    for q in C.degrees():
+        if not C.rank(q + 1):
+            continue
+        dq = C.d(q).data.copy()  # without the columns b of d^(q-1)
+        dq[:, [x for x in range(C.rank(q)) if x not in g[q]]] = 0
+        record: list = []
+        _, residual[q], _ = eliminate_unit_pivots(dq, record)
+        for b, a, p, beta, alpha in record:
+            ga = g[q].pop(a)
+            for x, v in beta.items():
+                if x != a:
+                    _vec_axpy(g[q][x], ga, -p * v)
+            fb = f[q + 1].pop(b)
+            for y, c in alpha:
+                _vec_axpy(f[q + 1][y], fb, -c)
+            del f[q][a], g[q + 1][b]
+    pos = {q: {x: t for t, x in enumerate(gq)} for q, gq in g.items()}
+    diffs = {q: _matrix(ring, len(pos[q + 1]), len(pos[q]), (
+        (pos[q + 1][r], pos[q][c], x) for r, row in rows.items()
+        if r in pos[q + 1] for c, x in row.items()))
+        for q, rows in residual.items()}
+    G = {q: _matrix(ring, C.rank(q), len(gq), (
+        (i, t, v) for t, col in enumerate(gq.values())
+        for i, v in col.items())) for q, gq in g.items()}
+    F = {q: _matrix(ring, len(fq), C.rank(q), (
+        (t, i, v) for t, row in enumerate(fq.values())
+        for i, v in row.items())) for q, fq in f.items()}
+    reduced = ChainComplex(ring, {q: len(gq) for q, gq in g.items()}, diffs)
+    return reduced, G, F
+
+
 def cohomology(C: ChainComplex) -> CohomologyProfile:
     """Exact cohomology with representative lifts in every degree.
 
-    Complexes are immutable by convention, so the profile is memoized on
-    the instance.
+    `_reduce_units` first reduces C to C' by sparse elimination of +-1
+    pivots, and only C' goes through `kernel_basis` and `subquotient`
+    (every sphere model leaves C' with no differential).  Complexes are
+    immutable by convention, so the profile is memoized on the instance.
     """
     cached = getattr(C, "_cohomology_profile", None)
     if cached is not None:
@@ -101,14 +199,10 @@ def cohomology(C: ChainComplex) -> CohomologyProfile:
     problems = validate_complex(C)
     if problems:
         raise ValueError("invalid complex: " + "; ".join(problems))
-    modules = {}
-    for q in C.support():
-        if not C.rank(q):
-            continue
-        ker = kernel_basis(C.d(q))
-        im = C.d(q - 1)
-        modules[q] = subquotient(ker, im)
-    profile = CohomologyProfile(C.ring, modules)
+    reduced, G, F = _reduce_units(C)
+    profile = CohomologyProfile(C.ring, {q: CohomologyModule(
+        subquotient(kernel_basis(reduced.d(q)), reduced.d(q - 1)),
+        G[q], F[q], C.d(q)) for q in C.degrees()})
     C._cohomology_profile = profile
     return profile
 

@@ -19,7 +19,7 @@ denominator of its entries, and each block is divided by the product of
 those denominators at the end.  It runs on int64 when
 max|P| * max|c| * max|X| * max|Y| * nnz < 2**62 (of the scaled entries), so
 that no sum can overflow, and on object dtype (Python ints) otherwise.  The
-cohomology product, its perturbed-section re-check, the quotient's
+cohomology product, its exact section check, the quotient's
 structure constants, the unit, Leibniz and associativity laws of
 `validate_dg_algebra`, and the multiplicativity checks of
 `DgMorphism.validate` and `verify_formality_chain` all use it.
@@ -464,8 +464,7 @@ def is_quasi_iso_dg(f: DgMorphism) -> QuasiIsoReport:
 # ---------------------------------------------------------------------------
 
 
-def cohomology_algebra(A: DgAlgebra, verify_section: bool = True,
-                       seed: int = 7):
+def cohomology_algebra(A: DgAlgebra, verify_section: bool = True):
     """(H with zero differential, per-degree section of H-basis to cocycles).
 
     The product on H multiplies section representatives and reduces back to
@@ -474,9 +473,11 @@ def cohomology_algebra(A: DgAlgebra, verify_section: bool = True,
     projection of cocycles to cohomology coordinates, computed by
     `DgAlgebra.product_blocks` one column of L1 at a time (on int64 when
     the overflow bound of the module docstring allows, on Python ints
-    otherwise).  Requires torsion-free cohomology; with a second randomly
-    perturbed section the structure constants are recomputed and compared,
-    re-verifying well-definedness.
+    otherwise).  Requires torsion-free cohomology.  Then the cocycles of
+    each degree are the section's lifts plus the boundaries, so the
+    product is independent of the section exactly when P(z b), P(b z) and
+    P(b b') vanish for lifts z and boundary generators b, b' (the columns
+    of the differential into each degree); `verify_section` checks that.
     """
     profile = cohomology(A.complex())
     for q, mod in profile.modules.items():
@@ -486,44 +487,29 @@ def cohomology_algebra(A: DgAlgebra, verify_section: bool = True,
                 f"(degree {q}, torsion {mod.torsion})")
     section = {q: mod.lift for q, mod in profile.modules.items() if mod.betti}
     dims = {q: mod.betti for q, mod in profile.modules.items() if mod.betti}
-
-    def structure_constants(sect):
-        mult: Dict[Tuple[int, int], Table] = {}
-        for q1, l1 in sect.items():
-            for q2, l2 in sect.items():
-                target = profile.modules.get(q1 + q2)
-                if target is not None and not target.betti:
-                    continue
-                # products of cocycles are cocycles, so the free part
-                # projects exactly; with no degree q1 + q2 at all the
-                # blocks have no rows, and `_coo` still rejects structure
-                # constants that land there
-                table = _table(A.product_blocks(
-                    q1, q2, l1, l2,
-                    None if target is None else target.projection_matrix()))
-                if table:
-                    mult[(q1, q2)] = table
-        return mult
-
-    mult = structure_constants(section)
-    if verify_section:
-        import random
-
-        rng = random.Random(seed)
-        perturbed = {}
-        for q, l in section.items():
-            im = A.diff.get(q - 1)
-            if im is None or not im.cols:
-                perturbed[q] = l
+    mult: Dict[Tuple[int, int], Table] = {}
+    for q1, l1 in section.items():
+        for q2, l2 in section.items():
+            target = profile.modules.get(q1 + q2)
+            if target is not None and not target.betti:
                 continue
-            # the noise N is drawn one column at a time
-            noise = [[rng.randint(-2, 2) for _ in range(im.cols)]
-                     for _ in range(l.cols)]
-            perturbed[q] = l + im @ ExactMatrix.from_rows(
-                list(zip(*noise)), A.ring)
-        if structure_constants(perturbed) != mult:
-            raise AssertionError(
-                "cohomology product depends on the section choice")
+            # products of cocycles are cocycles, so the free part projects
+            # exactly; with no degree q1 + q2 at all the blocks have no
+            # rows, and `_coo` still rejects structure constants that land
+            # there
+            P = None if target is None else target.projection_matrix()
+            table = _table(A.product_blocks(q1, q2, l1, l2, P))
+            if table:
+                mult[(q1, q2)] = table
+            if not verify_section:
+                continue
+            b1, b2 = A.diff.get(q1 - 1), A.diff.get(q2 - 1)
+            for X, Y in ((l1, b2), (b1, l2), (b1, b2)):
+                if X is not None and Y is not None and any(
+                        (block != 0).any()
+                        for block in A.product_blocks(q1, q2, X, Y, P)):
+                    raise AssertionError(
+                        "cohomology product depends on the section choice")
 
     unit_dense = _dense(A.unit_element()[1], A.dim(0), A.ring)
     free, _ = profile.modules[0].coordinates(unit_dense)

@@ -14,13 +14,13 @@ integer path for both rings:
   restarts on Python ints if a bound is ever at risk.  Over Q each row is
   scaled to integers by the lcm of its denominators first, and the
   invariant factors are divided out of U after.
-- Invariant factors and ranks, which need no transforms, first go through
-  a sparse front end (`_unit_pivot_core`): +-1 pivots of least Markowitz
-  cost are eliminated on a dict-of-rows copy, each splitting off one
-  invariant factor 1, and only the residual core reaches the dense
-  engine.  The matrices met here are incidence-like, so the core is
-  usually empty.  Transforms (kernels, solves, inverses, subquotients)
-  stay on the dense engine, since their bases reach the output.
+- Sparse elimination of +-1 pivots of least Markowitz cost on a
+  dict-of-rows copy (`eliminate_unit_pivots`) runs before the dense
+  engine: invariant factors and ranks split off one factor 1 per pivot,
+  and `chain_complex.cohomology` reduces a whole complex to its core.  The
+  matrices met here are incidence-like, so the core is usually small or
+  empty.  The other transforms (`kernel_basis`, `PresolvedSolver`,
+  `inverse`, a direct `subquotient`) stay on the dense engine.
 - Products (`ExactMatrix.__matmul__` and `matvec`) scale each operand to
   integers by the least common denominator of its entries
   (`integer_scaling`; over Z that is the int64 view, with denominator 1,
@@ -470,20 +470,23 @@ def _prepare_int64(M: ExactMatrix) -> Optional[np.ndarray]:
     return a
 
 
-def _unit_pivot_core(a: np.ndarray) -> Tuple[int, ExactMatrix]:
-    """(k, C) with SNF(a) = diag(1, ..., 1) (+) SNF(C) and k ones, for the
-    object array a of Python ints.
+def eliminate_unit_pivots(a: np.ndarray, record: Optional[list] = None
+                          ) -> Tuple[int, dict, dict]:
+    """(k, rows, cols): the array a after the elimination of k +-1 pivots,
+    as a dict of rows {col: x} of its nonzero entries plus the set of rows
+    of each column.
 
-    Sparse elimination of +-1 pivots (Dumas, Saunders and Villard 2001):
-    the matrix is a dict of rows {col: int} plus the row set of each
-    column.  The next pivot is a +-1 entry of least Markowitz cost
-    (r - 1)(c - 1), with r and c the nonzero counts of its row and column.
-    Candidates wait in a heap and are checked again when popped, since
-    fill-in moves costs and can turn entries into or out of units.  A unit
-    pivot clears its column by row operations and then its row by column
-    operations that meet no other row, so it splits off one invariant
-    factor 1.  Fill-in is on Python ints.  C holds the rows and columns
-    that keep a nonzero entry, dense, as Python ints.
+    Sparse elimination (Dumas, Saunders and Villard 2001): the next pivot
+    is a +-1 entry of least Markowitz cost (r - 1)(c - 1), with r and c the
+    nonzero counts of its row and column.  Candidates wait in a heap and
+    are checked again when popped, since fill-in moves costs and can turn
+    entries into or out of units.  A pivot p at (i, j) clears its column by
+    row operations and then its row by column operations that meet no other
+    row, so row i and column j leave the matrix and every other entry
+    becomes delta - alpha p beta (alpha column j, beta row i).  Fill-in
+    runs on the entries as they are (Python ints or Fractions).  When
+    `record` is a list, each pivot appends (i, j, p, row i as a dict with
+    the pivot in it, [(r, alpha_r * p)] for the other rows r of column j).
     """
     rows: dict = {}
     cols: dict = {}
@@ -510,6 +513,9 @@ def _unit_pivot_core(a: np.ndarray) -> Tuple[int, ExactMatrix]:
         del rows[i]
         for c in row:
             cols[c].discard(i)
+        if record is not None:
+            record.append((i, j, p, row,
+                           [(r, rows[r][j] * p) for r in cols[j]]))
         for r in cols.pop(j):
             target = rows[r]
             f = target.pop(j) * p
@@ -528,6 +534,16 @@ def _unit_pivot_core(a: np.ndarray) -> Tuple[int, ExactMatrix]:
                     heapq.heappush(heap, (0, r, c))
             if not target:
                 del rows[r]
+    return k, rows, cols
+
+
+def _unit_pivot_core(a: np.ndarray) -> Tuple[int, ExactMatrix]:
+    """(k, C) with SNF(a) = diag(1, ..., 1) (+) SNF(C) and k ones, for the
+    object array a of Python ints: `eliminate_unit_pivots` splits off one
+    invariant factor 1 per pivot.  C holds the rows and columns that keep a
+    nonzero entry, dense, as Python ints.
+    """
+    k, rows, cols = eliminate_unit_pivots(a)
     rkeys = sorted(rows)
     ckeys = sorted(c for c, rs in cols.items() if rs)
     pos = {c: t for t, c in enumerate(ckeys)}

@@ -371,6 +371,29 @@ def test_cohomology_algebra_detects_section_dependence():
         cohomology_algebra(a)
 
 
+@pytest.mark.parametrize("pair", [("e", "w"), ("w", "e"), ("w", "w")],
+                         ids=["z*b", "b*z", "b*b"])
+def test_cohomology_algebra_section_check_sees_each_term(pair):
+    # H^1 = [e] and H^2 = [f] with w = d(z) a boundary in degree 1; the one
+    # product pair -> f is a lift times a boundary, a boundary times a
+    # lift, or two boundaries, and each alone makes e * e depend on the
+    # section
+    a = algebra_from_products(
+        ZZ,
+        basis=[(0, "1"), (0, "z"), (1, "w"), (1, "e"), (2, "f")],
+        unit_terms={"1": 1},
+        differentials={"z": {"w": 1}},
+        products={**{("1", x): {x: 1} for x in "1zwef"},
+                  **{(x, "1"): {x: 1} for x in "zwef"},
+                  pair: {"f": 1}},
+    )
+    H, _ = cohomology_algebra(a, verify_section=False)
+    assert H.dims == {0: 1, 1: 1, 2: 1}
+    with pytest.raises(AssertionError,
+                       match="cohomology product depends on the section"):
+        cohomology_algebra(a)
+
+
 def test_formality_chain_rejects_misshaped_identification(monkeypatch):
     a = dual_numbers_deg2()
     chain = FormalityChain([a, a], [(_identity(a), "forward")])
