@@ -6,23 +6,33 @@ per degree, and sparse structure constants per degree pair.  Elements are
 and quotients all work with exact lattice membership over the PID, not with
 rational span membership, so every verified identity holds integrally.
 
-Single products of sparse elements walk the structure-constant dicts
-(`DgAlgebra.multiply`).  Batched products -- every x_s * y_t for the
-columns of two matrices, optionally followed by a linear map P -- go through
-one bilinear kernel, `DgAlgebra.product_blocks`.  It reads the structure
-constants of a degree pair in coordinate form, the arrays (k, i, j, c) of
-the nonzero entries e_i * e_j = sum c e_k, built on first use and cached.
-With K = P[:, k] * c, the products of column s of X with every column of Y
-form one matrix product, (K * X[i, s]) @ Y[j, :].  The arithmetic is on
+Products of sparse elements walk the structure-constant dicts
+(`_sparse_product`, behind `DgAlgebra.multiply`).  Most products of two
+elements are zero, so the closures form one only where the supports of
+its operands meet a structure constant.  Each degree pair's constants are
+indexed by left and by right basis index (`DgAlgebra._support`), built on
+first use and cached.  `subalgebra_from_span` takes its tables from the
+generator `DgAlgebra.supported_products`, and `ideal_from_span`
+multiplies each new ideal vector by the basis elements the index reaches.
+`DgMorphism._not_multiplicative` compares f(e_i * e_j) with
+f(e_i) * f(e_j) as sparse maps built from the constants and the nonzero
+entries of the components.
+
+Batched products -- every x_s * y_t for the columns of two matrices,
+optionally followed by a linear map P -- go through one bilinear kernel,
+`DgAlgebra.product_blocks`.  It reads the structure constants of a degree
+pair in coordinate form, the arrays (k, i, j, c) of the nonzero entries
+e_i * e_j = sum c e_k, built on first use and cached.  With
+K = P[:, k] * c, the products of column s of X with every column of Y form
+one matrix product, (K * X[i, s]) @ Y[j, :].  The arithmetic is on
 integers: over Q each operand is first scaled by the least common
 denominator of its entries, and each block is divided by the product of
 those denominators at the end.  It runs on int64 when
 max|P| * max|c| * max|X| * max|Y| * nnz < 2**62 (of the scaled entries), so
 that no sum can overflow, and on object dtype (Python ints) otherwise.  The
-cohomology product, its exact section check, the quotient's
-structure constants, the unit, Leibniz and associativity laws of
-`validate_dg_algebra`, and the multiplicativity checks of
-`DgMorphism.validate` and `verify_formality_chain` all use it.
+cohomology product, its exact section check, the quotient's structure
+constants, and the unit, Leibniz and associativity laws of
+`validate_dg_algebra` use it.
 """
 
 from __future__ import annotations
@@ -115,6 +125,7 @@ class DgAlgebra:
         self.mult = mult
         self._complex: Optional[ChainComplex] = None
         self._coo_cache: Dict[Tuple[int, int], Optional[tuple]] = {}
+        self._support_cache: Dict[Tuple[int, int], Optional[tuple]] = {}
 
     # -- structure access -------------------------------------------------
 
@@ -157,6 +168,51 @@ class DgAlgebra:
     def multiply(self, x: Element, y: Element) -> Element:
         (q1, c1), (q2, c2) = x, y
         return (q1 + q2, _sparse_product(self.mult.get((q1, q2)), c1, c2))
+
+    def _support(self, q1: int, q2: int) -> Optional[tuple]:
+        """(left, right) for the structure constants of (q1, q2): left[i]
+        lists the j, and right[j] the i, with a nonzero constant in
+        e_i * e_j; None when the pair has none.
+
+        Built on first use and cached, like `_coo`.
+        """
+        key = (q1, q2)
+        if key in self._support_cache:
+            return self._support_cache[key]
+        left: Dict[int, List[int]] = {}
+        right: Dict[int, List[int]] = {}
+        for (i, j), prod in (self.mult.get(key) or {}).items():
+            if any(c != 0 for c in prod.values()):
+                left.setdefault(i, []).append(j)
+                right.setdefault(j, []).append(i)
+        support = (left, right) if left else None
+        self._support_cache[key] = support
+        return support
+
+    def supported_products(self, q1: int, q2: int, xs: Sequence[dict],
+                           ys: Sequence[dict]
+                           ) -> Iterator[Tuple[int, int, dict]]:
+        """(s, t, xs[s] * ys[t]) in (s, t) order, for the sparse
+        coefficient dicts xs of degree q1 and ys of degree q2 whose supports
+        meet a structure constant of (q1, q2).
+
+        Every pair left out has product zero; a pair yielded can still
+        have product zero when its terms cancel.
+        """
+        support = self._support(q1, q2)
+        if support is None:
+            return
+        left = support[0]
+        table = self.mult[(q1, q2)]
+        holders: Dict[int, List[int]] = {}  # j -> the t with j in ys[t]
+        for t, y in enumerate(ys):
+            for j in y:
+                holders.setdefault(j, []).append(t)
+        for s, x in enumerate(xs):
+            ts = {t for i in x for j in left.get(i, ())
+                  for t in holders.get(j, ())}
+            for t in sorted(ts):
+                yield s, t, _sparse_product(table, x, ys[t])
 
     # -- batched products --------------------------------------------------
 
@@ -417,13 +473,17 @@ class DgMorphism:
         return ChainMap(self.source.complex(), self.target.complex(),
                         dict(self.components))
 
-    def validate(self) -> list:
+    def _shape_problems(self) -> list:
         problems = []
         for q, m in self.components.items():
             want = (self.target.dim(q), self.source.dim(q))
             if m.shape != want:
                 problems.append(f"component at degree {q} has shape "
                                 f"{m.shape}, expected {want}")
+        return problems
+
+    def validate(self) -> list:
+        problems = self._shape_problems()
         if problems:
             return problems
         problems.extend(self.chain_map().validate())
@@ -439,19 +499,50 @@ class DgMorphism:
     def _not_multiplicative(self) -> Iterator[Tuple[int, int, int, int]]:
         """(q1, q2, i, j) for every basis pair of the source with
         f(e_i * e_j) != f(e_i) * f(e_j), in degree order, then basis
-        order."""
+        order.  Raises ValueError when a component is misshaped.
+
+        Both sides are sparse maps {(i, j, m): coefficient}.  The left side
+        maps each constant e_i * e_j = sum c e_k of the source through the
+        nonzero entries of column k of f_(q1+q2).  The right side contracts
+        each constant e_a * e_b = sum c e_m of the target with the nonzero
+        entries of row a of f_q1 and row b of f_q2.  No other pair has a
+        term on either side; a key missing from a side is zero there.
+        """
+        problems = self._shape_problems()
+        if problems:
+            raise ValueError(problems[0])
         A, B = self.source, self.target
-        eye = {q: ExactMatrix.identity(A.dim(q), A.ring) for q in A.degrees()}
+        by_col: Dict[int, Dict[int, list]] = {}
+        by_row: Dict[int, Dict[int, list]] = {}
+        for q, m in self.components.items():
+            rs, cs = np.nonzero(m.data)
+            for r, c, v in zip(rs.tolist(), cs.tolist(),
+                               m.data[rs, cs].tolist()):
+                by_col.setdefault(q, {}).setdefault(c, []).append((r, v))
+                by_row.setdefault(q, {}).setdefault(r, []).append((c, v))
         for q1 in A.degrees():
+            rows1 = by_row.get(q1, {})
             for q2 in A.degrees():
-                # f(a_i * a_j) against f(a_i) * f(a_j), one i at a time
-                lhs = A.product_blocks(q1, q2, eye[q1], eye[q2],
-                                       self.component(q1 + q2))
-                rhs = B.product_blocks(q1, q2, self.component(q1),
-                                       self.component(q2))
-                for i, (fab, fafb) in enumerate(zip(lhs, rhs)):
-                    for j in np.flatnonzero((fab != fafb).any(axis=0)):
-                        yield q1, q2, i, int(j)
+                rows2 = by_row.get(q2, {})
+                cols = by_col.get(q1 + q2, {})
+                lhs: dict = {}
+                for (i, j), prod in (A.mult.get((q1, q2)) or {}).items():
+                    for k, c in prod.items():
+                        for m, v in cols.get(k, ()):
+                            key = (i, j, m)
+                            lhs[key] = lhs.get(key, 0) + c * v
+                rhs: dict = {}
+                for (a, b), prod in (B.mult.get((q1, q2)) or {}).items():
+                    for i, v in rows1.get(a, ()):
+                        for j, w in rows2.get(b, ()):
+                            vw = v * w
+                            for m, c in prod.items():
+                                key = (i, j, m)
+                                rhs[key] = rhs.get(key, 0) + vw * c
+                bad = {key[:2] for key in lhs.keys() | rhs.keys()
+                       if lhs.get(key, 0) != rhs.get(key, 0)}
+                for i, j in sorted(bad):
+                    yield q1, q2, i, j
 
 
 def is_quasi_iso_dg(f: DgMorphism) -> QuasiIsoReport:
@@ -534,6 +625,11 @@ def subalgebra_from_span(A: DgAlgebra, elements: Sequence[Element],
     differential and under multiplication, with exact membership over the
     ring.  Returns the algebra in the kept basis plus the inclusion.
     `labels`, when given, is aligned with `elements`.
+
+    The products of kept elements come from `DgAlgebra.supported_products`:
+    only pairs whose supports meet a structure constant are multiplied, in
+    basis order, so the first escaping pair in (degree, i, j) order is the
+    one an error names.
     """
     lattices: Dict[int, ColumnLattice] = {}
     per_degree: Dict[int, List[int]] = {}
@@ -587,23 +683,24 @@ def subalgebra_from_span(A: DgAlgebra, elements: Sequence[Element],
             for i, c in co.items():
                 m.data[i, j] = c
         diff[q] = m
+    coeffs = {q: [elements[pos][1] for pos in positions]
+              for q, positions in per_degree.items()}
     mult: Dict[Tuple[int, int], Dict[Tuple[int, int], dict]] = {}
     for q1, pos1 in per_degree.items():
         for q2, pos2 in per_degree.items():
             table = {}
-            for i, p1 in enumerate(pos1):
-                for j, p2 in enumerate(pos2):
-                    prod = A.multiply(elements[p1], elements[p2])
-                    if not prod[1]:
-                        continue
-                    try:
-                        co = coords_in_span(q1 + q2, prod[1], "multiplication")
-                    except ValueError:
-                        raise ValueError(
-                            "span not closed under multiplication: product "
-                            f"of elements #{p1} and #{p2} escapes")
-                    if co:
-                        table[(i, j)] = co
+            for i, j, prod in A.supported_products(q1, q2, coeffs[q1],
+                                                   coeffs[q2]):
+                if not prod:
+                    continue
+                try:
+                    co = coords_in_span(q1 + q2, prod, "multiplication")
+                except ValueError:
+                    raise ValueError(
+                        "span not closed under multiplication: product "
+                        f"of elements #{pos1[i]} and #{pos2[j]} escapes")
+                if co:
+                    table[(i, j)] = co
             if table:
                 mult[(q1, q2)] = table
     if labels is None:
@@ -674,31 +771,40 @@ def ideal_from_span(U: DgAlgebra, elements: Sequence[Element]) -> DgIdeal:
     Closes the span under two-sided multiplication by the basis of U and
     reports whether the input already spanned the ideal; closure under the
     differential is verified afterwards and failure is an error.
+
+    The closure is semi-naive: a worklist holds every vector whose
+    insertion grew a lattice, and each is multiplied once, on both sides,
+    by the basis elements that the support index of U (`DgAlgebra._support`)
+    pairs with its support.  A vector that grew no lattice is a combination
+    of vectors already inserted, and multiplication by a basis element is
+    linear, so its products need not be formed.  The echelon bases can
+    depend on the order of insertion; the lattices, their ranks and the
+    quotient by them do not.
     """
+    one = U.ring.element(1)
     lattices: Dict[int, ColumnLattice] = {}
-    for q, coeffs in elements:
-        if coeffs:
-            lattices.setdefault(q, ColumnLattice(U.ring)).add(dict(coeffs))
+
+    def insert(q: int, vec: dict) -> bool:
+        return lattices.setdefault(q, ColumnLattice(U.ring)).add(dict(vec))
+
+    work = [(q, coeffs) for q, coeffs in elements
+            if coeffs and insert(q, coeffs)]
     grew_any = False
-    changed = True
-    while changed:
-        changed = False
-        for q in list(lattices):
-            lat = lattices[q]
-            for vec in list(lat.basis_vectors()):
-                x = (q, vec)
-                for qb in U.degrees():
-                    for i in range(U.dim(qb)):
-                        b = U.basis_element(qb, i)
-                        for prod in (U.multiply(b, x), U.multiply(x, b)):
-                            pq, pc = prod
-                            if not pc:
-                                continue
-                            plat = lattices.setdefault(
-                                pq, ColumnLattice(U.ring))
-                            if plat.add(dict(pc)):
-                                changed = True
-                                grew_any = True
+    while work:
+        q, vec = work.pop()
+        for qb in U.degrees():
+            for q1, q2, side in ((q, qb, 0), (qb, q, 1)):
+                support = U._support(q1, q2)
+                if support is None:
+                    continue
+                table = U.mult[(q1, q2)]
+                for b in sorted({b for k in vec for b in support[side]
+                                 .get(k, ())}):
+                    prod = (_sparse_product(table, vec, {b: one}) if side == 0
+                            else _sparse_product(table, {b: one}, vec))
+                    if prod and insert(q1 + q2, prod):
+                        grew_any = True
+                        work.append((q1 + q2, prod))
     lattices = {q: lat for q, lat in lattices.items() if lat.rank}
     ideal = DgIdeal(U, lattices, input_spanned_ideal=not grew_any)
     for q, lat in lattices.items():

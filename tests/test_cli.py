@@ -115,6 +115,18 @@ def test_q_golden_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("formality", "n-points", "--n", "6"),
+     "79b01f0502510329bd7e4fdd529cfa9c5f24bba34d8ee96bd9b6c0c22ae80798"),
+    (("formality", "de-rham"),
+     "775edae2735d130401318958df118b15a04b8bb14ce1855fc6e00c325fcc650c"),
+])
+def test_z_and_de_rham_golden_bytes(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_timing_flag_adds_field(capsys):
     code, rep = run_json(capsys, "formality", "trivial", "--timing")
     assert code == 0

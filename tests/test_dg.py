@@ -654,3 +654,414 @@ def test_formality_chain_names_non_multiplicative_identification(
     assert verdict.notes == [
         f"identification is not multiplicative at degrees {pair}"
         for pair in ("(0, 0)", "(0, 2)", "(2, 0)")]
+
+
+# ------------------------------------------------- products on the support
+
+
+def _random_entry(ring, rng, top=2):
+    x = 0
+    while x == 0:
+        x = rng.randint(-top, top)
+    return ring.element(Fraction(x, rng.randint(1, 3)) if ring.is_field
+                        else x)
+
+
+def _random_sparse_algebra(ring, rng, dims, density, inside=None):
+    """Sparse random structure constants on `dims` (degrees 0..2); no law
+    need hold.  With `inside` ({q: basis indices}), a product of two inside
+    elements and the differential of an inside element stay inside."""
+    def vec(q, within):
+        rows = inside[q] if within and inside else range(dims[q])
+        return {k: _random_entry(ring, rng) for k in rows
+                if rng.random() < 0.5}
+
+    mult = {}
+    for q1 in dims:
+        for q2 in dims:
+            if q1 + q2 not in dims:
+                continue
+            for i in range(dims[q1]):
+                for j in range(dims[q2]):
+                    if rng.random() < density:
+                        within = inside is not None and i in inside[q1] \
+                            and j in inside[q2]
+                        prod = vec(q1 + q2, within)
+                        if prod:
+                            mult.setdefault((q1, q2), {})[(i, j)] = prod
+    diff = {}
+    for q in dims:
+        if q + 1 in dims and rng.random() < 0.6:
+            m = ExactMatrix.zeros(dims[q + 1], dims[q], ring)
+            for j in range(dims[q]):
+                if rng.random() < 0.5:
+                    within = inside is not None and j in inside[q]
+                    for i, c in vec(q + 1, within).items():
+                        m.data[i, j] = c
+            diff[q] = m
+    labels = {q: [f"{q}:{i}" for i in range(n)] for q, n in dims.items()}
+    return DgAlgebra(ring, dims, labels, {0: ring.element(1)}, diff, mult)
+
+
+def _random_morphism(ring, seed):
+    """A degree-wise map between two random sparse algebras in degrees
+    0..2, mostly not multiplicative.  The target has structure constants
+    in degree pairs where the source has none."""
+    rng = random.Random(seed)
+    dims_a = {q: rng.randint(1, 3) for q in (0, 1, 2)}
+    dims_b = {q: rng.randint(1, 3) for q in (0, 1, 2)}
+    A = _random_sparse_algebra(ring, rng, dims_a, 0.3)
+    for pair in rng.sample(sorted(A.mult), len(A.mult) // 2):
+        del A.mult[pair]
+    B = _random_sparse_algebra(ring, rng, dims_b, 0.4)
+    comps = {}
+    for q in (0, 1, 2):
+        m = ExactMatrix.zeros(dims_b[q], dims_a[q], ring)
+        for r in range(m.rows):
+            for c in range(m.cols):
+                if rng.random() < 0.5:
+                    m.data[r, c] = _random_entry(ring, rng)
+        comps[q] = m
+    return DgMorphism(A, B, comps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(0, 2 ** 32))
+def test_not_multiplicative_matches_pairwise_reference(ring, seed):
+    f = _random_morphism(ring, seed)
+    got = [f"not multiplicative on ({f.source.label(q1, i)}, "
+           f"{f.source.label(q2, j)})"
+           for q1, q2, i, j in f._not_multiplicative()]
+    assert got == _multiplicativity_reference(f)
+
+
+def test_random_morphisms_reach_target_only_pairs():
+    # the generator reaches the cases the property compares: failures in
+    # degree pairs where only the target has constants, and many failures
+    only_target = failing = 0
+    for seed in range(100):
+        for ring in (ZZ, QQ):
+            f = _random_morphism(ring, seed)
+            bad = list(f._not_multiplicative())
+            failing += bool(bad)
+            only_target += any((q1, q2) not in f.source.mult
+                               for q1, q2, _, _ in bad)
+    assert only_target >= 20 and failing >= 150
+
+
+def test_not_multiplicative_rejects_misshaped_component():
+    a = acyclic_interval()
+    f = DgMorphism(a, a, {0: ExactMatrix.identity(2),
+                          1: ExactMatrix.zeros(1, 2)})
+    with pytest.raises(ValueError, match="component at degree 1"):
+        list(f._not_multiplicative())
+
+
+def _subalgebra_reference(A, elements):
+    """The all-pairs `subalgebra_from_span`: (dims, unit, diff, mult), with
+    its error messages and their order."""
+    from strathom.exact_linalg import ColumnLattice
+
+    lattices, per_degree = {}, {}
+    for pos, (q, coeffs) in enumerate(elements):
+        if not coeffs:
+            continue
+        lat = lattices.setdefault(q, ColumnLattice(A.ring))
+        if lat.add(dict(coeffs), coord_key=pos):
+            per_degree.setdefault(q, []).append(pos)
+    for q, positions in per_degree.items():
+        if len(positions) != lattices[q].rank:
+            raise ValueError(
+                f"spanning set at degree {q} is not a lattice basis after "
+                "reduction; provide an independent set")
+    index_of = {pos: k for positions in per_degree.values()
+                for k, pos in enumerate(positions)}
+    dims = {q: len(positions) for q, positions in per_degree.items()}
+
+    def coords_in_span(q, coeffs, what):
+        if not coeffs:
+            return {}
+        lat = lattices.get(q)
+        co = lat.coordinates(coeffs) if lat else None
+        if co is None:
+            raise ValueError(f"span not closed under {what}")
+        return {index_of[pos]: c for pos, c in co.items()}
+
+    unit = coords_in_span(0, A.unit_element()[1],
+                          "unit membership (sub-algebra must contain 1)")
+    diff = {}
+    for q, positions in sorted(per_degree.items()):
+        if (q + 1) not in per_degree:
+            for pos in positions:
+                if A.d_element(elements[pos])[1]:
+                    raise ValueError(
+                        f"span not closed under differential at degree {q}")
+            continue
+        m = ExactMatrix.zeros(dims[q + 1], dims[q], A.ring)
+        for j, pos in enumerate(positions):
+            img = A.d_element(elements[pos])
+            try:
+                co = coords_in_span(q + 1, img[1], "differential")
+            except ValueError:
+                raise ValueError(
+                    f"span not closed under differential at degree {q}, "
+                    f"element #{pos}")
+            for i, c in co.items():
+                m.data[i, j] = c
+        diff[q] = m
+    mult = {}
+    for q1, pos1 in per_degree.items():
+        for q2, pos2 in per_degree.items():
+            table = {}
+            for i, p1 in enumerate(pos1):
+                for j, p2 in enumerate(pos2):
+                    prod = A.multiply(elements[p1], elements[p2])
+                    if not prod[1]:
+                        continue
+                    try:
+                        co = coords_in_span(q1 + q2, prod[1],
+                                            "multiplication")
+                    except ValueError:
+                        raise ValueError(
+                            "span not closed under multiplication: product "
+                            f"of elements #{p1} and #{p2} escapes")
+                    if co:
+                        table[(i, j)] = co
+            if table:
+                mult[(q1, q2)] = table
+    return dims, unit, diff, mult
+
+
+def _random_span_case(ring, seed):
+    """A random algebra with a basis subset S whose span is closed under d
+    and products, unless a constant or an entry of d was bent out of it,
+    and a spanning
+    set of span(S): S mixed by unitriangular matrices, in shuffled order,
+    with a redundant sum and a zero element."""
+    rng = random.Random(seed)
+    dims = {q: rng.randint(1, 4) for q in (0, 1, 2)}
+    inside = {q: sorted(rng.sample(range(n), rng.randint(1, n)))
+              for q, n in dims.items()}
+    if rng.random() < 0.9 and 0 not in inside[0]:
+        inside[0] = [0] + inside[0]  # the unit e_0 is in span(S)
+    A = _random_sparse_algebra(ring, rng, dims, 0.5, inside)
+    inner = [(q1, q2, key) for (q1, q2), table in A.mult.items()
+             for key in table
+             if key[0] in inside[q1] and key[1] in inside[q2]]
+    outside = {q: [k for k in range(dims[q]) if k not in inside[q]]
+               for q in dims}
+    if inner and rng.random() < 0.4:
+        q1, q2, key = rng.choice(inner)
+        if outside[q1 + q2]:
+            A.mult[(q1, q2)][key][rng.choice(outside[q1 + q2])] = \
+                _random_entry(ring, rng)
+    bendable = [q for q in A.diff if outside[q + 1]]
+    if bendable and rng.random() < 0.2:
+        q = rng.choice(bendable)
+        A.diff[q].data[rng.choice(outside[q + 1]),
+                       rng.choice(inside[q])] = _random_entry(ring, rng)
+    elements = []
+    for q, rows in inside.items():
+        for a, row in enumerate(rows):
+            v = {row: ring.element(rng.choice([1, -1]))}
+            for later in rows[a + 1:]:
+                if rng.random() < 0.4:
+                    v[later] = ring.element(rng.randint(-2, 2))
+            elements.append((q, {k: c for k, c in v.items() if c}))
+    rng.shuffle(elements)
+    if rng.random() < 0.3:
+        q, v = rng.choice(elements)
+        w = [x for x in elements if x[0] == q][0][1]
+        s = dict(v)
+        _vec_axpy(s, w, 1)
+        elements.append((q, s))
+    if rng.random() < 0.2:
+        elements.insert(rng.randrange(len(elements) + 1), (1, {}))
+    return A, elements
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(0, 2 ** 32))
+def test_subalgebra_matches_all_pairs_reference(ring, seed):
+    A, elements = _random_span_case(ring, seed)
+    try:
+        want = _subalgebra_reference(A, elements)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            subalgebra_from_span(A, elements)
+        assert str(got.value) == str(exc)
+        return
+    sub, _ = subalgebra_from_span(A, elements)
+    dims, unit, diff, mult = want
+    assert sub.dims == dims and sub.unit == unit
+    assert {q: m.tolist() for q, m in sub.diff.items()} == \
+        {q: m.tolist() for q, m in diff.items() if m.rows and m.cols}
+    # the same tables, inserted in the same order
+    assert [(k, list(t.items())) for k, t in sub.mult.items()] == \
+        [(k, list(t.items())) for k, t in mult.items()]
+
+
+def test_random_spans_reach_every_outcome():
+    outcomes = set()
+    for seed in range(150):
+        for ring in (ZZ, QQ):
+            A, elements = _random_span_case(ring, seed)
+            try:
+                _, _, _, mult = _subalgebra_reference(A, elements)
+                outcomes.add("closed with products" if mult else "closed")
+            except ValueError as exc:
+                outcomes.add(str(exc).split(":")[0].split(" at ")[0])
+    assert {"closed with products", "span not closed under multiplication",
+            "span not closed under differential",
+            "span not closed under unit membership (sub-algebra must "
+            "contain 1)"} <= outcomes
+
+
+def _ideal_reference(U, elements):
+    """The naive fixed point: every pass multiplies every echelon vector by
+    every basis element on both sides, until a pass adds nothing."""
+    from strathom.dg import DgIdeal
+    from strathom.exact_linalg import ColumnLattice
+
+    lattices = {}
+    for q, coeffs in elements:
+        if coeffs:
+            lattices.setdefault(q, ColumnLattice(U.ring)).add(dict(coeffs))
+    grew_any = False
+    changed = True
+    while changed:
+        changed = False
+        for q in list(lattices):
+            for vec in list(lattices[q].basis_vectors()):
+                x = (q, vec)
+                for qb in U.degrees():
+                    for i in range(U.dim(qb)):
+                        b = U.basis_element(qb, i)
+                        for pq, pc in (U.multiply(b, x), U.multiply(x, b)):
+                            if pc and lattices.setdefault(
+                                    pq, ColumnLattice(U.ring)).add(dict(pc)):
+                                changed = grew_any = True
+    lattices = {q: lat for q, lat in lattices.items() if lat.rank}
+    for q, lat in lattices.items():
+        tgt = lattices.get(q + 1)
+        for vec in lat.basis_vectors():
+            img = U.d_element((q, vec))
+            if img[1] and (tgt is None or not tgt.contains(img[1])):
+                raise ValueError("not closed under differential")
+    return DgIdeal(U, lattices, input_spanned_ideal=not grew_any)
+
+
+def _random_ideal_case(ring, seed):
+    """A random sparse algebra, often with zero differential, and a few
+    generators: small multiples of basis vectors or sparse combinations."""
+    rng = random.Random(seed)
+    dims = {q: rng.randint(1, 4) for q in (0, 1, 2)}
+    A = _random_sparse_algebra(ring, rng, dims, 0.25)
+    if rng.random() < 0.6:
+        A.diff = {}
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        q = rng.choice([0, 1, 2])
+        if rng.random() < 0.5:
+            gens.append((q, {rng.randrange(dims[q]):
+                             ring.element(rng.choice([1, 2, 3, -2]))}))
+        else:
+            gens.append((q, {k: _random_entry(ring, rng, 3)
+                             for k in range(dims[q]) if rng.random() < 0.5}))
+    return A, gens
+
+
+def _quotient_or_error(U, ideal):
+    # the sign of a pivot over ZZ can depend on the order of insertion
+    try:
+        return quotient(U, ideal)
+    except ValueError as exc:
+        return str(exc).replace("pivot -", "pivot ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(0, 2 ** 32))
+def test_ideal_matches_naive_fixed_point(ring, seed):
+    U, gens = _random_ideal_case(ring, seed)
+    try:
+        want = _ideal_reference(U, gens)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            ideal_from_span(U, gens)
+        assert str(got.value) == str(exc)
+        return
+    got = ideal_from_span(U, gens)
+    assert got.ranks() == want.ranks()
+    assert got.input_spanned_ideal == want.input_spanned_ideal
+    q_got, q_want = _quotient_or_error(U, got), _quotient_or_error(U, want)
+    if isinstance(q_want, str):
+        assert q_got == q_want
+        return
+    (Qg, pg), (Qw, pw) = q_got, q_want
+    assert (Qg.dims, Qg.labels, Qg.unit, Qg.mult) == \
+        (Qw.dims, Qw.labels, Qw.unit, Qw.mult)
+    assert {q: m.tolist() for q, m in Qg.diff.items()} == \
+        {q: m.tolist() for q, m in Qw.diff.items()}
+    assert {q: m.tolist() for q, m in pg.components.items()} == \
+        {q: m.tolist() for q, m in pw.components.items()}
+
+
+def test_random_ideals_reach_growth_and_gcd_steps(monkeypatch):
+    # generators that do not span their ideal, and a Z closure that
+    # combines two columns by their gcd
+    import strathom.exact_linalg as el
+
+    calls = []
+    real = el._xgcd
+    monkeypatch.setattr(el, "_xgcd", lambda a, b: calls.append(1) or
+                        real(a, b))
+    grew = gcd = quotients = 0
+    for seed in range(150):
+        for ring in (ZZ, QQ):
+            U, gens = _random_ideal_case(ring, seed)
+            calls.clear()
+            try:
+                ideal = ideal_from_span(U, gens)
+            except ValueError:
+                continue
+            grew += not ideal.input_spanned_ideal
+            gcd += ring is ZZ and bool(calls)
+            quotients += not isinstance(_quotient_or_error(U, ideal), str)
+    assert grew >= 50 and gcd >= 5 and quotients >= 50
+
+
+def test_ideal_closure_gcd_step():
+    # z * z = 3y joins the generator 2y: the lattice 2Z y + 3Z y = Z y is
+    # reached by a gcd step, so y itself is in the ideal
+    a = algebra_from_products(
+        ZZ, basis=[(0, "1"), (0, "y"), (0, "z")], unit_terms={"1": 1},
+        differentials={},
+        products={**{("1", x): {x: 1} for x in "1yz"},
+                  **{(x, "1"): {x: 1} for x in "yz"},
+                  ("z", "z"): {"y": 3}})
+    gens = [(0, {1: 2}), (0, {2: 1})]
+    for ideal in (ideal_from_span(a, gens), _ideal_reference(a, gens)):
+        assert ideal.ranks() == {0: 2}
+        assert not ideal.input_spanned_ideal
+        assert ideal.lattices[0].contains({1: 1})
+
+
+def test_closures_form_products_only_on_the_support(monkeypatch):
+    # no product in the n-point chain or its verification is formed from
+    # operands whose supports miss every structure constant of the table
+    from strathom.sphere_models import SphereModel, formality_chain_n_points
+
+    E = SphereModel(8).resolution_n_points().end_algebra()
+    calls, idle = [], []
+    real = dg._sparse_product
+
+    def checked(table, c1, c2):
+        calls.append(1)
+        if not any(i in c1 and j in c2 for (i, j) in (table or {})):
+            idle.append((sorted(c1), sorted(c2)))
+        return real(table, c1, c2)
+
+    monkeypatch.setattr(dg, "_sparse_product", checked)
+    ch = formality_chain_n_points(E, 8)
+    assert verify_formality_chain(ch.chain).ok
+    assert calls and idle == []
