@@ -48,6 +48,7 @@ from .quiver_rep import (
     closure_rep,
     direct_sum,
     ext,
+    hom_rank,
     hom_space,
     indecomposable_projective,
     injective_coresolution,

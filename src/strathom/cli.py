@@ -35,7 +35,7 @@ from .quiver_rep import (
     StratPoset,
     build_quiver,
     ext_all,
-    hom_space,
+    hom_rank,
     injective_coresolution,
     projective_resolution,
     validate_representation,
@@ -419,7 +419,7 @@ def cmd_compute(args) -> int:
         table = {}
         for a in names:
             for b in names:
-                r = len(hom_space(reps[a], reps[b]))
+                r = hom_rank(reps[a], reps[b])
                 table[f"{a}->{b}"] = r
                 rows.append([a, b, str(r)])
         results["hom_ranks"] = table

@@ -4,12 +4,14 @@ The quiver of a poset keeps only the Hasse covering arrows; identifying all
 parallel paths makes a representation the same thing as a functor from the
 poset to free modules, so validation reduces to comparing composite matrices
 along parallel arrow paths.  Hom spaces are kernels of the commuting-square
-linear system, Ext groups come from evaluation-cover projective resolutions.
+linear system.  Ext groups are read from the stalks of the target against
+evaluation-cover projective resolutions, since Hom(P_x, W) = W(x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,6 +25,7 @@ from .exact_linalg import (
     ZZ,
     kernel_basis,
     invariant_factors,
+    rank,
 )
 
 
@@ -252,35 +255,21 @@ class RepMorphism:
         return all(m.is_zero() for m in self.components.values())
 
 
-def _common_support(V: Representation, W: Representation) -> List[str]:
-    """The vertices where both V and W are nonzero, in quiver order."""
-    return [v for v in V._support if W.stalk_rank[v]]
-
-
-def hom_space(V: Representation, W: Representation) -> List[RepMorphism]:
-    """Basis of the morphism lattice Hom(V, W).
-
-    Solves the commuting-square system exactly; over the integers the basis
-    spans the full lattice of integral morphisms.  Each basis morphism is
-    normalized so its first nonzero stalk entry is positive (and equal to 1
-    over the rationals).
-    """
-    if V.quiver is not W.quiver:
-        if V.quiver.vertices != W.quiver.vertices or \
-                V.quiver.arrows != W.quiver.arrows:
-            raise ValueError("representations live on different quivers")
-    ring = V.ring
-    common = _common_support(V, W)
+def _hom_system(V: Representation, W: Representation
+                ) -> Tuple[Optional[ExactMatrix], Dict[str, int]]:
+    """The commuting-square system f_b V_ab = W_ab f_a of Hom(V, W) (None
+    without a common support), and the column of f_v[0, 0] for each common
+    vertex v; the unknowns f_v[i, j] run in (vertex, row, col) order."""
+    if V.quiver is not W.quiver and (V.quiver.vertices != W.quiver.vertices
+                                     or V.quiver.arrows != W.quiver.arrows):
+        raise ValueError("representations live on different quivers")
+    common = [v for v in V._support if W.stalk_rank[v]]
     if not common:
-        return []
-    # column index of each flattened unknown f_v[i, j]
-    index = {}
-    for v in common:
-        for i in range(W.rank(v)):
-            for j in range(V.rank(v)):
-                index[(v, i, j)] = len(index)
-    ncols = len(index)
-    zero = ring.element(0)
+        return None, {}
+    *offs, ncols = accumulate((W.rank(v) * V.rank(v) for v in common),
+                              initial=0)
+    start = dict(zip(common, offs))
+    zero = V.ring.element(0)
     rows = []
     for a, b in V.quiver.arrows:
         if not W.rank(b) or not V.rank(a):
@@ -294,22 +283,39 @@ def hom_space(V: Representation, W: Representation) -> List[RepMorphism]:
                 for k in range(V.rank(b)):
                     x = va[k, j]
                     if x != 0:
-                        row[index[(b, i, k)]] += x
+                        row[start[b] + i * V.rank(b) + k] += x
                         nonzero = True
                 for k in range(W.rank(a)):
                     x = wa[i, k]
                     if x != 0:
-                        row[index[(a, k, j)]] -= x
+                        row[start[a] + k * V.rank(a) + j] -= x
                         nonzero = True
                 if nonzero and any(x != 0 for x in row):
                     rows.append(row)
-    if rows:
-        arr = np.empty((len(rows), ncols), dtype=object)
-        for i, row in enumerate(rows):
-            arr[i, :] = row
-        system = ExactMatrix(ring, arr)
-    else:
-        system = ExactMatrix.zeros(0, ncols, ring)
+    arr = np.array(rows, dtype=object).reshape(len(rows), ncols)
+    return ExactMatrix(V.ring, arr), start
+
+
+def hom_rank(V: Representation, W: Representation) -> int:
+    """Rank of Hom(V, W) from invariant factors, with no kernel basis."""
+    system, start = _hom_system(V, W)
+    if not start:
+        return 0
+    return system.cols - rank(system) if system.rows else system.cols
+
+
+def hom_space(V: Representation, W: Representation) -> List[RepMorphism]:
+    """Basis of the morphism lattice Hom(V, W).
+
+    Solves the commuting-square system exactly; over the integers the basis
+    spans the full lattice of integral morphisms.  Each basis morphism is
+    normalized so its first nonzero stalk entry is positive (and equal to 1
+    over the rationals).
+    """
+    ring = V.ring
+    system, start = _hom_system(V, W)
+    if not start:
+        return []
     basis = kernel_basis(system)
     out = []
     for jcol in range(basis.cols):
@@ -320,13 +326,10 @@ def hom_space(V: Representation, W: Representation) -> List[RepMorphism]:
         elif lead < 0:
             col = [-x for x in col]
         comps = {}
-        for v in common:
+        for v, at in start.items():
             r, c = W.rank(v), V.rank(v)
-            m = ExactMatrix.zeros(r, c, ring)
-            for i in range(r):
-                for j in range(c):
-                    m.data[i, j] = col[index[(v, i, j)]]
-            comps[v] = m
+            comps[v] = ExactMatrix(ring, np.array(
+                col[at:at + r * c], dtype=object).reshape(r, c))
         out.append(RepMorphism(V, W, comps))
     return out
 
@@ -403,6 +406,7 @@ class ProjectiveResolution:
     terms: List[Representation]          # Q_0, Q_1, ...
     maps: List[RepMorphism]              # maps[i]: Q_[i+1] -> Q_i
     augmentation: RepMorphism            # Q_0 -> V
+    vertices: List[List[str]]            # x of each summand P_x of Q_i
 
     def length(self) -> int:
         return len(self.terms) - 1
@@ -410,7 +414,8 @@ class ProjectiveResolution:
 
 def _evaluation_cover(V: Representation,
                       projectives: Dict[str, Representation]):
-    """Surjection from a sum of projectives onto V, plus section data.
+    """Surjection from a sum of projectives onto V, and the generator
+    vertex x of each summand P_x of the cover.
 
     `projectives` holds the one P_x per vertex that every cover of a
     resolution shares; missing ones are built and added."""
@@ -443,7 +448,7 @@ def _evaluation_cover(V: Representation,
                     m.data[i, col] = vec[i, k]
                 col += 1
         comps[v] = m
-    return cover, RepMorphism(cover, V, comps)
+    return cover, RepMorphism(cover, V, comps), [x for x, _ in piece_info]
 
 
 def _kernel_rep(f: RepMorphism) -> Tuple[Representation, RepMorphism]:
@@ -478,20 +483,17 @@ def projective_resolution(V: Representation,
     """
     if max_len is None:
         max_len = len(V.quiver.vertices) + 2
-    terms: List[Representation] = []
-    maps: List[RepMorphism] = []
     projectives: Dict[str, Representation] = {}
-    cover, aug = _evaluation_cover(V, projectives)
-    terms.append(cover)
-    current = (cover, aug)
+    cover, aug, xs = _evaluation_cover(V, projectives)
+    terms, maps, vertices, onto = [cover], [], [xs], aug
     for _ in range(max_len + 1):
-        K, incl = _kernel_rep(current[1])
+        K, incl = _kernel_rep(onto)
         if K.is_zero():
-            return ProjectiveResolution(V, terms, maps, aug)
-        cover, onto = _evaluation_cover(K, projectives)
+            return ProjectiveResolution(V, terms, maps, aug, vertices)
+        cover, onto, xs = _evaluation_cover(K, projectives)
         terms.append(cover)
+        vertices.append(xs)
         maps.append(incl.compose(onto))
-        current = (cover, onto)
     raise ValueError(f"resolution did not terminate within {max_len} steps")
 
 
@@ -627,30 +629,54 @@ def injective_coresolution(V: Representation,
 
 def hom_complex_against(res: ProjectiveResolution,
                         W: Representation) -> ChainComplex:
-    """Cochain complex Hom(Q_q, W) in degree q, differential f -> f . d."""
-    ring = W.ring
-    bases = [hom_space(Q, W) for Q in res.terms]
-    ranks = {q: len(b) for q, b in enumerate(bases)}
+    """Cochain complex Hom(Q_q, W) in degree q, differential f -> f . d.
+
+    Read off the stalks of W by Yoneda, Hom(P_x, W) = W(x): degree q is the
+    sum of W(x_b) over the summands P_(x_b) of Q_q.  The generator of a
+    summand c of Q_(q+1), at its vertex y_c, goes under d to the scalars
+    s_(b,c) on the summands b of Q_q present at y_c, so block (c, b) of the
+    differential is s_(b,c) W(x_b -> y_c).  No linear system is solved.
+    """
+    quiver, leq, vertices = W.quiver, W.quiver.poset.leq, res.vertices
+    offsets = [list(accumulate((W.rank(x) for x in xs), initial=0))
+               for xs in vertices]
+    ranks = {q: offs[-1] for q, offs in enumerate(offsets)}
+    paths: Dict[Tuple[str, str], ExactMatrix] = {}
     diffs = {}
     for q, d in enumerate(res.maps):
-        src_basis, dst_basis = bases[q], bases[q + 1]
-        if not src_basis or not dst_basis:
+        if not ranks[q] or not ranks[q + 1]:
             continue
-        diffs[q] = _solve_all(
-            PresolvedSolver(_stack_flat(dst_basis)),
-            _stack_flat([f.compose(d) for f in src_basis]),
-            "composite escaped the Hom lattice")
-    return ChainComplex(ring, ranks, diffs)
+        src, dst = offsets[q], offsets[q + 1]
+        m = ExactMatrix.zeros(ranks[q + 1], ranks[q], W.ring)
+        for y in dict.fromkeys(y for y in vertices[q + 1] if W.rank(y)):
+            # the summands of Q_q and of Q_(q+1) present at y, in stalk order
+            rows, cols = ([b for b, x in enumerate(xs) if leq(x, y)]
+                          for xs in (vertices[q], vertices[q + 1]))
+            comp = d.component(y).data
+            for j, c in enumerate(cols):
+                if vertices[q + 1][c] != y:
+                    continue
+                for i in np.flatnonzero(comp[:, j] != 0):
+                    b = rows[i]
+                    x = vertices[q][b]
+                    if not W.rank(x):
+                        continue
+                    if (x, y) not in paths:
+                        paths[(x, y)] = W.path_matrix(quiver.paths(x, y)[0])
+                    m.data[dst[c]:dst[c + 1], src[b]:src[b + 1]] = \
+                        comp[i, j] * paths[(x, y)].data
+        diffs[q] = m
+    return ChainComplex(W.ring, ranks, diffs)
 
 
 def _stack_flat(morphisms: Sequence[RepMorphism]) -> ExactMatrix:
     """Morphisms V -> W (at least one) as the columns of one matrix: the
     entries of each, in (vertex, row, col) order over the common support of
-    V and W, as `hom_space` numbers its unknowns."""
+    V and W, as `_hom_system` numbers its unknowns."""
     V, W = morphisms[0].source, morphisms[0].target
     parts = [np.stack([m.component(v).data.reshape(-1) for m in morphisms],
                       axis=1)
-             for v in _common_support(V, W)]
+             for v in V._support if W.stalk_rank[v]]
     if not parts:
         return ExactMatrix.zeros(0, len(morphisms), V.ring)
     return ExactMatrix(V.ring, np.concatenate(parts))

@@ -37,6 +37,7 @@ from .quiver_rep import (
     build_quiver,
     closure_rep,
     direct_sum,
+    hom_rank,
     hom_space,
 )
 from .rep_complex import ComplexOfReps, EndAlgebra, end_dg_algebra
@@ -103,7 +104,7 @@ class SphereModel:
 
     def hom_rank_table(self) -> Dict[Tuple[str, str], int]:
         reps = {s: self.closure_rep(s) for s in self.poset.strata}
-        return {(s, t): len(hom_space(reps[s], reps[t]))
+        return {(s, t): hom_rank(reps[s], reps[t])
                 for s in self.poset.strata for t in self.poset.strata}
 
     # -- resolutions --------------------------------------------------------

@@ -120,6 +120,10 @@ def test_q_golden_bytes(capsys, argv, digest):
      "79b01f0502510329bd7e4fdd529cfa9c5f24bba34d8ee96bd9b6c0c22ae80798"),
     (("formality", "de-rham"),
      "775edae2735d130401318958df118b15a04b8bb14ce1855fc6e00c325fcc650c"),
+    (("ext-table", "--n", "5", "--qmax", "4"),
+     "9e3c8794d9499f983b12c524cf149397bd7138a569a3cbceb9e0876938182417"),
+    (("ext-table", "--n", "3", "--qmax", "4"),
+     "1d735aeb4d588287e3b828eace337d45ec758d8bffe424b0aea9ec548f740566"),
 ])
 def test_z_and_de_rham_golden_bytes(capsys, argv, digest):
     code, out = run(capsys, *argv)

@@ -3,19 +3,28 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strathom.chain_complex import cohomology
-from strathom.exact_linalg import QQ, ZZ, ExactMatrix
+from strathom import quiver_rep
+from strathom.chain_complex import (
+    ChainComplex,
+    cohomology,
+    cone_report,
+    validate_complex,
+)
+from strathom.exact_linalg import QQ, ZZ, ExactMatrix, PresolvedSolver
 from strathom.quiver_rep import (
     Quiver,
     RepMorphism,
     Representation,
     StratPoset,
     _cokernel_rep,
+    _solve_all,
+    _stack_flat,
     build_quiver,
     direct_sum,
     ext,
     ext_all,
     hom_complex_against,
+    hom_rank,
     hom_space,
     indecomposable_projective,
     injective_coresolution,
@@ -25,6 +34,7 @@ from strathom.quiver_rep import (
     zero_rep,
 )
 from strathom.rep_complex import ComplexOfReps, HomComplex
+from strathom.sphere_models import SphereModel
 
 
 def sphere_poset_2():
@@ -411,6 +421,100 @@ def test_ext_all_matches_lift_route_and_injective_coresolution(ring, seed):
                            dict(enumerate(cores.maps)))
     h = cohomology(HomComplex(source, target).complex)
     assert table == [(h.betti(q), h.torsion(q)) for q in range(qmax + 1)]
+
+
+# ------------------------------------------------------------ Hom from stalks
+
+
+def _hom_complex_by_solves(res, w):
+    """Reference route: a solved basis of Hom(Q_q, W) in every degree, and
+    each composite f . d expressed in the next basis."""
+    bases = [hom_space(Q, w) for Q in res.terms]
+    diffs = {}
+    for q, d in enumerate(res.maps):
+        if bases[q] and bases[q + 1]:
+            diffs[q] = _solve_all(
+                PresolvedSolver(_stack_flat(bases[q + 1])),
+                _stack_flat([f.compose(d) for f in bases[q]]),
+                "composite escaped the Hom lattice")
+    return ChainComplex(w.ring, {q: len(b) for q, b in enumerate(bases)},
+                        diffs)
+
+
+def _check_stalk_route(res, w):
+    cc, solved = hom_complex_against(res, w), _hom_complex_by_solves(res, w)
+    assert validate_complex(cc) == []
+    assert cc.ranks == solved.ranks
+    report = cone_report(cc)
+    assert report == cone_report(solved)
+    return report
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(0, 2 ** 32))
+def test_stalk_route_matches_solve_route(ring, seed):
+    rng = random.Random(seed)
+    quiver = _random_quiver(rng)
+    v, w = _random_rep(quiver, ring, rng), _random_rep(quiver, ring, rng)
+    _check_stalk_route(projective_resolution(v), w)
+    assert hom_rank(v, w) == len(hom_space(v, w))
+
+
+@pytest.mark.parametrize("ring,torsion", [(ZZ, [2]), (QQ, [])])
+def test_stalk_route_keeps_torsion(ring, torsion):
+    v = _times_two(ring)
+    report = _check_stalk_route(projective_resolution(v), v)
+    assert report[1]["torsion"] == torsion
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_stalk_route_on_sphere_closure_reps(n):
+    m = SphereModel(n)
+    reps = [m.closure_rep(s) for s in m.poset.strata]
+    for v in reps:
+        res = projective_resolution(v)
+        for w in reps:
+            _check_stalk_route(res, w)
+
+
+def test_resolution_records_generator_vertices(q2):
+    v = direct_sum([closure_rep(q2, "P1"), constant_rep(q2),
+                    closure_rep(q2, "H2")])
+    res = projective_resolution(v)
+    assert len(res.vertices) == len(res.terms) > 1
+    shared = {}
+    for term, xs in zip(res.terms, res.vertices):
+        assert len(xs) == len(term.blocks)
+        for (_, block), x in zip(term.blocks, xs):
+            assert shared.setdefault(x, block) is block
+            assert block.support() == q2.poset.up_set(x)
+
+
+def test_ext_all_reads_stalks_without_hom_solves(monkeypatch):
+    calls = []
+    original = quiver_rep.hom_space
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(quiver_rep, "hom_space", counted)
+    m = SphereModel(4)
+    reps = [m.closure_rep(s) for s in m.poset.strata]
+    for v in reps:
+        res = projective_resolution(v)
+        for w in reps:
+            ext_all(v, w, 3, res)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_hom_rank_matches_hom_space_on_closure_pairs(n):
+    m = SphereModel(n)
+    reps = [m.closure_rep(s) for s in m.poset.strata]
+    for v in reps:
+        for w in reps:
+            assert hom_rank(v, w) == len(hom_space(v, w))
 
 
 def test_cokernel_rejects_non_split_embedding(q2):
