@@ -6,39 +6,26 @@ per degree, and sparse structure constants per degree pair.  Elements are
 and quotients all work with exact lattice membership over the PID, not with
 rational span membership, so every verified identity holds integrally.
 
-Products of sparse elements walk the structure-constant dicts
-(`_sparse_product`, behind `DgAlgebra.multiply`).  Most products of two
-elements are zero, so the closures form one only where the supports of
-its operands meet a structure constant.  Each degree pair's constants are
-indexed by left and by right basis index (`DgAlgebra._support`), built on
-first use and cached.  `subalgebra_from_span` takes its tables from the
-generator `DgAlgebra.supported_products`, and `ideal_from_span`
-multiplies each new ideal vector by the basis elements the index reaches.
-`DgMorphism._not_multiplicative` compares f(e_i * e_j) with
-f(e_i) * f(e_j) as sparse maps built from the constants and the nonzero
-entries of the components.
-
-Batched products -- every x_s * y_t for the columns of two matrices,
-optionally followed by a linear map P -- go through one bilinear kernel,
-`DgAlgebra.product_blocks`.  It reads the structure constants of a degree
-pair in coordinate form, the arrays (k, i, j, c) of the nonzero entries
-e_i * e_j = sum c e_k, built on first use and cached.  With
-K = P[:, k] * c, the products of column s of X with every column of Y form
-one matrix product, (K * X[i, s]) @ Y[j, :].  The arithmetic is on
-integers: over Q each operand is first scaled by the least common
-denominator of its entries, and each block is divided by the product of
-those denominators at the end.  It runs on int64 when
-max|P| * max|c| * max|X| * max|Y| * nnz < 2**62 (of the scaled entries), so
-that no sum can overflow, and on object dtype (Python ints) otherwise.  The
-cohomology product, its exact section check, the quotient's structure
-constants, and the unit, Leibniz and associativity laws of
-`validate_dg_algebra` use it.
+Every batched product goes through one sparse bilinear kernel, `_bilinear`.
+For the constants e_i * e_j = sum c e_k of one degree pair it returns the
+nonzero coefficients of out(x_s * y_t)_m, where x_s = sum_i left[i, s] e_i
+and y_t = sum_j right[j, t] e_j.  Each term comes from one structure
+constant and the nonzero entries it meets, so the work follows the number
+of constants and nothing dense is built.  The maps are sparse
+{index: [(index', value)]}: `_rows` and `_cols` read them off a matrix,
+`_index` off any list of entries, and None is the identity.  Arithmetic is
+on exact ints and Fractions.  The cohomology product and its section check,
+the quotient's constants, the laws of `validate_dg_algebra`, the
+multiplicativity check of `DgMorphism` and the closures of
+`subalgebra_from_span` and `ideal_from_span` all use it.
+`DgAlgebra.multiply` multiplies two elements directly (`_sparse_product`),
+and `_apply` applies a matrix to a sparse element column by column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,31 +41,19 @@ from .exact_linalg import (
     CoeffRing,
     ColumnLattice,
     ExactMatrix,
-    _unscale,
     _vec_axpy,
-    integer_scaling,
     inverse,
 )
 
 Element = Tuple[int, Dict[int, object]]  # (degree, sparse coefficients)
 Table = Dict[Tuple[int, int], dict]      # (i, j) -> {k: c}: e_i * e_j
+Sparse = Dict[object, list]              # index -> [(index', value)]
 
 
 def _sparse_product(table: Optional[Table], c1: dict, c2: dict) -> dict:
     """Sparse coefficients of x * y under one degree pair's table."""
     out: dict = {}
-    if not table:
-        return out
-    if len(c1) * len(c2) > len(table):
-        # dense operands: walking the sparse table is cheaper
-        for (i, j), prod in table.items():
-            a = c1.get(i)
-            if not a:
-                continue
-            b = c2.get(j)
-            if b:
-                _vec_axpy(out, prod, a * b)
-    else:
+    if table:
         for i, a in c1.items():
             for j, b in c2.items():
                 prod = table.get((i, j))
@@ -87,27 +62,76 @@ def _sparse_product(table: Optional[Table], c1: dict, c2: dict) -> dict:
     return out
 
 
-def _table(blocks: Iterator[np.ndarray]) -> Table:
-    """{(s, t): {k: v}} for the nonzero entries v = block_s[k, t] of
-    `DgAlgebra.product_blocks` output."""
+def _index(entries: Iterable[tuple]) -> Sparse:
+    """{a: [(b, v), ...]} for the entries (a, b, v)."""
+    out: Sparse = {}
+    for a, b, v in entries:
+        out.setdefault(a, []).append((b, v))
+    return out
+
+
+def _rows(M: ExactMatrix) -> Sparse:
+    """{i: [(j, M[i, j])]} over the nonzero entries of M."""
+    rs, cs = np.nonzero(M.data)
+    return _index(zip(rs.tolist(), cs.tolist(), M.data[rs, cs].tolist()))
+
+
+def _cols(M: ExactMatrix) -> Sparse:
+    """{j: [(i, M[i, j])]} over the nonzero entries of M."""
+    rs, cs = np.nonzero(M.data)
+    return _index(zip(cs.tolist(), rs.tolist(), M.data[rs, cs].tolist()))
+
+
+def _bilinear(table: Optional[Table], out: Optional[Sparse] = None,
+              left: Optional[Sparse] = None,
+              right: Optional[Sparse] = None) -> dict:
+    """{(s, t, m): c} for the nonzero coefficients c of out(x_s * y_t)_m.
+
+    left maps i to the (s, x_s[i]), right maps j to the (t, y_t[j]) and
+    out maps k to the (m, out[m, k]); None is the identity, and an index
+    a map lacks contributes nothing.
+    """
+    acc: dict = {}
+    for (i, j), prod in (table or {}).items():
+        xs = ((i, 1),) if left is None else left.get(i)
+        ys = ((j, 1),) if right is None else right.get(j)
+        if not (xs and ys):
+            continue
+        for k, c in prod.items():
+            for m, p in ((k, 1),) if out is None else out.get(k, ()):
+                cp = c * p
+                for s, v in xs:
+                    cpv = cp * v
+                    for t, w in ys:
+                        key = (s, t, m)
+                        acc[key] = acc.get(key, 0) + cpv * w
+    return {key: c for key, c in acc.items() if c}
+
+
+def _group(terms: dict) -> Table:
+    """{(s, t): {m: c}} for `_bilinear` output, in sorted key order."""
     table: Table = {}
-    for s, block in enumerate(blocks):
-        ts, ks = np.nonzero(block.T)
-        for t, k, v in zip(ts.tolist(), ks.tolist(),
-                           block.T[ts, ks].tolist()):
-            table.setdefault((s, t), {})[k] = v
+    for (s, t, m), c in sorted(terms.items()):
+        table.setdefault((s, t), {})[m] = c
     return table
 
 
-def _sparse_from_list(xs) -> dict:
-    return {i: x for i, x in enumerate(xs) if x != 0}
+def _differ(lhs: dict, rhs: dict) -> set:
+    """The keys at which two sparse maps disagree."""
+    return {key for key in lhs.keys() | rhs.keys()
+            if lhs.get(key, 0) != rhs.get(key, 0)}
 
 
-def _dense(coeffs: dict, n: int, ring: CoeffRing) -> list:
-    out = [ring.element(0)] * n
-    for i, c in coeffs.items():
-        out[i] = ring.element(c)
-    return out
+def _apply(M: Optional[ExactMatrix], coeffs: dict) -> dict:
+    """M times the sparse vector coeffs, read from the columns of M in its
+    support, in row order and without zeros; None is the zero map."""
+    out: dict = {}
+    if M is not None:
+        for j, c in coeffs.items():
+            col = M.data[:, j]
+            for i in np.flatnonzero(col).tolist():
+                out[i] = out.get(i, 0) + col[i] * c
+    return {i: out[i] for i in sorted(out) if out[i]}
 
 
 class DgAlgebra:
@@ -124,8 +148,6 @@ class DgAlgebra:
         self.diff = {q: d for q, d in diff.items() if d.rows and d.cols}
         self.mult = mult
         self._complex: Optional[ChainComplex] = None
-        self._coo_cache: Dict[Tuple[int, int], Optional[tuple]] = {}
-        self._support_cache: Dict[Tuple[int, int], Optional[tuple]] = {}
 
     # -- structure access -------------------------------------------------
 
@@ -169,138 +191,21 @@ class DgAlgebra:
         (q1, c1), (q2, c2) = x, y
         return (q1 + q2, _sparse_product(self.mult.get((q1, q2)), c1, c2))
 
-    def _support(self, q1: int, q2: int) -> Optional[tuple]:
-        """(left, right) for the structure constants of (q1, q2): left[i]
-        lists the j, and right[j] the i, with a nonzero constant in
-        e_i * e_j; None when the pair has none.
-
-        Built on first use and cached, like `_coo`.
-        """
-        key = (q1, q2)
-        if key in self._support_cache:
-            return self._support_cache[key]
-        left: Dict[int, List[int]] = {}
-        right: Dict[int, List[int]] = {}
-        for (i, j), prod in (self.mult.get(key) or {}).items():
-            if any(c != 0 for c in prod.values()):
-                left.setdefault(i, []).append(j)
-                right.setdefault(j, []).append(i)
-        support = (left, right) if left else None
-        self._support_cache[key] = support
-        return support
-
-    def supported_products(self, q1: int, q2: int, xs: Sequence[dict],
-                           ys: Sequence[dict]
-                           ) -> Iterator[Tuple[int, int, dict]]:
-        """(s, t, xs[s] * ys[t]) in (s, t) order, for the sparse
-        coefficient dicts xs of degree q1 and ys of degree q2 whose supports
-        meet a structure constant of (q1, q2).
-
-        Every pair left out has product zero; a pair yielded can still
-        have product zero when its terms cancel.
-        """
-        support = self._support(q1, q2)
-        if support is None:
-            return
-        left = support[0]
-        table = self.mult[(q1, q2)]
-        holders: Dict[int, List[int]] = {}  # j -> the t with j in ys[t]
-        for t, y in enumerate(ys):
-            for j in y:
-                holders.setdefault(j, []).append(t)
-        for s, x in enumerate(xs):
-            ts = {t for i in x for j in left.get(i, ())
-                  for t in holders.get(j, ())}
-            for t in sorted(ts):
-                yield s, t, _sparse_product(table, x, ys[t])
-
-    # -- batched products --------------------------------------------------
-
-    def _coo(self, q1: int, q2: int) -> Optional[tuple]:
-        """The nonzero structure constants of (q1, q2) as (k, i, j, c, d,
-        max|c|): index arrays k, i, j and integers c / d (see
-        `integer_scaling`); None when the pair has none.
-
-        Built on first use and cached, so `mult` must not change after the
-        first batched product.
-        """
-        key = (q1, q2)
-        if key in self._coo_cache:
-            return self._coo_cache[key]
-        entries = [(k, i, j, c)
-                   for (i, j), prod in (self.mult.get(key) or {}).items()
-                   for k, c in prod.items() if c != 0]
-        coo = None
-        if entries:
-            ks, is_, js, cs = zip(*entries)
-            k, i, j = (np.array(v, dtype=np.intp) for v in (ks, is_, js))
-            if i.max() >= self.dim(q1) or j.max() >= self.dim(q2) or \
-                    k.max() >= self.dim(q1 + q2):
-                raise ValueError(f"structure constants of ({q1}, {q2}) "
-                                 "index past the basis")
-            coo = (k, i, j) + integer_scaling(cs)
-        self._coo_cache[key] = coo
-        return coo
-
-    def product_blocks(self, q1: int, q2: int, X: ExactMatrix,
-                       Y: ExactMatrix, P: Optional[ExactMatrix] = None
-                       ) -> Iterator[np.ndarray]:
-        """For each column x_s of X, the array whose column t is
-        P(x_s * y_t), where y_t is column t of Y.
-
-        X and Y hold coordinates in degrees q1 and q2; P (the identity when
-        omitted) maps degree q1 + q2 onward.  Over Z the blocks are int64
-        arrays when the bound in the module docstring rules out overflow,
-        object arrays of ints otherwise; over Q they are object arrays of
-        Fractions, except that a block with no product terms is the int64
-        zero array.  One block is live at a time: nothing of size
-        rows x cols(X) x cols(Y) is built.
-        """
-        coo = self._coo(q1, q2)
-        want = (self.dim(q1), self.dim(q2), self.dim(q1 + q2))
-        got = (X.rows, Y.rows, want[2] if P is None else P.cols)
-        if got != want:
-            raise ValueError(f"products in degrees ({q1}, {q2}) need "
-                             f"dims {want}, got {got}")
-        rows = want[2] if P is None else P.rows
-        zero = np.zeros((rows, Y.cols), dtype=np.int64)
-        if coo is None or not (rows and X.cols and Y.cols):
-            for _ in range(X.cols):
-                yield zero
-            return
-        k, i, j, c, dc, cmax = coo
-        Xd, dx, xmax = X.integer_scaling()
-        Yd, dy, ymax = Y.integer_scaling()
-        Pd, dp, pmax = (None, 1, 1) if P is None else P.integer_scaling()
-        if cmax * xmax * ymax * pmax * len(k) >= 2 ** 62:
-            # Python ints cannot overflow
-            Xd, Yd, c = (a.astype(object) for a in (Xd, Yd, c))
-            if Pd is not None:
-                Pd = Pd.astype(object)
-        if Pd is None:
-            K = np.zeros((rows, len(k)), dtype=c.dtype)
-            K[k, np.arange(len(k))] = c
-        else:
-            K = Pd[:, k] * c
-        Yj = Yd[j]
-        den = dc * dx * dy * dp
-        for s in range(X.cols):
-            w = Xd[i, s]
-            m = np.flatnonzero(w)
-            if not len(m):
-                yield zero
-                continue
-            block = (K[:, m] * w[m]) @ Yj[m]
-            yield _unscale(block, den) if self.ring.is_field else block
-
     def d_element(self, x: Element) -> Element:
         q, c = x
-        d = self.diff.get(q)
-        out: dict = {}
-        if d is not None and c:
-            vec = d.matvec(_dense(c, self.dim(q), self.ring))
-            out = _sparse_from_list(vec)
-        return (q + 1, out)
+        return (q + 1, _apply(self.diff.get(q), c))
+
+    def constants(self, q1: int, q2: int) -> Table:
+        """The structure constants of (q1, q2); raises ValueError when a
+        nonzero one indexes past the basis."""
+        table = self.mult.get((q1, q2)) or {}
+        n1, n2, n3 = self.dim(q1), self.dim(q2), self.dim(q1 + q2)
+        for (i, j), prod in table.items():
+            if any(c != 0 and (i >= n1 or j >= n2 or k >= n3)
+                   for k, c in prod.items()):
+                raise ValueError(f"structure constants of ({q1}, {q2}) "
+                                 "index past the basis")
+        return table
 
 
 def algebra_from_products(ring: CoeffRing, basis: Sequence[Tuple[int, str]],
@@ -357,29 +262,17 @@ def algebra_from_products(ring: CoeffRing, basis: Sequence[Tuple[int, str]],
     return DgAlgebra(ring, dims, labels, unit, diff, mult)
 
 
-def _product_matrix(A: DgAlgebra, q1: int, q2: int, eye: dict) -> ExactMatrix:
-    """The products e_i * e_j of degrees (q1, q2) as the columns of one
-    matrix, column i * dim(q2) + j for the pair (i, j)."""
-    d2 = A.dim(q2)
-    M = ExactMatrix.zeros(A.dim(q1 + q2), A.dim(q1) * d2, A.ring)
-    for i, block in enumerate(A.product_blocks(q1, q2, eye[q1], eye[q2])):
-        if block.any():  # skip zero blocks: over Q they are int64
-            M.data[:, i * d2:(i + 1) * d2] = block
-    return M
-
-
 def validate_dg_algebra(A: DgAlgebra) -> list:
     """d^2, Leibniz, associativity, unit laws and degree bookkeeping.
 
-    The laws are identities of bilinear maps on `DgAlgebra.product_blocks`:
-    1 * e_t and e_s * 1 against the identity; d(e_i * e_j) against
-    d(e_i) * e_j + (-1)^q1 e_i * d(e_j); and, with the products of each
-    degree pair as the columns of one matrix M(q1, q2), M(q1, q2) * e_k
-    against e_i * M(q2, q3).  Failures come in degree order, then basis
-    order; associativity in (q1, q2, q3, i, j, k) order.
+    The laws are identities of bilinear maps, each side one `_bilinear`
+    call: 1 * e_t and e_s * 1 against the identity; d(e_i * e_j) against
+    d(e_i) * e_j + (-1)^q1 e_i * d(e_j); and (e_i * e_j) * e_k against
+    e_i * (e_j * e_k), with the inner products read off the constants as
+    maps indexed by (i, j) and (j, k).  Failures come in degree order, then
+    basis order; associativity in (q1, q2, q3, i, j, k) order.
     """
     problems = []
-    ring = A.ring
     for q, d in A.diff.items():
         if d.shape != (A.dim(q + 1), A.dim(q)):
             problems.append(f"differential at degree {q} has shape {d.shape}, "
@@ -403,45 +296,50 @@ def validate_dg_algebra(A: DgAlgebra) -> list:
     if A.d_element(A.unit_element())[1]:
         problems.append("unit is not a cycle")
     degs = A.degrees()
-    eye = {q: ExactMatrix.identity(A.dim(q), ring) for q in degs}
-    unit = ExactMatrix.from_rows([[c] for c in _dense(A.unit, A.dim(0), ring)],
-                                 ring, cols=1)
+    unit = _index((i, 0, c) for i, c in A.unit.items())
     for q in degs:
-        (left,) = A.product_blocks(0, q, unit, eye[q])
-        right = np.hstack(list(A.product_blocks(q, 0, eye[q], unit)))
+        bad_left = {t for _, t, _ in _differ(
+            _bilinear(A.mult.get((0, q)), left=unit),
+            {(0, i, i): 1 for i in range(A.dim(q))})}
+        bad_right = {s for s, _, _ in _differ(
+            _bilinear(A.mult.get((q, 0)), right=unit),
+            {(i, 0, i): 1 for i in range(A.dim(q))})}
         for i in range(A.dim(q)):
-            if (left[:, i] != eye[q].data[:, i]).any():
+            if i in bad_left:
                 problems.append(f"1*b != b for {A.label(q, i)}")
-            if (right[:, i] != eye[q].data[:, i]).any():
+            if i in bad_right:
                 problems.append(f"b*1 != b for {A.label(q, i)}")
-    d = A.complex().d  # zero where A has no differential
+    d_rows = {q: _rows(d) for q, d in A.diff.items()}
+    d_cols = {q: _cols(d) for q, d in A.diff.items()}
     for q1 in degs:
         sign = -1 if q1 % 2 else 1
         for q2 in degs:
-            lhs = A.product_blocks(q1, q2, eye[q1], eye[q2], d(q1 + q2))
-            rhs1 = A.product_blocks(q1 + 1, q2, d(q1), eye[q2])
-            rhs2 = A.product_blocks(q1, q2 + 1, eye[q1], d(q2))
-            for i, (left, r1, r2) in enumerate(zip(lhs, rhs1, rhs2)):
-                for j in np.flatnonzero((left != r1 + sign * r2).any(axis=0)):
-                    problems.append(f"Leibniz fails on ({A.label(q1, i)}, "
-                                    f"{A.label(q2, int(j))})")
-    products = {(q1, q2): _product_matrix(A, q1, q2, eye)
-                for q1 in degs for q2 in degs}
+            lhs = _bilinear(A.mult.get((q1, q2)), d_cols.get(q1 + q2, {}))
+            rhs = _bilinear(A.mult.get((q1 + 1, q2)),
+                            left=d_rows.get(q1, {}))
+            _vec_axpy(rhs, _bilinear(A.mult.get((q1, q2 + 1)),
+                                     right=d_rows.get(q2, {})), sign)
+            for i, j in sorted({key[:2] for key in _differ(lhs, rhs)}):
+                problems.append(f"Leibniz fails on ({A.label(q1, i)}, "
+                                f"{A.label(q2, j)})")
+    # {k: [((i, j), c)]}: the constants e_i * e_j = sum c e_k, by k
+    pairs = {key: _index((k, ij, c) for ij, prod in table.items()
+                         for k, c in prod.items())
+             for key, table in A.mult.items()}
     for q1 in degs:
         for q2 in degs:
             for q3 in degs:
-                # column j * dim(q3) + k of both blocks i: e_i e_j e_k
-                lhs = A.product_blocks(q1 + q2, q3, products[(q1, q2)],
-                                       eye[q3])
-                rhs = A.product_blocks(q1, q2 + q3, eye[q1],
-                                       products[(q2, q3)])
-                for i, right in enumerate(rhs):
-                    left = np.hstack([next(lhs) for _ in range(A.dim(q2))])
-                    for c in np.flatnonzero((left != right).any(axis=0)):
-                        j, k = divmod(int(c), A.dim(q3))
-                        problems.append(
-                            f"associativity fails on ({A.label(q1, i)}, "
-                            f"{A.label(q2, j)}, {A.label(q3, k)})")
+                lhs = _bilinear(A.mult.get((q1 + q2, q3)),
+                                left=pairs.get((q1, q2), {}))
+                rhs = _bilinear(A.mult.get((q1, q2 + q3)),
+                                right=pairs.get((q2, q3), {}))
+                bad = _differ(
+                    {(i, j, k, m): c for ((i, j), k, m), c in lhs.items()},
+                    {(i, j, k, m): c for (i, (j, k), m), c in rhs.items()})
+                for i, j, k in sorted({key[:3] for key in bad}):
+                    problems.append(
+                        f"associativity fails on ({A.label(q1, i)}, "
+                        f"{A.label(q2, j)}, {A.label(q3, k)})")
     return problems
 
 
@@ -465,9 +363,7 @@ class DgMorphism:
 
     def apply(self, x: Element) -> Element:
         q, c = x
-        vec = self.component(q).matvec(_dense(c, self.source.dim(q),
-                                              self.source.ring))
-        return (q, _sparse_from_list(vec))
+        return (q, _apply(self.components.get(q), c))
 
     def chain_map(self) -> ChainMap:
         return ChainMap(self.source.complex(), self.target.complex(),
@@ -501,47 +397,22 @@ class DgMorphism:
         f(e_i * e_j) != f(e_i) * f(e_j), in degree order, then basis
         order.  Raises ValueError when a component is misshaped.
 
-        Both sides are sparse maps {(i, j, m): coefficient}.  The left side
-        maps each constant e_i * e_j = sum c e_k of the source through the
-        nonzero entries of column k of f_(q1+q2).  The right side contracts
-        each constant e_a * e_b = sum c e_m of the target with the nonzero
-        entries of row a of f_q1 and row b of f_q2.  No other pair has a
-        term on either side; a key missing from a side is zero there.
+        Both sides are `_bilinear` maps {(i, j, m): coefficient}: the
+        source's constants through the columns of f_(q1+q2) against the
+        target's constants on the rows of f_q1 and f_q2.
         """
         problems = self._shape_problems()
         if problems:
             raise ValueError(problems[0])
         A, B = self.source, self.target
-        by_col: Dict[int, Dict[int, list]] = {}
-        by_row: Dict[int, Dict[int, list]] = {}
-        for q, m in self.components.items():
-            rs, cs = np.nonzero(m.data)
-            for r, c, v in zip(rs.tolist(), cs.tolist(),
-                               m.data[rs, cs].tolist()):
-                by_col.setdefault(q, {}).setdefault(c, []).append((r, v))
-                by_row.setdefault(q, {}).setdefault(r, []).append((c, v))
+        rows = {q: _rows(m) for q, m in self.components.items()}
+        cols = {q: _cols(m) for q, m in self.components.items()}
         for q1 in A.degrees():
-            rows1 = by_row.get(q1, {})
             for q2 in A.degrees():
-                rows2 = by_row.get(q2, {})
-                cols = by_col.get(q1 + q2, {})
-                lhs: dict = {}
-                for (i, j), prod in (A.mult.get((q1, q2)) or {}).items():
-                    for k, c in prod.items():
-                        for m, v in cols.get(k, ()):
-                            key = (i, j, m)
-                            lhs[key] = lhs.get(key, 0) + c * v
-                rhs: dict = {}
-                for (a, b), prod in (B.mult.get((q1, q2)) or {}).items():
-                    for i, v in rows1.get(a, ()):
-                        for j, w in rows2.get(b, ()):
-                            vw = v * w
-                            for m, c in prod.items():
-                                key = (i, j, m)
-                                rhs[key] = rhs.get(key, 0) + vw * c
-                bad = {key[:2] for key in lhs.keys() | rhs.keys()
-                       if lhs.get(key, 0) != rhs.get(key, 0)}
-                for i, j in sorted(bad):
+                lhs = _bilinear(A.mult.get((q1, q2)), cols.get(q1 + q2, {}))
+                rhs = _bilinear(B.mult.get((q1, q2)), None,
+                                rows.get(q1, {}), rows.get(q2, {}))
+                for i, j in sorted({key[:2] for key in _differ(lhs, rhs)}):
                     yield q1, q2, i, j
 
 
@@ -559,16 +430,14 @@ def cohomology_algebra(A: DgAlgebra, verify_section: bool = True):
     """(H with zero differential, per-degree section of H-basis to cocycles).
 
     The product on H multiplies section representatives and reduces back to
-    cohomology coordinates: for each degree pair, P * M * (L1 (x) L2) with
-    M the structure constants, L1, L2 the section's lifts and P the
-    projection of cocycles to cohomology coordinates, computed by
-    `DgAlgebra.product_blocks` one column of L1 at a time (on int64 when
-    the overflow bound of the module docstring allows, on Python ints
-    otherwise).  Requires torsion-free cohomology.  Then the cocycles of
-    each degree are the section's lifts plus the boundaries, so the
-    product is independent of the section exactly when P(z b), P(b z) and
-    P(b b') vanish for lifts z and boundary generators b, b' (the columns
-    of the differential into each degree); `verify_section` checks that.
+    cohomology coordinates: for each degree pair, the `_bilinear` map with
+    the section's lifts on the left and right and the projection P of
+    cocycles to cohomology coordinates as out.  Requires torsion-free
+    cohomology.  Then the cocycles of each degree are the section's lifts
+    plus the boundaries, so the product is independent of the section
+    exactly when P(z b), P(b z) and P(b b') vanish for lifts z and boundary
+    generators b, b' (the columns of the differential into each degree);
+    `verify_section` checks that with the same call.
     """
     profile = cohomology(A.complex())
     for q, mod in profile.modules.items():
@@ -578,33 +447,36 @@ def cohomology_algebra(A: DgAlgebra, verify_section: bool = True):
                 f"(degree {q}, torsion {mod.torsion})")
     section = {q: mod.lift for q, mod in profile.modules.items() if mod.betti}
     dims = {q: mod.betti for q, mod in profile.modules.items() if mod.betti}
+    lifts = {q: _rows(lift) for q, lift in section.items()}
+    proj = {q: _cols(profile.modules[q].projection_matrix()) for q in dims}
+    bounds = {q + 1: _rows(d) for q, d in A.diff.items()}
     mult: Dict[Tuple[int, int], Table] = {}
-    for q1, l1 in section.items():
-        for q2, l2 in section.items():
+    for q1 in section:
+        for q2 in section:
             target = profile.modules.get(q1 + q2)
             if target is not None and not target.betti:
                 continue
             # products of cocycles are cocycles, so the free part projects
-            # exactly; with no degree q1 + q2 at all the blocks have no
-            # rows, and `_coo` still rejects structure constants that land
-            # there
-            P = None if target is None else target.projection_matrix()
-            table = _table(A.product_blocks(q1, q2, l1, l2, P))
-            if table:
-                mult[(q1, q2)] = table
+            # exactly; with no degree q1 + q2 at all every product is
+            # dropped, and `DgAlgebra.constants` rejects structure
+            # constants that land there
+            table = A.constants(q1, q2)
+            out = proj.get(q1 + q2, {})
+            prods = _group(_bilinear(table, out, lifts[q1], lifts[q2]))
+            if prods:
+                mult[(q1, q2)] = prods
             if not verify_section:
                 continue
-            b1, b2 = A.diff.get(q1 - 1), A.diff.get(q2 - 1)
-            for X, Y in ((l1, b2), (b1, l2), (b1, b2)):
-                if X is not None and Y is not None and any(
-                        (block != 0).any()
-                        for block in A.product_blocks(q1, q2, X, Y, P)):
+            b1, b2 = bounds.get(q1), bounds.get(q2)
+            for X, Y in ((lifts[q1], b2), (b1, lifts[q2]), (b1, b2)):
+                if X is not None and Y is not None and \
+                        _bilinear(table, out, X, Y):
                     raise AssertionError(
                         "cohomology product depends on the section choice")
 
-    unit_dense = _dense(A.unit_element()[1], A.dim(0), A.ring)
-    free, _ = profile.modules[0].coordinates(unit_dense)
-    unit = _sparse_from_list(free)
+    free, _ = profile.modules[0].coordinates(
+        [A.ring.element(A.unit.get(i, 0)) for i in range(A.dim(0))])
+    unit = {i: x for i, x in enumerate(free) if x != 0}
     labels = {q: [f"[{q}:{i}]" for i in range(n)] for q, n in dims.items()}
     H = DgAlgebra(A.ring, dims, labels, unit, {}, mult)
     return H, section
@@ -626,10 +498,9 @@ def subalgebra_from_span(A: DgAlgebra, elements: Sequence[Element],
     ring.  Returns the algebra in the kept basis plus the inclusion.
     `labels`, when given, is aligned with `elements`.
 
-    The products of kept elements come from `DgAlgebra.supported_products`:
-    only pairs whose supports meet a structure constant are multiplied, in
-    basis order, so the first escaping pair in (degree, i, j) order is the
-    one an error names.
+    The products of kept elements come from one `_bilinear` call per degree
+    pair, in basis order, so the first escaping pair in (degree, i, j)
+    order is the one an error names.
     """
     lattices: Dict[int, ColumnLattice] = {}
     per_degree: Dict[int, List[int]] = {}
@@ -683,16 +554,15 @@ def subalgebra_from_span(A: DgAlgebra, elements: Sequence[Element],
             for i, c in co.items():
                 m.data[i, j] = c
         diff[q] = m
-    coeffs = {q: [elements[pos][1] for pos in positions]
-              for q, positions in per_degree.items()}
+    kept = {q: _index((i, s, c) for s, pos in enumerate(positions)
+                      for i, c in elements[pos][1].items())
+            for q, positions in per_degree.items()}
     mult: Dict[Tuple[int, int], Dict[Tuple[int, int], dict]] = {}
     for q1, pos1 in per_degree.items():
         for q2, pos2 in per_degree.items():
             table = {}
-            for i, j, prod in A.supported_products(q1, q2, coeffs[q1],
-                                                   coeffs[q2]):
-                if not prod:
-                    continue
+            prods = _bilinear(A.mult.get((q1, q2)), None, kept[q1], kept[q2])
+            for (i, j), prod in _group(prods).items():
                 try:
                     co = coords_in_span(q1 + q2, prod, "multiplication")
                 except ValueError:
@@ -774,14 +644,13 @@ def ideal_from_span(U: DgAlgebra, elements: Sequence[Element]) -> DgIdeal:
 
     The closure is semi-naive: a worklist holds every vector whose
     insertion grew a lattice, and each is multiplied once, on both sides,
-    by the basis elements that the support index of U (`DgAlgebra._support`)
-    pairs with its support.  A vector that grew no lattice is a combination
-    of vectors already inserted, and multiplication by a basis element is
-    linear, so its products need not be formed.  The echelon bases can
-    depend on the order of insertion; the lattices, their ranks and the
-    quotient by them do not.
+    by all basis elements at once: one `_bilinear` call per side and degree
+    with the vector as the one column.  A vector that grew no lattice is a
+    combination of vectors already inserted, and multiplication by a basis
+    element is linear, so its products need not be formed.  The echelon
+    bases can depend on the order of insertion; the lattices, their ranks
+    and the quotient by them do not.
     """
-    one = U.ring.element(1)
     lattices: Dict[int, ColumnLattice] = {}
 
     def insert(q: int, vec: dict) -> bool:
@@ -792,19 +661,15 @@ def ideal_from_span(U: DgAlgebra, elements: Sequence[Element]) -> DgIdeal:
     grew_any = False
     while work:
         q, vec = work.pop()
+        column = _index((k, 0, c) for k, c in vec.items())
         for qb in U.degrees():
-            for q1, q2, side in ((q, qb, 0), (qb, q, 1)):
-                support = U._support(q1, q2)
-                if support is None:
-                    continue
-                table = U.mult[(q1, q2)]
-                for b in sorted({b for k in vec for b in support[side]
-                                 .get(k, ())}):
-                    prod = (_sparse_product(table, vec, {b: one}) if side == 0
-                            else _sparse_product(table, {b: one}, vec))
-                    if prod and insert(q1 + q2, prod):
+            # vec * e_b, then e_b * vec, each in basis order of b
+            for prods in (_bilinear(U.mult.get((q, qb)), left=column),
+                          _bilinear(U.mult.get((qb, q)), right=column)):
+                for prod in _group(prods).values():
+                    if insert(q + qb, prod):
                         grew_any = True
-                        work.append((q1 + q2, prod))
+                        work.append((q + qb, prod))
     lattices = {q: lat for q, lat in lattices.items() if lat.rank}
     ideal = DgIdeal(U, lattices, input_spanned_ideal=not grew_any)
     for q, lat in lattices.items():
@@ -826,7 +691,8 @@ def quotient(U: DgAlgebra, I: DgIdeal):
     labels are inherited, and with P_q the projection along the ideal the
     rest is matrix algebra: the projection has components P_q, the
     differential is P_(q+1) d_q on the kept columns, the unit is P_0 of the
-    unit and the products of kept basis elements go through P_(q1+q2).
+    unit and the products of kept basis elements go through P_(q1+q2), as
+    `_bilinear` maps.
     """
     if I.algebra is not U:
         raise ValueError("ideal does not belong to this algebra")
@@ -843,8 +709,7 @@ def quotient(U: DgAlgebra, I: DgIdeal):
         if rows:
             keep[q], comps[q] = rows, P
     dims = {q: len(rows) for q, rows in keep.items()}
-    unit = _sparse_from_list(comps[0].matvec(
-        _dense(U.unit, U.dim(0), ring))) if 0 in comps else {}
+    unit = _apply(comps.get(0), U.unit)
     if not unit:
         raise ValueError("quotient kills the unit")
     diff = {}
@@ -854,15 +719,16 @@ def quotient(U: DgAlgebra, I: DgIdeal):
             m = (comps[q + 1] @ d).take_cols(keep[q])
             if not m.is_zero():
                 diff[q] = m
-    kept = {q: ExactMatrix.identity(U.dim(q), ring).take_cols(keep[q])
-            for q in dims}
+    kept = {q: _index((i, s, 1) for s, i in enumerate(rows))
+            for q, rows in keep.items()}
+    by_col = {q: _cols(P) for q, P in comps.items()}
     mult: Dict[Tuple[int, int], Table] = {}
     for q1 in dims:
         for q2 in dims:
             if q1 + q2 not in dims:
                 continue
-            table = _table(U.product_blocks(q1, q2, kept[q1], kept[q2],
-                                            comps[q1 + q2]))
+            table = _group(_bilinear(U.constants(q1, q2), by_col[q1 + q2],
+                                     kept[q1], kept[q2]))
             if table:
                 mult[(q1, q2)] = table
     labels = {q: [U.label(q, i) for i in rows] for q, rows in keep.items()}

@@ -124,6 +124,12 @@ def test_q_golden_bytes(capsys, argv, digest):
      "9e3c8794d9499f983b12c524cf149397bd7138a569a3cbceb9e0876938182417"),
     (("ext-table", "--n", "3", "--qmax", "4"),
      "1d735aeb4d588287e3b828eace337d45ec758d8bffe424b0aea9ec548f740566"),
+    (("formality", "de-rham", "--n", "3"),
+     "88364c0ead27508181cf7ef77ce163aa2eb2c009540ab09e0f9c95372fe326bc"),
+    (("formality", "de-rham", "--n", "7"),
+     "05da778ebf1580e3c1bf0d602d6b1fc17106374bf469cde4ba8999691753c26d"),
+    (("formality", "n-points", "--n", "12"),
+     "99fbbfe1bea7e8a492903547fe624aa24b835c25046d5c162f99670334fb01d4"),
 ])
 def test_z_and_de_rham_golden_bytes(capsys, argv, digest):
     code, out = run(capsys, *argv)

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -274,13 +273,13 @@ def test_formality_chain_rejects_non_quasi_iso():
 # ------------------------------------------------------------ bilinear kernel
 
 
-def _random_product_case(kind, seed):
-    """A random structure-constant table for one degree pair, operands X
-    and Y, and a map P (or None).  kind: "Z", "Q", or "Zbig" (entries
-    around 2**40)."""
+def _random_bilinear_case(kind, seed):
+    """A random structure-constant table for one degree pair and, for each
+    of the maps X (left), Y (right) and P (out), a random sparse matrix or
+    None, the identity.  kind: "Z", "Q", or "Zbig" (entries past 2**62)."""
     rng = random.Random(seed)
     ring = QQ if kind == "Q" else ZZ
-    top = 2 ** 40 if kind == "Zbig" else 3
+    top = 2 ** 70 if kind == "Zbig" else 3
 
     def entry():
         x = rng.randint(-top, top) if rng.random() < 0.6 else 0
@@ -300,50 +299,61 @@ def _random_product_case(kind, seed):
                   {(q1, q2): table} if table else {})
 
     def matrix(r, c):
+        if rng.random() < 0.3:
+            return None
         return ExactMatrix.from_rows([[entry() for _ in range(c)]
                                       for _ in range(r)], ring, cols=c)
 
     X = matrix(dims[q1], rng.randint(0, 3))
     Y = matrix(dims[q2], rng.randint(0, 3))
-    P = matrix(rng.randint(0, 3), dims[q3]) if rng.random() < 0.5 else None
+    P = matrix(rng.randint(0, 3), dims[q3])
     return A, q1, q2, X, Y, P
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["Z", "Q", "Zbig"]), st.integers(0, 2 ** 32))
-def test_product_blocks_match_multiply(kind, seed):
-    A, q1, q2, X, Y, P = _random_product_case(kind, seed)
-    blocks = list(A.product_blocks(q1, q2, X, Y, P))
-    assert len(blocks) == X.cols
-    for s, block in enumerate(blocks):
-        rows = P.rows if P is not None else A.dim(q1 + q2)
-        assert block.shape == (rows, Y.cols)
-        x = (q1, {i: v for i, v in enumerate(X.col(s)) if v})
-        for t in range(Y.cols):
-            y = (q2, {j: v for j, v in enumerate(Y.col(t)) if v})
-            q3, prod = A.multiply(x, y)
-            want = [prod.get(k, 0) for k in range(A.dim(q3))]
+def test_bilinear_matches_multiply(kind, seed):
+    A, q1, q2, X, Y, P = _random_bilinear_case(kind, seed)
+    got = dg._bilinear(A.mult.get((q1, q2)),
+                       None if P is None else dg._cols(P),
+                       None if X is None else dg._rows(X),
+                       None if Y is None else dg._rows(Y))
+
+    def columns(M, q):
+        if M is None:
+            return [{i: A.ring.element(1)} for i in range(A.dim(q))]
+        return [{i: v for i, v in enumerate(M.col(s)) if v}
+                for s in range(M.cols)]
+
+    want = {}
+    for s, x in enumerate(columns(X, q1)):
+        for t, y in enumerate(columns(Y, q2)):
+            q3, prod = A.multiply((q1, x), (q2, y))
+            vec = [prod.get(k, A.ring.element(0)) for k in range(A.dim(q3))]
             if P is not None:
-                want = P.matvec([A.ring.element(v) for v in want])
-            assert list(block[:, t]) == want
+                vec = P.matvec(vec)
+            want.update({(s, t, m): c for m, c in enumerate(vec) if c})
+    assert got == want
 
 
-def test_product_blocks_overflow_falls_back_to_python_ints():
-    big = 2 ** 40
-    A = DgAlgebra(ZZ, {0: 1}, {}, {0: 1}, {}, {(0, 0): {(0, 0): {0: big}}})
-    X = ExactMatrix.from_rows([[big]])
-    (block,) = A.product_blocks(0, 0, X, X)
-    assert block.dtype == object and block[0, 0] == big ** 3
-    (small,) = A.product_blocks(0, 0, ExactMatrix.from_rows([[2]]),
-                                ExactMatrix.from_rows([[3]]))
-    assert small.dtype == np.int64 and small[0, 0] == 6 * big
+def test_cohomology_algebra_rejects_constants_past_the_basis():
+    # x * x names degree 2, where the algebra has no basis
+    a = DgAlgebra(ZZ, {0: 1, 1: 1}, {}, {0: 1}, {},
+                  {(0, 0): {(0, 0): {0: 1}}, (0, 1): {(0, 0): {0: 1}},
+                   (1, 0): {(0, 0): {0: 1}}, (1, 1): {(0, 0): {0: 1}}})
+    with pytest.raises(ValueError, match=r"structure constants of \(1, 1\) "
+                       "index past the basis"):
+        cohomology_algebra(a)
 
 
-def test_product_blocks_reject_misshaped_operands():
-    a = dual_numbers_deg2()
-    with pytest.raises(ValueError, match="need dims"):
-        list(a.product_blocks(0, 2, ExactMatrix.identity(2),
-                              ExactMatrix.identity(1)))
+def test_quotient_rejects_constants_past_the_basis():
+    # y * y names basis element 2 of degree 0, which has two
+    u = DgAlgebra(ZZ, {0: 2}, {}, {0: 1}, {},
+                  {(0, 0): {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                            (1, 1): {2: 1}}})
+    with pytest.raises(ValueError, match=r"structure constants of \(0, 0\) "
+                       "index past the basis"):
+        quotient(u, ideal_from_span(u, []))
 
 
 def test_cohomology_algebra_detects_section_dependence():
@@ -1047,21 +1057,82 @@ def test_ideal_closure_gcd_step():
 
 
 def test_closures_form_products_only_on_the_support(monkeypatch):
-    # no product in the n-point chain or its verification is formed from
-    # operands whose supports miss every structure constant of the table
+    # the n-point chain and its verification form every product through
+    # the one kernel on the structure constants, none through the
+    # pairwise `_sparse_product` behind `DgAlgebra.multiply`
     from strathom.sphere_models import SphereModel, formality_chain_n_points
 
     E = SphereModel(8).resolution_n_points().end_algebra()
-    calls, idle = [], []
-    real = dg._sparse_product
-
-    def checked(table, c1, c2):
-        calls.append(1)
-        if not any(i in c1 and j in c2 for (i, j) in (table or {})):
-            idle.append((sorted(c1), sorted(c2)))
-        return real(table, c1, c2)
-
-    monkeypatch.setattr(dg, "_sparse_product", checked)
+    pairwise, kernel = [], []
+    real_pairwise, real_kernel = dg._sparse_product, dg._bilinear
+    monkeypatch.setattr(dg, "_sparse_product", lambda *a: pairwise.append(1)
+                        or real_pairwise(*a))
+    monkeypatch.setattr(dg, "_bilinear", lambda *a, **k: kernel.append(1)
+                        or real_kernel(*a, **k))
     ch = formality_chain_n_points(E, 8)
     assert verify_formality_chain(ch.chain).ok
-    assert calls and idle == []
+    assert pairwise == [] and kernel
+
+
+# ------------------------------------------------------ laws on real algebras
+
+
+@pytest.mark.parametrize("ring,n", [(ZZ, n) for n in range(2, 13)] +
+                         [(QQ, n) for n in range(2, 6)])
+def test_end_of_sphere_resolution_validates(ring, n):
+    from strathom.sphere_models import SphereModel
+
+    E = SphereModel(n, ring=ring).resolution_n_points().end_algebra()
+    assert validate_dg_algebra(E) == []
+
+
+def _generated_end(seed, ring):
+    """End J of the injective coresolution of the direct sum of the reps of
+    `bench/gen.py` smoke instance 0 of `seed`."""
+    import importlib.util
+    from pathlib import Path
+
+    from strathom.cli import _build_reps
+    from strathom.quiver_rep import (
+        StratPoset, build_quiver, direct_sum, injective_coresolution)
+    from strathom.rep_complex import ComplexOfReps, end_dg_algebra
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    poset_doc, reps_doc = gen.instance(seed, 0, "smoke")
+    quiver = build_quiver(StratPoset(
+        [(s["name"], s["dim"]) for s in poset_doc["strata"]],
+        [tuple(c) for c in poset_doc["covers"]], acyclicity_asserted=True))
+    reps = _build_reps(reps_doc, quiver, ring)
+    names = sorted(reps)
+    total = direct_sum([reps[a] for a in names], names=names) \
+        if len(names) > 1 else reps[names[0]]
+    cores = injective_coresolution(total)
+    return end_dg_algebra(ComplexOfReps(quiver, ring,
+                                        dict(enumerate(cores.terms)),
+                                        dict(enumerate(cores.maps))))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_end_of_generated_instance_validates(seed, ring):
+    E = _generated_end(seed, ring)
+    assert E.mult and validate_dg_algebra(E) == []
+
+
+def test_validate_end_memory_stays_sparse():
+    # dense product blocks peaked at 43 MiB on this input
+    import tracemalloc
+
+    from strathom.sphere_models import SphereModel
+
+    E = SphereModel(12).resolution_n_points().end_algebra()
+    tracemalloc.start()
+    try:
+        assert validate_dg_algebra(E) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
