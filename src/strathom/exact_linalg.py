@@ -20,7 +20,9 @@ integer path for both rings:
   and `chain_complex.cohomology` reduces a whole complex to its core.  The
   matrices met here are incidence-like, so the core is usually small or
   empty.  The other transforms (`kernel_basis`, `PresolvedSolver`,
-  `inverse`, a direct `subquotient`) stay on the dense engine.
+  `inverse`, a direct `subquotient`) stay on the dense engine.  Hom
+  spaces of thin representations skip `kernel_basis` altogether: see
+  `quiver_rep.hom_space`, which solves them by a signed union-find.
 - Products (`ExactMatrix.__matmul__` and `matvec`) scale each operand to
   integers by the least common denominator of its entries
   (`integer_scaling`; over Z that is the int64 view, with denominator 1,

@@ -4,8 +4,11 @@ The quiver of a poset keeps only the Hasse covering arrows; identifying all
 parallel paths makes a representation the same thing as a functor from the
 poset to free modules, so validation reduces to comparing composite matrices
 along parallel arrow paths.  Hom spaces are kernels of the commuting-square
-linear system.  Ext groups are read from the stalks of the target against
-evaluation-cover projective resolutions, since Hom(P_x, W) = W(x).
+linear system; for thin representations (stalks of rank <= 1, arrows in
+{0, +-1}) a signed union-find over the common support solves the squares
+instead, and gives the basis whenever the rank is at most 1.  Ext groups
+are read from the stalks of the target against evaluation-cover projective
+resolutions, since Hom(P_x, W) = W(x).
 """
 
 from __future__ import annotations
@@ -106,8 +109,10 @@ class Quiver:
         self.vertices = list(poset.strata)
         self.arrows = poset.hasse_covers()
         self._out: Dict[str, List[str]] = {v: [] for v in self.vertices}
+        self._in: Dict[str, List[str]] = {v: [] for v in self.vertices}
         for a, b in self.arrows:
             self._out[a].append(b)
+            self._in[b].append(a)
 
     def paths(self, src: str, dst: str) -> List[List[str]]:
         """All directed Hasse paths src -> ... -> dst."""
@@ -143,6 +148,16 @@ class Representation:
         self.arrow_map = dict(arrow_map)
         self.blocks = blocks if blocks is not None else [("", self)]
         self._support = [v for v in quiver.vertices if self.stalk_rank[v]]
+        self._thin: Optional[bool] = None
+
+    def is_thin(self) -> bool:
+        """Every stalk of rank <= 1 and every arrow scalar in {0, 1, -1}."""
+        if self._thin is None:
+            self._thin = (
+                all(r <= 1 for r in self.stalk_rank.values())
+                and all(x in (0, 1, -1) for m in self.arrow_map.values()
+                        for x in m.data.flat))
+        return self._thin
 
     def rank(self, v: str) -> int:
         return self.stalk_rank[v]
@@ -255,15 +270,82 @@ class RepMorphism:
         return all(m.is_zero() for m in self.components.values())
 
 
+def _common_support(V: Representation, W: Representation) -> List[str]:
+    """The vertices where both V and W have a nonzero stalk, in quiver
+    order."""
+    if V.quiver is not W.quiver and (V.quiver.vertices != W.quiver.vertices
+                                     or V.quiver.arrows != W.quiver.arrows):
+        raise ValueError("representations live on different quivers")
+    return [v for v in V._support if W.stalk_rank[v]]
+
+
+def _thin_generators(V: Representation, W: Representation,
+                     common: List[str]) -> Optional[List[Dict[str, int]]]:
+    """A basis of Hom(V, W) as {vertex: +-1} maps when V and W are thin
+    or have no common support, else None.  Each generator is one component,
+    with a positive first entry.
+
+    The square f_b V_ab = W_ab f_a of each arrow meeting the common support
+    says f_b = 0, f_a = 0 or f_b = +-f_a.  A signed union-find (union by
+    size) joins the vertices; a component is zero if it is forced to 0 or
+    if its signs contradict.
+    """
+    if not common:
+        return []
+    if not (V.is_thin() and W.is_thin()):
+        return None
+    up = {v: (v, 1) for v in common}  # (parent, sign): f_v = sign f_parent
+    size = dict.fromkeys(common, 1)
+    dead = set()
+
+    def find(v):
+        s = 1
+        while up[v][0] != v:
+            v, t = up[v]
+            s *= t
+        return v, s
+
+    def scalar(R, a, b):
+        m = R.arrow_map.get((a, b))
+        return 0 if m is None else m.data[0, 0]
+
+    out, into = V.quiver._out, V.quiver._in
+    squares = [(c, b) for c in common for b in out[c] if W.stalk_rank[b]]
+    squares += [(a, c) for c in common for a in into[c]
+                if V.stalk_rank[a] and not W.stalk_rank[a]]
+    for a, b in squares:  # `size` is keyed by the common support
+        vb = scalar(V, a, b) if b in size else 0  # the term f_b V_ab
+        wa = scalar(W, a, b) if a in size else 0  # the term W_ab f_a
+        if vb and wa:
+            (ra, sa), (rb, sb) = find(a), find(b)
+            sign = sa * sb * (1 if vb == wa else -1)  # f_rb = sign f_ra
+            if ra == rb:
+                if sign != 1:
+                    dead.add(ra)
+                continue
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            up[rb] = (ra, sign)
+            size[ra] += size[rb]
+            if rb in dead:
+                dead.add(ra)
+        elif vb or wa:
+            dead.add(find(b if vb else a)[0])
+    gens: Dict[str, Dict[str, int]] = {}
+    for v in common:
+        r, s = find(v)
+        if r not in dead:
+            gens.setdefault(r, {})[v] = s
+    return [{v: s * next(iter(g.values())) for v, s in g.items()}
+            for g in gens.values()]
+
+
 def _hom_system(V: Representation, W: Representation
                 ) -> Tuple[Optional[ExactMatrix], Dict[str, int]]:
     """The commuting-square system f_b V_ab = W_ab f_a of Hom(V, W) (None
     without a common support), and the column of f_v[0, 0] for each common
     vertex v; the unknowns f_v[i, j] run in (vertex, row, col) order."""
-    if V.quiver is not W.quiver and (V.quiver.vertices != W.quiver.vertices
-                                     or V.quiver.arrows != W.quiver.arrows):
-        raise ValueError("representations live on different quivers")
-    common = [v for v in V._support if W.stalk_rank[v]]
+    common = _common_support(V, W)
     if not common:
         return None, {}
     *offs, ncols = accumulate((W.rank(v) * V.rank(v) for v in common),
@@ -297,7 +379,11 @@ def _hom_system(V: Representation, W: Representation
 
 
 def hom_rank(V: Representation, W: Representation) -> int:
-    """Rank of Hom(V, W) from invariant factors, with no kernel basis."""
+    """Rank of Hom(V, W): the union-find components for thin V and W, else
+    from invariant factors, with no kernel basis."""
+    gens = _thin_generators(V, W, _common_support(V, W))
+    if gens is not None:
+        return len(gens)
     system, start = _hom_system(V, W)
     if not start:
         return 0
@@ -307,11 +393,26 @@ def hom_rank(V: Representation, W: Representation) -> int:
 def hom_space(V: Representation, W: Representation) -> List[RepMorphism]:
     """Basis of the morphism lattice Hom(V, W).
 
-    Solves the commuting-square system exactly; over the integers the basis
-    spans the full lattice of integral morphisms.  Each basis morphism is
-    normalized so its first nonzero stalk entry is positive (and equal to 1
-    over the rationals).
+    Over the integers the basis spans the full lattice of integral
+    morphisms.  Each basis morphism is normalized so its first nonzero
+    stalk entry is positive (and equal to 1 over the rationals).  For thin
+    V and W of rank <= 1 the generator is read off the union-find
+    (`_thin_generators`); it is the unique normalized primitive one, so
+    it equals the dense route's.  Otherwise `_dense_hom_space` solves the
+    commuting-square system.
     """
+    common = _common_support(V, W)
+    gens = _thin_generators(V, W, common)
+    if gens is None or len(gens) > 1:
+        return _dense_hom_space(V, W)
+    return [RepMorphism(V, W, {v: ExactMatrix.from_rows([[g.get(v, 0)]],
+                                                        V.ring)
+                               for v in common}) for g in gens]
+
+
+def _dense_hom_space(V: Representation, W: Representation
+                     ) -> List[RepMorphism]:
+    """`hom_space` from a kernel basis of the commuting-square system."""
     ring = V.ring
     system, start = _hom_system(V, W)
     if not start:

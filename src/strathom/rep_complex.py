@@ -242,12 +242,15 @@ class _PairCache:
 
     def coordinates(self, a: Representation, b: Representation,
                     morphisms: Sequence[RepMorphism]) -> List[tuple]:
-        """Sparse coordinates of morphisms a -> b, with one solve."""
+        """Sparse coordinates of morphisms a -> b: read off the generator
+        at rank 1 (`_ratio`), else with one solve."""
         gens = self.gens(a, b)
         if not gens:
             if not all(g.is_zero() for g in morphisms):
                 raise AssertionError("morphism escaped the Hom lattice")
             return [()] * len(morphisms)
+        if len(gens) == 1:
+            return [self._ratio(gens[0], m) for m in morphisms]
         solver = self._solvers.get((a, b))
         if solver is None:
             solver = self._solvers[(a, b)] = PresolvedSolver(_stack_flat(gens))
@@ -255,6 +258,24 @@ class _PairCache:
                        "morphism escaped the Hom lattice").data
         return [tuple((k, c) for k, c in enumerate(X[:, j]) if c != 0)
                 for j in range(X.shape[1])]
+
+    @staticmethod
+    def _ratio(g: RepMorphism, m: RepMorphism) -> tuple:
+        """Coordinates of m on the one generator g: c = m[p] / g[p] at the
+        first nonzero entry p of g in (vertex, row, col) order, then
+        m == c g on every component.  Over Z, c = m[p] // g[p], so the
+        check at p is that g[p] divides m[p]."""
+        ring = g.source.ring
+        for v, gv in g.components.items():
+            nz = np.flatnonzero(gv.data != 0)
+            if nz.size:
+                lead, x = gv.data.flat[nz[0]], m.component(v).data.flat[nz[0]]
+                break
+        c = ring.element(x / lead if ring.is_field else x // lead)
+        if any(m.component(v) != gv.scale(c)
+               for v, gv in g.components.items()):
+            raise AssertionError("morphism escaped the Hom lattice")
+        return ((0, c),) if c else ()
 
     def table(self, a: Representation, b: Representation,
               c: Representation) -> Dict[Tuple[int, int], tuple]:

@@ -138,8 +138,10 @@ def test_hom_rank_table_two_points(q2):
             expected_rank_one.add((j, i))
     for s in q2.vertices:
         for t in q2.vertices:
-            r = len(hom_space(reps[s], reps[t]))
-            assert r == (1 if (s, t) in expected_rank_one else 0), (s, t)
+            want = 1 if (s, t) in expected_rank_one else 0
+            v, w = reps[s], reps[t]
+            assert len(quiver_rep._dense_hom_space(v, w)) == want, (s, t)
+            assert hom_rank(v, w) == len(hom_space(v, w)) == want, (s, t)
 
 
 def test_hom_generators_are_valid_and_normalized(q2):
@@ -358,12 +360,14 @@ def _random_quiver(rng) -> Quiver:
     return build_quiver(StratPoset([(s, 0) for s in names], covers))
 
 
-def _random_line(quiver, ring, rng) -> Representation:
+def _random_line(quiver, ring, rng, thin=False) -> Representation:
     """Rank 1 on a convex support with arrows p^(w(b) - w(a)), w monotone.
 
     The support is the intersection of an up-set and a down-set, so every
     path between two supported strata stays in the support, and the scalars
-    along it multiply to p^(w(end) - w(start)): parallel paths agree.
+    along it multiply to p^(w(end) - w(start)): parallel paths agree.  A
+    thin line has p in {0, 1} (0^0 = 1) and each arrow times signs s_a s_b,
+    which cancel along paths.
     """
     poset = quiver.poset
     n = len(quiver.vertices)
@@ -374,9 +378,11 @@ def _random_line(quiver, ring, rng) -> Representation:
                if any(poset.leq(a, v) for a in lows)
                and any(poset.leq(v, b) for b in highs)]
     weight = {v: sum(poset.leq(t, v) for t in marks) for v in support}
-    p = rng.choice([1, 2, 3])
+    p = rng.choice([0, 1] if thin else [1, 2, 3])
+    sign = ({v: rng.choice([1, -1]) for v in support} if thin
+            else dict.fromkeys(support, 1))
     arrows = {(a, b): ExactMatrix.from_rows(
-        [[p ** (weight[b] - weight[a])]], ring)
+        [[sign[a] * sign[b] * p ** (weight[b] - weight[a])]], ring)
         for a, b in quiver.arrows if a in weight and b in weight}
     return Representation(quiver, ring, {v: 1 for v in support}, arrows)
 
@@ -457,7 +463,7 @@ def test_stalk_route_matches_solve_route(ring, seed):
     quiver = _random_quiver(rng)
     v, w = _random_rep(quiver, ring, rng), _random_rep(quiver, ring, rng)
     _check_stalk_route(projective_resolution(v), w)
-    assert hom_rank(v, w) == len(hom_space(v, w))
+    assert hom_rank(v, w) == len(quiver_rep._dense_hom_space(v, w))
 
 
 @pytest.mark.parametrize("ring,torsion", [(ZZ, [2]), (QQ, [])])
@@ -514,7 +520,117 @@ def test_hom_rank_matches_hom_space_on_closure_pairs(n):
     reps = [m.closure_rep(s) for s in m.poset.strata]
     for v in reps:
         for w in reps:
-            assert hom_rank(v, w) == len(hom_space(v, w))
+            assert hom_rank(v, w) == len(quiver_rep._dense_hom_space(v, w))
+
+
+# ------------------------------------------------------------ thin Hom
+
+
+def _entries(basis):
+    """Every component entry of a Hom basis, as reprs: equal bytes."""
+    return [[(v, repr(m.data.tolist())) for v, m in g.components.items()]
+            for g in basis]
+
+
+def _count_dense(monkeypatch):
+    calls = []
+    original = quiver_rep._dense_hom_space
+
+    def counted(v, w):
+        calls.append((v, w))
+        return original(v, w)
+
+    monkeypatch.setattr(quiver_rep, "_dense_hom_space", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_thin_route_matches_dense_route_on_sphere_pairs(n, ring, monkeypatch):
+    m = SphereModel(n, ring)
+    reps = [m.closure_rep(s) for s in m.poset.strata] + [m.constant_rep()]
+    dense = [[quiver_rep._dense_hom_space(v, w) for w in reps] for v in reps]
+    calls = _count_dense(monkeypatch)
+    for v, row in zip(reps, dense):
+        assert v.is_thin()
+        for w, basis in zip(reps, row):
+            assert _entries(hom_space(v, w)) == _entries(basis)
+            assert hom_rank(v, w) == len(basis) <= 1
+    assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(0, 2 ** 32))
+def test_thin_route_matches_dense_route_on_random_thin_reps(ring, seed):
+    """Rank by union-find at any rank; equal bytes at rank <= 1, and the
+    dense basis itself at rank >= 2."""
+    rng = random.Random(seed)
+    quiver = _random_quiver(rng)
+    v, w = (_random_line(quiver, ring, rng, thin=True) for _ in range(2))
+    assert validate_representation(v) == validate_representation(w) == []
+    assert v.is_thin() and w.is_thin()
+    dense = quiver_rep._dense_hom_space(v, w)
+    assert hom_rank(v, w) == len(dense)
+    assert _entries(hom_space(v, w)) == _entries(dense)
+
+
+def _rank_one_stalks(quiver, ring, arrows):
+    return Representation(
+        quiver, ring, {v: 1 for arrow in arrows for v in arrow},
+        {arrow: ExactMatrix.from_rows([[c]], ring)
+         for arrow, c in arrows.items()})
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_thin_route_zero_components(ring):
+    """Signs that contradict around the crown x, y < b, c (valid: no two
+    parallel paths); and y forced to 0 by the square at y -> u before x
+    joins y, with y listed first."""
+    crown = build_quiver(StratPoset(
+        [("x", 0), ("y", 0), ("b", 1), ("c", 1)],
+        [("x", "b"), ("y", "b"), ("x", "c"), ("y", "c")]))
+    ones = dict.fromkeys(crown.arrows, 1)
+    v = _rank_one_stalks(crown, ring, ones)
+    w = _rank_one_stalks(crown, ring, {**ones, ("x", "c"): -1})
+    chain = build_quiver(StratPoset([("y", 1), ("x", 0), ("u", 2)],
+                                    [("x", "y"), ("y", "u")]))
+    short = _rank_one_stalks(chain, ring, {("x", "y"): 1})
+    full = _rank_one_stalks(chain, ring, {("x", "y"): 1, ("y", "u"): 1})
+    for a, b, want in [(v, w, 0), (v, v, 1), (w, w, 1), (short, full, 0),
+                       (full, short, 1)]:
+        assert validate_representation(a) == validate_representation(b) == []
+        dense = quiver_rep._dense_hom_space(a, b)
+        assert hom_rank(a, b) == len(dense) == want
+        assert _entries(hom_space(a, b)) == _entries(dense)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_thin_hom_of_rank_two_keeps_the_dense_basis(ring, monkeypatch):
+    """x and y incomparable: two common components, so Hom(V, V) has rank
+    2 and only the rank is read off the union-find."""
+    quiver = build_quiver(StratPoset([("x", 0), ("y", 0)], []))
+    v = Representation(quiver, ring, {"x": 1, "y": 1}, {})
+    calls = _count_dense(monkeypatch)
+    assert hom_rank(v, v) == 2 and calls == []
+    basis = hom_space(v, v)
+    assert len(calls) == 1
+    assert _entries(basis) == _entries(quiver_rep._dense_hom_space(v, v))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_non_thin_reps_take_the_dense_route(ring, monkeypatch):
+    """A non-unit arrow, and a stalk of rank 2 on the common support."""
+    two = _times_two(ring)
+    c = closure_rep(two.quiver, "b", ring)
+    q2 = build_quiver(sphere_poset_2())
+    h = closure_rep(q2, "H1", ring)
+    wide = direct_sum([h, closure_rep(q2, "E1", ring)])
+    assert not two.is_thin() and not wide.is_thin() and c.is_thin()
+    calls = _count_dense(monkeypatch)
+    for v, w, want in [(two, c, 1), (c, two, 1), (h, wide, 2),
+                       (wide, h, 1)]:
+        assert hom_rank(v, w) == len(hom_space(v, w)) == want
+    assert len(calls) == 4
 
 
 def test_cokernel_rejects_non_split_embedding(q2):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,7 +8,10 @@ from strathom.chain_complex import cohomology, cone_report, validate_complex
 from strathom.dg import DgMorphism, is_quasi_iso_dg, validate_dg_algebra
 from strathom.exact_linalg import QQ, ZZ, ExactMatrix, PresolvedSolver
 from strathom.quiver_rep import (
+    Representation,
     RepMorphism,
+    StratPoset,
+    build_quiver,
     direct_sum,
     hom_space,
     injective_coresolution,
@@ -16,6 +20,7 @@ from strathom.quiver_rep import (
 from strathom.rep_complex import (
     ComplexOfReps,
     HomComplex,
+    _PairCache,
     end_dg_algebra,
     shift_complex_of_reps,
     validate_complex_of_reps,
@@ -414,6 +419,66 @@ def test_tables_match_pairwise_route_on_random_coresolutions(seed):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_tables_match_pairwise_route_on_sphere_models(n, ring):
     _check_end(SphereModel(n, ring).resolution_n_points().end_algebra())
+
+
+def _line_pair(ring, v_scalar, w_scalar):
+    """V and W of rank 1 on x < y, with arrows v_scalar and w_scalar."""
+    quiver = build_quiver(StratPoset([("x", 0), ("y", 1)], [("x", "y")]))
+    return tuple(
+        Representation(quiver, ring, {"x": 1, "y": 1},
+                       {("x", "y"): ExactMatrix.from_rows([[c]], ring)})
+        for c in (v_scalar, w_scalar))
+
+
+def _by_vertex(v, w, ring, entries):
+    return RepMorphism(v, w, {x: ExactMatrix.from_rows([[c]], ring)
+                              for x, c in entries.items()})
+
+
+def _escapes(pairs, v, w, morphism):
+    with pytest.raises(AssertionError,
+                       match="^morphism escaped the Hom lattice$"):
+        pairs.coordinates(v, w, [morphism])
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_rank_one_read_off_rejects_morphisms_off_the_generator(ring):
+    """Hom(V, W) = <g> on x < y with g = 0 at y (W's arrow is 0) or at x
+    (V's arrow is 0); and Hom(I_H1, I_E1) on the 2-point sphere, g = 1 on
+    the closure of E1."""
+    pairs = _PairCache()
+    v, w = _line_pair(ring, 1, 0)
+    (g,) = pairs.gens(v, w)
+    assert [g.component(x)[0, 0] for x in "xy"] == [1, 0]
+    assert pairs.coordinates(v, w, [g.scale(-3)]) == [((0, -3),)]
+    _escapes(pairs, v, w, _by_vertex(v, w, ring, {"x": 1, "y": 1}))
+    v, w = _line_pair(ring, 0, 1)  # g = 0 at x: the lead is at y
+    (g,) = pairs.gens(v, w)
+    assert pairs.coordinates(v, w, [g.scale(5)]) == [((0, 5),)]
+    _escapes(pairs, v, w, _by_vertex(v, w, ring, {"x": 1, "y": 1}))
+    m = SphereModel(2, ring)
+    a, b = m.closure_rep("H1"), m.closure_rep("E1")
+    (g,) = pairs.gens(a, b)
+    assert pairs.coordinates(a, b, [g.scale(2)]) == [((0, 2),)]
+    off = dict(g.scale(2).components)
+    off["P2"] = off["P2"].scale(3)
+    _escapes(pairs, a, b, RepMorphism(a, b, off))
+
+
+def test_rank_one_read_off_checks_divisibility_by_a_non_unit_lead():
+    """V --2--> V, W --1--> W: the square 2 f_y = f_x gives the non-thin
+    generator g = (2, 1), so m_x must be even over Z."""
+    pairs = _PairCache()
+    v, w = _line_pair(ZZ, 2, 1)
+    (g,) = pairs.gens(v, w)
+    assert [g.component(x)[0, 0] for x in "xy"] == [2, 1]
+    assert pairs.coordinates(v, w, [_by_vertex(v, w, ZZ, {"x": 6, "y": 3})]) \
+        == [((0, 3),)]
+    _escapes(pairs, v, w, _by_vertex(v, w, ZZ, {"x": 3, "y": 1}))
+    _escapes(pairs, v, w, _by_vertex(v, w, ZZ, {"x": 1, "y": 0}))
+    v, w = _line_pair(QQ, 2, 1)  # over Q, g = (1, 1/2)
+    half = _by_vertex(v, w, QQ, {"x": Fraction(1, 2), "y": Fraction(1, 4)})
+    assert pairs.coordinates(v, w, [half]) == [((0, Fraction(1, 2)),)]
 
 
 def test_table_build_raises_when_a_composite_escapes_the_lattice(
