@@ -44,7 +44,6 @@ from .quiver_rep import (
     RepMorphism,
     Representation,
     StratPoset,
-    build_quiver,
     closure_rep,
     direct_sum,
     ext,

@@ -128,13 +128,6 @@ class CohomologyProfile:
         return all(m.is_zero for m in self.modules.values())
 
 
-def _matrix(ring: CoeffRing, rows: int, cols: int, entries) -> ExactMatrix:
-    m = ExactMatrix.zeros(rows, cols, ring)
-    for i, j, x in entries:
-        m.data[i, j] = x
-    return m
-
-
 def _reduce_units(C: ChainComplex):
     """(C', G, F): C reduced by elimination of +-1 pivots, degree by degree
     in ascending order, with the per-degree matrices of the chain maps
@@ -157,10 +150,8 @@ def _reduce_units(C: ChainComplex):
     for q in C.degrees():
         if not C.rank(q + 1):
             continue
-        dq = C.d(q).data.copy()  # without the columns b of d^(q-1)
-        dq[:, [x for x in range(C.rank(q)) if x not in g[q]]] = 0
-        record: list = []
-        _, residual[q], _ = eliminate_unit_pivots(dq, record)
+        record: list = []  # g[q]: d^q without the columns b of d^(q-1)
+        _, residual[q], _ = eliminate_unit_pivots(C.d(q), record, g[q])
         for b, a, p, beta, alpha in record:
             ga = g[q].pop(a)
             for x, v in beta.items():
@@ -171,16 +162,16 @@ def _reduce_units(C: ChainComplex):
                 _vec_axpy(f[q + 1][y], fb, -c)
             del f[q][a], g[q + 1][b]
     pos = {q: {x: t for t, x in enumerate(gq)} for q, gq in g.items()}
-    diffs = {q: _matrix(ring, len(pos[q + 1]), len(pos[q]), (
+    diffs = {q: ExactMatrix.from_entries(len(pos[q + 1]), len(pos[q]), (
         (pos[q + 1][r], pos[q][c], x) for r, row in rows.items()
-        if r in pos[q + 1] for c, x in row.items()))
+        if r in pos[q + 1] for c, x in row.items()), ring)
         for q, rows in residual.items()}
-    G = {q: _matrix(ring, C.rank(q), len(gq), (
+    G = {q: ExactMatrix.from_entries(C.rank(q), len(gq), (
         (i, t, v) for t, col in enumerate(gq.values())
-        for i, v in col.items())) for q, gq in g.items()}
-    F = {q: _matrix(ring, len(fq), C.rank(q), (
+        for i, v in col.items()), ring) for q, gq in g.items()}
+    F = {q: ExactMatrix.from_entries(len(fq), C.rank(q), (
         (t, i, v) for t, row in enumerate(fq.values())
-        for i, v in row.items())) for q, fq in f.items()}
+        for i, v in row.items()), ring) for q, fq in f.items()}
     reduced = ChainComplex(ring, {q: len(gq) for q, gq in g.items()}, diffs)
     return reduced, G, F
 

@@ -33,7 +33,6 @@ from .quiver_rep import (
     Quiver,
     Representation,
     StratPoset,
-    build_quiver,
     ext_all,
     hom_rank,
     injective_coresolution,
@@ -405,7 +404,7 @@ def cmd_compute(args) -> int:
             acyclicity_asserted=pdata.get("acyclicity_asserted", False))
     except ValueError as exc:
         raise InputError(f"poset file: {exc}")
-    quiver = build_quiver(poset)
+    quiver = Quiver(poset)
     rdata = _load_json(args.reps, REPS_SCHEMA, "reps")
     reps = _build_reps(rdata, quiver, ring)
     names = sorted(reps)

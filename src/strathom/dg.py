@@ -12,22 +12,22 @@ nonzero coefficients of out(x_s * y_t)_m, where x_s = sum_i left[i, s] e_i
 and y_t = sum_j right[j, t] e_j.  Each term comes from one structure
 constant and the nonzero entries it meets, so the work follows the number
 of constants and nothing dense is built.  The maps are sparse
-{index: [(index', value)]}: `_rows` and `_cols` read them off a matrix,
-`_index` off any list of entries, and None is the identity.  Arithmetic is
+{index: [(index', value)]}: `_cols` reads them off the stored columns of
+an `ExactMatrix` and `_rows` off its row view, `_index` off any list of
+entries, and None is the identity.  Arithmetic is
 on exact ints and Fractions.  The cohomology product and its section check,
 the quotient's constants, the laws of `validate_dg_algebra`, the
 multiplicativity check of `DgMorphism` and the closures of
 `subalgebra_from_span` and `ideal_from_span` all use it.
 `DgAlgebra.multiply` multiplies two elements directly (`_sparse_product`),
-and `_apply` applies a matrix to a sparse element column by column.
+and `_apply` applies a matrix to a sparse element through the stored
+columns in its support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .chain_complex import (
     ChainComplex,
@@ -72,14 +72,12 @@ def _index(entries: Iterable[tuple]) -> Sparse:
 
 def _rows(M: ExactMatrix) -> Sparse:
     """{i: [(j, M[i, j])]} over the nonzero entries of M."""
-    rs, cs = np.nonzero(M.data)
-    return _index(zip(rs.tolist(), cs.tolist(), M.data[rs, cs].tolist()))
+    return {i: list(row.items()) for i, row in M.by_rows().items()}
 
 
 def _cols(M: ExactMatrix) -> Sparse:
     """{j: [(i, M[i, j])]} over the nonzero entries of M."""
-    rs, cs = np.nonzero(M.data)
-    return _index(zip(cs.tolist(), rs.tolist(), M.data[rs, cs].tolist()))
+    return {j: list(col.items()) for j, col in M.columns.items()}
 
 
 def _bilinear(table: Optional[Table], out: Optional[Sparse] = None,
@@ -128,9 +126,8 @@ def _apply(M: Optional[ExactMatrix], coeffs: dict) -> dict:
     out: dict = {}
     if M is not None:
         for j, c in coeffs.items():
-            col = M.data[:, j]
-            for i in np.flatnonzero(col).tolist():
-                out[i] = out.get(i, 0) + col[i] * c
+            for i, x in M.columns.get(j, {}).items():
+                out[i] = out.get(i, 0) + x * c
     return {i: out[i] for i in sorted(out) if out[i]}
 
 
@@ -242,11 +239,9 @@ def algebra_from_products(ring: CoeffRing, basis: Sequence[Tuple[int, str]],
                                  f"expected {q + 1}")
             col[j][ti] = ring.element(c)
     for q, cols in dcols.items():
-        m = ExactMatrix.zeros(dims.get(q + 1, 0), dims[q], ring)
-        for j, col in cols.items():
-            for i, c in col.items():
-                m.data[i, j] = c
-        diff[q] = m
+        diff[q] = ExactMatrix.from_entries(dims.get(q + 1, 0), dims[q], (
+            (i, j, c) for j, col in cols.items() for i, c in col.items()),
+            ring)
     mult: Dict[Tuple[int, int], Dict[Tuple[int, int], dict]] = {}
     for (la, lb), image in products.items():
         (qa, ia), (qb, ib) = where[la], where[lb]
@@ -542,7 +537,7 @@ def subalgebra_from_span(A: DgAlgebra, elements: Sequence[Element],
                     raise ValueError(
                         f"span not closed under differential at degree {q}")
             continue
-        m = ExactMatrix.zeros(dims[q + 1], dims[q], A.ring)
+        entries = []
         for j, pos in enumerate(positions):
             img = A.d_element(elements[pos])
             try:
@@ -551,9 +546,9 @@ def subalgebra_from_span(A: DgAlgebra, elements: Sequence[Element],
                 raise ValueError(
                     f"span not closed under differential at degree {q}, "
                     f"element #{pos}")
-            for i, c in co.items():
-                m.data[i, j] = c
-        diff[q] = m
+            entries.extend((i, j, c) for i, c in co.items())
+        diff[q] = ExactMatrix.from_entries(dims[q + 1], dims[q], entries,
+                                           A.ring)
     kept = {q: _index((i, s, c) for s, pos in enumerate(positions)
                       for i, c in elements[pos][1].items())
             for q, positions in per_degree.items()}
@@ -580,13 +575,10 @@ def subalgebra_from_span(A: DgAlgebra, elements: Sequence[Element],
         label_map = {q: [labels[pos] for pos in positions]
                      for q, positions in per_degree.items()}
     sub = DgAlgebra(A.ring, dims, label_map, unit, diff, mult)
-    comps = {}
-    for q, positions in per_degree.items():
-        m = ExactMatrix.zeros(A.dim(q), len(positions), A.ring)
-        for j, pos in enumerate(positions):
-            for i, c in elements[pos][1].items():
-                m.data[i, j] = c
-        comps[q] = m
+    comps = {q: ExactMatrix.from_entries(A.dim(q), len(positions), (
+        (i, j, c) for j, pos in enumerate(positions)
+        for i, c in elements[pos][1].items()), A.ring)
+        for q, positions in per_degree.items()}
     incl = DgMorphism(sub, A, comps, name=name or "inclusion")
     return sub, incl
 
@@ -626,10 +618,9 @@ class DgIdeal:
                 if co is None:
                     raise AssertionError("ideal differential escaped")
                 cols.append(co)
-            m = ExactMatrix.zeros(tgt.rank if tgt else 0, lat.rank, U.ring)
-            for j, co in enumerate(cols):
-                for i, c in co.items():
-                    m.data[i, j] = c
+            m = ExactMatrix.from_entries(tgt.rank if tgt else 0, lat.rank, (
+                (i, j, c) for j, co in enumerate(cols)
+                for i, c in co.items()), U.ring)
             if m.rows and m.cols:
                 diffs[q] = m
         return ChainComplex(U.ring, ranks, diffs)

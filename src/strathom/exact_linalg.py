@@ -1,35 +1,36 @@
-"""Exact dense linear algebra over the integers and the rationals.
+"""Exact sparse linear algebra over the integers and the rationals.
 
 Everything downstream (complexes, quiver representations, dg algebras) is
 built on the primitives in this module: Smith normal form with unimodular
 transforms, saturated kernel lattices, exact solving, and presentations of
 subquotient modules ker/im.
 
-Matrices are dense numpy arrays.  Integer matrices use Python ints (object
-dtype) so there is no fixed-width overflow; rational entries are
-`fractions.Fraction` values.  Each ring-independent operation has one
-integer path for both rings:
+An `ExactMatrix` stores its nonzero entries by column, {j: {i: x}}, as
+Python ints over Z (so there is no fixed-width overflow) and as
+`fractions.Fraction` values over Q.  The matrices met here are
+incidence-like and almost all zero, so every operation walks the stored
+entries only:
 
-- Smith reduction runs on int64 arrays with explicit growth bounds and
-  restarts on Python ints if a bound is ever at risk.  Over Q each row is
-  scaled to integers by the lcm of its denominators first, and the
-  invariant factors are divided out of U after.
+- Products (`ExactMatrix.__matmul__` and `matvec`) multiply each stored
+  entry of the right operand into one stored column of the left operand,
+  as in LinBox's sparse black-box products (Dumas et al. 2002, "LinBox: A
+  Generic Library for Exact Linear Algebra"); sums, stacks and slices
+  move stored entries only.
+- Smith reduction is the one dense step, and the only place numpy is used:
+  `_smith_reduce` densifies its input onto int64 arrays with explicit
+  growth bounds, restarts on Python ints if a bound is ever at risk, and
+  hands U and V back sparse.  Over Q each row is scaled to integers by the
+  lcm of its denominators first, and the invariant factors are divided out
+  of U as it is converted back.
 - Sparse elimination of +-1 pivots of least Markowitz cost on a
   dict-of-rows copy (`eliminate_unit_pivots`) runs before the dense
   engine: invariant factors and ranks split off one factor 1 per pivot,
   and `chain_complex.cohomology` reduces a whole complex to its core.  The
-  matrices met here are incidence-like, so the core is usually small or
-  empty.  The other transforms (`kernel_basis`, `PresolvedSolver`,
-  `inverse`, a direct `subquotient`) stay on the dense engine.  Hom
-  spaces of thin representations skip `kernel_basis` altogether: see
-  `quiver_rep.hom_space`, which solves them by a signed union-find.
-- Products (`ExactMatrix.__matmul__` and `matvec`) scale each operand to
-  integers by the least common denominator of its entries
-  (`integer_scaling`; over Z that is the int64 view, with denominator 1,
-  whenever the entries fit).  The integer product runs on int64 when
-  max|a| * max|b| * (inner dimension) < 2**62, so that no sum can
-  overflow, and on Python ints otherwise; over Q each entry is divided by
-  the product of the two denominators once, at the end.
+  core is usually small or empty.  The other transforms (`kernel_basis`,
+  `PresolvedSolver`, `inverse`, a direct `subquotient`) stay on the dense
+  engine.  Hom spaces of thin representations skip `kernel_basis`
+  altogether: see `quiver_rep.hom_space`, which solves them by a signed
+  union-find.
 - Solving (`PresolvedSolver.solve_many`, which `solve` and `subquotient`
   call) is two products with the Smith transforms and one exact
   divisibility check.
@@ -41,7 +42,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,12 +64,14 @@ class CoeffRing:
     def element(self, x):
         """Coerce x into the ring, normalizing rationals."""
         if self.kind == "integers":
+            if type(x) is int:
+                return x
             if isinstance(x, Fraction):
                 if x.denominator != 1:
                     raise ValueError(f"{x} is not an integer")
                 return int(x)
             return int(x)
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     def __repr__(self):
         return "ZZ" if self.kind == "integers" else "QQ"
@@ -84,127 +87,141 @@ ZZ = CoeffRing("integers")
 QQ = CoeffRing("rationals")
 
 
-def _as_object_array(rows: int, cols: int, data) -> np.ndarray:
-    a = np.empty((rows, cols), dtype=object)
-    if rows and cols:
-        a[:, :] = data
-    return a
-
-
 class ExactMatrix:
-    """Immutable dense matrix over a CoeffRing.
+    """Immutable sparse matrix over a CoeffRing.
 
-    The wrapped array has dtype=object with int or Fraction entries.  All
-    arithmetic is exact; operations return new matrices.  Products run on
-    the entries scaled to integers, through int64 numpy kernels when a
-    bound on the result proves no overflow is possible; over Q the result
-    is divided back into Fractions.
+    `columns` holds the nonzero entries by column, {j: {i: x}}, with ints
+    over ZZ and Fractions over QQ; no stored entry is zero and no stored
+    column is empty.  It and the row view `by_rows()` are the readers, and
+    nobody mutates them.  Every other read (`m[i, j]`, `col`, `tolist`,
+    `entries`) gives ring.element(0) where nothing is stored.  Matrices are
+    built by `from_entries` (or `from_rows`, `zeros`, `identity`); all
+    arithmetic is exact and returns new matrices.  Stored columns may be
+    shared between matrices.
     """
 
-    __slots__ = ("ring", "data", "_i64", "_scaled")
+    __slots__ = ("ring", "rows", "cols", "columns")
 
-    def __init__(self, ring: CoeffRing, data: np.ndarray):
+    # bench/spans.py::_matmul_path still reads the int64 view that products
+    # used to cache on their operands; there is none, so every product
+    # counts as one on Python ints.  Kept until the next benchmark change.
+    _i64 = None
+
+    def __init__(self, ring: CoeffRing, rows: int, cols: int, columns: dict):
         self.ring = ring
-        self.data = data
-        self._i64 = None
-        self._scaled = None
-
-    def _int64_view(self):
-        """(int64 array, max abs) when entries fit, else False; cached."""
-        if self._i64 is None:
-            if self.ring.is_field or self.rows == 0 or self.cols == 0:
-                self._i64 = False
-            else:
-                try:
-                    a = self.data.astype(np.int64)
-                    self._i64 = (a, int(abs(a).max()))
-                except (OverflowError, TypeError, ValueError):
-                    self._i64 = False
-        return self._i64
+        self.rows = rows
+        self.cols = cols
+        self.columns = columns
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple],
+                     ring: CoeffRing = ZZ) -> "ExactMatrix":
+        """The rows x cols matrix whose (i, j) entry is the sum of the x,
+        coerced into the ring, of the given (i, j, x)."""
+        store: dict = {}
+        element = ring.element
+        for i, j, x in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry ({i}, {j}) outside {(rows, cols)}")
+            if x:
+                x = element(x)
+                col = store.setdefault(j, {})
+                x += col.get(i, 0)
+                if x:
+                    col[i] = x
+                elif i in col:
+                    del col[i]
+        return cls(ring, rows, cols, {j: c for j, c in store.items() if c})
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], ring: CoeffRing = ZZ,
                   cols: Optional[int] = None) -> "ExactMatrix":
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else (cols if cols is not None else 0)
-        a = np.empty((nrows, ncols), dtype=object)
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, x in enumerate(row):
-                a[i, j] = ring.element(x)
-        return cls(ring, a)
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows")
+        return cls.from_entries(nrows, ncols, (
+            (i, j, ring.element(x)) for i, row in enumerate(rows)
+            for j, x in enumerate(row)), ring)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, ring: CoeffRing = ZZ) -> "ExactMatrix":
-        a = _as_object_array(rows, cols, ring.element(0))
-        return cls(ring, a)
+        return cls(ring, rows, cols, {})
 
     @classmethod
     def identity(cls, n: int, ring: CoeffRing = ZZ) -> "ExactMatrix":
-        m = cls.zeros(n, n, ring)
         one = ring.element(1)
-        for i in range(n):
-            m.data[i, i] = one
-        return m
+        return cls(ring, n, n, {i: {i: one} for i in range(n)})
 
     # -- shape / access -------------------------------------------------
 
     @property
-    def rows(self) -> int:
-        return self.data.shape[0]
+    def shape(self) -> Tuple[int, int]:
+        return (self.rows, self.cols)
 
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
+    def by_rows(self) -> dict:
+        """The nonzero entries by row, {i: {j: x}}."""
+        out: dict = {}
+        for j, col in self.columns.items():
+            for i, x in col.items():
+                out.setdefault(i, {})[j] = x
+        return out
 
     @property
     def entries(self) -> list:
         """Entries in row-major order."""
-        return list(self.data.reshape(-1))
+        return [x for row in self.tolist() for x in row]
 
     def __getitem__(self, ij):
-        return self.data[ij]
+        i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index ({i}, {j}) outside {self.shape}")
+        x = self.columns.get(j, {}).get(i)
+        return self.ring.element(0) if x is None else x
 
     def col(self, j: int) -> list:
-        return list(self.data[:, j])
+        out = [self.ring.element(0)] * self.rows
+        for i, x in self.columns.get(j, {}).items():
+            out[i] = x
+        return out
 
     def tolist(self) -> list:
-        return [list(r) for r in self.data]
+        zero = self.ring.element(0)
+        out = [[zero] * self.cols for _ in range(self.rows)]
+        for j, col in self.columns.items():
+            for i, x in col.items():
+                out[i][j] = x
+        return out
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "ExactMatrix":
-        return ExactMatrix(self.ring, self.data[np.ix_(rows, cols)].copy()
-                           if len(rows) and len(cols)
-                           else _as_object_array(len(rows), len(cols), 0))
+        return self.take_cols(cols).take_rows(rows)
 
     def take_cols(self, cols: Sequence[int]) -> "ExactMatrix":
-        a = np.empty((self.rows, len(cols)), dtype=object)
+        out = {}
         for k, j in enumerate(cols):
-            a[:, k] = self.data[:, j]
-        return ExactMatrix(self.ring, a)
+            if not 0 <= j < self.cols:
+                raise IndexError(f"column {j} outside {self.cols} columns")
+            col = self.columns.get(j)
+            if col:
+                out[k] = col
+        return ExactMatrix(self.ring, self.rows, len(cols), out)
 
     def take_rows(self, rows: Sequence[int]) -> "ExactMatrix":
-        a = np.empty((len(rows), self.cols), dtype=object)
+        where: dict = {}
         for k, i in enumerate(rows):
-            a[k, :] = self.data[i, :]
-        return ExactMatrix(self.ring, a)
+            if not 0 <= i < self.rows:
+                raise IndexError(f"row {i} outside {self.rows} rows")
+            where.setdefault(i, []).append(k)
+        out = {}
+        for j, col in self.columns.items():
+            kept = {k: x for i, x in col.items() for k in where.get(i, ())}
+            if kept:
+                out[j] = kept
+        return ExactMatrix(self.ring, len(rows), self.cols, out)
 
     # -- arithmetic ------------------------------------------------------
-
-    def integer_scaling(self):
-        """`integer_scaling` of the entries, as a matrix; cached, and over
-        ZZ read off the cached int64 view when it exists (no second cache
-        entry: every Z product operand goes through here).  The matrix must
-        be nonempty."""
-        fit = self._int64_view()
-        if fit:
-            return fit[0], 1, fit[1]
-        if self._scaled is None:
-            a, d, top = integer_scaling(self.data.reshape(-1))
-            self._scaled = (a.reshape(self.shape), d, top)
-        return self._scaled
 
     def _check_ring(self, other: "ExactMatrix"):
         if self.ring != other.ring:
@@ -214,60 +231,65 @@ class ExactMatrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return ExactMatrix.zeros(self.rows, other.cols, self.ring)
-        a, da, ta = self.integer_scaling()
-        b, db, tb = other.integer_scaling()
-        return ExactMatrix(self.ring, self._from_integers(
-            _int_dot(a, b, ta * tb * self.cols), da * db))
+        left = self.columns
+        out = {}
+        for j, bcol in other.columns.items():
+            acc: dict = {}
+            get = acc.get
+            for k, b in bcol.items():
+                acol = left.get(k)
+                if acol:
+                    for i, a in acol.items():
+                        acc[i] = get(i, 0) + a * b
+            col = {i: x for i, x in acc.items() if x}
+            if col:
+                out[j] = col
+        return ExactMatrix(self.ring, self.rows, other.cols, out)
 
-    def _from_integers(self, a: np.ndarray, den: int) -> np.ndarray:
-        """The integer array a, divided by den into Fractions over QQ, as
-        an object array of ring elements."""
-        return _unscale(a, den) if self.ring.is_field else a.astype(object)
+    def _plus(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        self._check_ring(other)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} and {other.shape}")
+        entries = [(i, j, x) for j, col in self.columns.items()
+                   for i, x in col.items()]
+        entries += [(i, j, -x if sign < 0 else x)
+                    for j, col in other.columns.items() for i, x in col.items()]
+        return ExactMatrix.from_entries(self.rows, self.cols, entries,
+                                        self.ring)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_ring(other)
-        return ExactMatrix(self.ring, self.data + other.data)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_ring(other)
-        return ExactMatrix(self.ring, self.data - other.data)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.ring, -self.data)
+        return self.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
         c = self.ring.element(c)
-        return ExactMatrix(self.ring, self.data * c)
+        if not c:
+            return ExactMatrix.zeros(self.rows, self.cols, self.ring)
+        return ExactMatrix(self.ring, self.rows, self.cols, {
+            j: {i: x * c for i, x in col.items()}
+            for j, col in self.columns.items()})
 
     def matvec(self, v: Sequence) -> list:
         if self.cols != len(v):
             raise ValueError("shape mismatch in matvec")
-        if self.rows == 0:
-            return []
-        if self.cols == 0:
-            return [self.ring.element(0)] * self.rows
-        a, da, ta = self.integer_scaling()
-        vv, dv, tv = integer_scaling(v)
-        return list(self._from_integers(_int_dot(a, vv, ta * tv * self.cols),
-                                        da * dv))
+        return (self @ ExactMatrix.from_entries(len(v), 1, (
+            (j, 0, x) for j, x in enumerate(v)), self.ring)).col(0)
 
     # -- predicates -------------------------------------------------------
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def is_zero(self) -> bool:
-        return self.rows == 0 or self.cols == 0 or not (self.data != 0).any()
+        return not self.columns
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix)
                 and self.ring == other.ring
                 and self.shape == other.shape
-                and (self.rows == 0 or self.cols == 0
-                     or bool((self.data == other.data).all())))
+                and self.columns == other.columns)
 
     def __repr__(self):
         return f"ExactMatrix({self.ring}, {self.tolist()})"
@@ -279,15 +301,15 @@ class ExactMatrix:
         if not mats:
             return ExactMatrix.zeros(rows or 0, 0, ring)
         r = mats[0].rows
-        total = sum(m.cols for m in mats)
-        a = np.empty((r, total), dtype=object)
+        out = {}
         at = 0
         for m in mats:
             if m.rows != r:
                 raise ValueError("hstack row mismatch")
-            a[:, at:at + m.cols] = m.data
+            for j, col in m.columns.items():
+                out[at + j] = col
             at += m.cols
-        return ExactMatrix(mats[0].ring, a)
+        return ExactMatrix(mats[0].ring, r, at, out)
 
     @staticmethod
     def vstack(mats: Sequence["ExactMatrix"], cols: Optional[int] = None,
@@ -296,45 +318,16 @@ class ExactMatrix:
         if not mats:
             return ExactMatrix.zeros(0, cols or 0, ring)
         c = mats[0].cols
-        total = sum(m.rows for m in mats)
-        a = np.empty((total, c), dtype=object)
+        out: dict = {}
         at = 0
         for m in mats:
             if m.cols != c:
                 raise ValueError("vstack col mismatch")
-            a[at:at + m.rows, :] = m.data
+            for j, col in m.columns.items():
+                out.setdefault(j, {}).update(
+                    (at + i, x) for i, x in col.items())
             at += m.rows
-        return ExactMatrix(mats[0].ring, a)
-
-
-def integer_scaling(values: Sequence):
-    """(a, d, max|a|) with values = a / d: d is the least common denominator
-    and a is an int64 array when its entries fit, else an object array of
-    Python ints."""
-    d = math.lcm(*(x.denominator for x in values)) if len(values) else 1
-    nums = [x.numerator * (d // x.denominator) for x in values]
-    top = max(map(abs, nums), default=0)
-    return np.array(nums, dtype=np.int64 if top < 2 ** 63 else object), d, top
-
-
-def _int_dot(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
-    """a.dot(b) for integer arrays, on int64 when bound (max|a| * max|b| *
-    inner dimension) < 2**62, else on Python ints."""
-    if bound < 2 ** 62:
-        return a.dot(b)
-    return a.astype(object).dot(b.astype(object))
-
-
-_FRACTION_ZERO = Fraction(0)
-
-
-def _unscale(a: np.ndarray, den: int) -> np.ndarray:
-    """The object array of Fractions a / den, for an integer array a; every
-    zero is the one shared Fraction(0)."""
-    out = np.full(a.shape, _FRACTION_ZERO, dtype=object)
-    nz = np.nonzero(a)
-    out[nz] = [Fraction(x, den) for x in a[nz].tolist()]
-    return out
+        return ExactMatrix(mats[0].ring, at, c, out)
 
 
 @dataclass(frozen=True)
@@ -378,8 +371,8 @@ def _snf_core(a: np.ndarray, transforms: bool):
     m, n = a.shape
     guarded = a.dtype != object
     if transforms:
-        U = ExactMatrix.identity(m).data
-        V = ExactMatrix.identity(n).data
+        U = np.identity(m, dtype=object)
+        V = np.identity(n, dtype=object)
     else:
         U = V = None
     t = 0
@@ -462,21 +455,43 @@ def _snf_core(a: np.ndarray, transforms: bool):
     return U, V, diag
 
 
-def _prepare_int64(M: ExactMatrix) -> Optional[np.ndarray]:
-    try:
-        a = M.data.astype(np.int64)
-    except (OverflowError, TypeError):
-        return None
-    if a.size and abs(a).max() >= 2 ** 40:
-        return None
+def _dense(M: ExactMatrix, dtype) -> np.ndarray:
+    """The integer matrix M as an array of the given dtype."""
+    a = np.zeros(M.shape, dtype=dtype)
+    for j, col in M.columns.items():
+        for i, x in col.items():
+            a[i, j] = x
     return a
 
 
-def eliminate_unit_pivots(a: np.ndarray, record: Optional[list] = None
-                          ) -> Tuple[int, dict, dict]:
-    """(k, rows, cols): the array a after the elimination of k +-1 pivots,
-    as a dict of rows {col: x} of its nonzero entries plus the set of rows
-    of each column.
+def _prepare_int64(M: ExactMatrix) -> Optional[np.ndarray]:
+    """M as an int64 array, or None when an entry reaches 2**40."""
+    if any(abs(x) >= 2 ** 40 for col in M.columns.values()
+           for x in col.values()):
+        return None
+    return _dense(M, np.int64)
+
+
+def _from_dense(a: np.ndarray, ring: CoeffRing,
+                den: Optional[list] = None) -> ExactMatrix:
+    """The integer array a as a matrix over ring; over QQ each entry of row
+    i becomes the Fraction x / den[i] (x / 1 without den)."""
+    rs, cs = np.nonzero(a)
+    rs, cs, xs = rs.tolist(), cs.tolist(), a[rs, cs].tolist()
+    if ring.is_field:
+        xs = [Fraction(x, den[i] if den else 1) for i, x in zip(rs, xs)]
+    cols: dict = {}
+    for i, j, x in zip(rs, cs, xs):
+        cols.setdefault(j, {})[i] = x
+    return ExactMatrix(ring, a.shape[0], a.shape[1], cols)
+
+
+def eliminate_unit_pivots(M: ExactMatrix, record: Optional[list] = None,
+                          keep=None) -> Tuple[int, dict, dict]:
+    """(k, rows, cols): M after the elimination of k +-1 pivots, as a dict
+    of rows {col: x} of its nonzero entries plus the set of rows of each
+    column.  With `keep`, only the columns j in keep are read; the others
+    count as zero.
 
     Sparse elimination (Dumas, Saunders and Villard 2001): the next pivot
     is a +-1 entry of least Markowitz cost (r - 1)(c - 1), with r and c the
@@ -492,10 +507,11 @@ def eliminate_unit_pivots(a: np.ndarray, record: Optional[list] = None
     """
     rows: dict = {}
     cols: dict = {}
-    ri, ci = np.nonzero(a)
-    for i, j, x in zip(ri.tolist(), ci.tolist(), a[ri, ci].tolist()):
-        rows.setdefault(i, {})[j] = x
-        cols.setdefault(j, set()).add(i)
+    for j, col in M.columns.items():
+        if keep is None or j in keep:
+            cols[j] = set(col)
+            for i, x in col.items():
+                rows.setdefault(i, {})[j] = x
     heap = [((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j)
             for i, row in rows.items() for j, x in row.items()
             if x == 1 or x == -1]
@@ -539,36 +555,35 @@ def eliminate_unit_pivots(a: np.ndarray, record: Optional[list] = None
     return k, rows, cols
 
 
-def _unit_pivot_core(a: np.ndarray) -> Tuple[int, ExactMatrix]:
-    """(k, C) with SNF(a) = diag(1, ..., 1) (+) SNF(C) and k ones, for the
-    object array a of Python ints: `eliminate_unit_pivots` splits off one
-    invariant factor 1 per pivot.  C holds the rows and columns that keep a
-    nonzero entry, dense, as Python ints.
+def _unit_pivot_core(M: ExactMatrix) -> Tuple[int, ExactMatrix]:
+    """(k, C) with SNF(M) = diag(1, ..., 1) (+) SNF(C) and k ones, for the
+    integer matrix M: `eliminate_unit_pivots` splits off one invariant
+    factor 1 per pivot.  C holds the rows and columns that keep a nonzero
+    entry.
     """
-    k, rows, cols = eliminate_unit_pivots(a)
-    rkeys = sorted(rows)
-    ckeys = sorted(c for c, rs in cols.items() if rs)
-    pos = {c: t for t, c in enumerate(ckeys)}
-    core = np.zeros((len(rkeys), len(ckeys)), dtype=object)
-    for t, i in enumerate(rkeys):
-        for c, x in rows[i].items():
-            core[t, pos[c]] = x
-    return k, ExactMatrix(ZZ, core)
+    k, rows, cols = eliminate_unit_pivots(M)
+    rpos = {i: t for t, i in enumerate(sorted(rows))}
+    cpos = {c: t for t, c in enumerate(sorted(c for c, rs in cols.items()
+                                              if rs))}
+    core: dict = {}
+    for i, row in rows.items():
+        for c, x in row.items():
+            core.setdefault(cpos[c], {})[rpos[i]] = x
+    return k, ExactMatrix(ZZ, len(rpos), len(cpos), core)
 
 
 def _smith_reduce(M: ExactMatrix, transforms: bool):
-    """(U, V, reduced matrix, diag) of the integer matrix M by `_snf_core`:
-    on int64 while the growth bounds hold, on Python ints after an
-    overflow restart."""
+    """(U, V, reduced matrix, diag) of the integer matrix M by `_snf_core`,
+    as arrays: on int64 while the growth bounds hold, on Python ints after
+    an overflow restart."""
     a = _prepare_int64(M)
     if a is not None:
         try:
             U, V, diag = _snf_core(a, transforms)
-            return U, V, a.astype(object), [int(d) for d in diag]
+            return U, V, a, [int(d) for d in diag]
         except _Overflow:
             pass
-    a = np.empty(M.shape, dtype=object)
-    a[:, :] = M.data
+    a = _dense(M, object)
     U, V, diag = _snf_core(a, transforms)
     return U, V, a, diag
 
@@ -590,13 +605,15 @@ def _snf_any(M: ExactMatrix, transforms: bool):
     """
     field = M.ring.is_field
     if field:
-        s = [math.lcm(*(x.denominator for x in row)) for row in M.data]
-        a = np.empty(M.shape, dtype=object)
-        for i, row in enumerate(M.data):
-            a[i] = [x.numerator * (s[i] // x.denominator) for x in row]
-        M = ExactMatrix(ZZ, a)
+        by_row = M.by_rows()
+        s = [math.lcm(*(x.denominator for x in by_row.get(i, {}).values()))
+             for i in range(M.rows)]
+        M = ExactMatrix(ZZ, M.rows, M.cols, {
+            j: {i: x.numerator * (s[i] // x.denominator)
+                for i, x in col.items()}
+            for j, col in M.columns.items()})
     if not transforms:
-        k, core = _unit_pivot_core(M.data)
+        k, core = _unit_pivot_core(M)
         factors = [1] * k
         if core.rows:
             factors += [d for d in _smith_reduce(core, False)[3] if d != 0]
@@ -604,15 +621,14 @@ def _snf_any(M: ExactMatrix, transforms: bool):
             [Fraction(1)] * len(factors) if field else factors)
     U, V, a, diag = _smith_reduce(M, True)
     if not field:
-        return ExactMatrix(ZZ, U), ExactMatrix(ZZ, V), ExactMatrix(ZZ, a), diag
+        return (_from_dense(U, ZZ), _from_dense(V, ZZ), _from_dense(a, ZZ),
+                diag)
     r = sum(1 for d in diag if d != 0)
-    D = ExactMatrix.zeros(*M.shape, QQ)
-    D.data[range(r), range(r)] = Fraction(1)
-    U = U * np.array(s, dtype=object)[None, :]
-    for i in range(M.rows):
-        U[i] = _unscale(U[i], diag[i] if i < r else 1)
-    U, V = ExactMatrix(QQ, U), ExactMatrix(QQ, _unscale(V, 1))
-    return U, V, D, [D[i, i] for i in range(len(diag))]
+    one = Fraction(1)
+    D = ExactMatrix(QQ, M.rows, M.cols, {i: {i: one} for i in range(r)})
+    U = _from_dense(U * np.array(s, dtype=object)[None, :], QQ,
+                    [diag[i] if i < r else 1 for i in range(M.rows)])
+    return U, _from_dense(V, QQ), D, [D[i, i] for i in range(len(diag))]
 
 
 def smith_normal_form(M: ExactMatrix) -> SnfResult:
@@ -656,9 +672,7 @@ class PresolvedSolver:
         self.M = M
         self.ring = M.ring
         if M.rows and M.cols:
-            U, V, D, diag = _snf_any(M, transforms=True)
-            self.U, self.V = U, V
-            self.diag = diag
+            self.U, self.V, _, self.diag = _snf_any(M, transforms=True)
         else:
             self.U = ExactMatrix.identity(M.rows, M.ring)
             self.V = ExactMatrix.identity(M.cols, M.ring)
@@ -668,9 +682,9 @@ class PresolvedSolver:
     def solve(self, b: Sequence) -> Optional[list]:
         """Coefficients x with Mx = b, or None if b is not in the image:
         `solve_many` on the one column b."""
-        B = np.empty((len(b), 1), dtype=object)
-        B[:, 0] = b
-        return self.solve_many(ExactMatrix(self.ring, B))[0]
+        B = ExactMatrix.from_entries(len(b), 1, (
+            (i, 0, x) for i, x in enumerate(b)), self.ring)
+        return self.solve_many(B)[0]
 
     def solve_many(self, B: ExactMatrix) -> List[Optional[list]]:
         """Coefficients x with Mx = b for every column b of B, or None for
@@ -682,17 +696,25 @@ class PresolvedSolver:
         tests are exact, so None means b is not in the image."""
         if B.rows != self.M.rows:
             raise ValueError("rhs length mismatch")
-        r = self.rank
-        C = (self.U @ B).data
-        ok = ~(C[r:] != 0).any(axis=0)
-        Y = ExactMatrix.zeros(self.M.cols, B.cols, self.ring)
-        if r and B.cols:
-            d = np.array(self.diag[:r], dtype=object)[:, None]
-            if (d != 1).any():
-                ok &= ~(C[:r] % d != 0).any(axis=0)
-                C[:r] //= d
-            Y.data[:r] = C[:r]
-        X = self.V @ Y
+        r, diag = self.rank, self.diag
+        ok = [True] * B.cols
+        Y = {}
+        for j, col in (self.U @ B).columns.items():
+            y = {}
+            for i, x in col.items():
+                if i >= r:
+                    break
+                d = diag[i]
+                if d != 1:
+                    x, rem = divmod(x, d)
+                    if rem:
+                        break
+                y[i] = x
+            else:
+                Y[j] = y
+                continue
+            ok[j] = False
+        X = self.V @ ExactMatrix(self.ring, self.M.cols, B.cols, Y)
         return [X.col(j) if ok[j] else None for j in range(B.cols)]
 
 
@@ -720,7 +742,7 @@ def determinant(M: ExactMatrix):
     n = M.rows
     if n == 0:
         return M.ring.element(1)
-    a = [[x for x in row] for row in M.tolist()]
+    a = M.tolist()
     sign = 1
     prev = M.ring.element(1)
     for k in range(n - 1):
@@ -808,15 +830,12 @@ def subquotient(kernel_gens: ExactMatrix, image_gens: ExactMatrix) -> Subquotien
     """Invariants and representatives of span(kernel_gens)/span(image_gens)."""
     ring = kernel_gens.ring
     solver = PresolvedSolver(kernel_gens)
-    rel = np.empty((kernel_gens.cols, image_gens.cols), dtype=object)
-    for j, c in enumerate(solver.solve_many(image_gens)):
-        if c is None:
-            raise ValueError("image not contained in kernel")
-        rel[:, j] = c
-    # the module keeps the solver: free the int views its one solve cached
-    for m in (solver.U, solver.V):
-        m._i64 = m._scaled = None
-    U, V, D, _ = _snf_any(ExactMatrix(ring, rel), transforms=True)
+    sols = solver.solve_many(image_gens)
+    if None in sols:
+        raise ValueError("image not contained in kernel")
+    rel = ExactMatrix.from_entries(kernel_gens.cols, image_gens.cols, (
+        (i, j, x) for j, c in enumerate(sols) for i, x in enumerate(c)), ring)
+    U, V, D, _ = _snf_any(rel, transforms=True)
     return SubquotientModule(solver, SnfResult(U=U, D=D, V=V))
 
 
@@ -978,11 +997,9 @@ class ColumnLattice:
             pivots.add(pr)
         kept = [i for i in range(dim) if i not in pivots]
         pos = {i: k for k, i in enumerate(kept)}
-        P = ExactMatrix.zeros(len(kept), dim, self.ring)
-        for j in range(dim):
-            for i, c in self.reduce({j: 1})[0].items():
-                P.data[pos[i], j] = c
-        return kept, P
+        return kept, ExactMatrix.from_entries(len(kept), dim, (
+            (pos[i], j, c) for j in range(dim)
+            for i, c in self.reduce({j: 1})[0].items()), self.ring)
 
     def basis_vectors(self) -> list:
         return [dict(c[1]) for c in self.cols]

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .chain_complex import ChainComplex, cone_report, validate_complex
 from .exact_linalg import (
     CoeffRing,
@@ -126,10 +124,6 @@ class Quiver:
         return out
 
 
-def build_quiver(poset: StratPoset) -> Quiver:
-    return Quiver(poset)
-
-
 class Representation:
     """Functor from the poset to free modules: stalk ranks + arrow matrices.
 
@@ -147,6 +141,7 @@ class Representation:
         self.stalk_rank = {v: stalk_rank.get(v, 0) for v in quiver.vertices}
         self.arrow_map = dict(arrow_map)
         self.blocks = blocks if blocks is not None else [("", self)]
+        self._offsets: Optional[Dict[str, List[int]]] = None
         self._support = [v for v in quiver.vertices if self.stalk_rank[v]]
         self._thin: Optional[bool] = None
 
@@ -156,7 +151,7 @@ class Representation:
             self._thin = (
                 all(r <= 1 for r in self.stalk_rank.values())
                 and all(x in (0, 1, -1) for m in self.arrow_map.values()
-                        for x in m.data.flat))
+                        for col in m.columns.values() for x in col.values()))
         return self._thin
 
     def rank(self, v: str) -> int:
@@ -181,10 +176,14 @@ class Representation:
         return list(self._support)
 
     def block_offsets(self, v: str) -> List[int]:
-        offs = [0]
-        for _, rep in self.blocks:
-            offs.append(offs[-1] + rep.rank(v))
-        return offs
+        """Where each block starts in the stalk at v, then the stalk rank;
+        computed for every vertex at the first call (`blocks` is fixed)."""
+        if self._offsets is None:
+            ranks = [rep.stalk_rank for _, rep in self.blocks]
+            self._offsets = {v: list(accumulate((r[v] for r in ranks),
+                                                initial=0))
+                             for v in self.quiver.vertices}
+        return self._offsets[v]
 
     def is_zero(self) -> bool:
         return self.total_rank() == 0
@@ -307,7 +306,7 @@ def _thin_generators(V: Representation, W: Representation,
 
     def scalar(R, a, b):
         m = R.arrow_map.get((a, b))
-        return 0 if m is None else m.data[0, 0]
+        return 0 if m is None else m[0, 0]
 
     out, into = V.quiver._out, V.quiver._in
     squares = [(c, b) for c in common for b in out[c] if W.stalk_rank[b]]
@@ -351,31 +350,27 @@ def _hom_system(V: Representation, W: Representation
     *offs, ncols = accumulate((W.rank(v) * V.rank(v) for v in common),
                               initial=0)
     start = dict(zip(common, offs))
-    zero = V.ring.element(0)
     rows = []
     for a, b in V.quiver.arrows:
         if not W.rank(b) or not V.rank(a):
             continue  # no equations
-        va, wa = V.arrow(a, b), W.arrow(a, b)
+        va = V.arrow(a, b).columns
+        wa = W.arrow(a, b).by_rows()
         # f_b . V_ab = W_ab . f_a, one equation per (i, j)
         for i in range(W.rank(b)):
             for j in range(V.rank(a)):
-                row = [zero] * ncols
-                nonzero = False
-                for k in range(V.rank(b)):
-                    x = va[k, j]
-                    if x != 0:
-                        row[start[b] + i * V.rank(b) + k] += x
-                        nonzero = True
-                for k in range(W.rank(a)):
-                    x = wa[i, k]
-                    if x != 0:
-                        row[start[a] + k * V.rank(a) + j] -= x
-                        nonzero = True
-                if nonzero and any(x != 0 for x in row):
+                row: dict = {}
+                for k, x in va.get(j, {}).items():
+                    at = start[b] + i * V.rank(b) + k
+                    row[at] = row.get(at, 0) + x
+                for k, x in wa.get(i, {}).items():
+                    at = start[a] + k * V.rank(a) + j
+                    row[at] = row.get(at, 0) - x
+                if any(row.values()):
                     rows.append(row)
-    arr = np.array(rows, dtype=object).reshape(len(rows), ncols)
-    return ExactMatrix(V.ring, arr), start
+    return ExactMatrix.from_entries(len(rows), ncols, (
+        (r, c, x) for r, row in enumerate(rows) for c, x in row.items()),
+        V.ring), start
 
 
 def hom_rank(V: Representation, W: Representation) -> int:
@@ -429,8 +424,9 @@ def _dense_hom_space(V: Representation, W: Representation
         comps = {}
         for v, at in start.items():
             r, c = W.rank(v), V.rank(v)
-            comps[v] = ExactMatrix(ring, np.array(
-                col[at:at + r * c], dtype=object).reshape(r, c))
+            comps[v] = ExactMatrix.from_entries(r, c, (
+                (k // c, k % c, x) for k, x in enumerate(col[at:at + r * c])),
+                ring)
         out.append(RepMorphism(V, W, comps))
     return out
 
@@ -459,16 +455,17 @@ def direct_sum(reps: Sequence[Representation],
         rb, ra = stalks[b], stalks[a]
         if not rb or not ra:
             continue
-        m = ExactMatrix.zeros(rb, ra, ring)
+        entries = []
         ro = co = 0
         for rep in reps:
-            blk = rep.arrow(a, b)
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    m.data[ro + i, co + j] = blk[i, j]
+            blk = rep.arrow_map.get((a, b))
+            if blk is not None:
+                entries.extend((ro + i, co + j, x)
+                               for j, col in blk.columns.items()
+                               for i, x in col.items())
             ro += rep.rank(b)
             co += rep.rank(a)
-        arrows[(a, b)] = m
+        arrows[(a, b)] = ExactMatrix.from_entries(rb, ra, entries, ring)
     blocks = list(zip(names, reps))
     return Representation(quiver, ring, stalks, arrows, blocks=blocks)
 
@@ -537,7 +534,7 @@ def _evaluation_cover(V: Representation,
         cv = cover.rank(v)
         if not rv or not cv:
             continue
-        m = ExactMatrix.zeros(rv, cv, ring)
+        entries = []
         col = 0
         for (x, k), piece in zip(piece_info, pieces):
             if piece.rank(v):
@@ -545,10 +542,10 @@ def _evaluation_cover(V: Representation,
                 path = V.quiver.paths(x, v)
                 vec = V.path_matrix(path[0]) if path else \
                     ExactMatrix.identity(rv, ring)
-                for i in range(rv):
-                    m.data[i, col] = vec[i, k]
+                entries.extend((i, col, y)
+                               for i, y in vec.columns.get(k, {}).items())
                 col += 1
-        comps[v] = m
+        comps[v] = ExactMatrix.from_entries(rv, cv, entries, ring)
     return cover, RepMorphism(cover, V, comps), [x for x, _ in piece_info]
 
 
@@ -655,16 +652,15 @@ def _coevaluation_embedding(V: Representation,
         rows, cols = term.rank(x), V.rank(x)
         if not rows or not cols:
             continue
-        m = ExactMatrix.zeros(rows, cols, ring)
+        entries = []
         at = 0
         for (y, k), piece in zip(info, pieces):
             if piece.rank(x):
                 paths = quiver.paths(x, y)
                 row = V.path_matrix(paths[0])  # V(x) -> V(y)
-                for j in range(cols):
-                    m.data[at, j] = row[k, j]
+                entries.extend((at, j, row[k, j]) for j in range(cols))
                 at += 1
-        comps[x] = m
+        comps[x] = ExactMatrix.from_entries(rows, cols, entries, ring)
     return term, RepMorphism(V, term, comps)
 
 
@@ -748,25 +744,28 @@ def hom_complex_against(res: ProjectiveResolution,
         if not ranks[q] or not ranks[q + 1]:
             continue
         src, dst = offsets[q], offsets[q + 1]
-        m = ExactMatrix.zeros(ranks[q + 1], ranks[q], W.ring)
+        entries = []
         for y in dict.fromkeys(y for y in vertices[q + 1] if W.rank(y)):
             # the summands of Q_q and of Q_(q+1) present at y, in stalk order
             rows, cols = ([b for b, x in enumerate(xs) if leq(x, y)]
                           for xs in (vertices[q], vertices[q + 1]))
-            comp = d.component(y).data
+            comp = d.component(y).columns
             for j, c in enumerate(cols):
                 if vertices[q + 1][c] != y:
                     continue
-                for i in np.flatnonzero(comp[:, j] != 0):
+                for i, s in comp.get(j, {}).items():
                     b = rows[i]
                     x = vertices[q][b]
                     if not W.rank(x):
                         continue
                     if (x, y) not in paths:
                         paths[(x, y)] = W.path_matrix(quiver.paths(x, y)[0])
-                    m.data[dst[c]:dst[c + 1], src[b]:src[b + 1]] = \
-                        comp[i, j] * paths[(x, y)].data
-        diffs[q] = m
+                    entries.extend(
+                        (dst[c] + k, src[b] + l, s * w)
+                        for l, col in paths[(x, y)].columns.items()
+                        for k, w in col.items())
+        diffs[q] = ExactMatrix.from_entries(ranks[q + 1], ranks[q], entries,
+                                            W.ring)
     return ChainComplex(W.ring, ranks, diffs)
 
 
@@ -775,12 +774,17 @@ def _stack_flat(morphisms: Sequence[RepMorphism]) -> ExactMatrix:
     entries of each, in (vertex, row, col) order over the common support of
     V and W, as `_hom_system` numbers its unknowns."""
     V, W = morphisms[0].source, morphisms[0].target
-    parts = [np.stack([m.component(v).data.reshape(-1) for m in morphisms],
-                      axis=1)
-             for v in V._support if W.stalk_rank[v]]
-    if not parts:
-        return ExactMatrix.zeros(0, len(morphisms), V.ring)
-    return ExactMatrix(V.ring, np.concatenate(parts))
+    entries = []
+    at = 0
+    for v in V._support:
+        if W.stalk_rank[v]:
+            c = V.stalk_rank[v]
+            for t, m in enumerate(morphisms):
+                entries.extend((at + i * c + j, t, x) for j, col in
+                               m.component(v).columns.items()
+                               for i, x in col.items())
+            at += W.stalk_rank[v] * c
+    return ExactMatrix.from_entries(at, len(morphisms), entries, V.ring)
 
 
 def _solve_all(solver: PresolvedSolver, B: ExactMatrix,
@@ -790,10 +794,9 @@ def _solve_all(solver: PresolvedSolver, B: ExactMatrix,
     cols = solver.solve_many(B)
     if any(c is None for c in cols):
         raise AssertionError(failure)
-    a = np.empty((solver.M.cols, B.cols), dtype=object)
-    for j, c in enumerate(cols):
-        a[:, j] = c
-    return ExactMatrix(B.ring, a)
+    return ExactMatrix.from_entries(solver.M.cols, B.cols, (
+        (i, j, x) for j, c in enumerate(cols) for i, x in enumerate(c)),
+        B.ring)
 
 
 def ext_all(V: Representation, W: Representation, qmax: int,

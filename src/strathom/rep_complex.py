@@ -13,10 +13,9 @@ cone and shift conventions live in chain_complex.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .chain_complex import ChainComplex, ChainMap, is_quasi_iso
 from .dg import DgAlgebra
@@ -255,9 +254,9 @@ class _PairCache:
         if solver is None:
             solver = self._solvers[(a, b)] = PresolvedSolver(_stack_flat(gens))
         X = _solve_all(solver, _stack_flat(morphisms),
-                       "morphism escaped the Hom lattice").data
-        return [tuple((k, c) for k, c in enumerate(X[:, j]) if c != 0)
-                for j in range(X.shape[1])]
+                       "morphism escaped the Hom lattice")
+        return [tuple(sorted(X.columns.get(j, {}).items()))
+                for j in range(X.cols)]
 
     @staticmethod
     def _ratio(g: RepMorphism, m: RepMorphism) -> tuple:
@@ -267,9 +266,10 @@ class _PairCache:
         check at p is that g[p] divides m[p]."""
         ring = g.source.ring
         for v, gv in g.components.items():
-            nz = np.flatnonzero(gv.data != 0)
-            if nz.size:
-                lead, x = gv.data.flat[nz[0]], m.component(v).data.flat[nz[0]]
+            if not gv.is_zero():
+                i, j = min((i, j) for j, col in gv.columns.items()
+                           for i in col)
+                lead, x = gv[i, j], m.component(v)[i, j]
                 break
         c = ring.element(x / lead if ring.is_field else x // lead)
         if any(m.component(v) != gv.scale(c)
@@ -304,18 +304,23 @@ def _block_components(d: RepMorphism) -> Dict[Tuple[int, int], RepMorphism]:
     """The nonzero block morphisms of a morphism of direct sums, keyed
     (source block, target block); each keeps its nonzero components only.
 
-    Only the nonzero entries of d are visited, and the block offsets are
-    computed once per vertex."""
+    Only the nonzero entries of d are visited, each placed in its block by
+    bisection of the block offsets."""
     src, dst = d.source, d.target
     comps: Dict[Tuple[int, int], dict] = {}
     for v, full in d.components.items():
         roff, coff = dst.block_offsets(v), src.block_offsets(v)
-        rows, cols = np.nonzero(full.data != 0)
-        bis = np.searchsorted(roff, rows, side="right") - 1
-        ais = np.searchsorted(coff, cols, side="right") - 1
-        for ai, bi in set(zip(ais.tolist(), bis.tolist())):
-            comps.setdefault((ai, bi), {})[v] = full.submatrix(
-                range(roff[bi], roff[bi + 1]), range(coff[ai], coff[ai + 1]))
+        blocks: Dict[Tuple[int, int], list] = {}
+        for j, col in full.columns.items():
+            ai = bisect_right(coff, j) - 1
+            for i, x in col.items():
+                bi = bisect_right(roff, i) - 1
+                blocks.setdefault((ai, bi), []).append(
+                    (i - roff[bi], j - coff[ai], x))
+        for (ai, bi), entries in blocks.items():
+            comps.setdefault((ai, bi), {})[v] = ExactMatrix.from_entries(
+                roff[bi + 1] - roff[bi], coff[ai + 1] - coff[ai], entries,
+                src.ring)
     return {(ai, bi): RepMorphism(src.blocks[ai][1], dst.blocks[bi][1], c)
             for (ai, bi), c in sorted(comps.items())}
 
@@ -430,8 +435,7 @@ class HomComplex:
             starts = self._start.get(m + 1)
             if not starts:
                 continue
-            mat = ExactMatrix.zeros(len(self.basis[m + 1]), len(basis),
-                                    self.ring)
+            entries = []
             sign = -1 if m % 2 else 1
             for j, e in enumerate(basis):
                 a, b = e.morphism.source, e.morphism.target
@@ -452,10 +456,9 @@ class HomComplex:
                         for s, y in table.get((e.k, r), ()):
                             i = starts[(e.p - 1, a0i, e.dst_block)] + s
                             col[i] = col.get(i, 0) - sign * x * y
-                for i, c in col.items():
-                    if c != 0:
-                        mat.data[i, j] = self.ring.element(c)
-            diffs[m] = mat
+                entries.extend((i, j, c) for i, c in col.items())
+            diffs[m] = ExactMatrix.from_entries(
+                len(self.basis[m + 1]), len(basis), entries, self.ring)
         labels = {m: self.rendered_labels(m) for m in self.basis}
         return ChainComplex(self.ring, ranks, diffs, labels)
 
@@ -466,10 +469,8 @@ class HomComplex:
         d = self.complex.d(m)
         rows = []
         for j, name in enumerate(names):
-            img = {}
-            for i in range(d.rows):
-                if d[i, j] != 0:
-                    img[tgt_names[i]] = d[i, j]
+            img = {tgt_names[i]: x
+                   for i, x in sorted(d.columns.get(j, {}).items())}
             rows.append((name, img))
         return rows
 

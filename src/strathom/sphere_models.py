@@ -31,10 +31,10 @@ from .dg import (
 )
 from .exact_linalg import QQ, ZZ, CoeffRing, ExactMatrix
 from .quiver_rep import (
+    Quiver,
     RepMorphism,
     Representation,
     StratPoset,
-    build_quiver,
     closure_rep,
     direct_sum,
     hom_rank,
@@ -61,7 +61,7 @@ class SphereModel:
             covers.append((f"E{i}", "H1"))
             covers.append((f"E{i}", "H2"))
         self.poset = StratPoset(strata, covers, acyclicity_asserted=True)
-        self.quiver = build_quiver(self.poset)
+        self.quiver = Quiver(self.poset)
         self._closure: Dict[str, Representation] = {}
         self._gens: Dict[Tuple[str, str], RepMorphism] = {}
 
@@ -122,17 +122,16 @@ class SphereModel:
             rows, cols = dst.rank(v), src.rank(v)
             if not rows or not cols:
                 continue
-            m = ExactMatrix.zeros(rows, cols, self.ring)
             roff, coff = dst.block_offsets(v), src.block_offsets(v)
+            terms = []
             for (di, si), c in entries.items():
                 gen = self.generator(src.blocks[si][0], dst.blocks[di][0])
                 g = gen.components.get(v)
-                if g is None:
-                    continue
-                for i in range(g.rows):
-                    for j in range(g.cols):
-                        m.data[roff[di] + i, coff[si] + j] = \
-                            m[roff[di] + i, coff[si] + j] + c * g[i, j]
+                if g is not None:
+                    terms.extend((roff[di] + i, coff[si] + j, c * x)
+                                 for j, col in g.columns.items()
+                                 for i, x in col.items())
+            m = ExactMatrix.from_entries(rows, cols, terms, self.ring)
             if not m.is_zero():
                 comps[v] = m
         return RepMorphism(src, dst, comps)
@@ -146,15 +145,13 @@ class SphereModel:
             rows, cols = term.rank(v), rep.rank(v)
             if not rows or not cols:
                 continue
-            m = ExactMatrix.zeros(rows, cols, self.ring)
             roff = term.block_offsets(v)
-            for bi, (bname, brep) in enumerate(term.blocks):
-                if brep.rank(v) and gens[bi]:
-                    g = gens[bi][0].component(v)
-                    for i in range(g.rows):
-                        for j in range(g.cols):
-                            m.data[roff[bi] + i, j] = g[i, j]
-            comps[v] = m
+            comps[v] = ExactMatrix.from_entries(rows, cols, (
+                (roff[bi] + i, j, x)
+                for bi, (_, brep) in enumerate(term.blocks)
+                if brep.rank(v) and gens[bi]
+                for j, col in gens[bi][0].component(v).columns.items()
+                for i, x in col.items()), self.ring)
         return RepMorphism(rep, term, comps)
 
     def _resolution(self, marked: List[int]) -> "Resolution":

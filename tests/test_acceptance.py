@@ -247,13 +247,13 @@ def test_criterion_7_property_suites():
                 if k else E_trivial
             comps = {}
             for mdeg in E_trivial.degrees():
-                mat = ExactMatrix.zeros(E2.dim(mdeg), E_trivial.dim(mdeg), ZZ)
                 s = 1 if (k * mdeg) % 2 == 0 else -1
-                for i, e in enumerate(E_trivial.hom.basis[mdeg]):
-                    j = E2.hom.find(mdeg, e.label.kind, e.label.indices,
-                                    e.label.p - k)
-                    mat.data[j, i] = s
-                comps[mdeg] = mat
+                comps[mdeg] = ExactMatrix.from_entries(
+                    E2.dim(mdeg), E_trivial.dim(mdeg), (
+                        (E2.hom.find(mdeg, e.label.kind, e.label.indices,
+                                     e.label.p - k), i, s)
+                        for i, e in enumerate(E_trivial.hom.basis[mdeg])),
+                    ZZ)
             phi = DgMorphism(E_trivial, E2, comps)
             assert phi.validate() == [], k
             assert is_quasi_iso_dg(phi).ok, k

@@ -163,7 +163,7 @@ def test_quasi_iso_composition_closure():
         def shear(n, s):
             m = ExactMatrix.identity(n)
             if n > 1:
-                m.data[0, 1] = s
+                m = m + ExactMatrix.from_entries(n, n, [(0, 1, s)])
             return m
         f_comp = {0: shear(n0, rng.randint(-2, 2)), 1: ExactMatrix.identity(n1)}
         # force commuting: only use identity on both spots unless it commutes

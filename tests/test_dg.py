@@ -461,10 +461,8 @@ def test_morphism_validate_matches_reference_on_sphere_chain():
     proj = chain.projection
     assert proj.validate() == [] == _multiplicativity_reference(proj)
     comps = dict(proj.components)
-    bent = comps[0].data.copy()
-    bent[0, 0] += 1
-    bent[0, 2] += 1
-    comps[0] = ExactMatrix(E.ring, bent)
+    comps[0] = comps[0] + ExactMatrix.from_entries(
+        *comps[0].shape, [(0, 0, 1), (0, 2, 1)], E.ring)
     f = DgMorphism(proj.source, proj.target, comps)
     problems = [p for p in f.validate() if p.startswith("not multiplicative")]
     assert problems and problems == _multiplicativity_reference(f)
@@ -586,12 +584,11 @@ def _random_dg_algebra(ring, seed):
     diff = {}
     for q in (-1, 0, 1):  # nonzero d only on alternate degrees: d^2 = 0
         if (q % 2 == seed % 2 or rng.random() < 0.15) and dims.get(q + 1):
-            m = ExactMatrix.zeros(dims[q + 1], dims[q], ring)
-            for r in range(m.rows):
-                for c in range(m.cols):
-                    if c or q != 0 or rng.random() < 0.1:  # keep d(1) = 0
-                        m.data[r, c] = entry()
-            diff[q] = m
+            entries = [(r, c, entry()) for r in range(dims[q + 1])
+                       for c in range(dims[q])
+                       if c or q != 0 or rng.random() < 0.1]  # keep d(1) = 0
+            diff[q] = ExactMatrix.from_entries(dims[q + 1], dims[q], entries,
+                                               ring)
     one = ring.element(1)
     mult = {}
     for q in degs:
@@ -702,13 +699,14 @@ def _random_sparse_algebra(ring, rng, dims, density, inside=None):
     diff = {}
     for q in dims:
         if q + 1 in dims and rng.random() < 0.6:
-            m = ExactMatrix.zeros(dims[q + 1], dims[q], ring)
+            entries = []
             for j in range(dims[q]):
                 if rng.random() < 0.5:
                     within = inside is not None and j in inside[q]
-                    for i, c in vec(q + 1, within).items():
-                        m.data[i, j] = c
-            diff[q] = m
+                    entries.extend((i, j, c)
+                                   for i, c in vec(q + 1, within).items())
+            diff[q] = ExactMatrix.from_entries(dims[q + 1], dims[q], entries,
+                                               ring)
     labels = {q: [f"{q}:{i}" for i in range(n)] for q, n in dims.items()}
     return DgAlgebra(ring, dims, labels, {0: ring.element(1)}, diff, mult)
 
@@ -726,12 +724,9 @@ def _random_morphism(ring, seed):
     B = _random_sparse_algebra(ring, rng, dims_b, 0.4)
     comps = {}
     for q in (0, 1, 2):
-        m = ExactMatrix.zeros(dims_b[q], dims_a[q], ring)
-        for r in range(m.rows):
-            for c in range(m.cols):
-                if rng.random() < 0.5:
-                    m.data[r, c] = _random_entry(ring, rng)
-        comps[q] = m
+        comps[q] = ExactMatrix.from_entries(dims_b[q], dims_a[q], [
+            (r, c, _random_entry(ring, rng)) for r in range(dims_b[q])
+            for c in range(dims_a[q]) if rng.random() < 0.5], ring)
     return DgMorphism(A, B, comps)
 
 
@@ -807,7 +802,7 @@ def _subalgebra_reference(A, elements):
                     raise ValueError(
                         f"span not closed under differential at degree {q}")
             continue
-        m = ExactMatrix.zeros(dims[q + 1], dims[q], A.ring)
+        entries = []
         for j, pos in enumerate(positions):
             img = A.d_element(elements[pos])
             try:
@@ -816,9 +811,9 @@ def _subalgebra_reference(A, elements):
                 raise ValueError(
                     f"span not closed under differential at degree {q}, "
                     f"element #{pos}")
-            for i, c in co.items():
-                m.data[i, j] = c
-        diff[q] = m
+            entries.extend((i, j, c) for i, c in co.items())
+        diff[q] = ExactMatrix.from_entries(dims[q + 1], dims[q], entries,
+                                           A.ring)
     mult = {}
     for q1, pos1 in per_degree.items():
         for q2, pos2 in per_degree.items():
@@ -868,8 +863,11 @@ def _random_span_case(ring, seed):
     bendable = [q for q in A.diff if outside[q + 1]]
     if bendable and rng.random() < 0.2:
         q = rng.choice(bendable)
-        A.diff[q].data[rng.choice(outside[q + 1]),
-                       rng.choice(inside[q])] = _random_entry(ring, rng)
+        x = _random_entry(ring, rng)
+        i, j = rng.choice(outside[q + 1]), rng.choice(inside[q])
+        d = A.diff[q]  # overwrite entry (i, j) of d with x
+        A.diff[q] = d + ExactMatrix.from_entries(
+            *d.shape, [(i, j, x - d[i, j])], ring)
     elements = []
     for q, rows in inside.items():
         for a, row in enumerate(rows):
@@ -1094,7 +1092,7 @@ def _generated_end(seed, ring):
 
     from strathom.cli import _build_reps
     from strathom.quiver_rep import (
-        StratPoset, build_quiver, direct_sum, injective_coresolution)
+        StratPoset, Quiver, direct_sum, injective_coresolution)
     from strathom.rep_complex import ComplexOfReps, end_dg_algebra
 
     path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
@@ -1102,7 +1100,7 @@ def _generated_end(seed, ring):
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     poset_doc, reps_doc = gen.instance(seed, 0, "smoke")
-    quiver = build_quiver(StratPoset(
+    quiver = Quiver(StratPoset(
         [(s["name"], s["dim"]) for s in poset_doc["strata"]],
         [tuple(c) for c in poset_doc["covers"]], acyclicity_asserted=True))
     reps = _build_reps(reps_doc, quiver, ring)

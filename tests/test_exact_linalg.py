@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,7 +209,9 @@ def test_snf_matches_determinantal_divisors(data, path, r, c, scale):
 
 def _dense_factors(rows, c):
     """Nonzero diagonal of `_snf_core` on the dense object array."""
-    a = ExactMatrix.from_rows(rows, ZZ, cols=c).data
+    a = np.zeros((len(rows), c), dtype=object)
+    for i, row in enumerate(rows):
+        a[i, :] = row
     return [d for d in exact_linalg._snf_core(a, False)[2] if d != 0]
 
 
@@ -254,27 +258,19 @@ def test_unit_pivot_front_end_matches_dense_engine(r, c, seed, plant):
 
 # ---------------------------------------------------------------- products
 
-# Small fractions take the int64 product; numerators and denominators near
-# 2**40 push the scaled operands past the 2**62 bound (or past int64), so
-# the product runs on Python ints.  Over Z, entries near 2**31 cross the
-# bound once two terms are summed, and entries of 2**62 or more have no
-# int64 view (or cross the bound at once).
+# Small and large fractions (numerators and denominators near 2**40) over
+# Q; over Z, small entries, entries near 2**31 and entries up to 2**70 in
+# absolute value, past every fixed-width integer type.
 _SMALL_Q = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 _BIG_Q = st.builds(lambda s, n, d: Fraction(s * n, d),
                    st.sampled_from([1, -1]),
                    st.integers(2 ** 40 - 9, 2 ** 40 + 9),
                    st.integers(2 ** 40 - 9, 2 ** 40 + 9))
-_Z_PAST_BOUND = st.one_of(
+_Z_WIDE = st.one_of(
     st.integers(-4, 4),
     st.integers(2 ** 31 - 5, 2 ** 31 + 5),
     st.integers(-2 ** 31 - 5, -2 ** 31 + 5),
-    st.integers(2 ** 62, 2 ** 64), st.integers(-2 ** 64, -2 ** 62))
-
-
-def _matrix(data, entry, rows, cols, ring):
-    return ExactMatrix.from_rows(
-        [[data.draw(entry) for _ in range(cols)] for _ in range(rows)],
-        ring, cols=cols)
+    st.integers(2 ** 62, 2 ** 70), st.integers(-2 ** 70, -2 ** 62))
 
 
 def _all_fractions(xs):
@@ -339,27 +335,117 @@ def test_every_smith_reduction_sees_integers(monkeypatch, capsys):
     assert calls and len(seen) > calls and all(seen)
 
 
+def _read_out(m, kind):
+    """m.tolist(), once `entries`, `col` and m[i, j] agree with it and
+    every entry read is of type kind."""
+    rows = m.tolist()
+    assert len(rows) == m.rows and all(len(row) == m.cols for row in rows)
+    assert m.entries == [x for row in rows for x in row]
+    cols = [m.col(j) for j in range(m.cols)]
+    assert cols == [[row[j] for row in rows] for j in range(m.cols)]
+    reads = [m[i, j] for i in range(m.rows) for j in range(m.cols)]
+    assert reads == m.entries
+    assert all(type(x) is kind
+               for x in m.entries + reads + [x for c in cols for x in c])
+    return rows
+
+
+def _ref_product(a, b, r, k, c, zero):
+    return [[sum((a[i][t] * b[t][j] for t in range(k)), zero)
+             for j in range(c)] for i in range(r)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),
        st.sampled_from([(QQ, _SMALL_Q), (QQ, st.one_of(_SMALL_Q, _BIG_Q)),
-                        (ZZ, _Z_PAST_BOUND)]))
-def test_q_products_match_fraction_dot(data, r, k, c, ring_entry):
-    """Products equal the object-dtype dot of Fractions over Q and of
-    Python ints over Z, entry by entry and type by type."""
+                        (ZZ, _Z_WIDE)]), st.booleans())
+def test_q_products_match_fraction_dot(data, r, k, c, ring_entry, cancel):
+    """Every matrix operation equals a Python loop over `tolist()`, entry
+    by entry and type by type (Fractions over Q, ints over Z).  With
+    `cancel`, column 1 of A is minus column 0, row 1 of B is row 0 and
+    the rest of A is zero, so every term of A B cancels in pairs; such a
+    product, like A - A, must be `is_zero()` and equal to `zeros`."""
     ring, entry = ring_entry
-    A = _matrix(data, entry, r, k, ring)
-    B = _matrix(data, entry, k, c, ring)
-    v = [data.draw(entry) for _ in range(k)]
     kind = Fraction if ring.is_field else int
+    zero = ring.element(0)
+    a = [[data.draw(entry) for _ in range(k)] for _ in range(r)]
+    b = [[data.draw(entry) for _ in range(c)] for _ in range(k)]
+    v = [data.draw(entry) for _ in range(k)]
+    planted = cancel and k >= 2
+    if planted:
+        for row in a:
+            row[1:] = [-row[0]] + [0] * (k - 2)
+        b[1] = list(b[0])
+        v[1] = v[0]
+    A = ExactMatrix.from_rows(a, ring, cols=k)
+    B = ExactMatrix.from_rows(b, ring, cols=c)
+    a, b = _read_out(A, kind), _read_out(B, kind)
+
     AB = A @ B
     assert AB.shape == (r, c)
-    assert AB.tolist() == A.data.dot(B.data).tolist()
-    assert all(type(x) is kind for x in AB.entries)
-    vv = np.empty(k, dtype=object)
-    vv[:] = v
+    want = _ref_product(a, b, r, k, c, zero)
+    assert _read_out(AB, kind) == want
     Av = A.matvec(v)
-    assert Av == list(A.data.dot(vv))
+    assert Av == [sum((x * y for x, y in zip(row, v)), zero) for row in a]
     assert all(type(x) is kind for x in Av)
+    if planted:
+        assert AB.is_zero() and AB == ExactMatrix.zeros(r, c, ring)
+        assert not any(Av)
+    assert AB.is_zero() == all(x == 0 for row in want for x in row)
+
+    A2 = ExactMatrix.from_rows(
+        [[data.draw(entry) for _ in range(k)] for _ in range(r)], ring, cols=k)
+    a2 = _read_out(A2, kind)
+    s = data.draw(entry)
+    for got, ref in ((A + A2, [[x + y for x, y in zip(p, q)]
+                               for p, q in zip(a, a2)]),
+                     (A - A2, [[x - y for x, y in zip(p, q)]
+                               for p, q in zip(a, a2)]),
+                     (-A, [[-x for x in p] for p in a]),
+                     (A.scale(s), [[x * s for x in p] for p in a])):
+        assert got.shape == (r, k)
+        assert _read_out(got, kind) == ref
+    for cancelled in (A - A, A + (-A), A.scale(0), (A - A) @ B):
+        assert cancelled.is_zero()
+        assert cancelled == ExactMatrix.zeros(*cancelled.shape, ring)
+    assert (A == A2) == (a == a2)
+    assert A == ExactMatrix.from_rows(a, ring, cols=k)
+    assert (A + A2 - A2) == A
+    assert (A == A.scale(2)) == (a == [[0] * k] * r)
+    assert A != ExactMatrix.zeros(r, k + 1, ring)
+
+    H = ExactMatrix.hstack([A, A2, A], ring=ring)
+    assert H.shape == (r, 3 * k)
+    assert _read_out(H, kind) == [p + q + p for p, q in zip(a, a2)]
+    V = ExactMatrix.vstack([A, A2], ring=ring)
+    assert V.shape == (2 * r, k)
+    assert _read_out(V, kind) == a + a2
+    js = data.draw(st.lists(st.integers(0, k - 1), max_size=5)) if k else []
+    is_ = data.draw(st.lists(st.integers(0, r - 1), max_size=5)) if r else []
+    assert _read_out(A.take_cols(js), kind) == [[p[j] for j in js] for p in a]
+    assert _read_out(A.take_rows(is_), kind) == [a[i] for i in is_]
+    assert (_read_out(A.submatrix(is_, js), kind)
+            == [[a[i][j] for j in js] for i in is_])
+    assert _read_out(ExactMatrix.zeros(r, c, ring), kind) == [[0] * c] * r
+    assert _read_out(ExactMatrix.identity(r, ring), kind) == [
+        [int(i == j) for j in range(r)] for i in range(r)]
+
+
+def test_only_exact_linalg_imports_numpy():
+    """numpy serves the dense Smith engine only: no other module of the
+    package imports it."""
+    importers = []
+    for path in sorted(Path(exact_linalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "numpy" for n in names):
+                importers.append(path.name)
+    assert importers == ["exact_linalg.py"]
 
 
 def test_q_product_past_the_int64_bound():

@@ -19,7 +19,6 @@ from strathom.quiver_rep import (
     _cokernel_rep,
     _solve_all,
     _stack_flat,
-    build_quiver,
     direct_sum,
     ext,
     ext_all,
@@ -62,7 +61,7 @@ def constant_rep(quiver, ring=ZZ):
 
 @pytest.fixture(scope="module")
 def q2():
-    return build_quiver(sphere_poset_2())
+    return Quiver(sphere_poset_2())
 
 
 # ------------------------------------------------------------ posets/quivers
@@ -84,7 +83,7 @@ def test_quiver_counts_for_two_point_sphere(q2):
 
 
 def test_single_stratum_quiver():
-    q = build_quiver(StratPoset([("X", 2)], []))
+    q = Quiver(StratPoset([("X", 2)], []))
     assert q.vertices == ["X"] and q.arrows == []
 
 
@@ -92,7 +91,7 @@ def test_hasse_drops_transitive_covers():
     # declaring a <= c explicitly must not create an extra arrow
     p = StratPoset([("a", 0), ("b", 1), ("c", 2)],
                    [("a", "b"), ("b", "c"), ("a", "c")])
-    q = build_quiver(p)
+    q = Quiver(p)
     assert sorted(q.arrows) == [("a", "b"), ("b", "c")]
 
 
@@ -161,7 +160,7 @@ def test_hom_constant_to_constant_is_scalars(q2):
 
 
 def test_hom_mismatched_quivers_rejected(q2):
-    other = build_quiver(StratPoset([("X", 0)], []))
+    other = Quiver(StratPoset([("X", 0)], []))
     with pytest.raises(ValueError):
         hom_space(constant_rep(q2), constant_rep(other))
 
@@ -222,10 +221,9 @@ def test_yoneda_on_random_small_reps(q2):
         arrows = {}
         for a, b in q2.arrows:
             if stalks[a] and stalks[b]:
-                m = ExactMatrix.zeros(stalks[b], stalks[a])
-                for i in range(min(stalks[a], stalks[b])):
-                    m.data[i, i] = 1
-                arrows[(a, b)] = m
+                arrows[(a, b)] = ExactMatrix.from_entries(
+                    stalks[b], stalks[a],
+                    [(i, i, 1) for i in range(min(stalks[a], stalks[b]))])
         w = Representation(q2, ZZ, stalks, arrows)
         if validate_representation(w):
             continue
@@ -329,7 +327,7 @@ def test_ext_is_one_degree_of_ext_all(q2):
 
 def _times_two(ring):
     # a < b with V = (R --2--> R)
-    quiver = build_quiver(StratPoset([("a", 0), ("b", 1)], [("a", "b")]))
+    quiver = Quiver(StratPoset([("a", 0), ("b", 1)], [("a", "b")]))
     two = ExactMatrix.from_rows([[2]], ring)
     return Representation(quiver, ring, {"a": 1, "b": 1}, {("a", "b"): two})
 
@@ -357,7 +355,7 @@ def _random_quiver(rng) -> Quiver:
     names = [f"s{i}" for i in range(rng.randint(1, 7))]
     covers = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
               if rng.random() < 0.35]
-    return build_quiver(StratPoset([(s, 0) for s in names], covers))
+    return Quiver(StratPoset([(s, 0) for s in names], covers))
 
 
 def _random_line(quiver, ring, rng, thin=False) -> Representation:
@@ -528,7 +526,7 @@ def test_hom_rank_matches_hom_space_on_closure_pairs(n):
 
 def _entries(basis):
     """Every component entry of a Hom basis, as reprs: equal bytes."""
-    return [[(v, repr(m.data.tolist())) for v, m in g.components.items()]
+    return [[(v, repr(m.tolist())) for v, m in g.components.items()]
             for g in basis]
 
 
@@ -586,13 +584,13 @@ def test_thin_route_zero_components(ring):
     """Signs that contradict around the crown x, y < b, c (valid: no two
     parallel paths); and y forced to 0 by the square at y -> u before x
     joins y, with y listed first."""
-    crown = build_quiver(StratPoset(
+    crown = Quiver(StratPoset(
         [("x", 0), ("y", 0), ("b", 1), ("c", 1)],
         [("x", "b"), ("y", "b"), ("x", "c"), ("y", "c")]))
     ones = dict.fromkeys(crown.arrows, 1)
     v = _rank_one_stalks(crown, ring, ones)
     w = _rank_one_stalks(crown, ring, {**ones, ("x", "c"): -1})
-    chain = build_quiver(StratPoset([("y", 1), ("x", 0), ("u", 2)],
+    chain = Quiver(StratPoset([("y", 1), ("x", 0), ("u", 2)],
                                     [("x", "y"), ("y", "u")]))
     short = _rank_one_stalks(chain, ring, {("x", "y"): 1})
     full = _rank_one_stalks(chain, ring, {("x", "y"): 1, ("y", "u"): 1})
@@ -608,7 +606,7 @@ def test_thin_route_zero_components(ring):
 def test_thin_hom_of_rank_two_keeps_the_dense_basis(ring, monkeypatch):
     """x and y incomparable: two common components, so Hom(V, V) has rank
     2 and only the rank is read off the union-find."""
-    quiver = build_quiver(StratPoset([("x", 0), ("y", 0)], []))
+    quiver = Quiver(StratPoset([("x", 0), ("y", 0)], []))
     v = Representation(quiver, ring, {"x": 1, "y": 1}, {})
     calls = _count_dense(monkeypatch)
     assert hom_rank(v, v) == 2 and calls == []
@@ -622,7 +620,7 @@ def test_non_thin_reps_take_the_dense_route(ring, monkeypatch):
     """A non-unit arrow, and a stalk of rank 2 on the common support."""
     two = _times_two(ring)
     c = closure_rep(two.quiver, "b", ring)
-    q2 = build_quiver(sphere_poset_2())
+    q2 = Quiver(sphere_poset_2())
     h = closure_rep(q2, "H1", ring)
     wide = direct_sum([h, closure_rep(q2, "E1", ring)])
     assert not two.is_thin() and not wide.is_thin() and c.is_thin()

@@ -8,10 +8,10 @@ from strathom.chain_complex import cohomology, cone_report, validate_complex
 from strathom.dg import DgMorphism, is_quasi_iso_dg, validate_dg_algebra
 from strathom.exact_linalg import QQ, ZZ, ExactMatrix, PresolvedSolver
 from strathom.quiver_rep import (
+    Quiver,
     Representation,
     RepMorphism,
     StratPoset,
-    build_quiver,
     direct_sum,
     hom_space,
     injective_coresolution,
@@ -201,11 +201,10 @@ def test_shift_invariance_of_end(J_trivial, E_trivial):
         # and the sign twist assembles into a dg isomorphism
         comps = {}
         for m in E_trivial.degrees():
-            mat = ExactMatrix.zeros(E2.dim(m), E_trivial.dim(m), ZZ)
             s = 1 if (k * m) % 2 == 0 else -1
-            for i in range(E_trivial.dim(m)):
-                mat.data[match[(m, i)], i] = s
-            comps[m] = mat
+            comps[m] = ExactMatrix.from_entries(
+                E2.dim(m), E_trivial.dim(m),
+                [(match[(m, i)], i, s) for i in range(E_trivial.dim(m))], ZZ)
         phi = DgMorphism(E_trivial, E2, comps)
         assert phi.validate() == []
         assert is_quasi_iso_dg(phi).ok
@@ -312,12 +311,13 @@ def _embed(hom, m, e):
     comps = {}
     for v in hom.X.quiver.vertices:
         if src.rank(v) and dst.rank(v):
-            full = ExactMatrix.zeros(dst.rank(v), src.rank(v), hom.ring)
             g = e.morphism.component(v)
             r0 = dst.block_offsets(v)[e.dst_block]
             c0 = src.block_offsets(v)[e.src_block]
-            full.data[r0:r0 + g.rows, c0:c0 + g.cols] = g.data
-            comps[v] = full
+            comps[v] = ExactMatrix.from_entries(
+                dst.rank(v), src.rank(v),
+                [(r0 + i, c0 + j, x) for i, row in enumerate(g.tolist())
+                 for j, x in enumerate(row)], hom.ring)
     return RepMorphism(src, dst, comps)
 
 
@@ -423,7 +423,7 @@ def test_tables_match_pairwise_route_on_sphere_models(n, ring):
 
 def _line_pair(ring, v_scalar, w_scalar):
     """V and W of rank 1 on x < y, with arrows v_scalar and w_scalar."""
-    quiver = build_quiver(StratPoset([("x", 0), ("y", 1)], [("x", "y")]))
+    quiver = Quiver(StratPoset([("x", 0), ("y", 1)], [("x", "y")]))
     return tuple(
         Representation(quiver, ring, {"x": 1, "y": 1},
                        {("x", "y"): ExactMatrix.from_rows([[c]], ring)})

@@ -256,11 +256,9 @@ def test_one_point_perturbed_representative_system():
     at = {0: [elements[0], elements[1]], 1: [elements[2], elements[3]],
           2: [elements[4]]}
     for q, els in at.items():
-        mat = ExactMatrix.zeros(E.dim(q), len(els), ZZ)
-        for j, (deg, coeffs) in enumerate(els):
-            for i, c in coeffs.items():
-                mat.data[i, j] = c
-        comps[q] = mat
+        comps[q] = ExactMatrix.from_entries(
+            E.dim(q), len(els), [(i, j, c) for j, (_, coeffs) in enumerate(els)
+                                 for i, c in coeffs.items()], ZZ)
     span = ChainComplex(ZZ, dims, {})
     incl = ChainMap(span, E.complex(), comps)
     assert incl.validate() == []

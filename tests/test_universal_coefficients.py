@@ -19,9 +19,9 @@ from strathom.chain_complex import _reduce_units, cohomology, cone_report
 from strathom.cli import main
 from strathom.exact_linalg import ZZ, ExactMatrix
 from strathom.quiver_rep import (
+    Quiver,
     Representation,
     StratPoset,
-    build_quiver,
     direct_sum,
     injective_coresolution,
 )
@@ -105,7 +105,7 @@ def test_end_torsion_matches_ext_torsion(tmp_path, capsys):
 def test_end_torsion_through_the_reduced_complex():
     """`cohomology` of this End J keeps a non-empty core after the unit
     pivots, and reads the torsion Z/2 in degree 1 off it."""
-    quiver = build_quiver(StratPoset([("P", 0), ("E", 1)], [("P", "E")],
+    quiver = Quiver(StratPoset([("P", 0), ("E", 1)], [("P", "E")],
                                      acyclicity_asserted=True))
     V, W = (Representation(quiver, ZZ, {"P": 1, "E": 1},
                            {("P", "E"): ExactMatrix.from_rows([[c]])})
