@@ -4,7 +4,7 @@ Complexes carry per-degree ranks, optional basis labels, and differentials
 d^q: C^q -> C^(q+1).  Cohomology first reduces the whole complex by sparse
 elimination of +-1 pivots (Kaczynski, Mrozek and Slusarek 1998), keeping
 chain maps G: C' -> C and F: C -> C' with F G = 1; the exact ker/im
-subquotients, on the dense Smith engine, then see only the residual core
+subquotients, on the Smith engine, then see only the residual core
 C'.  Quasi-isomorphisms are detected through acyclicity of the mapping
 cone, for which a rank-and-invariant-factor check avoids transform
 bookkeeping.

@@ -16,21 +16,20 @@ entries only:
   as in LinBox's sparse black-box products (Dumas et al. 2002, "LinBox: A
   Generic Library for Exact Linear Algebra"); sums, stacks and slices
   move stored entries only.
-- Smith reduction is the one dense step, and the only place numpy is used:
-  `_smith_reduce` densifies its input onto int64 arrays with explicit
-  growth bounds, restarts on Python ints if a bound is ever at risk, and
-  hands U and V back sparse.  Over Q each row is scaled to integers by the
-  lcm of its denominators first, and the invariant factors are divided out
-  of U as it is converted back.
+- Smith reduction (`_snf_core`) is sparse too: it eliminates on a dict of
+  rows of Python ints, so there are no growth bounds, no overflow restart
+  and no numpy, and it hands U back by rows and V by columns.  Over Q each
+  row is scaled to integers by the lcm of its denominators first, and the
+  invariant factors are divided out of U as it is converted back.
 - Sparse elimination of +-1 pivots of least Markowitz cost on a
-  dict-of-rows copy (`eliminate_unit_pivots`) runs before the dense
+  dict-of-rows copy (`eliminate_unit_pivots`) runs before the Smith
   engine: invariant factors and ranks split off one factor 1 per pivot,
   and `chain_complex.cohomology` reduces a whole complex to its core.  The
   core is usually small or empty.  The other transforms (`kernel_basis`,
-  `PresolvedSolver`, `inverse`, a direct `subquotient`) stay on the dense
-  engine.  Hom spaces of thin representations skip `kernel_basis`
-  altogether: see `quiver_rep.hom_space`, which solves them by a signed
-  union-find.
+  `PresolvedSolver`, `inverse`, a direct `subquotient`) run the Smith
+  engine on the whole matrix.  Hom spaces of thin representations skip
+  `kernel_basis` altogether: see `quiver_rep.hom_space`, which solves them
+  by a signed union-find.
 - Solving (`PresolvedSolver.solve_many`, which `solve` and `subquotient`
   call) is two products with the Smith transforms and one exact
   divisibility check.
@@ -43,8 +42,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 
 class CoeffRing:
@@ -343,147 +340,106 @@ class SnfResult:
         return [self.D[i, i] for i in range(n)]
 
 
-class _Overflow(Exception):
-    pass
+def _snf_core(rows: dict, m: int, n: int, transforms: bool):
+    """Smith reduction of the m x n integer matrix whose nonzero entries
+    are `rows`, {i: {j: x}} of Python ints with no empty row, reduced in
+    place.  Returns (U, V, diag) with diag the diagonal of D = U M V, U by
+    rows {i: {k: x}} and V by columns {j: {k: x}}; without transforms, U
+    and V are None.
 
-
-_INT64_SAFE = 2 ** 61
-
-
-def _guard(*vals):
-    for v in vals:
-        if v >= _INT64_SAFE:
-            raise _Overflow
-
-
-def _snf_core(a: np.ndarray, transforms: bool):
-    """In-place Smith reduction of the integer matrix a; returns (U, V,
-    diag) or (None, None, diag).
-
-    a may be int64 (raises _Overflow when entry growth gets near the limit)
-    or object dtype holding Python ints.  The transforms are always kept in
-    object dtype since their entries outgrow the working matrix.  Pivoting
-    selects an entry of minimal nonzero absolute value, which keeps
-    intermediate entries small, and row/column updates touch only the
-    rows/columns with nonzero quotients (most, for the incidence-like
-    matrices this package meets).
+    Sparse elimination on the stored entries (Dumas, Saunders and Villard
+    2001): there is no fixed-width arithmetic, so no growth bounds and
+    nothing to restart.  At step t the pivot is the entry of least |x| in
+    the trailing block, the first in row-major order among equals, so a
+    +-1 in row t wins without a scan.  Row operations with floor-division
+    quotients clear the pivot's column, then column operations its row; a
+    remainder left in either is re-picked as the next pivot.  When the
+    pivot p does not divide the rest of the block, the first row with an
+    entry that p does not divide is added to the pivot row and the step
+    starts again, so that d_1 | d_2 | ....
     """
-    m, n = a.shape
-    guarded = a.dtype != object
-    if transforms:
-        U = np.identity(m, dtype=object)
-        V = np.identity(n, dtype=object)
-    else:
-        U = V = None
+    U = {i: {i: 1} for i in range(m)} if transforms else None
+    V = {j: {j: 1} for j in range(n)} if transforms else None
+    diag = []
     t = 0
-    while t < min(m, n):
-        sub = a[t:, t:]
-        nz = sub != 0
-        if not nz.any():
-            break
-        # minimal |entry| pivot; any +-1 wins immediately
-        absd = abs(sub)
-        ones = nz & (absd == 1)
-        if ones.any():
-            i, j = np.unravel_index(int(np.argmax(ones)), ones.shape)
+    while t < min(m, n) and rows:
+        units = [j for j, x in rows.get(t, {}).items() if x == 1 or x == -1]
+        if units:  # row t is the first row of the block
+            i, j = t, min(units)
         else:
-            big = absd.max() + 1
-            masked = np.where(nz, absd, big)
-            i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-        i += t
-        j += t
+            _, i, j = min((abs(x), i, j) for i, row in rows.items()
+                          for j, x in row.items())
         if i != t:
-            a[[t, i], :] = a[[i, t], :]
+            pivot, other = rows.pop(i), rows.pop(t, None)
+            rows[t] = pivot
+            if other:
+                rows[i] = other
             if transforms:
-                U[[t, i], :] = U[[i, t], :]
+                U[t], U[i] = U[i], U[t]
         if j != t:
-            a[:, [t, j]] = a[:, [j, t]]
+            for row in rows.values():
+                x, y = row.pop(t, None), row.pop(j, None)
+                if y is not None:
+                    row[t] = y
+                if x is not None:
+                    row[j] = x
             if transforms:
-                V[:, [t, j]] = V[:, [j, t]]
-        if a[t, t] < 0:
-            a[t, :] = -a[t, :]
+                V[t], V[j] = V[j], V[t]
+        pivot = rows[t]
+        if pivot[t] < 0:
+            for c in pivot:
+                pivot[c] = -pivot[c]
             if transforms:
-                U[t, :] = -U[t, :]
-        p = a[t, t]
-
-        col = a[t + 1:, t]
-        if (col != 0).any():
-            q = col // p
-            nzq = np.nonzero(q)[0]
-            if len(nzq):
-                qq = q[nzq]
-                ridx = nzq + (t + 1)
-                if guarded:
-                    _guard(int(abs(qq).max()) * max(int(abs(a[t, t:]).max()), 1)
-                           + int(abs(a).max()))
-                a[ridx, t:] -= qq[:, None] * a[t, t:][None, :]
+                U[t] = {k: -x for k, x in U[t].items()}
+        p = pivot[t]
+        below = [r for r, row in rows.items() if r != t and t in row]
+        for r in below:
+            row = rows[r]
+            q = row[t] // p
+            if q:
+                _vec_axpy(row, pivot, -q)
                 if transforms:
-                    qo = qq.astype(object) if guarded else qq
-                    U[ridx, :] -= qo[:, None] * U[t, :][None, :]
-            if (a[t + 1:, t] != 0).any():
-                continue  # remainders < pivot; re-pick pivot
-        row = a[t, t + 1:]
-        if (row != 0).any():
-            q = row // p
-            nzq = np.nonzero(q)[0]
-            if len(nzq):
-                qq = q[nzq]
-                cidx = nzq + (t + 1)
-                if guarded:
-                    _guard(int(abs(qq).max()) * max(int(abs(a[t:, t]).max()), 1)
-                           + int(abs(a).max()))
-                a[t:, cidx] -= a[t:, t][:, None] * qq[None, :]
+                    _vec_axpy(U[r], U[t], -q)
+                if not row:
+                    del rows[r]
+        if any(t in rows.get(r, ()) for r in below):
+            continue  # remainders < p; re-pick the pivot
+        for c, x in list(pivot.items()):
+            q, rest = divmod(x, p)
+            if c != t and q:
+                if rest:
+                    pivot[c] = rest
+                else:
+                    del pivot[c]
                 if transforms:
-                    qo = qq.astype(object) if guarded else qq
-                    V[:, cidx] -= V[:, t][:, None] * qo[None, :]
-            if (a[t, t + 1:] != 0).any():
+                    _vec_axpy(V[c], V[t], -q)
+        if len(pivot) > 1:
+            continue
+        if p != 1:
+            bad = min((r for r, row in rows.items()
+                       if r != t and any(x % p for x in row.values())),
+                      default=None)
+            if bad is not None:
+                _vec_axpy(pivot, rows[bad], 1)
+                if transforms:
+                    _vec_axpy(U[t], U[bad], 1)
                 continue
-        # pivot must divide the remaining block for the divisor chain
-        rest = a[t + 1:, t + 1:]
-        if rest.size and p != 1:
-            bad = rest % p != 0
-            if bad.any():
-                i = t + 1 + int(np.argmax(bad.any(axis=1)))
-                if guarded:
-                    _guard(int(abs(a[t, t:]).max()) + int(abs(a[i, t:]).max()))
-                a[t, t:] += a[i, t:]
-                if transforms:
-                    U[t, :] += U[i, :]
-                continue
+        diag.append(p)
+        del rows[t]
         t += 1
-    diag = [a[i, i] for i in range(min(m, n))]
-    return U, V, diag
+    return U, V, diag + [0] * (min(m, n) - len(diag))
 
 
-def _dense(M: ExactMatrix, dtype) -> np.ndarray:
-    """The integer matrix M as an array of the given dtype."""
-    a = np.zeros(M.shape, dtype=dtype)
-    for j, col in M.columns.items():
-        for i, x in col.items():
-            a[i, j] = x
-    return a
-
-
-def _prepare_int64(M: ExactMatrix) -> Optional[np.ndarray]:
-    """M as an int64 array, or None when an entry reaches 2**40."""
-    if any(abs(x) >= 2 ** 40 for col in M.columns.values()
-           for x in col.values()):
-        return None
-    return _dense(M, np.int64)
-
-
-def _from_dense(a: np.ndarray, ring: CoeffRing,
-                den: Optional[list] = None) -> ExactMatrix:
-    """The integer array a as a matrix over ring; over QQ each entry of row
-    i becomes the Fraction x / den[i] (x / 1 without den)."""
-    rs, cs = np.nonzero(a)
-    rs, cs, xs = rs.tolist(), cs.tolist(), a[rs, cs].tolist()
-    if ring.is_field:
-        xs = [Fraction(x, den[i] if den else 1) for i, x in zip(rs, xs)]
-    cols: dict = {}
-    for i, j, x in zip(rs, cs, xs):
-        cols.setdefault(j, {})[i] = x
-    return ExactMatrix(ring, a.shape[0], a.shape[1], cols)
+def _matrix(entries: Iterable[tuple], rows: int, cols: int, ring: CoeffRing,
+            den: Optional[list] = None) -> ExactMatrix:
+    """The nonzero integer entries (i, j, x) as a rows x cols matrix over
+    ring, stored in row-major order; over QQ entry x of row i becomes the
+    Fraction x / den[i] (x / 1 without den)."""
+    out: dict = {}
+    for i, j, x in sorted(entries):
+        out.setdefault(j, {})[i] = (
+            Fraction(x, den[i] if den else 1) if ring.is_field else x)
+    return ExactMatrix(ring, rows, cols, out)
 
 
 def eliminate_unit_pivots(M: ExactMatrix, record: Optional[list] = None,
@@ -555,42 +511,23 @@ def eliminate_unit_pivots(M: ExactMatrix, record: Optional[list] = None,
     return k, rows, cols
 
 
-def _unit_pivot_core(M: ExactMatrix) -> Tuple[int, ExactMatrix]:
-    """(k, C) with SNF(M) = diag(1, ..., 1) (+) SNF(C) and k ones, for the
-    integer matrix M: `eliminate_unit_pivots` splits off one invariant
-    factor 1 per pivot.  C holds the rows and columns that keep a nonzero
-    entry.
+def _unit_pivot_core(M: ExactMatrix) -> Tuple[int, dict, int, int]:
+    """(k, C, r, c) with SNF(M) = diag(1, ..., 1) (+) SNF(C) and k ones,
+    for the integer matrix M: `eliminate_unit_pivots` splits off one
+    invariant factor 1 per pivot.  C is the r x c core by rows, on the rows
+    and columns that keep a nonzero entry.
     """
     k, rows, cols = eliminate_unit_pivots(M)
     rpos = {i: t for t, i in enumerate(sorted(rows))}
     cpos = {c: t for t, c in enumerate(sorted(c for c, rs in cols.items()
                                               if rs))}
-    core: dict = {}
-    for i, row in rows.items():
-        for c, x in row.items():
-            core.setdefault(cpos[c], {})[rpos[i]] = x
-    return k, ExactMatrix(ZZ, len(rpos), len(cpos), core)
-
-
-def _smith_reduce(M: ExactMatrix, transforms: bool):
-    """(U, V, reduced matrix, diag) of the integer matrix M by `_snf_core`,
-    as arrays: on int64 while the growth bounds hold, on Python ints after
-    an overflow restart."""
-    a = _prepare_int64(M)
-    if a is not None:
-        try:
-            U, V, diag = _snf_core(a, transforms)
-            return U, V, a, [int(d) for d in diag]
-        except _Overflow:
-            pass
-    a = _dense(M, object)
-    U, V, diag = _snf_core(a, transforms)
-    return U, V, a, diag
+    core = {rpos[i]: {cpos[c]: x for c, x in row.items()}
+            for i, row in rows.items()}
+    return k, core, len(rpos), len(cpos)
 
 
 def _snf_any(M: ExactMatrix, transforms: bool):
-    """(U, V, D, diag) with D = U M V, on the integer engine: int64 while
-    the growth bounds hold, Python ints after an overflow restart.
+    """(U, V, D, diag) with D = U M V, by `_snf_core` on Python ints.
 
     Over QQ row i is first scaled to integers by the lcm s_i of its
     denominators.  With D' = U' (S M) V over ZZ, the result is U = E U' S
@@ -613,22 +550,26 @@ def _snf_any(M: ExactMatrix, transforms: bool):
                 for i, x in col.items()}
             for j, col in M.columns.items()})
     if not transforms:
-        k, core = _unit_pivot_core(M)
-        factors = [1] * k
-        if core.rows:
-            factors += [d for d in _smith_reduce(core, False)[3] if d != 0]
+        k, core, r, c = _unit_pivot_core(M)
+        factors = [1] * k + [d for d in _snf_core(core, r, c, False)[2] if d]
         return None, None, None, (
             [Fraction(1)] * len(factors) if field else factors)
-    U, V, a, diag = _smith_reduce(M, True)
-    if not field:
-        return (_from_dense(U, ZZ), _from_dense(V, ZZ), _from_dense(a, ZZ),
-                diag)
+    U, V, diag = _snf_core(M.by_rows(), M.rows, M.cols, True)
     r = sum(1 for d in diag if d != 0)
+    V = _matrix(((k, j, x) for j, col in V.items() for k, x in col.items()),
+                M.cols, M.cols, QQ if field else ZZ)
+    if not field:
+        U = _matrix(((i, k, x) for i, row in U.items()
+                     for k, x in row.items()), M.rows, M.rows, ZZ)
+        D = ExactMatrix(ZZ, M.rows, M.cols,
+                        {i: {i: diag[i]} for i in range(r)})
+        return U, V, D, diag
     one = Fraction(1)
     D = ExactMatrix(QQ, M.rows, M.cols, {i: {i: one} for i in range(r)})
-    U = _from_dense(U * np.array(s, dtype=object)[None, :], QQ,
-                    [diag[i] if i < r else 1 for i in range(M.rows)])
-    return U, _from_dense(V, QQ), D, [D[i, i] for i in range(len(diag))]
+    U = _matrix(((i, k, x * s[k]) for i, row in U.items()
+                 for k, x in row.items()), M.rows, M.rows, QQ,
+                [diag[i] if i < r else 1 for i in range(M.rows)])
+    return U, V, D, [D[i, i] for i in range(len(diag))]
 
 
 def smith_normal_form(M: ExactMatrix) -> SnfResult:
@@ -641,7 +582,7 @@ def smith_normal_form(M: ExactMatrix) -> SnfResult:
 
 def invariant_factors(M: ExactMatrix) -> list:
     """Nonzero diagonal of the Smith form, without transforms: +-1 pivots
-    are eliminated sparsely and only the residual core is reduced densely
+    are eliminated first and only the residual core reaches `_snf_core`
     (`_unit_pivot_core`)."""
     return _snf_any(M, transforms=False)[3]
 

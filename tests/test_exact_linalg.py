@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +17,6 @@ from strathom.exact_linalg import (
     ColumnLattice,
     ExactMatrix,
     PresolvedSolver,
-    _prepare_int64,
     _snf_any,
     determinant,
     invariant_factors,
@@ -163,12 +161,11 @@ def _planted(rows, cols, ones, ops):
     return a, planted
 
 
-# Small entries stay on the int64 path; entries near 2**40 force the
-# object-dtype path (`_prepare_int64` refuses them).  Sparse +-1 matrices
-# are mostly eliminated by unit pivots before the dense engine; planted
-# matrices keep a core with the factors 2 and 6.
-_SNF_ENTRIES = {"int64": st.integers(-6, 6),
-                "object": st.integers(2 ** 40, 2 ** 40 + 6)
+# Small entries, and wide ones near +-2**40 whose minors run far past 64
+# bits.  Sparse +-1 matrices are mostly eliminated by unit pivots before
+# the Smith engine; planted matrices keep a core with the factors 2 and 6.
+_SNF_ENTRIES = {"small": st.integers(-6, 6),
+                "wide": st.integers(2 ** 40, 2 ** 40 + 6)
                 | st.integers(-2 ** 40 - 6, -2 ** 40) | st.just(0),
                 "sparse-units": st.sampled_from([0, 0, 0, 1, -1])}
 _UNIT_OPS = st.lists(st.tuples(st.booleans(), st.integers(0, 4),
@@ -191,8 +188,6 @@ def test_snf_matches_determinantal_divisors(data, path, r, c, scale):
                                   max_size=r))
     m = ExactMatrix.from_rows([[scale * x for x in row] for row in rows],
                               ZZ, cols=c)
-    if path == "object" and not m.is_zero():
-        assert _prepare_int64(m) is None
     divisors = _determinantal_divisors(m)
     factors = [b // a for a, b in zip([1] + divisors, divisors)]
     assert invariant_factors(m) == factors
@@ -208,11 +203,12 @@ def test_snf_matches_determinantal_divisors(data, path, r, c, scale):
 
 
 def _dense_factors(rows, c):
-    """Nonzero diagonal of `_snf_core` on the dense object array."""
-    a = np.zeros((len(rows), c), dtype=object)
-    for i, row in enumerate(rows):
-        a[i, :] = row
-    return [d for d in exact_linalg._snf_core(a, False)[2] if d != 0]
+    """Nonzero diagonal of `_snf_core` on the whole matrix, with no unit
+    pivots eliminated first."""
+    nonzero = {i: {j: x for j, x in enumerate(row) if x}
+               for i, row in enumerate(rows) if any(row)}
+    return [d for d in exact_linalg._snf_core(nonzero, len(rows), c,
+                                              False)[2] if d != 0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,9 +217,9 @@ def _dense_factors(rows, c):
 def test_unit_pivot_front_end_matches_dense_engine(r, c, seed, plant):
     """On sparse matrices of up to 40 x 50, mostly +-1 with a few entries
     of +-2..+-6, at most 10% nonzero, and some with planted factors:
-    `invariant_factors` over Z equals the dense engine's nonzero diagonal,
-    and over Q it is one Fraction(1) per unit of the Z rank of the
-    row-scaled matrix."""
+    `invariant_factors` over Z equals the nonzero diagonal of the Smith
+    engine on the whole matrix, and over Q it is one Fraction(1) per unit
+    of the Z rank of the row-scaled matrix."""
     rng = random.Random(seed)
     density = rng.uniform(0, 0.1)
     rows = [[(rng.choice([1, -1]) if rng.random() < 0.9
@@ -284,23 +280,22 @@ _BIG_DEN_Q = st.builds(Fraction, st.integers(-3, 3),
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.data(), st.sampled_from(["int64", "object"]), st.integers(0, 5),
+@given(st.data(), st.sampled_from(["small", "wide"]), st.integers(0, 5),
        st.integers(0, 5))
 def test_q_snf_runs_on_the_integer_engine(data, path, r, c):
     """Over Q, D = U M V = diag(1, ..., 1, 0, ...) with as many ones as the
     row-scaled integer matrix has nonzero determinantal divisors; U and V
     are invertible, every entry is a Fraction, and the kernel basis has
     the complementary size."""
-    entry = _SMALL_Q if path == "int64" else st.one_of(_SMALL_Q, _BIG_DEN_Q)
+    entry = _SMALL_Q if path == "small" else st.one_of(_SMALL_Q, _BIG_DEN_Q)
     rows = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
                               min_size=r, max_size=r))
-    if path == "object" and r and c:
+    if path == "wide" and r and c:
         rows[0][0] = Fraction(2 ** 41 + 1, 2 ** 40 + 1)
     m = ExactMatrix.from_rows(rows, QQ, cols=c)
     scaled = ExactMatrix.from_rows(
         [[x * lcm(*(y.denominator for y in row)) for x in row]
          for row in rows], ZZ, cols=c)
-    assert (_prepare_int64(scaled) is None) == (path == "object" and r * c > 0)
     rk = len(_determinantal_divisors(scaled))
     U, V, D, _ = _snf_any(m, transforms=True)
     assert D == U @ m @ V
@@ -316,14 +311,14 @@ def test_q_snf_runs_on_the_integer_engine(data, path, r, c):
 
 def test_every_smith_reduction_sees_integers(monkeypatch, capsys):
     """The one Smith engine is the integer one: over Q too, `_snf_core`
-    receives int64 arrays or object arrays of Python ints, never Fractions."""
+    receives rows of Python ints, never Fractions."""
     seen = []
     real = exact_linalg._snf_core
 
-    def spy(a, transforms):
-        seen.append(a.dtype == np.int64 or (
-            a.dtype == object and all(type(x) is int for x in a.flat)))
-        return real(a, transforms)
+    def spy(rows, m, n, transforms):
+        seen.append(all(type(x) is int for row in rows.values()
+                        for x in row.values()))
+        return real(rows, m, n, transforms)
 
     monkeypatch.setattr(exact_linalg, "_snf_core", spy)
     assert main(["formality", "n-points", "--n", "3", "--ring", "Q"]) == 0
@@ -431,9 +426,9 @@ def test_q_products_match_fraction_dot(data, r, k, c, ring_entry, cancel):
         [int(i == j) for j in range(r)] for i in range(r)]
 
 
-def test_only_exact_linalg_imports_numpy():
-    """numpy serves the dense Smith engine only: no other module of the
-    package imports it."""
+def test_no_module_imports_numpy():
+    """Every matrix, Smith engine included, is on Python ints and
+    Fractions: no module of the package imports numpy."""
     importers = []
     for path in sorted(Path(exact_linalg.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -445,7 +440,7 @@ def test_only_exact_linalg_imports_numpy():
                 continue
             if any(n.split(".")[0] == "numpy" for n in names):
                 importers.append(path.name)
-    assert importers == ["exact_linalg.py"]
+    assert importers == []
 
 
 def test_q_product_past_the_int64_bound():
