@@ -810,10 +810,11 @@ class ColumnLattice:
     not rational span membership.
 
     `reduce` is the one reduction against the echelon columns; the
-    coordinate queries read its result.  When every pivot is a unit,
-    `split_projection` gives the matrix that projects along the lattice onto
-    the coordinate directions away from the pivot rows, so quotients by the
-    lattice (dg quotients, representation cokernels) are matrix algebra.
+    coordinate queries read its result.  When every pivot is a unit, the
+    coordinate directions away from the pivot rows (`kept_rows`) span a
+    complement, and `split_projection` gives the matrix that projects along
+    the lattice onto them, so quotients by the lattice (dg quotients,
+    representation cokernels) are matrix algebra.
     """
 
     def __init__(self, ring: CoeffRing):
@@ -925,18 +926,23 @@ class ColumnLattice:
             _vec_axpy(coords, self.cols[idx][2], q)
         return coords
 
-    def split_projection(self, dim: int) -> Tuple[list, ExactMatrix]:
-        """(kept rows, P): the rows of R^dim away from the pivots, and P,
-        of shape len(kept) x dim, sending v to the kept entries of its
-        remainder.  Raises ValueError("pivot p") at the first pivot p that
-        is not a unit, which over ZZ is when the quotient has torsion."""
+    def kept_rows(self, dim: int) -> list:
+        """The rows of R^dim away from the pivots: their unit vectors span
+        a complement of the lattice.  Raises ValueError("pivot p") at the
+        first pivot p that is not a unit, which over ZZ is when the quotient
+        has torsion and no such complement exists."""
         field = self.ring.is_field
         pivots = set()
         for pr, cvec, _ in self.cols:
             if not field and cvec[pr] not in (1, -1):
                 raise ValueError(f"pivot {cvec[pr]}")
             pivots.add(pr)
-        kept = [i for i in range(dim) if i not in pivots]
+        return [i for i in range(dim) if i not in pivots]
+
+    def split_projection(self, dim: int) -> Tuple[list, ExactMatrix]:
+        """(kept rows, P): `kept_rows(dim)`, and P, of shape len(kept) x dim,
+        sending v to the kept entries of its remainder."""
+        kept = self.kept_rows(dim)
         pos = {i: k for k, i in enumerate(kept)}
         return kept, ExactMatrix.from_entries(len(kept), dim, (
             (pos[i], j, c) for j in range(dim)

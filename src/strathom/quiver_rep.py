@@ -7,8 +7,10 @@ along parallel arrow paths.  Hom spaces are kernels of the commuting-square
 linear system; for thin representations (stalks of rank <= 1, arrows in
 {0, +-1}) a signed union-find over the common support solves the squares
 instead, and gives the basis whenever the rank is at most 1.  Ext groups
-are read from the stalks of the target against evaluation-cover projective
-resolutions, since Hom(P_x, W) = W(x).
+are read from the stalks of the target, since Hom(P_x, W) = W(x), against
+projective resolutions whose covers generate only the top of each stalk,
+what the arrows into it miss: minimal over QQ, and over ZZ wherever the
+images of those arrows split off.
 """
 
 from __future__ import annotations
@@ -123,6 +125,17 @@ class Quiver:
                     out.append([src] + tail)
         return out
 
+    def path(self, src: str, dst: str) -> List[str]:
+        """The first of `paths(src, dst)`, taking at each step the first
+        arrow that still reaches dst, without enumerating the others."""
+        if not self.poset.leq(src, dst):
+            raise ValueError(f"no path from {src!r} to {dst!r}")
+        out = [src]
+        while src != dst:
+            src = next(m for m in self._out[src] if self.poset.leq(m, dst))
+            out.append(src)
+        return out
+
 
 class Representation:
     """Functor from the poset to free modules: stalk ranks + arrow matrices.
@@ -144,6 +157,7 @@ class Representation:
         self._offsets: Optional[Dict[str, List[int]]] = None
         self._support = [v for v in quiver.vertices if self.stalk_rank[v]]
         self._thin: Optional[bool] = None
+        self._path_maps: Dict[Tuple[str, str], ExactMatrix] = {}
 
     def is_thin(self) -> bool:
         """Every stalk of rank <= 1 and every arrow scalar in {0, 1, -1}."""
@@ -167,6 +181,15 @@ class Representation:
         m = ExactMatrix.identity(self.rank(path[0]), self.ring)
         for a, b in zip(path, path[1:]):
             m = self.arrow(a, b) @ m
+        return m
+
+    def path_map(self, src: str, dst: str) -> ExactMatrix:
+        """V(src -> dst) along `quiver.path(src, dst)`, computed once per
+        pair (parallel paths agree on a valid representation)."""
+        m = self._path_maps.get((src, dst))
+        if m is None:
+            m = self._path_maps[(src, dst)] = self.path_matrix(
+                self.quiver.path(src, dst))
         return m
 
     def total_rank(self) -> int:
@@ -515,17 +538,33 @@ def _evaluation_cover(V: Representation,
     """Surjection from a sum of projectives onto V, and the generator
     vertex x of each summand P_x of the cover.
 
+    The summands at x generate the top of V(x), what the arrows u -> x miss:
+    with the columns of every V(u -> x) in a `ColumnLattice`, they are the
+    e_k on its kept rows when every pivot is a unit, and every e_k
+    otherwise (a non-unit pivot, over ZZ only).  The map is onto by
+    induction up the poset, since the image at x holds the arrows' images
+    and the kept e_k span a complement of them.  Over QQ every pivot is a
+    unit, so this is the projective cover.
+
     `projectives` holds the one P_x per vertex that every cover of a
     resolution shares; missing ones are built and added."""
     quiver, ring = V.quiver, V.ring
-    pieces = []
     piece_info = []  # (vertex x, basis index k)
     for x in V.support():
-        if x not in projectives:
+        lat = ColumnLattice(ring)
+        for u in quiver._in[x]:
+            m = V.arrow_map.get((u, x))
+            if m is not None:
+                for col in m.columns.values():
+                    lat.add(col)
+        try:
+            top = lat.kept_rows(V.rank(x))
+        except ValueError:
+            top = range(V.rank(x))
+        if top and x not in projectives:
             projectives[x] = indecomposable_projective(quiver, x, ring)
-        for k in range(V.rank(x)):
-            pieces.append(projectives[x])
-            piece_info.append((x, k))
+        piece_info.extend((x, k) for k in top)
+    pieces = [projectives[x] for x, _ in piece_info]
     cover = direct_sum(pieces, names=[f"P[{x}:{k}]" for x, k in piece_info],
                        quiver=quiver, ring=ring)
     comps = {}
@@ -539,33 +578,41 @@ def _evaluation_cover(V: Representation,
         for (x, k), piece in zip(piece_info, pieces):
             if piece.rank(v):
                 # generator of P_x at v maps to the image of e_k in V(v)
-                path = V.quiver.paths(x, v)
-                vec = V.path_matrix(path[0]) if path else \
-                    ExactMatrix.identity(rv, ring)
-                entries.extend((i, col, y)
-                               for i, y in vec.columns.get(k, {}).items())
+                entries.extend((i, col, y) for i, y in
+                               V.path_map(x, v).columns.get(k, {}).items())
                 col += 1
         comps[v] = ExactMatrix.from_entries(rv, cv, entries, ring)
     return cover, RepMorphism(cover, V, comps), [x for x, _ in piece_info]
 
 
 def _kernel_rep(f: RepMorphism) -> Tuple[Representation, RepMorphism]:
-    """Kernel of f with induced arrow maps, plus its inclusion."""
-    V = f.source
+    """Kernel of a stalkwise onto f with induced arrow maps, plus its
+    inclusion.
+
+    Where source and target stalks have equal rank, f is an isomorphism
+    and the kernel is 0; where the target stalk is 0, the kernel is the
+    whole source stalk and an arrow into it is the source's arrow on the
+    kernel basis.  Only the other stalks take a kernel basis, and only
+    arrows into them a solve."""
+    V, W = f.source, f.target
     quiver, ring = V.quiver, V.ring
     bases = {}
-    for v in quiver.vertices:
-        if V.rank(v):
+    for v in V.support():
+        if not W.rank(v):
+            bases[v] = ExactMatrix.identity(V.rank(v), ring)
+        elif V.rank(v) != W.rank(v):
             bases[v] = kernel_basis(f.component(v))
     stalks = {v: b.cols for v, b in bases.items()}
-    solvers = {v: PresolvedSolver(b) for v, b in bases.items() if b.cols}
+    solvers = {v: PresolvedSolver(b) for v, b in bases.items()
+               if b.cols and W.rank(v)}
     arrows = {}
     for a, b in quiver.arrows:
-        ka, kb = stalks.get(a, 0), stalks.get(b, 0)
-        if not ka or not kb:
+        if not stalks.get(a) or not stalks.get(b):
             continue
-        arrows[(a, b)] = _solve_all(solvers[b], V.arrow(a, b) @ bases[a],
-                                    "kernel not arrow-stable")
+        image = V.arrow(a, b) @ bases[a]
+        if b in solvers:
+            image = _solve_all(solvers[b], image, "kernel not arrow-stable")
+        arrows[(a, b)] = image
     K = Representation(quiver, ring, stalks, arrows)
     incl = RepMorphism(K, V, {v: bases[v] for v in bases if bases[v].cols})
     return K, incl
@@ -573,11 +620,14 @@ def _kernel_rep(f: RepMorphism) -> Tuple[Representation, RepMorphism]:
 
 def projective_resolution(V: Representation,
                           max_len: Optional[int] = None) -> ProjectiveResolution:
-    """Iterated evaluation covers until the kernel vanishes.
+    """Iterated covers by the top of each kernel until the kernel vanishes.
 
-    Not minimal, but each kernel vanishes on one more layer of the poset,
-    so termination is bounded by the poset height; exceeding max_len is a
-    hard error rather than a silent truncation.
+    Each cover generates only what the arrows miss (`_evaluation_cover`),
+    so over QQ the resolution is minimal; over ZZ a stalk whose arrow
+    images are not split keeps every generator.  The minimal vertices of
+    the support get every generator, so each kernel vanishes on one more
+    layer of the poset and termination is bounded by the poset height;
+    exceeding max_len is a hard error rather than a silent truncation.
     """
     if max_len is None:
         max_len = len(V.quiver.vertices) + 2
@@ -656,8 +706,7 @@ def _coevaluation_embedding(V: Representation,
         at = 0
         for (y, k), piece in zip(info, pieces):
             if piece.rank(x):
-                paths = quiver.paths(x, y)
-                row = V.path_matrix(paths[0])  # V(x) -> V(y)
+                row = V.path_map(x, y)  # V(x) -> V(y)
                 entries.extend((at, j, row[k, j]) for j in range(cols))
                 at += 1
         comps[x] = ExactMatrix.from_entries(rows, cols, entries, ring)
@@ -734,11 +783,10 @@ def hom_complex_against(res: ProjectiveResolution,
     s_(b,c) on the summands b of Q_q present at y_c, so block (c, b) of the
     differential is s_(b,c) W(x_b -> y_c).  No linear system is solved.
     """
-    quiver, leq, vertices = W.quiver, W.quiver.poset.leq, res.vertices
+    leq, vertices = W.quiver.poset.leq, res.vertices
     offsets = [list(accumulate((W.rank(x) for x in xs), initial=0))
                for xs in vertices]
     ranks = {q: offs[-1] for q, offs in enumerate(offsets)}
-    paths: Dict[Tuple[str, str], ExactMatrix] = {}
     diffs = {}
     for q, d in enumerate(res.maps):
         if not ranks[q] or not ranks[q + 1]:
@@ -758,11 +806,9 @@ def hom_complex_against(res: ProjectiveResolution,
                     x = vertices[q][b]
                     if not W.rank(x):
                         continue
-                    if (x, y) not in paths:
-                        paths[(x, y)] = W.path_matrix(quiver.paths(x, y)[0])
                     entries.extend(
                         (dst[c] + k, src[b] + l, s * w)
-                        for l, col in paths[(x, y)].columns.items()
+                        for l, col in W.path_map(x, y).columns.items()
                         for k, w in col.items())
         diffs[q] = ExactMatrix.from_entries(ranks[q + 1], ranks[q], entries,
                                             W.ring)

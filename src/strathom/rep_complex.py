@@ -181,11 +181,6 @@ class HomLabel:
         s = self.base()
         return f"{s}^({self.p})" if ambiguous else s
 
-    def matches(self, kind: str, indices: tuple,
-                p: Optional[int] = None) -> bool:
-        return (self.kind == kind and self.indices == tuple(indices)
-                and (p is None or self.p == p))
-
 
 def _label_for(src_name: str, dst_name: str, k: int, p: int) -> HomLabel:
     ms, md = _BLOCK_RE.match(src_name or ""), _BLOCK_RE.match(dst_name or "")
@@ -345,6 +340,7 @@ class HomComplex:
         # (p, src_block, dst_block) -> index of its generator 0 in degree m;
         # generator k of the block pair sits at that index + k
         self._start: Dict[int, Dict[tuple, int]] = {}
+        self._label_index: Dict[int, Dict[tuple, List[int]]] = {}
         for m, bs in self.basis.items():
             starts = self._start[m] = {}
             for i, e in enumerate(bs):
@@ -390,8 +386,18 @@ class HomComplex:
 
     def find(self, m: int, kind: str, indices: tuple,
              p: Optional[int] = None) -> int:
-        hits = [i for i, e in enumerate(self.basis.get(m, []))
-                if e.label.matches(kind, indices, p)]
+        """The position of the one basis element of degree m whose label
+        matches; KeyError when none or several do."""
+        index = self._label_index.get(m)
+        if index is None:
+            # (kind, indices, p) and (kind, indices, None) -> positions
+            index = self._label_index[m] = {}
+            for i, e in enumerate(self.basis.get(m, [])):
+                l = e.label
+                for key in ((l.kind, l.indices, l.p),
+                            (l.kind, l.indices, None)):
+                    index.setdefault(key, []).append(i)
+        hits = index.get((kind, tuple(indices), p), [])
         if len(hits) != 1:
             raise KeyError(f"label ({kind}, {indices}, p={p}) matches "
                            f"{len(hits)} basis elements in degree {m}")

@@ -533,3 +533,27 @@ def test_end_of_a_coresolution_shares_blocks_and_bounds_hom_calls(
     E = end_dg_algebra(J)
     assert E.total_dim() > 0
     assert len(calls) == len(set(calls)) <= len(model2.quiver.vertices) ** 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_find_agrees_with_a_scan_of_the_labels(n):
+    """Every (kind, indices, p) and (kind, indices) of every degree, and a
+    label that is absent: the index gives the one scanned position, or the
+    same KeyError with the number of matches."""
+    hom = SphereModel(n).resolution_n_points().end_algebra().hom
+    for m, basis in hom.basis.items():
+        keys = {(e.label.kind, e.label.indices, p) for e in basis
+                for p in (e.label.p, None)}
+        keys.add(("gen", ("absent",), None))
+        for kind, indices, p in keys:
+            hits = [i for i, e in enumerate(basis)
+                    if e.label.kind == kind and e.label.indices == indices
+                    and p in (None, e.label.p)]
+            if len(hits) == 1:
+                assert hom.find(m, kind, list(indices), p) == hits[0]
+                continue
+            with pytest.raises(KeyError) as err:
+                hom.find(m, kind, indices, p)
+            assert err.value.args[0] == (
+                f"label ({kind}, {indices}, p={p}) matches {len(hits)} "
+                f"basis elements in degree {m}")
