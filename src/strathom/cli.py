@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 import traceback
@@ -66,20 +67,18 @@ def _ring(name: str):
     raise InputError(f"unknown ring {name!r} (use Z or Q)")
 
 
-def _jsonable(x):
+def _json_default(x):
+    """json.dumps hook: a Fraction as its JSON value, an int when integral
+    and a "p/q" string otherwise."""
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else int(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def render_report(report: dict, out_format: str) -> str:
     if out_format == "json":
-        return json.dumps(_jsonable(report), sort_keys=True,
-                          separators=(",", ":")) + "\n"
+        return json.dumps(report, sort_keys=True, separators=(",", ":"),
+                          default=_json_default) + "\n"
     lines = []
     for tname, rows in sorted(report.get("tables", {}).items()):
         for row in rows:
@@ -88,13 +87,18 @@ def render_report(report: dict, out_format: str) -> str:
     return "\n".join(lines)
 
 
+def _as_json(x):
+    """x as it reads back from its JSON text: Fractions as their JSON
+    values, tuples as lists and dict keys as strings."""
+    return json.loads(json.dumps(x, default=_json_default))
+
+
 def _compare(results: dict, expected: dict):
     failures = []
     for key, want in expected.items():
-        got = results.get(key)
-        if _jsonable(got) != _jsonable(want):
-            failures.append({"item": key, "expected": _jsonable(want),
-                             "found": _jsonable(got)})
+        got, want = _as_json(results.get(key)), _as_json(want)
+        if got != want:
+            failures.append({"item": key, "expected": want, "found": got})
     return failures
 
 
@@ -317,21 +321,106 @@ REPS_SCHEMA = {
 }
 
 
-def _load_json(path: str, schema: dict, what: str) -> dict:
-    import jsonschema
+# The draft-4 keywords the two schemas use; `_schema_error` checks them and
+# refuses any other, so a schema edit cannot be ignored silently.
+_KEYWORDS = {"$schema", "type", "required", "properties",
+             "additionalProperties", "items", "minItems", "maxItems"}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "integer": int}
+_PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
 
+
+def _check_keywords(schema: dict):
+    """Refuse what `_violations` does not implement: another keyword or
+    type name, or an `items` or `additionalProperties` that is not one
+    schema."""
+    types = schema.get("type", [])
+    subs = [*schema.get("properties", {}).values(),
+            *(schema[k] for k in ("items", "additionalProperties")
+              if k in schema)]
+    unknown = (sorted(set(schema) - _KEYWORDS)
+               + [t for t in ([types] if isinstance(types, str) else types)
+                  if t not in _TYPES]
+               + [x for x in subs if not isinstance(x, dict)])
+    if unknown:
+        raise NotImplementedError(
+            f"the input check does not implement schema part {unknown[0]!r}")
+    for sub in subs:
+        _check_keywords(sub)
+
+
+def _violations(x, schema: dict, path: tuple):
+    """(path, message) of every violation of schema by x: those at x in
+    keyword order, then those inside x in document order."""
+    types = schema.get("type")
+    if types is not None:
+        types = [types] if isinstance(types, str) else types
+        # draft 4: an integer is an int, never a bool or an integral float
+        if not any(isinstance(x, _TYPES[t])
+                   and not (t == "integer" and isinstance(x, bool))
+                   for t in types):
+            yield path, (f"{x!r} is not of type "
+                         + ", ".join(repr(t) for t in types))
+    if isinstance(x, dict):
+        for key in schema.get("required", ()):
+            if key not in x:
+                yield path, f"{key!r} is a required property"
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties")
+        for key, v in x.items():
+            sub = props.get(key, extra)
+            if sub is not None:
+                yield from _violations(v, sub, path + (key,))
+    elif isinstance(x, list):
+        lo, hi = schema.get("minItems"), schema.get("maxItems")
+        if lo is not None and len(x) < lo:
+            yield path, f"{x!r} " + ("should be non-empty" if lo == 1
+                                     else "is too short")
+        if hi is not None and len(x) > hi:
+            yield path, f"{x!r} " + ("is expected to be empty" if hi == 0
+                                     else "is too long")
+        if "items" in schema:
+            for i, v in enumerate(x):
+                yield from _violations(v, schema["items"], path + (i,))
+
+
+def _json_path(path: tuple) -> str:
+    """jsonschema's JSON path: $.key, $[index] and $['other key']."""
+    out = "$"
+    for p in path:
+        if isinstance(p, int):
+            out += f"[{p}]"
+        elif _PLAIN_KEY.match(p):
+            out += "." + p
+        else:
+            out += "['" + p.replace("\\", "\\\\").replace("'", "\\'") + "']"
+    return out
+
+
+def _schema_error(data, schema: dict):
+    """The shallowest violation of schema by data as "<json path>:
+    <message>", the first in document order among equally shallow ones;
+    None when data conforms.  Paths and messages are jsonschema's."""
+    _check_keywords(schema)
+    found = min(_violations(data, schema, ()), key=lambda e: len(e[0]),
+                default=None)
+    return found and f"{_json_path(found[0])}: {found[1]}"
+
+
+def _load_json(path: str, schema: dict, what: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
+        error = _schema_error(data, schema)
     except OSError as exc:
         raise InputError(f"cannot read {what} file: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{what} file is not valid JSON at line "
                          f"{exc.lineno} column {exc.colno}: {exc.msg}")
-    try:
-        jsonschema.validate(data, schema)
-    except jsonschema.ValidationError as exc:
-        raise InputError(f"{what} file: {exc.json_path}: {exc.message}")
+    except RecursionError:
+        raise InputError(f"{what} file nests too deeply")
+    if error:
+        raise InputError(f"{what} file: {error}")
     return data
 
 

@@ -138,12 +138,19 @@ class DgAlgebra:
                  labels: Dict[int, list], unit: Dict[int, object],
                  diff: Dict[int, ExactMatrix],
                  mult: Dict[Tuple[int, int], Dict[Tuple[int, int], dict]]):
+        self._init_complex(ring, dims, labels, unit, diff)
+        self.mult = mult
+
+    def _init_complex(self, ring: CoeffRing, dims: Dict[int, int],
+                      labels: Dict[int, list], unit: Dict[int, object],
+                      diff: Dict[int, ExactMatrix]):
+        """Everything but the structure constants, for a subclass that
+        provides `mult` itself."""
         self.ring = ring
         self.dims = {q: n for q, n in dims.items() if n}
         self.labels = labels
         self.unit = dict(unit)
         self.diff = {q: d for q, d in diff.items() if d.rows and d.cols}
-        self.mult = mult
         self._complex: Optional[ChainComplex] = None
 
     # -- structure access -------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chain_complex import ChainComplex, ChainMap, is_quasi_iso
@@ -487,12 +488,15 @@ class HomComplex:
 
 
 class EndAlgebra(DgAlgebra):
-    """End(X) with the labeled Hom basis kept alongside the dg structure."""
+    """End(X) with the labeled Hom basis kept alongside the dg structure.
+
+    The structure constants are built the first time `mult` is read, so a
+    caller that needs only the complex (ranks, cohomology) never pays for
+    the products."""
 
     def __init__(self, hom: HomComplex):
         self.hom = hom
         cc = hom.complex
-        ring = hom.ring
         unit: Dict[int, object] = {}
         for p in hom.X.degrees():
             for ai, (_, arep) in enumerate(hom.X.term(p).blocks):
@@ -501,34 +505,43 @@ class EndAlgebra(DgAlgebra):
                     i0 = hom._start[0][(p, ai, ai)]
                     for r, c in coords:
                         unit[i0 + r] = c
-        by_src: Dict[Tuple[int, int, int],
-                     List[Tuple[int, HomBasisElement]]] = {}
-        for m, basis in hom.basis.items():
-            for i, e in enumerate(basis):
-                by_src.setdefault((m, e.p, e.src_block), []).append((i, e))
-        # f . g for g: a -> b and f: b -> c is the (f.k, g.k) entry of the
-        # table of (a, b, c)
-        mult: Dict[Tuple[int, int], Dict[Tuple[int, int], dict]] = {}
-        for m2, basis2 in hom.basis.items():
-            for j, g in enumerate(basis2):
-                a, b = g.morphism.source, g.morphism.target
-                for m1 in hom.basis:
-                    starts = hom._start.get(m1 + m2)
-                    if not starts:
-                        continue
-                    for i, f in by_src.get((m1, g.p + m2, g.dst_block), ()):
-                        coords = hom.pairs.table(
-                            a, b, f.morphism.target).get((f.k, g.k))
-                        if coords:
-                            i0 = starts[(g.p, g.src_block, f.dst_block)]
-                            mult.setdefault((m1, m2), {})[(i, j)] = {
-                                i0 + r: c for r, c in coords}
         labels = {m: hom.rendered_labels(m) for m in hom.basis}
-        super().__init__(ring, dict(cc.ranks), labels, unit,
-                         dict(cc.differentials), mult)
+        self._init_complex(hom.ring, dict(cc.ranks), labels, unit,
+                           dict(cc.differentials))
+
+    @cached_property
+    def mult(self) -> Dict[Tuple[int, int], Dict[Tuple[int, int], dict]]:
+        return _end_products(self.hom)
 
     def element(self, m, terms):
         return self.hom.element(m, terms)
+
+
+def _end_products(hom: HomComplex
+                  ) -> Dict[Tuple[int, int], Dict[Tuple[int, int], dict]]:
+    """The structure constants of End: f . g for g: a -> b and f: b -> c
+    is the (f.k, g.k) entry of the composition table of (a, b, c)."""
+    by_src: Dict[Tuple[int, int, int],
+                 List[Tuple[int, HomBasisElement]]] = {}
+    for m, basis in hom.basis.items():
+        for i, e in enumerate(basis):
+            by_src.setdefault((m, e.p, e.src_block), []).append((i, e))
+    mult: Dict[Tuple[int, int], Dict[Tuple[int, int], dict]] = {}
+    for m2, basis2 in hom.basis.items():
+        for j, g in enumerate(basis2):
+            a, b = g.morphism.source, g.morphism.target
+            for m1 in hom.basis:
+                starts = hom._start.get(m1 + m2)
+                if not starts:
+                    continue
+                for i, f in by_src.get((m1, g.p + m2, g.dst_block), ()):
+                    coords = hom.pairs.table(
+                        a, b, f.morphism.target).get((f.k, g.k))
+                    if coords:
+                        i0 = starts[(g.p, g.src_block, f.dst_block)]
+                        mult.setdefault((m1, m2), {})[(i, j)] = {
+                            i0 + r: c for r, c in coords}
+    return mult
 
 
 def end_dg_algebra(X: ComplexOfReps) -> EndAlgebra:

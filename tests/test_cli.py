@@ -1,14 +1,45 @@
 import hashlib
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from strathom import cli
 from strathom.cli import main
+
+
+def _jsonable(x):
+    """Reference for render_report: a recursive walk that turns a report
+    into plain JSON values for json.dumps."""
+    if isinstance(x, Fraction):
+        return str(x) if x.denominator != 1 else int(x)
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    return x
+
+
+@pytest.fixture(autouse=True)
+def render_matches_reference_walk(monkeypatch):
+    """Every JSON report a test here renders has the bytes of the
+    reference walk followed by json.dumps."""
+    real = cli.render_report
+
+    def checked(report, out_format):
+        text = real(report, out_format)
+        if out_format == "json":
+            assert text == json.dumps(_jsonable(report), sort_keys=True,
+                                      separators=(",", ":")) + "\n"
+        return text
+
+    monkeypatch.setattr(cli, "render_report", checked)
 
 
 def run(capsys, *argv):
@@ -235,6 +266,25 @@ def test_compute_empty_poset_rejected(tmp_path, capsys):
                  "--action", "hom"]) == 2
 
 
+DELETE = object()
+
+
+def _with(doc, path, value):
+    """A copy of doc with the value at path replaced, added (a new key, or
+    the index one past the end of a list) or deleted (value DELETE)."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    elif isinstance(node, list) and path[-1] == len(node):
+        node.append(value)
+    else:
+        node[path[-1]] = value
+    return doc
+
+
 def test_compute_schema_violation_diagnostics(tmp_path, capsys):
     poset = tmp_path / "poset.json"
     poset.write_text(json.dumps({"strata": [{"name": 3, "dim": 0}],
@@ -246,6 +296,174 @@ def test_compute_schema_violation_diagnostics(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "strata[0]" in err
+    assert err == ("error: poset file: $.strata[0].name: 3 is not of type "
+                   "'string'\n")
+
+
+@pytest.mark.parametrize("which,doc,message", [
+    ("poset", _with(POSET_A2, ("covers", 0), ["P1"]),
+     "$.covers[0]: ['P1'] is too short"),
+    ("poset", _with(POSET_A2, ("covers", 0), ["P1", "E1", "H1"]),
+     "$.covers[0]: ['P1', 'E1', 'H1'] is too long"),
+    ("poset", _with(POSET_A2, ("strata", 2, "name"), DELETE),
+     "$.strata[2]: 'name' is a required property"),
+    ("reps", _with(REPS_C, ("reps", 0, "arrows", "(P1,E1)", 0, 0), 1.5),
+     "$.reps[0].arrows['(P1,E1)'][0][0]: 1.5 is not of type 'integer', "
+     "'string'"),
+    ("reps", _with(REPS_C, ("reps", 0, "stalks", "H1"), True),
+     "$.reps[0].stalks.H1: True is not of type 'integer'"),
+    # two faults at one depth: the first in document order is named
+    ("poset", _with(_with(POSET_A2, ("strata", 1, "name"), 1),
+                    ("strata", 4, "name"), 2),
+     "$.strata[1].name: 1 is not of type 'string'"),
+    # a shallower fault wins over an earlier, deeper one
+    ("poset", _with(_with(POSET_A2, ("strata", 0, "dim"), "0"),
+                    ("covers",), {}),
+     "$.covers: {} is not of type 'array'"),
+])
+def test_compute_schema_diagnostics_name_path_and_message(
+        tmp_path, capsys, which, doc, message):
+    paths = {"poset": tmp_path / "poset.json", "reps": tmp_path / "reps.json"}
+    paths["poset"].write_text(json.dumps(POSET_A2))
+    paths["reps"].write_text(json.dumps(REPS_C))
+    paths[which].write_text(json.dumps(doc))
+    code = main(["compute", "--poset", str(paths["poset"]),
+                 "--reps", str(paths["reps"]), "--action", "hom"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {which} file: {message}\n"
+
+
+@pytest.mark.parametrize("which", ["poset", "reps"])
+def test_compute_rejects_deeply_nested_input(tmp_path, capsys, which):
+    deep = "[" * 100_000 + "]" * 100_000
+    paths = {"poset": tmp_path / "poset.json", "reps": tmp_path / "reps.json"}
+    paths["poset"].write_text(json.dumps(POSET_A2))
+    paths["reps"].write_text(json.dumps(REPS_C))
+    paths[which].write_text(
+        f'{{"strata": {deep}, "covers": []}}' if which == "poset"
+        else f'{{"reps": {deep}}}')
+    code = main(["compute", "--poset", str(paths["poset"]),
+                 "--reps", str(paths["reps"]), "--action", "hom"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {which} file nests too deeply\n"
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "object", "minProperties": 1},
+    # refused even where the instance never reaches it
+    {"type": "object", "properties": {"absent": {"pattern": "^a"}}},
+    {"type": "number"},
+    {"type": "array", "items": [{"type": "string"}]},
+])
+def test_schema_check_refuses_what_it_does_not_implement(schema):
+    with pytest.raises(NotImplementedError, match="does not implement"):
+        cli._schema_error({}, schema)
+
+
+def _mutations(doc):
+    """(path, value) single-point edits of doc: every node replaced by each
+    of a few values of every JSON type, every member deleted, and a key or
+    an item added to every object and array."""
+    values = [None, True, 0, -1, 2.0, 1e23, "x", [], {}, ["a"], [[1]],
+              {"a": 1}]
+    out = []
+
+    def walk(node, path):
+        if path:
+            out.extend((path, v) for v in values + [DELETE])
+        if isinstance(node, dict):
+            out.extend((path + (k,), 1) for k in ("extra", "o'dd key")
+                       if k not in node)
+            for k, v in node.items():
+                walk(v, path + (k,))
+        elif isinstance(node, list):
+            out.append((path + (len(node),), node[-1] if node else 1))
+            for i, v in enumerate(node):
+                walk(v, path + (i,))
+
+    walk(doc, ())
+    return out
+
+
+def test_schema_errors_match_jsonschema_on_single_point_mutations():
+    """On sampled single-point edits of the test inputs and of generated
+    compute-random inputs: an input with one violation gets jsonschema's
+    path and message; with several, one of jsonschema's at the least
+    depth; a valid one gets none."""
+    jsonschema = pytest.importorskip("jsonschema")
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    docs = [(POSET_A2, cli.POSET_SCHEMA), (REPS_C, cli.REPS_SCHEMA)]
+    for seed, size in ((1, "smoke"), (2, "full")):
+        poset, reps = gen.instance(seed, 0, size)
+        docs += [(poset, cli.POSET_SCHEMA), (reps, cli.REPS_SCHEMA)]
+    rng = random.Random(20)
+    single = 0
+    for doc, schema in docs:
+        validator = jsonschema.Draft4Validator(schema)
+        edits = _mutations(doc)
+        for path, value in rng.sample(edits, min(len(edits), 150)):
+            bad = _with(doc, path, value)
+            errors = list(validator.iter_errors(bad))
+            mine = cli._schema_error(bad, schema)
+            named = [f"{e.json_path}: {e.message}" for e in errors]
+            if len(errors) <= 1:
+                single += len(errors)
+                assert mine == (named[0] if named else None), (path, value)
+                continue
+            assert mine in named, (path, value)
+            depth = {n: len(e.path) for n, e in zip(named, errors)}
+            assert depth[mine] == min(depth.values()), (path, value)
+    assert single > 300
+
+
+@pytest.mark.parametrize("schema,instance", [
+    ({"type": "array", "minItems": 1}, []),
+    ({"type": "array", "maxItems": 0}, [1]),
+    ({"type": "object", "additionalProperties": {"type": "integer"}},
+     {"a\\b": "1", "ok": 1}),
+])
+def test_schema_error_wording_matches_jsonschema(schema, instance):
+    """The wording of the keywords the file schemas use with other
+    bounds, and the escaping of a key with a backslash."""
+    jsonschema = pytest.importorskip("jsonschema")
+    (error,) = jsonschema.Draft4Validator(schema).iter_errors(instance)
+    assert cli._schema_error(instance, schema) == \
+        f"{error.json_path}: {error.message}"
+
+
+def test_cli_runs_do_not_import_jsonschema(files):
+    poset, reps = files
+    runs = [["compute", "--poset", poset, "--reps", reps, "--action", a]
+            for a in ("ext", "hom", "end", "cohomology")]
+    runs += [["formality", "trivial"], ["ext-table", "--n", "3"]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import os, sys\n"
+        "from strathom.cli import main\n"
+        f"codes = [main(argv + ['--out-file', os.devnull])\n"
+        f"         for argv in {runs!r}]\n"
+        "print(*codes, 'jsonschema' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert proc.stdout.split() == ["0"] * len(runs) + ["False"], proc.stderr
+
+
+def test_render_report_converts_fractions_and_refuses_other_objects():
+    report = {"a": Fraction(3, 2), "b": (Fraction(4, 2), [Fraction(-1, 3)]),
+              "c": {1: "x"}, "d": None}
+    assert cli.render_report(report, "json") == json.dumps(
+        _jsonable(report), sort_keys=True, separators=(",", ":")) + "\n"
+    assert cli.render_report(report, "json") == \
+        '{"a":"3/2","b":[2,["-1/3"]],"c":{"1":"x"},"d":null}\n'
+    with pytest.raises(TypeError, match="^set is not JSON serializable$"):
+        cli.render_report({"a": {1}}, "json")
 
 
 def test_compute_bad_matrix_shape(tmp_path, capsys):
@@ -285,8 +503,9 @@ def test_compute_rejects_inexact_matrix_entries(tmp_path, capsys, entry,
     assert "reps[0].arrows" in err and "(P1,E1)" in err
 
 
-@pytest.mark.parametrize("dim", [2.0, 1e23])
+@pytest.mark.parametrize("dim", [2.0, 1e23, True])
 def test_compute_rejects_integral_float_dims(tmp_path, files, capsys, dim):
+    # draft 4 "integer": no integral float and no bool
     poset = tmp_path / "float_dim.json"
     strata = [dict(s) for s in POSET_A2["strata"]]
     strata[0]["dim"] = dim
@@ -296,6 +515,8 @@ def test_compute_rejects_integral_float_dims(tmp_path, files, capsys, dim):
     err = capsys.readouterr().err
     assert code == 2
     assert "$.strata[0].dim" in err
+    assert err == (f"error: poset file: $.strata[0].dim: {dim!r} is not of "
+                   "type 'integer'\n")
 
 
 def test_compute_accepts_rational_string_entries(tmp_path, capsys):

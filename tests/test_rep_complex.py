@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -557,3 +558,43 @@ def test_find_agrees_with_a_scan_of_the_labels(n):
             assert err.value.args[0] == (
                 f"label ({kind}, {indices}, p={p}) matches {len(hits)} "
                 f"basis elements in degree {m}")
+
+
+def test_products_are_built_only_when_read(tmp_path, monkeypatch, capsys):
+    """`compute --action end` reports ranks and cohomology only, so it
+    never builds End's structure constants; `formality n-points` reads
+    them, and builds them once."""
+    import strathom.rep_complex as rc
+    from strathom.cli import main
+    from test_cli import POSET_A2, REPS_C
+
+    calls = []
+    original = rc._end_products
+
+    def counted(hom):
+        calls.append(hom)
+        return original(hom)
+
+    monkeypatch.setattr(rc, "_end_products", counted)
+    poset, reps = tmp_path / "poset.json", tmp_path / "reps.json"
+    poset.write_text(json.dumps(POSET_A2))
+    reps.write_text(json.dumps(REPS_C))
+    for action in ("end", "end-with-resolution"):
+        assert main(["compute", "--poset", str(poset), "--reps", str(reps),
+                     "--action", action]) == 0
+    assert calls == []
+    assert main(["formality", "n-points", "--n", "4"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("seed", range(4))
+def test_products_built_on_first_read_make_a_valid_dg_algebra(seed, ring):
+    rng = random.Random(seed)
+    quiver = _random_quiver(rng)
+    E = end_dg_algebra(_coresolution_complex(_random_rep(quiver, ring, rng)))
+    assert "mult" not in vars(E)
+    mult = E.mult
+    assert mult and E.mult is mult
+    assert validate_dg_algebra(E) == []
