@@ -248,7 +248,7 @@ class ChainMap:
         for q in degs:
             lhs = self.target.d(q) @ self.component(q)
             rhs = self.component(q + 1) @ self.source.d(q)
-            if not (lhs - rhs).is_zero():
+            if lhs != rhs:
                 problems.append(f"does not commute with d at degree {q}")
         return problems
 
@@ -328,8 +328,3 @@ def shift(C: ChainComplex, k: int) -> ChainComplex:
         diffs[q - k] = d if sign == 1 else -d
     labels = {q - k: ls for q, ls in C.labels.items()}
     return ChainComplex(C.ring, ranks, diffs, labels)
-
-
-def identity_chain_map(C: ChainComplex) -> ChainMap:
-    comps = {q: ExactMatrix.identity(C.rank(q), C.ring) for q in C.degrees()}
-    return ChainMap(C, C, comps)

@@ -34,6 +34,8 @@ from .quiver_rep import (
     Quiver,
     Representation,
     StratPoset,
+    constant_rep,
+    direct_sum,
     ext_all,
     hom_rank,
     injective_coresolution,
@@ -429,30 +431,33 @@ def _parse_arrow_key(key: str):
     if inner.startswith("(") and inner.endswith(")"):
         inner = inner[1:-1]
     parts = [p.strip() for p in inner.split(",")]
-    if len(parts) != 2:
-        raise InputError(f"arrow key {key!r} is not of the form (src,dst)")
-    return parts[0], parts[1]
+    return tuple(parts) if len(parts) == 2 else None
 
 
 def _build_reps(data: dict, quiver: Quiver, ring) -> Dict[str, Representation]:
+    """The reps of a checked file; faults are named by JSON path."""
+    def fault(path: tuple, message: str):
+        return InputError(f"reps file: {_json_path(path)}: {message}")
+
     out = {}
     for spec_index, rep in enumerate(data["reps"]):
-        name = rep["name"]
+        at = ("reps", spec_index)
         stalks = {}
         for v, r in rep["stalks"].items():
             if v not in quiver.poset._idx:
-                raise InputError(
-                    f"reps[{spec_index}].stalks: unknown vertex {v!r}")
+                raise fault(at + ("stalks",), f"unknown vertex {v!r}")
             if r < 0:
-                raise InputError(
-                    f"reps[{spec_index}].stalks.{v}: negative rank")
+                raise fault(at + ("stalks", v), "negative rank")
             stalks[v] = r
         arrows = {}
         for key, matrix in rep.get("arrows", {}).items():
-            src, dst = _parse_arrow_key(key)
-            if (src, dst) not in quiver.arrows:
-                raise InputError(
-                    f"reps[{spec_index}].arrows.{key}: not a quiver arrow")
+            arrow = _parse_arrow_key(key)
+            if arrow is None:
+                raise fault(at + ("arrows",), f"arrow key {key!r} is not of "
+                                              "the form (src,dst)")
+            if arrow not in quiver.arrows:
+                raise fault(at + ("arrows", key), "not a quiver arrow")
+            src, dst = arrow
             want = (stalks.get(dst, 0), stalks.get(src, 0))
             try:
                 m = ExactMatrix.from_rows(
@@ -460,19 +465,16 @@ def _build_reps(data: dict, quiver: Quiver, ring) -> Dict[str, Representation]:
                      for row in matrix], ring,
                     cols=want[1])
             except (TypeError, ValueError) as exc:
-                raise InputError(
-                    f"reps[{spec_index}].arrows.{key}: bad matrix: {exc}")
+                raise fault(at + ("arrows", key), f"bad matrix: {exc}")
             if m.shape != want:
-                raise InputError(
-                    f"reps[{spec_index}].arrows.{key}: shape {m.shape}, "
-                    f"expected {want}")
-            arrows[(src, dst)] = m
+                raise fault(at + ("arrows", key),
+                            f"shape {m.shape}, expected {want}")
+            arrows[arrow] = m
         v = Representation(quiver, ring, stalks, arrows)
         problems = validate_representation(v)
         if problems:
-            raise InputError(
-                f"reps[{spec_index}] ({name}): " + "; ".join(problems[:3]))
-        out[name] = v
+            raise fault(at, f"{rep['name']}: " + "; ".join(problems[:3]))
+        out[rep["name"]] = v
     if not out:
         raise InputError("reps file defines no representations")
     return out
@@ -526,8 +528,6 @@ def cmd_compute(args) -> int:
         results["ext"] = table
         tables["ext"] = rows
     elif action == "end":
-        from .quiver_rep import direct_sum
-
         total = direct_sum([reps[a] for a in names], names=names) \
             if len(names) > 1 else reps[names[0]]
         cores = injective_coresolution(total)
@@ -546,11 +546,7 @@ def cmd_compute(args) -> int:
             results["h_torsion"] = torsion
     elif action == "cohomology":
         # derived sections: Ext against the rep from the constant functor
-        from strathom.quiver_rep import Representation as _R
-
-        one = ExactMatrix.identity(1, ring)
-        const = _R(quiver, ring, {v: 1 for v in quiver.vertices},
-                   {a: one for a in quiver.arrows})
+        const = constant_rep(quiver, ring)
         res = projective_resolution(const)
         table = {}
         rows = [["rep"] + [f"H{q}" for q in range(args.qmax + 1)]]
@@ -630,10 +626,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:

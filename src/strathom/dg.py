@@ -185,12 +185,6 @@ class DgAlgebra:
     def unit_element(self) -> Element:
         return (0, dict(self.unit))
 
-    def mult_entry(self, q1: int, q2: int, i: int, j: int) -> dict:
-        table = self.mult.get((q1, q2))
-        if not table:
-            return {}
-        return table.get((i, j), {})
-
     def multiply(self, x: Element, y: Element) -> Element:
         (q1, c1), (q2, c2) = x, y
         return (q1 + q2, _sparse_product(self.mult.get((q1, q2)), c1, c2))
@@ -643,16 +637,27 @@ def ideal_from_span(U: DgAlgebra, elements: Sequence[Element]) -> DgIdeal:
     The closure is semi-naive: a worklist holds every vector whose
     insertion grew a lattice, and each is multiplied once, on both sides,
     by all basis elements at once: one `_bilinear` call per side and degree
-    with the vector as the one column.  A vector that grew no lattice is a
-    combination of vectors already inserted, and multiplication by a basis
-    element is linear, so its products need not be formed.  The echelon
-    bases can depend on the order of insertion; the lattices, their ranks
-    and the quotient by them do not.
+    with the vector as the one column, on the constants that meet its
+    support (`meeting`).  A vector that grew no lattice is a combination of
+    vectors already inserted, and multiplication by a basis element is
+    linear, so its products need not be formed.  The echelon bases can
+    depend on the order of insertion; the lattices and quotient do not.
     """
     lattices: Dict[int, ColumnLattice] = {}
+    indexed: Dict[tuple, Dict[int, dict]] = {}
 
     def insert(q: int, vec: dict) -> bool:
         return lattices.setdefault(q, ColumnLattice(U.ring)).add(dict(vec))
+
+    def meeting(pair: tuple, side: int, vec: dict) -> Table:
+        """The constants of U.mult[pair] whose index on `side` (0 left, 1
+        right) is in the support of vec; each table is indexed once."""
+        index = indexed.get((pair, side))
+        if index is None:
+            index = indexed[(pair, side)] = {}
+            for ij, prod in (U.mult.get(pair) or {}).items():
+                index.setdefault(ij[side], {})[ij] = prod
+        return {ij: prod for i in vec for ij, prod in index.get(i, {}).items()}
 
     work = [(q, coeffs) for q, coeffs in elements
             if coeffs and insert(q, coeffs)]
@@ -662,8 +667,8 @@ def ideal_from_span(U: DgAlgebra, elements: Sequence[Element]) -> DgIdeal:
         column = _index((k, 0, c) for k, c in vec.items())
         for qb in U.degrees():
             # vec * e_b, then e_b * vec, each in basis order of b
-            for prods in (_bilinear(U.mult.get((q, qb)), left=column),
-                          _bilinear(U.mult.get((qb, q)), right=column)):
+            for prods in (_bilinear(meeting((q, qb), 0, vec), left=column),
+                          _bilinear(meeting((qb, q), 1, vec), right=column)):
                 for prod in _group(prods).values():
                     if insert(q + qb, prod):
                         grew_any = True
@@ -671,10 +676,10 @@ def ideal_from_span(U: DgAlgebra, elements: Sequence[Element]) -> DgIdeal:
     lattices = {q: lat for q, lat in lattices.items() if lat.rank}
     ideal = DgIdeal(U, lattices, input_spanned_ideal=not grew_any)
     for q, lat in lattices.items():
-        tgt = lattices.get(q + 1)
+        tgt = lattices.get(q + 1, ColumnLattice(U.ring))
         for vec in lat.basis_vectors():
-            img = U.d_element((q, vec))
-            if img[1] and (tgt is None or not tgt.contains(img[1])):
+            img = U.d_element((q, vec))[1]
+            if img and tgt.echelon_coordinates(img) is None:
                 raise ValueError("not closed under differential")
     return ideal
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -820,6 +821,7 @@ class ColumnLattice:
     def __init__(self, ring: CoeffRing):
         self.ring = ring
         self.cols: list = []  # (pivot_row, vec dict, coords dict), sorted
+        self._by_row: dict = {}  # pivot row -> its entry of cols
         self.ngens = 0
 
     @property
@@ -840,29 +842,16 @@ class ColumnLattice:
         field = self.ring.is_field
         while vec:
             pr = min(vec)
-            idx = None
-            for s, (r0, _, _) in enumerate(self.cols):
-                if r0 == pr:
-                    idx = s
-                    break
-                if r0 > pr:
-                    break
-            if idx is None:
-                pos = 0
-                while pos < len(self.cols) and self.cols[pos][0] < pr:
-                    pos += 1
-                self.cols.insert(pos, (pr, vec, coords))
+            idx = bisect_left(self.cols, (pr,))  # (pr,) sorts first at pr
+            if pr not in self._by_row:
+                self._by_row[pr] = (pr, vec, coords)
+                self.cols.insert(idx, self._by_row[pr])
                 return True
-            r0, cvec, ccoords = self.cols[idx]
+            _, cvec, ccoords = self._by_row[pr]
             p = cvec[pr]
             c = vec[pr]
-            if field:
-                q = c / p
-                _vec_axpy(vec, cvec, -q)
-                _vec_axpy(coords, ccoords, -q)
-                continue
-            q, r = divmod(c, p)
-            if r == 0:
+            if field or c % p == 0:
+                q = c / p if field else c // p
                 _vec_axpy(vec, cvec, -q)
                 _vec_axpy(coords, ccoords, -q)
                 continue
@@ -881,7 +870,7 @@ class ColumnLattice:
             restco = {}
             _vec_axpy(restco, coords, p // g)
             _vec_axpy(restco, ccoords, -(c // g))
-            self.cols[idx] = (pr, newvec, newco)
+            self.cols[idx] = self._by_row[pr] = (pr, newvec, newco)
             vec, coords = restvec, restco
             grew = True
         return grew
@@ -889,14 +878,22 @@ class ColumnLattice:
     def reduce(self, vec: dict) -> Optional[tuple]:
         """(remainder, {echelon column index: multiple taken off}), or None
         when over ZZ a pivot does not divide the entry it meets.  The
-        remainder is zero at every pivot row."""
+        remainder is zero at every pivot row.  Only the pivots met are
+        visited, in pivot order: a heap starts with the pivot rows of the
+        vector's support and gets those of each column taken off."""
         v = {k: self.ring.element(x) for k, x in vec.items() if x != 0}
         out: dict = {}
         field = self.ring.is_field
-        for idx, (pr, cvec, _) in enumerate(self.cols):
+        by_row = self._by_row
+        heap = [k for k in v if k in by_row]
+        heapq.heapify(heap)
+        queued = set(heap)
+        while heap:
+            pr = heapq.heappop(heap)
             c = v.get(pr)
             if not c:
                 continue
+            cvec = by_row[pr][1]
             p = cvec[pr]
             if field:
                 q = c / p
@@ -904,12 +901,13 @@ class ColumnLattice:
                 q, r = divmod(c, p)
                 if r != 0:
                     return None
-            out[idx] = q
+            out[bisect_left(self.cols, (pr,))] = q
             _vec_axpy(v, cvec, -q)
+            for k in cvec:
+                if k in by_row and k not in queued:
+                    queued.add(k)
+                    heapq.heappush(heap, k)
         return v, out
-
-    def contains(self, vec: dict) -> bool:
-        return self.echelon_coordinates(vec) is not None
 
     def echelon_coordinates(self, vec: dict) -> Optional[dict]:
         """Coordinates of vec in the echelon basis columns, or None."""

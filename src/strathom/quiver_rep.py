@@ -27,7 +27,6 @@ from .exact_linalg import (
     PresolvedSolver,
     ZZ,
     kernel_basis,
-    invariant_factors,
     rank,
 )
 
@@ -49,56 +48,58 @@ class StratPoset:
         self.dim = dict(strata)
         self.acyclicity_asserted = acyclicity_asserted
         idx = {s: i for i, s in enumerate(names)}
+        n = len(names)
+        succ = [set() for _ in range(n)]  # declared covers, per vertex
         for a, b in covers:
             if a not in idx or b not in idx:
                 raise ValueError(f"cover ({a}, {b}) uses unknown stratum")
-        n = len(names)
-        # reflexive-transitive closure of the declared covers
-        leq = [[False] * n for _ in range(n)]
-        for i in range(n):
-            leq[i][i] = True
-        for a, b in covers:
-            leq[idx[a]][idx[b]] = True
-        changed = True
-        while changed:
-            changed = False
+            if a != b:
+                succ[idx[a]].add(idx[b])
+        # reflexive-transitive closure: up-sets as bitsets, joined along the
+        # declared covers to a fixpoint
+        up, old = [1 << i for i in range(n)], None
+        while up != old:
+            old = list(up)
             for i in range(n):
-                for j in range(n):
-                    if leq[i][j] and i != j:
-                        for k in range(n):
-                            if leq[j][k] and not leq[i][k]:
-                                leq[i][k] = True
-                                changed = True
+                for j in succ[i]:
+                    up[i] |= up[j]
+        down = [0] * n
         for i in range(n):
-            for j in range(n):
-                if i != j and leq[i][j] and leq[j][i]:
+            for j in _bits(up[i]):
+                if j != i and up[j] >> i & 1:
                     raise ValueError(
                         f"closure order is not antisymmetric: "
                         f"{names[i]} and {names[j]} are comparable both ways")
-        self._idx = idx
-        self._leq = leq
+                down[j] |= 1 << i
+        self._idx, self._succ, self._up, self._down = idx, succ, up, down
 
     def leq(self, a: str, b: str) -> bool:
-        return self._leq[self._idx[a]][self._idx[b]]
+        return self._up[self._idx[a]] >> self._idx[b] & 1 == 1
 
     def hasse_covers(self) -> List[Tuple[str, str]]:
-        """Covering pairs (a, b): a < b with nothing strictly between."""
+        """Covering pairs (a, b): a < b with nothing strictly between.  The
+        transitive reduction of the declared covers, per vertex (Aho, Garey
+        and Ullman 1972): a declared a -> b stays unless b is above another
+        declared cover of a."""
         out = []
-        for a in self.strata:
-            for b in self.strata:
-                if a == b or not self.leq(a, b):
-                    continue
-                if any(c not in (a, b) and self.leq(a, c) and self.leq(c, b)
-                       for c in self.strata):
-                    continue
-                out.append((a, b))
+        for i, a in enumerate(self.strata):
+            above = 0
+            for c in self._succ[i]:
+                above |= self._up[c] & ~(1 << c)
+            out.extend((a, self.strata[j]) for j in sorted(self._succ[i])
+                       if not above >> j & 1)
         return out
 
     def up_set(self, a: str) -> List[str]:
-        return [b for b in self.strata if self.leq(a, b)]
+        return [self.strata[j] for j in _bits(self._up[self._idx[a]])]
 
     def down_set(self, a: str) -> List[str]:
-        return [b for b in self.strata if self.leq(b, a)]
+        return [self.strata[j] for j in _bits(self._down[self._idx[a]])]
+
+
+def _bits(x: int) -> List[int]:
+    """The positions of the set bits of x, ascending."""
+    return [i for i, c in enumerate(reversed(bin(x))) if c == "1"]
 
 
 class Quiver:
@@ -212,8 +213,22 @@ class Representation:
         return self.total_rank() == 0
 
 
+def _support_index(reps) -> Dict[str, List[int]]:
+    """{vertex: the positions of the reps with a nonzero stalk there}."""
+    at: Dict[str, List[int]] = {}
+    for k, rep in enumerate(reps):
+        for v in rep._support:
+            at.setdefault(v, []).append(k)
+    return at
+
+
 def validate_representation(V: Representation) -> list:
-    """Shape errors plus every parallel-path commutativity failure."""
+    """Shape errors plus every parallel-path commutativity failure.
+
+    Commutativity is decided by induction over covers (`_paths_commute`),
+    which visits each comparable pair (a, c) once per cover into c; only
+    when that fails are the Hasse paths of every comparable pair
+    enumerated, to name each pair whose parallel paths disagree."""
     problems = []
     q = V.quiver
     for (a, b), m in V.arrow_map.items():
@@ -222,22 +237,37 @@ def validate_representation(V: Representation) -> list:
         elif m.shape != (V.rank(b), V.rank(a)):
             problems.append(f"arrow ({a}, {b}) matrix has shape {m.shape}, "
                             f"expected {(V.rank(b), V.rank(a))}")
-    if problems:
+    if problems or _paths_commute(V):
         return problems
     for src in q.vertices:
-        for dst in q.vertices:
-            if src == dst or not q.poset.leq(src, dst):
-                continue
+        for dst in q.poset.up_set(src):
             paths = q.paths(src, dst)
-            if len(paths) < 2:
-                continue
             base = V.path_matrix(paths[0])
-            for p in paths[1:]:
-                if V.path_matrix(p) != base:
-                    problems.append(
-                        f"parallel paths {paths[0]} and {p} disagree")
-                    break
+            bad = next((p for p in paths[1:] if V.path_matrix(p) != base),
+                       None)
+            if bad is not None:
+                problems.append(f"parallel paths {paths[0]} and {bad} "
+                                "disagree")
     return problems
+
+
+def _paths_commute(V: Representation) -> bool:
+    """Do all parallel Hasse paths of V agree?  Walk the up-set of each a
+    in the support by size of down-set: all paths a -> c agree iff V(b ->
+    c) P(a, b) is one matrix P(a, c) over the covers b -> c with a <= b, as
+    all paths a -> b agree by induction (Gabriel and Roiter 1992, ch. 2)."""
+    poset, into = V.quiver.poset, V.quiver._in
+    height = [d.bit_count() for d in poset._down]
+    for a in V._support:
+        maps = {a: None}  # P(a, a) = 1 is never multiplied out
+        up = sorted(_bits(poset._up[poset._idx[a]]), key=height.__getitem__)
+        for c in (poset.strata[i] for i in up[1:]):
+            found = [V.arrow(b, c) if b == a else V.arrow(b, c) @ maps[b]
+                     for b in into[c] if b in maps]
+            if any(m != found[0] for m in found[1:]):
+                return False
+            maps[c] = found[0]
+    return True
 
 
 class RepMorphism:
@@ -258,6 +288,8 @@ class RepMorphism:
         return m
 
     def validate(self) -> list:
+        """Shape errors, else the arrows whose squares do not commute, of
+        those at a component: a square of two zero components commutes."""
         problems = []
         for v, m in self.components.items():
             want = (self.target.rank(v), self.source.rank(v))
@@ -266,10 +298,14 @@ class RepMorphism:
                                 f"expected {want}")
         if problems:
             return problems
-        for a, b in self.source.quiver.arrows:
+        q = self.source.quiver
+        touched = {(v, b) for v in self.components for b in q._out[v]}
+        touched.update((a, v) for v in self.components for a in q._in[v])
+        idx = q.poset._idx  # arrows run in (source, target) stratum order
+        for a, b in sorted(touched, key=lambda e: (idx[e[0]], idx[e[1]])):
             lhs = self.component(b) @ self.source.arrow(a, b)
             rhs = self.target.arrow(a, b) @ self.component(a)
-            if not (lhs - rhs).is_zero():
+            if lhs != rhs:
                 problems.append(f"square at arrow ({a}, {b}) does not commute")
         return problems
 
@@ -472,25 +508,29 @@ def direct_sum(reps: Sequence[Representation],
     ring = reps[0].ring
     if names is None:
         names = [f"s{k}" for k in range(len(reps))]
-    stalks = {v: sum(r.rank(v) for r in reps) for v in quiver.vertices}
+    # the blocks supported at each vertex, and where each starts there
+    at = _support_index(reps)
+    stalks, starts = {}, {}
+    for v, ks in at.items():
+        *offs, stalks[v] = accumulate((reps[k].stalk_rank[v] for k in ks),
+                                      initial=0)
+        starts[v] = dict(zip(ks, offs))
     arrows = {}
     for a, b in quiver.arrows:
-        rb, ra = stalks[b], stalks[a]
-        if not rb or not ra:
+        if a not in at or b not in at:
             continue
+        ro, co = starts[b], starts[a]
         entries = []
-        ro = co = 0
-        for rep in reps:
-            blk = rep.arrow_map.get((a, b))
-            if blk is not None:
-                entries.extend((ro + i, co + j, x)
+        for k in at[a]:
+            blk = reps[k].arrow_map.get((a, b))
+            if blk is not None and k in ro:
+                entries.extend((ro[k] + i, co[k] + j, x)
                                for j, col in blk.columns.items()
                                for i, x in col.items())
-            ro += rep.rank(b)
-            co += rep.rank(a)
-        arrows[(a, b)] = ExactMatrix.from_entries(rb, ra, entries, ring)
-    blocks = list(zip(names, reps))
-    return Representation(quiver, ring, stalks, arrows, blocks=blocks)
+        arrows[(a, b)] = ExactMatrix.from_entries(stalks[b], stalks[a],
+                                                  entries, ring)
+    return Representation(quiver, ring, stalks, arrows,
+                          blocks=list(zip(names, reps)))
 
 
 def indecomposable_projective(quiver: Quiver, x: str,
@@ -498,25 +538,26 @@ def indecomposable_projective(quiver: Quiver, x: str,
     """P_x: stalk R at every vertex reachable from x, identity arrows."""
     if x not in quiver.poset._idx:
         raise ValueError(f"unknown vertex {x!r}")
-    support = set(quiver.poset.up_set(x))
-    stalks = {v: 1 for v in support}
-    arrows = {}
+    return constant_rep(quiver, ring, quiver.poset.up_set(x))
+
+
+def constant_rep(quiver: Quiver, ring: CoeffRing = ZZ,
+                 support: Optional[List[str]] = None) -> Representation:
+    """Rank 1 on support (in stratum order; default all), identity arrows
+    inside it, read off the arrows leaving each of its vertices."""
+    support = quiver.vertices if support is None else support
     one = ExactMatrix.identity(1, ring)
-    for a, b in quiver.arrows:
-        if a in support and b in support:
-            arrows[(a, b)] = one
-    return Representation(quiver, ring, stalks, arrows)
+    inside = set(support)
+    arrows = {(a, b): one for a in support for b in quiver._out[a]
+              if b in inside}
+    return Representation(quiver, ring, dict.fromkeys(support, 1), arrows)
 
 
 def closure_rep(quiver: Quiver, s: str, ring: CoeffRing = ZZ) -> Representation:
     """I_s: rank 1 on the down-set of s (its closure), identity arrows."""
     if s not in quiver.poset._idx:
         raise ValueError(f"unknown vertex {s!r}")
-    support = set(quiver.poset.down_set(s))
-    one = ExactMatrix.identity(1, ring)
-    arrows = {(a, b): one for a, b in quiver.arrows
-              if a in support and b in support}
-    return Representation(quiver, ring, {v: 1 for v in support}, arrows)
+    return constant_rep(quiver, ring, quiver.poset.down_set(s))
 
 
 @dataclass
@@ -643,30 +684,6 @@ def projective_resolution(V: Representation,
         vertices.append(xs)
         maps.append(incl.compose(onto))
     raise ValueError(f"resolution did not terminate within {max_len} steps")
-
-
-def resolution_is_exact(res: ProjectiveResolution) -> bool:
-    """Stalkwise exactness of ... -> Q_1 -> Q_0 -> V -> 0 over the ring."""
-    V = res.target
-    for v in V.quiver.vertices:
-        mats = [res.augmentation.component(v)]
-        mats.extend(m.component(v) for m in res.maps)
-        # surjectivity of the augmentation stalk
-        aug = mats[0]
-        if V.rank(v):
-            factors = invariant_factors(aug)
-            if len(factors) < V.rank(v) or any(f != 1 for f in factors):
-                return False
-        for d_out, d_in in zip(mats, mats[1:]):
-            if not (d_out @ d_in).is_zero():
-                return False
-            ker = kernel_basis(d_out)
-            if None in PresolvedSolver(d_in).solve_many(ker):
-                return False
-        last = mats[-1]
-        if last.cols and kernel_basis(last).cols:
-            return False
-    return True
 
 
 @dataclass

@@ -27,6 +27,7 @@ from .quiver_rep import (
     Representation,
     _solve_all,
     _stack_flat,
+    _support_index,
     hom_space,
     validate_representation,
 )
@@ -43,6 +44,7 @@ class ComplexOfReps:
         self.terms = {q: t for q, t in terms.items() if not t.is_zero()}
         self.differentials = {q: d for q, d in differentials.items()
                               if not d.is_zero()}
+        self._problems: Optional[list] = None  # validate_complex_of_reps
 
     def degrees(self) -> List[int]:
         return sorted(self.terms)
@@ -64,6 +66,10 @@ class ComplexOfReps:
 
 
 def validate_complex_of_reps(X: ComplexOfReps) -> list:
+    """Structural problems of X, remembered on X: `end_dg_algebra` does not
+    check again what `validate_resolution` checked."""
+    if X._problems is not None:
+        return list(X._problems)
     problems = []
     for q, d in X.differentials.items():
         src, tgt = X.term(q), X.term(q + 1)
@@ -83,16 +89,8 @@ def validate_complex_of_reps(X: ComplexOfReps) -> list:
     for q, t in X.terms.items():
         bad = validate_representation(t)
         problems.extend(f"term {q}: {p}" for p in bad)
-    return problems
-
-
-def shift_complex_of_reps(X: ComplexOfReps, k: int) -> ComplexOfReps:
-    """X[k]^q = X^(q+k) with differentials scaled by (-1)^k."""
-    terms = {q - k: t for q, t in X.terms.items()}
-    diffs = {}
-    for q, d in X.differentials.items():
-        diffs[q - k] = d if k % 2 == 0 else d.scale(-1)
-    return ComplexOfReps(X.quiver, X.ring, terms, diffs)
+    X._problems = problems
+    return list(problems)
 
 
 @dataclass
@@ -354,14 +352,20 @@ class HomComplex:
     # -- basis ------------------------------------------------------------
 
     def _degree_basis(self, m: int) -> List[HomBasisElement]:
+        """The block-pair Hom generators of degree m, in (p, source block,
+        target block, k) order, over the pairs whose supports meet (a Hom
+        between disjoint supports is 0), by an index of blocks by vertex."""
         out = []
         for p in self.X.degrees():
             xt = self.X.term(p)
             yt = self.Y.term(p + m)
             if xt is None or yt is None:
                 continue
+            at = _support_index(rep for _, rep in yt.blocks)
             for ai, (aname, arep) in enumerate(xt.blocks):
-                for bi, (bname, brep) in enumerate(yt.blocks):
+                meet = {bi for v in arep._support for bi in at.get(v, ())}
+                for bi in sorted(meet):
+                    bname, brep = yt.blocks[bi]
                     for k, gen in enumerate(self.pairs.gens(arep, brep)):
                         out.append(HomBasisElement(
                             p, ai, bi, k, gen,

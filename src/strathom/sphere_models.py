@@ -36,11 +36,17 @@ from .quiver_rep import (
     Representation,
     StratPoset,
     closure_rep,
+    constant_rep,
     direct_sum,
     hom_rank,
     hom_space,
 )
-from .rep_complex import ComplexOfReps, EndAlgebra, end_dg_algebra
+from .rep_complex import (
+    ComplexOfReps,
+    EndAlgebra,
+    end_dg_algebra,
+    validate_resolution,
+)
 
 
 class SphereModel:
@@ -63,7 +69,7 @@ class SphereModel:
         self.poset = StratPoset(strata, covers, acyclicity_asserted=True)
         self.quiver = Quiver(self.poset)
         self._closure: Dict[str, Representation] = {}
-        self._gens: Dict[Tuple[str, str], RepMorphism] = {}
+        self._gens: Dict[tuple, RepMorphism] = {}
 
     def irange(self):
         return range(1, self.n + 1)
@@ -77,11 +83,7 @@ class SphereModel:
     # -- representations ---------------------------------------------------
 
     def constant_rep(self) -> Representation:
-        one = ExactMatrix.identity(1, self.ring)
-        return Representation(
-            self.quiver, self.ring,
-            {v: 1 for v in self.quiver.vertices},
-            {a: one for a in self.quiver.arrows})
+        return constant_rep(self.quiver, self.ring)
 
     def closure_rep(self, s: str) -> Representation:
         """I_S: rank 1 on the closure of S, identity arrows inside."""
@@ -91,14 +93,15 @@ class SphereModel:
             self._closure[s] = closure_rep(self.quiver, s, self.ring)
         return self._closure[s]
 
-    def generator(self, s: str, t: str) -> RepMorphism:
-        """Canonical generator of Hom(I_s, I_t); identity where possible."""
-        key = (s, t)
+    def generator(self, a: Tuple[str, Representation],
+                  b: Tuple[str, Representation]) -> RepMorphism:
+        """Canonical generator of Hom(a, b) of named blocks; 1 when a = b."""
+        key = (a[1], b[1])
         if key not in self._gens:
-            basis = hom_space(self.closure_rep(s), self.closure_rep(t))
+            basis = hom_space(*key)
             if len(basis) != 1:
-                raise ValueError(f"Hom(I_{s}, I_{t}) has rank {len(basis)}, "
-                                 "no canonical generator")
+                raise ValueError(f"Hom({a[0]}, {b[0]}) has rank "
+                                 f"{len(basis)}, no canonical generator")
             self._gens[key] = basis[0]
         return self._gens[key]
 
@@ -116,43 +119,24 @@ class SphereModel:
     def _block_morphism(self, src: Representation, dst: Representation,
                         entries: Dict[Tuple[int, int], int]) -> RepMorphism:
         """Morphism of direct sums given by +-1 multiples of canonical
-        generators per (target block, source block) position."""
+        generators per (target block, source block) position, each entry
+        visited at the vertices where its generator has a component."""
+        terms: Dict[str, list] = {}
+        for (di, si), c in entries.items():
+            gen = self.generator(src.blocks[si], dst.blocks[di])
+            for v, g in gen.components.items():
+                r0, c0 = dst.block_offsets(v)[di], src.block_offsets(v)[si]
+                terms.setdefault(v, []).extend(
+                    (r0 + i, c0 + j, c * x)
+                    for j, col in g.columns.items() for i, x in col.items())
         comps = {}
         for v in self.quiver.vertices:
-            rows, cols = dst.rank(v), src.rank(v)
-            if not rows or not cols:
-                continue
-            roff, coff = dst.block_offsets(v), src.block_offsets(v)
-            terms = []
-            for (di, si), c in entries.items():
-                gen = self.generator(src.blocks[si][0], dst.blocks[di][0])
-                g = gen.components.get(v)
-                if g is not None:
-                    terms.extend((roff[di] + i, coff[si] + j, c * x)
-                                 for j, col in g.columns.items()
-                                 for i, x in col.items())
-            m = ExactMatrix.from_entries(rows, cols, terms, self.ring)
-            if not m.is_zero():
-                comps[v] = m
+            if v in terms:
+                m = ExactMatrix.from_entries(dst.rank(v), src.rank(v),
+                                             terms[v], self.ring)
+                if not m.is_zero():
+                    comps[v] = m
         return RepMorphism(src, dst, comps)
-
-    def _diagonal_augmentation(self, rep: Representation,
-                               term: Representation) -> RepMorphism:
-        """rep -> term by the canonical generator into every block."""
-        gens = [hom_space(rep, brep) for _, brep in term.blocks]
-        comps = {}
-        for v in self.quiver.vertices:
-            rows, cols = term.rank(v), rep.rank(v)
-            if not rows or not cols:
-                continue
-            roff = term.block_offsets(v)
-            comps[v] = ExactMatrix.from_entries(rows, cols, (
-                (roff[bi] + i, j, x)
-                for bi, (_, brep) in enumerate(term.blocks)
-                if brep.rank(v) and gens[bi]
-                for j, col in gens[bi][0].component(v).columns.items()
-                for i, x in col.items()), self.ring)
-        return RepMorphism(rep, term, comps)
 
     def _resolution(self, marked: List[int]) -> "Resolution":
         """J = H1+H2 -> E_1..E_n + P_marked -> P_1..P_n in degrees low..low+2,
@@ -174,7 +158,9 @@ class SphereModel:
             {low: self._block_morphism(hemis, arcs, he),
              low + 1: self._block_morphism(arcs, points, ep)})
         c = self.constant_rep()
-        targets = {low: (c, self._diagonal_augmentation(c, hemis))}
+        # c -> hemis by the canonical generator into both blocks
+        targets = {low: (c, self._block_morphism(c, hemis,
+                                                 {(0, 0): 1, (1, 0): 1}))}
         if marked:
             w = self._sum([f"P{i}" for i in marked])
             targets[0] = (w, self._block_morphism(
@@ -210,8 +196,6 @@ class Resolution:
     targets: Dict[int, Tuple[Representation, RepMorphism]]
 
     def validate(self):
-        from .rep_complex import validate_resolution
-
         return validate_resolution(self.complex, self.targets)
 
     def end_algebra(self) -> EndAlgebra:
@@ -389,11 +373,11 @@ class DeRhamModel:
             for q, d in A.diff.items():
                 sub = d.submatrix(idx.get(q + 1, []), idx.get(q, []))
                 # entries outside the block must vanish for the split
-                for i in range(d.rows):
-                    for j in idx.get(q, []):
-                        if i not in idx.get(q + 1, []) and d[i, j] != 0:
-                            raise AssertionError(
-                                "differential does not preserve entries")
+                rows = set(idx.get(q + 1, []))
+                if any(i not in rows for j in idx.get(q, [])
+                       for i in d.columns.get(j, {})):
+                    raise AssertionError(
+                        "differential does not preserve entries")
                 if sub.rows and sub.cols:
                     diffs[q] = sub
             out[entry] = ChainComplex(A.ring, ranks, diffs)

@@ -28,7 +28,7 @@ from strathom.exact_linalg import (
     smith_normal_form,
 )
 from strathom.quiver_rep import ext_all, projective_resolution
-from strathom.rep_complex import end_dg_algebra, shift_complex_of_reps
+from strathom.rep_complex import end_dg_algebra
 from strathom.sphere_models import (
     SphereModel,
     de_rham_model,
@@ -37,7 +37,7 @@ from strathom.sphere_models import (
     formality_witness_trivial,
 )
 
-from test_rep_complex import TRIVIAL_TABLE, table_of
+from test_rep_complex import TRIVIAL_TABLE, shift_complex_of_reps, table_of
 
 
 @contextmanager

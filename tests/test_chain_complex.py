@@ -9,7 +9,6 @@ from strathom.chain_complex import (
     ChainMap,
     cohomology,
     cone_report,
-    identity_chain_map,
     is_quasi_iso,
     mapping_cone,
     shift,
@@ -23,6 +22,11 @@ from strathom.exact_linalg import (
     subquotient,
 )
 from strathom.sphere_models import SphereModel, formality_chain_n_points
+
+
+def identity_chain_map(C: ChainComplex) -> ChainMap:
+    comps = {q: ExactMatrix.identity(C.rank(q), C.ring) for q in C.degrees()}
+    return ChainMap(C, C, comps)
 
 
 def M(rows, ring=ZZ):

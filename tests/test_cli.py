@@ -480,6 +480,37 @@ def test_compute_bad_matrix_shape(tmp_path, capsys):
     assert "shape" in err
 
 
+@pytest.mark.parametrize("path,value,message", [
+    (("reps", 0, "arrows", "(P1,E1)"), [[1, 2]],
+     "$.reps[0].arrows['(P1,E1)']: shape (1, 2), expected (1, 1)"),
+    (("reps", 0, "arrows", "(P1,E1)"), [["x/0"]],
+     "$.reps[0].arrows['(P1,E1)']: bad matrix: Invalid literal for "
+     "Fraction: 'x/0'"),
+    (("reps", 0, "arrows", "(E1,P1)"), [[1]],
+     "$.reps[0].arrows['(E1,P1)']: not a quiver arrow"),
+    (("reps", 0, "arrows", "P1"), [[1]],
+     "$.reps[0].arrows: arrow key 'P1' is not of the form (src,dst)"),
+    (("reps", 0, "stalks", "P1"), -1, "$.reps[0].stalks.P1: negative rank"),
+    (("reps", 0, "stalks", "X 1"), 1,
+     "$.reps[0].stalks: unknown vertex 'X 1'"),
+    (("reps", 0, "arrows", "(P1,E1)"), [[2]],
+     "$.reps[0]: C: parallel paths ['P1', 'E1', 'H1'] and "
+     "['P1', 'E2', 'H1'] disagree; parallel paths ['P1', 'E1', 'H2'] and "
+     "['P1', 'E2', 'H2'] disagree"),
+])
+def test_compute_input_errors_name_json_paths(tmp_path, capsys, path, value,
+                                              message):
+    """Shape, rank and commutativity errors name their location as the
+    schema check does: one JSON path format for every input error."""
+    poset, reps = tmp_path / "poset.json", tmp_path / "reps.json"
+    poset.write_text(json.dumps(POSET_A2))
+    reps.write_text(json.dumps(_with(REPS_C, path, value)))
+    code = main(["compute", "--poset", str(poset), "--reps", str(reps),
+                 "--action", "hom"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: reps file: {message}\n"
+
+
 def _compute_with_arrow(tmp_path, entry, ring):
     poset = tmp_path / "poset.json"
     poset.write_text(json.dumps(POSET_A2))

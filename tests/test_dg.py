@@ -21,6 +21,11 @@ from strathom.dg import (
 from strathom.exact_linalg import QQ, ZZ, ExactMatrix, _vec_axpy
 
 
+def mult_entry(A, q1: int, q2: int, i: int, j: int) -> dict:
+    """The structure constant e_i * e_j of degrees (q1, q2), {} if none."""
+    return (A.mult.get((q1, q2)) or {}).get((i, j), {})
+
+
 def dual_numbers_deg2(ring=ZZ):
     """R[t]/t^2 with t in degree 2 and zero differential."""
     return algebra_from_products(
@@ -114,8 +119,8 @@ def test_cohomology_algebra_zero_differential_is_identity():
     a = dual_numbers_deg2()
     H, section = cohomology_algebra(a)
     assert H.dims == {0: 1, 2: 1}
-    assert H.mult_entry(0, 2, 0, 0) == {0: 1}
-    assert H.mult_entry(2, 2, 0, 0) == {}
+    assert mult_entry(H, 0, 2, 0, 0) == {0: 1}
+    assert mult_entry(H, 2, 2, 0, 0) == {}
     for q, lift in section.items():
         assert lift == ExactMatrix.identity(a.dim(q), a.ring)
 
@@ -125,7 +130,7 @@ def test_cohomology_algebra_of_acyclic_part():
     H, _ = cohomology_algebra(a)
     # y dies (d(y) = z), z dies (a boundary): only the unit class remains
     assert H.dims == {0: 1}
-    assert H.mult_entry(0, 0, 0, 0) == {0: 1}
+    assert mult_entry(H, 0, 0, 0, 0) == {0: 1}
 
 
 def test_cohomology_algebra_rejects_torsion():
@@ -954,7 +959,8 @@ def _ideal_reference(U, elements):
         tgt = lattices.get(q + 1)
         for vec in lat.basis_vectors():
             img = U.d_element((q, vec))
-            if img[1] and (tgt is None or not tgt.contains(img[1])):
+            if img[1] and (tgt is None or
+                           tgt.echelon_coordinates(img[1]) is None):
                 raise ValueError("not closed under differential")
     return DgIdeal(U, lattices, input_spanned_ideal=not grew_any)
 
@@ -1051,7 +1057,7 @@ def test_ideal_closure_gcd_step():
     for ideal in (ideal_from_span(a, gens), _ideal_reference(a, gens)):
         assert ideal.ranks() == {0: 2}
         assert not ideal.input_spanned_ideal
-        assert ideal.lattices[0].contains({1: 1})
+        assert ideal.lattices[0].echelon_coordinates({1: 1}) is not None
 
 
 def test_closures_form_products_only_on_the_support(monkeypatch):

@@ -565,7 +565,8 @@ def _check_against_lattice(m, B, got):
     assert len(got) == B.cols
     for j, x in enumerate(got):
         b = B.col(j)
-        assert (x is None) == (not lat.contains(dict(enumerate(b))))
+        member = lat.echelon_coordinates(dict(enumerate(b))) is not None
+        assert (x is None) == (not member)
         if x is not None:
             assert m.matvec(x) == b
 
@@ -690,8 +691,8 @@ def test_column_lattice_membership():
     lat.add({0: 2, 1: 0})
     lat.add({1: 3})
     assert lat.rank == 2
-    assert lat.contains({0: 2, 1: 3})
-    assert not lat.contains({0: 1})
+    assert lat.echelon_coordinates({0: 2, 1: 3}) is not None
+    assert lat.echelon_coordinates({0: 1}) is None
     co = lat.coordinates({0: 4, 1: -3})
     assert co == {0: 2, 1: -1}
 
@@ -701,7 +702,7 @@ def test_column_lattice_gcd_combination():
     lat.add({0: 4})
     grew = lat.add({0: 6})
     assert grew
-    assert lat.contains({0: 2})
+    assert lat.echelon_coordinates({0: 2}) is not None
     co = lat.coordinates({0: 2})
     assert co is not None
     assert 4 * co.get(0, 0) + 6 * co.get(1, 0) == 2
@@ -774,3 +775,51 @@ def test_split_projection_property(n, seed, ring):
     co = lat.coordinates(v)
     assert co is not None
     assert _combine([co.get(g, 0) for g in range(len(gens))], gens) == v
+
+
+def _reduce_by_every_column(lat, vec):
+    """Reference for `ColumnLattice.reduce`: walk every echelon column in
+    pivot order and take off the multiple that clears its pivot row."""
+    v = {k: lat.ring.element(x) for k, x in vec.items() if x != 0}
+    out = {}
+    for idx, (pr, cvec, _) in enumerate(lat.cols):
+        c = v.get(pr)
+        if not c:
+            continue
+        if lat.ring.is_field:
+            q = c / cvec[pr]
+        else:
+            q, r = divmod(c, cvec[pr])
+            if r:
+                return None
+        out[idx] = q
+        exact_linalg._vec_axpy(v, cvec, -q)
+    return v, out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([ZZ, QQ]))
+def test_reduce_on_the_support_matches_every_column(seed, ring):
+    """Sparse generators with non-unit entries (so that over ZZ the gcd
+    step rewrites columns) and sparse queries, members and not: the
+    remainder, its key order and the multiples equal the full walk's."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    lat = ColumnLattice(ring)
+    gens = [{i: rng.choice([1, -1, 2, 3, -4]) for i in
+             rng.sample(range(n), rng.randint(1, min(4, n)))}
+            for _ in range(rng.randint(0, 8))]
+    for g in gens:
+        lat.add(g)
+        assert [c[0] for c in lat.cols] == sorted(c[0] for c in lat.cols)
+        assert all(c[0] == min(c[1]) for c in lat.cols)
+    queries = [_combine([rng.randint(-2, 2) for _ in gens], gens)
+               for _ in range(3)]
+    queries += [{i: rng.randint(-3, 3) for i in
+                 rng.sample(range(n), rng.randint(0, n))} for _ in range(3)]
+    for vec in queries:
+        got, want = lat.reduce(vec), _reduce_by_every_column(lat, vec)
+        assert got == want
+        if got is not None:
+            assert list(got[0]) == list(want[0])
+            assert list(got[1]) == list(want[1])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from unittest import mock
 
@@ -11,7 +12,14 @@ from strathom.chain_complex import (
     cone_report,
     validate_complex,
 )
-from strathom.exact_linalg import QQ, ZZ, ExactMatrix, PresolvedSolver
+from strathom.exact_linalg import (
+    QQ,
+    ZZ,
+    ExactMatrix,
+    PresolvedSolver,
+    invariant_factors,
+    kernel_basis,
+)
 from strathom.quiver_rep import (
     Quiver,
     RepMorphism,
@@ -29,7 +37,6 @@ from strathom.quiver_rep import (
     indecomposable_projective,
     injective_coresolution,
     projective_resolution,
-    resolution_is_exact,
     validate_representation,
     zero_rep,
 )
@@ -234,6 +241,30 @@ def test_yoneda_on_random_small_reps(q2):
 
 
 # ------------------------------------------------------------ resolutions/ext
+
+
+def resolution_is_exact(res) -> bool:
+    """Stalkwise exactness of ... -> Q_1 -> Q_0 -> V -> 0 over the ring."""
+    V = res.target
+    for v in V.quiver.vertices:
+        mats = [res.augmentation.component(v)]
+        mats.extend(m.component(v) for m in res.maps)
+        # surjectivity of the augmentation stalk
+        aug = mats[0]
+        if V.rank(v):
+            factors = invariant_factors(aug)
+            if len(factors) < V.rank(v) or any(f != 1 for f in factors):
+                return False
+        for d_out, d_in in zip(mats, mats[1:]):
+            if not (d_out @ d_in).is_zero():
+                return False
+            ker = kernel_basis(d_out)
+            if None in PresolvedSolver(d_in).solve_many(ker):
+                return False
+        last = mats[-1]
+        if last.cols and kernel_basis(last).cols:
+            return False
+    return True
 
 
 def test_resolution_of_projective_is_short(q2):
@@ -778,3 +809,243 @@ def test_cokernel_rejects_non_split_embedding(q2):
     with pytest.raises(ValueError, match="^cokernel has torsion; the "
                        "embedding was not stalkwise split$"):
         _cokernel_rep(two)
+
+
+# ------------------------------------------- walks over covers and supports
+
+
+def _problems_by_enumeration(V):
+    """Reference for `validate_representation`: the shape checks, then
+    every Hasse path of every comparable pair, each compared with the
+    first path of its pair."""
+    problems = []
+    q = V.quiver
+    for (a, b), m in V.arrow_map.items():
+        if (a, b) not in q.arrows and not m.is_zero():
+            problems.append(f"map on non-arrow ({a}, {b})")
+        elif m.shape != (V.rank(b), V.rank(a)):
+            problems.append(f"arrow ({a}, {b}) matrix has shape {m.shape}, "
+                            f"expected {(V.rank(b), V.rank(a))}")
+    if problems:
+        return problems
+    for src in q.vertices:
+        for dst in q.vertices:
+            if src == dst or not q.poset.leq(src, dst):
+                continue
+            paths = q.paths(src, dst)
+            if len(paths) < 2:
+                continue
+            base = V.path_matrix(paths[0])
+            for p in paths[1:]:
+                if V.path_matrix(p) != base:
+                    problems.append(
+                        f"parallel paths {paths[0]} and {p} disagree")
+                    break
+    return problems
+
+
+def _boolean_lattice(k: int) -> Quiver:
+    """B_k: the subsets of {0..k-1} under inclusion, k! paths from the
+    bottom to the top."""
+    subsets = [frozenset(c) for r in range(k + 1)
+               for c in itertools.combinations(range(k), r)]
+    name = lambda s: "b" + "".join(str(i) for i in sorted(s))
+    covers = [(name(s), name(s | {i})) for s in subsets for i in range(k)
+              if i not in s]
+    return Quiver(StratPoset([(name(s), len(s)) for s in subsets], covers))
+
+
+def _with_arrows(V, changed):
+    arrows = dict(V.arrow_map)
+    arrows.update(changed)
+    return Representation(V.quiver, V.ring, V.stalk_rank, arrows)
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_induction_check_matches_enumeration_on_boolean_lattices(k):
+    """The constant representation commutes; flipping the signs of a few
+    arrows plants non-commuting squares, named exactly as the enumeration
+    names them."""
+    quiver = _boolean_lattice(k)
+    c = constant_rep(quiver)
+    assert validate_representation(c) == _problems_by_enumeration(c) == []
+    rng = random.Random(k)
+    minus = ExactMatrix.identity(1).scale(-1)
+    for flips in (1, 1, 2, 3):
+        V = _with_arrows(c, {a: minus for a in rng.sample(quiver.arrows,
+                                                          flips)})
+        want = _problems_by_enumeration(V)
+        assert validate_representation(V) == want
+        if flips == 1:
+            assert want  # one flipped arrow breaks every square it is in
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(0, 2 ** 32))
+def test_induction_check_matches_enumeration_on_random_reps(ring, seed):
+    """`_random_rep` commutes; one arrow entry bent by a random amount may
+    break some squares, and the problem lists agree either way."""
+    rng = random.Random(seed)
+    names = [f"s{i}" for i in range(rng.randint(3, 8))]
+    quiver = Quiver(StratPoset([(s, 0) for s in names], [
+        (a, b) for i, a in enumerate(names) for b in names[i + 1:]
+        if rng.random() < 0.6]))  # dense, so parallel paths are common
+    v = _random_rep(quiver, ring, rng)
+    assert _problems_by_enumeration(v) == []
+    if not v.arrow_map:
+        return
+    arrow, m = rng.choice(sorted(v.arrow_map.items()))
+    bent = ExactMatrix.from_entries(*m.shape, [(
+        rng.randrange(m.rows), rng.randrange(m.cols), rng.choice([-2, 1, 3]))],
+        ring)
+    w = _with_arrows(v, {arrow: m + bent})
+    assert validate_representation(w) == _problems_by_enumeration(w)
+
+
+def test_induction_check_takes_no_path_enumeration_on_b7(monkeypatch):
+    """On the valid constant representation of B_7 (5,040 paths bottom to
+    top) no Hasse path is multiplied out, and the products stay within one
+    per cover into each comparable pair."""
+    quiver = _boolean_lattice(7)
+    c = constant_rep(quiver)
+    counts = {"path_matrix": 0, "products": 0}
+    path_matrix, matmul = Representation.path_matrix, ExactMatrix.__matmul__
+
+    def counted_path(self, path):
+        counts["path_matrix"] += 1
+        return path_matrix(self, path)
+
+    def counted_product(self, other):
+        counts["products"] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(Representation, "path_matrix", counted_path)
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counted_product)
+    assert validate_representation(c) == []
+    pairs = sum(len(quiver.poset.up_set(v)) for v in quiver.vertices)
+    assert pairs == 3 ** 7
+    assert counts["path_matrix"] <= pairs
+    assert counts["products"] <= 7 * pairs
+
+
+def _closure_by_scan(names, covers):
+    """The reflexive-transitive closure of the declared covers by repeated
+    triple scans, and the first pair comparable both ways (or None)."""
+    idx = {s: i for i, s in enumerate(names)}
+    n = len(names)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in covers:
+        leq[idx[a]][idx[b]] = True
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if leq[i][j] and leq[j][k] and not leq[i][k]:
+                        leq[i][k] = changed = True
+    both = next(((i, j) for i in range(n) for j in range(n)
+                 if i != j and leq[i][j] and leq[j][i]), None)
+    return leq, both
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_poset_closure_and_covers_match_the_scans(seed, acyclic):
+    """On random declared covers (transitive, repeated and reflexive ones
+    included, strata in random order): `leq` equals the closure by triple
+    scans, a cycle is named as the scan names it, and the Hasse covers
+    equal the O(V^3) scan of `leq`."""
+    rng = random.Random(seed)
+    names = [f"s{i}" for i in range(rng.randint(1, 12))]
+    order = rng.sample(names, len(names))  # a linear extension
+    covers = [(a, b) for i, a in enumerate(order) for b in order[i + 1:]
+              if rng.random() < 0.3]
+    covers += rng.sample(covers, min(2, len(covers)))
+    covers += [(a, a) for a in rng.sample(names, min(2, len(names)))]
+    if not acyclic and len(names) > 1:
+        a, b = rng.sample(names, 2)
+        covers.append((b, a) if order.index(a) < order.index(b) else (a, b))
+    leq, both = _closure_by_scan(names, covers)
+    strata = [(s, 0) for s in names]
+    if both is not None:
+        i, j = both
+        with pytest.raises(ValueError, match=(
+                f"^closure order is not antisymmetric: {names[i]} and "
+                f"{names[j]} are comparable both ways$")):
+            StratPoset(strata, covers)
+        return
+    poset = StratPoset(strata, covers)
+    assert [[poset.leq(a, b) for b in names] for a in names] == leq
+    assert poset.hasse_covers() == [
+        (a, b) for a in names for b in names
+        if a != b and poset.leq(a, b)
+        and not any(c not in (a, b) and poset.leq(a, c) and poset.leq(c, b)
+                    for c in names)]
+    for a in names:
+        assert poset.up_set(a) == [b for b in names if poset.leq(a, b)]
+        assert poset.down_set(a) == [b for b in names if poset.leq(b, a)]
+
+
+def _square_problems_by_all_arrows(f):
+    """Reference for `RepMorphism.validate` past the shape checks: every
+    arrow of the quiver, in order."""
+    return [f"square at arrow ({a}, {b}) does not commute"
+            for a, b in f.source.quiver.arrows
+            if f.component(b) @ f.source.arrow(a, b)
+            != f.target.arrow(a, b) @ f.component(a)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(0, 2 ** 32))
+def test_morphism_squares_by_support_match_all_arrows(ring, seed):
+    """Random components on a random set of vertices: the squares named
+    by `validate`, which visits only arrows at a component, are those of
+    the walk over every arrow."""
+    rng = random.Random(seed)
+    quiver = _random_quiver(rng)
+    v, w = _random_rep(quiver, ring, rng), _random_rep(quiver, ring, rng)
+    common = [x for x in quiver.vertices if v.rank(x) and w.rank(x)]
+    comps = {x: ExactMatrix.from_rows(
+        [[rng.choice([0, 0, 1, -1, 2]) for _ in range(v.rank(x))]
+         for _ in range(w.rank(x))], ring)
+        for x in rng.sample(common, rng.randint(0, len(common)))}
+    f = RepMorphism(v, w, comps)
+    assert f.validate() == _square_problems_by_all_arrows(f)
+    for g in hom_space(v, w):
+        assert g.validate() == _square_problems_by_all_arrows(g) == []
+
+
+def _direct_sum_by_all_blocks(reps):
+    """Reference for `direct_sum`: stalks and arrows from every (vertex,
+    block) and (arrow, block) pair."""
+    quiver, ring = reps[0].quiver, reps[0].ring
+    stalks = {v: sum(r.rank(v) for r in reps) for v in quiver.vertices}
+    arrows = {}
+    for a, b in quiver.arrows:
+        if not stalks[a] or not stalks[b]:
+            continue
+        entries, ro, co = [], 0, 0
+        for rep in reps:
+            entries.extend((ro + i, co + j, x) for j, col in
+                           rep.arrow(a, b).columns.items()
+                           for i, x in col.items())
+            ro, co = ro + rep.rank(b), co + rep.rank(a)
+        arrows[(a, b)] = ExactMatrix.from_entries(stalks[b], stalks[a],
+                                                  entries, ring)
+    return stalks, arrows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(0, 2 ** 32))
+def test_direct_sum_by_support_matches_all_blocks(ring, seed):
+    rng = random.Random(seed)
+    quiver = _random_quiver(rng)
+    reps = [_random_rep(quiver, ring, rng)
+            for _ in range(rng.randint(1, 4))]
+    total = direct_sum(reps)
+    stalks, arrows = _direct_sum_by_all_blocks(reps)
+    assert total.stalk_rank == stalks
+    assert list(total.arrow_map) == list(arrows)
+    assert total.arrow_map == arrows
+    assert validate_representation(total) == []

@@ -13,6 +13,7 @@ from strathom.quiver_rep import (
     Representation,
     RepMorphism,
     StratPoset,
+    closure_rep,
     direct_sum,
     hom_space,
     injective_coresolution,
@@ -22,13 +23,23 @@ from strathom.rep_complex import (
     ComplexOfReps,
     HomComplex,
     _PairCache,
+    _label_for,
     end_dg_algebra,
-    shift_complex_of_reps,
     validate_complex_of_reps,
     validate_resolution,
 )
 from strathom.sphere_models import SphereModel
+from test_dg import mult_entry
 from test_quiver_rep import _random_quiver, _random_rep
+
+
+def shift_complex_of_reps(X: ComplexOfReps, k: int) -> ComplexOfReps:
+    """X[k]^q = X^(q+k) with differentials scaled by (-1)^k."""
+    terms = {q - k: t for q, t in X.terms.items()}
+    diffs = {}
+    for q, d in X.differentials.items():
+        diffs[q - k] = d if k % 2 == 0 else d.scale(-1)
+    return ComplexOfReps(X.quiver, X.ring, terms, diffs)
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +144,7 @@ def test_hom_complex_single_term(model2):
     assert hc.ranks() == {0: 1}
     assert hc.complex.d(0).is_zero()
     E = end_dg_algebra(X)
-    assert E.mult_entry(0, 0, 0, 0) == {0: 1}
+    assert mult_entry(E, 0, 0, 0, 0) == {0: 1}
 
 
 def test_one_point_hom_ranks(model2):
@@ -188,7 +199,8 @@ def test_shift_invariance_of_end(J_trivial, E_trivial):
         for (m1, m2), table in E_trivial.mult.items():
             for (i, j), prod in table.items():
                 expected = {match[(m1 + m2, t)]: c for t, c in prod.items()}
-                got = E2.mult_entry(m1, m2, match[(m1, i)], match[(m2, j)])
+                got = mult_entry(E2, m1, m2, match[(m1, i)],
+                                 match[(m2, j)])
                 assert got == expected
         # differentials agree up to (-1)^k
         sign = 1 if k % 2 == 0 else -1
@@ -598,3 +610,119 @@ def test_products_built_on_first_read_make_a_valid_dg_algebra(seed, ring):
     mult = E.mult
     assert mult and E.mult is mult
     assert validate_dg_algebra(E) == []
+
+
+# ------------------------------------------------ block pairs by support
+
+
+def _basis_by_all_pairs(hom, m):
+    """Reference for `HomComplex._degree_basis`: a fresh Hom basis for
+    every (source block, target block) pair of every term, in (p, ai, bi,
+    k) order."""
+    out = []
+    for p in hom.X.degrees():
+        xt, yt = hom.X.term(p), hom.Y.term(p + m)
+        if xt is None or yt is None:
+            continue
+        for ai, (aname, arep) in enumerate(xt.blocks):
+            for bi, (bname, brep) in enumerate(yt.blocks):
+                out.extend((p, ai, bi, k, _label_for(aname, bname, k, p),
+                            gen.components)
+                           for k, gen in enumerate(hom_space(arep, brep)))
+    return out
+
+
+def _check_basis(hom):
+    X, Y = hom.X, hom.Y
+    lo = min(Y.degrees(), default=0) - max(X.degrees(), default=0)
+    hi = max(Y.degrees(), default=0) - min(X.degrees(), default=0)
+    for m in range(lo - 1, hi + 2):
+        got = [(e.p, e.src_block, e.dst_block, e.k, e.label,
+                e.morphism.components) for e in hom.basis.get(m, [])]
+        assert got == _basis_by_all_pairs(hom, m)
+        assert (m in hom.basis) == bool(got)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_degree_basis_by_support_matches_all_pairs_on_spheres(n, ring):
+    J = SphereModel(n, ring).resolution_n_points().complex
+    _check_basis(HomComplex(J, J))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(0, 2 ** 32))
+def test_degree_basis_by_support_matches_all_pairs_on_random_sums(ring,
+                                                                  seed):
+    """Terms that are sums of `_random_rep` summands (stalks of rank 2,
+    Hom ranks above 1) and of closure reps, with zero differentials."""
+    rng = random.Random(seed)
+    quiver = _random_quiver(rng)
+
+    def term():
+        reps = [_random_rep(quiver, ring, rng)
+                for _ in range(rng.randint(1, 3))]
+        reps += [closure_rep(quiver, rng.choice(quiver.vertices), ring)
+                 for _ in range(rng.randint(0, 2))]
+        return direct_sum(reps, names=[f"B{k}" for k in range(len(reps))])
+
+    X = ComplexOfReps(quiver, ring, {0: term(), 1: term()}, {})
+    Y = ComplexOfReps(quiver, ring, {-1: term(), 0: term(), 2: term()}, {})
+    _check_basis(HomComplex(X, Y))
+    _check_basis(HomComplex(X, X))
+
+
+def test_block_pair_visits_grow_linearly_in_n(monkeypatch):
+    """End J has dimension 15n + 2; the block-pair Homs read while
+    building it grow as n too, not as the n^2 block pairs."""
+    calls = {"gens": 0}
+    original = _PairCache.gens
+
+    def counted(self, a, b):
+        calls["gens"] += 1
+        return original(self, a, b)
+
+    monkeypatch.setattr(_PairCache, "gens", counted)
+    counts = {}
+    for n in (20, 40):
+        calls["gens"] = 0
+        J = SphereModel(n).resolution_n_points().complex
+        assert HomComplex(J, J).complex.ranks == {
+            -1: n, 0: 5 * n + 2, 1: 7 * n, 2: 2 * n}
+        counts[n] = calls["gens"]
+    assert counts[40] <= 2.2 * counts[20]
+
+
+def test_end_reuses_the_verdict_of_validate_resolution(monkeypatch):
+    """A complex that `validate_resolution` accepted is not validated again
+    by `end_dg_algebra`; a complex from outside still is."""
+    import strathom.rep_complex as rc
+
+    calls = []
+    original = rc.validate_representation
+
+    def counted(V):
+        calls.append(V)
+        return original(V)
+
+    monkeypatch.setattr(rc, "validate_representation", counted)
+    res = SphereModel(3).resolution_n_points()
+    assert validate_resolution(res.complex, res.targets).ok
+    assert len(calls) == len(res.complex.terms) == 3
+    end_dg_algebra(res.complex)
+    assert len(calls) == 3
+    fresh = ComplexOfReps(res.complex.quiver, ZZ, dict(res.complex.terms),
+                          dict(res.complex.differentials))
+    end_dg_algebra(fresh)
+    assert len(calls) == 6
+    term = res.complex.term(-1)  # the hemispheres: rank 2 at every stalk
+    bent = Representation(term.quiver, ZZ, term.stalk_rank, {
+        a: m.scale(-1) if a == term.quiver.arrows[0] else m
+        for a, m in term.arrow_map.items()}, blocks=term.blocks)
+    bad = ComplexOfReps(term.quiver, ZZ, {0: bent}, {})
+    first = validate_complex_of_reps(bad)
+    assert first and first[0].startswith("term 0: parallel paths")
+    for _ in range(2):  # the remembered verdict is the same failure
+        with pytest.raises(ValueError, match="^invalid complex: term 0: "):
+            end_dg_algebra(bad)
+        assert validate_complex_of_reps(bad) == first
