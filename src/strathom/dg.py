@@ -14,11 +14,12 @@ constant and the nonzero entries it meets, so the work follows the number
 of constants and nothing dense is built.  The maps are sparse
 {index: [(index', value)]}: `_cols` reads them off the stored columns of
 an `ExactMatrix` and `_rows` off its row view, `_index` off any list of
-entries, and None is the identity.  Arithmetic is
-on exact ints and Fractions.  The cohomology product and its section check,
-the quotient's constants, the laws of `validate_dg_algebra`, the
-multiplicativity check of `DgMorphism` and the closures of
-`subalgebra_from_span` and `ideal_from_span` all use it.
+entries, and None is the identity.  Arithmetic is on exact ints, with
+Fractions over Q only where a value has a denominator (`CoeffRing.element`);
+on the integral sphere models it is all ints.  The cohomology product and
+its section check, the quotient's constants, the laws of
+`validate_dg_algebra`, the multiplicativity check of `DgMorphism` and the
+closures of `subalgebra_from_span` and `ideal_from_span` all use it.
 `DgAlgebra.multiply` multiplies two elements directly (`_sparse_product`),
 and `_apply` applies a matrix to a sparse element through the stored
 columns in its support.

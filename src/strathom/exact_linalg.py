@@ -6,10 +6,11 @@ transforms, saturated kernel lattices, exact solving, and presentations of
 subquotient modules ker/im.
 
 An `ExactMatrix` stores its nonzero entries by column, {j: {i: x}}, as
-Python ints over Z (so there is no fixed-width overflow) and as
-`fractions.Fraction` values over Q.  The matrices met here are
-incidence-like and almost all zero, so every operation walks the stored
-entries only:
+Python ints (so there is no fixed-width overflow); over Q a value with a
+denominator is a `fractions.Fraction` and an integral one stays an int, as
+in FLINT's fmpz/fmpq (Hart 2010), so integral data run on int arithmetic.
+The matrices met here are incidence-like and almost all zero, so every
+operation walks the stored entries only:
 
 - Products (`ExactMatrix.__matmul__` and `matvec`) multiply each stored
   entry of the right operand into one stored column of the left operand,
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,7 +62,8 @@ class CoeffRing:
         return self.kind == "rationals"
 
     def element(self, x):
-        """Coerce x into the ring, normalizing rationals."""
+        """x in the ring: an int, or over QQ a Fraction when x is not
+        integral.  A float raises TypeError, since it may be rounded."""
         if self.kind == "integers":
             if type(x) is int:
                 return x
@@ -68,8 +71,25 @@ class CoeffRing:
                 if x.denominator != 1:
                     raise ValueError(f"{x} is not an integer")
                 return int(x)
-            return int(x)
-        return x if type(x) is Fraction else Fraction(x)
+            return operator.index(x)
+        if type(x) is int:
+            return x
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
+        return operator.index(x)
+
+    def div(self, a, b):
+        """The exact quotient a / b, an int when it is integral; over ZZ, b
+        must divide a."""
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            if not r:
+                return q
+            if self.kind == "integers":
+                raise ValueError(f"{b} does not divide {a}")
+            return Fraction(a, b)
+        q = a / b
+        return q.numerator if q.denominator == 1 else q
 
     def __repr__(self):
         return "ZZ" if self.kind == "integers" else "QQ"
@@ -88,14 +108,14 @@ QQ = CoeffRing("rationals")
 class ExactMatrix:
     """Immutable sparse matrix over a CoeffRing.
 
-    `columns` holds the nonzero entries by column, {j: {i: x}}, with ints
-    over ZZ and Fractions over QQ; no stored entry is zero and no stored
-    column is empty.  It and the row view `by_rows()` are the readers, and
-    nobody mutates them.  Every other read (`m[i, j]`, `col`, `tolist`,
-    `entries`) gives ring.element(0) where nothing is stored.  Matrices are
-    built by `from_entries` (or `from_rows`, `zeros`, `identity`); all
-    arithmetic is exact and returns new matrices.  Stored columns may be
-    shared between matrices.
+    `columns` holds the nonzero entries by column, {j: {i: x}}: ints, and
+    over QQ also Fractions, which arithmetic may leave integral; no stored
+    entry is zero and no stored column is empty.  It and the row view
+    `by_rows()` are the readers, and nobody mutates them.  Every other read
+    (`m[i, j]`, `col`, `tolist`, `entries`) gives ring.element(0), the int
+    0, where nothing is stored.  Matrices are built by `from_entries` (or
+    `from_rows`, `zeros`, `identity`); all arithmetic is exact and returns
+    new matrices.  Stored columns may be shared between matrices.
     """
 
     __slots__ = ("ring", "rows", "cols", "columns")
@@ -434,12 +454,11 @@ def _snf_core(rows: dict, m: int, n: int, transforms: bool):
 def _matrix(entries: Iterable[tuple], rows: int, cols: int, ring: CoeffRing,
             den: Optional[list] = None) -> ExactMatrix:
     """The nonzero integer entries (i, j, x) as a rows x cols matrix over
-    ring, stored in row-major order; over QQ entry x of row i becomes the
-    Fraction x / den[i] (x / 1 without den)."""
+    ring, stored in row-major order; with den (over QQ) entry x of row i
+    becomes ring.div(x, den[i])."""
     out: dict = {}
     for i, j, x in sorted(entries):
-        out.setdefault(j, {})[i] = (
-            Fraction(x, den[i] if den else 1) if ring.is_field else x)
+        out.setdefault(j, {})[i] = ring.div(x, den[i]) if den else x
     return ExactMatrix(ring, rows, cols, out)
 
 
@@ -533,11 +552,12 @@ def _snf_any(M: ExactMatrix, transforms: bool):
     Over QQ row i is first scaled to integers by the lcm s_i of its
     denominators.  With D' = U' (S M) V over ZZ, the result is U = E U' S
     and D = E D' = diag(1, ..., 1, 0, ...), where E = diag(1/d_i) on the
-    nonzero invariant factors d_i of D'; every entry is a Fraction.
+    nonzero invariant factors d_i of D'; an entry is an int when integral
+    and a Fraction otherwise, and D holds the int 1.
 
     Without transforms the result is (None, None, None, factors), with
-    factors the nonzero invariant factors (over QQ, one Fraction(1) per
-    unit of rank).  The integer matrix then goes through
+    factors the nonzero invariant factors (over QQ, one 1 per unit of
+    rank).  The integer matrix then goes through
     `_unit_pivot_core` first, and only its residual core reaches
     `_snf_core`.
     """
@@ -553,8 +573,7 @@ def _snf_any(M: ExactMatrix, transforms: bool):
     if not transforms:
         k, core, r, c = _unit_pivot_core(M)
         factors = [1] * k + [d for d in _snf_core(core, r, c, False)[2] if d]
-        return None, None, None, (
-            [Fraction(1)] * len(factors) if field else factors)
+        return None, None, None, [1] * len(factors) if field else factors
     U, V, diag = _snf_core(M.by_rows(), M.rows, M.cols, True)
     r = sum(1 for d in diag if d != 0)
     V = _matrix(((k, j, x) for j, col in V.items() for k, x in col.items()),
@@ -565,8 +584,7 @@ def _snf_any(M: ExactMatrix, transforms: bool):
         D = ExactMatrix(ZZ, M.rows, M.cols,
                         {i: {i: diag[i]} for i in range(r)})
         return U, V, D, diag
-    one = Fraction(1)
-    D = ExactMatrix(QQ, M.rows, M.cols, {i: {i: one} for i in range(r)})
+    D = ExactMatrix(QQ, M.rows, M.cols, {i: {i: 1} for i in range(r)})
     U = _matrix(((i, k, x * s[k]) for i, row in U.items()
                  for k, x in row.items()), M.rows, M.rows, QQ,
                 [diag[i] if i < r else 1 for i in range(M.rows)])
@@ -675,36 +693,6 @@ def inverse(M: ExactMatrix) -> ExactMatrix:
     if any(d != 1 for d in diag):
         raise ValueError("matrix is not invertible over the ring")
     return V @ U
-
-
-def determinant(M: ExactMatrix):
-    """Exact determinant (fraction-free Bareiss over ZZ)."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = M.rows
-    if n == 0:
-        return M.ring.element(1)
-    a = M.tolist()
-    sign = 1
-    prev = M.ring.element(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return M.ring.element(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                if M.ring.is_field:
-                    a[i][j] = num / prev
-                else:
-                    a[i][j] = num // prev
-        prev = a[k][k]
-    return M.ring.element(sign) * a[n - 1][n - 1]
 
 
 class SubquotientModule:
@@ -851,7 +839,7 @@ class ColumnLattice:
             p = cvec[pr]
             c = vec[pr]
             if field or c % p == 0:
-                q = c / p if field else c // p
+                q = self.ring.div(c, p) if field else c // p
                 _vec_axpy(vec, cvec, -q)
                 _vec_axpy(coords, ccoords, -q)
                 continue
@@ -896,7 +884,7 @@ class ColumnLattice:
             cvec = by_row[pr][1]
             p = cvec[pr]
             if field:
-                q = c / p
+                q = self.ring.div(c, p)
             else:
                 q, r = divmod(c, p)
                 if r != 0:

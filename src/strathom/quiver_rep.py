@@ -477,7 +477,7 @@ def _dense_hom_space(V: Representation, W: Representation
         col = basis.col(jcol)
         lead = next(x for x in col if x != 0)
         if ring.is_field:
-            col = [x / lead for x in col]
+            col = [ring.div(x, lead) for x in col]
         elif lead < 0:
             col = [-x for x in col]
         comps = {}

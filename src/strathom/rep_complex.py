@@ -254,8 +254,8 @@ class _PairCache:
 
     @staticmethod
     def _ratio(g: RepMorphism, m: RepMorphism) -> tuple:
-        """Coordinates of m on the one generator g: c = m[p] / g[p] at the
-        first nonzero entry p of g in (vertex, row, col) order, then
+        """Coordinates of m on the one generator g: c = ring.div(m[p], g[p])
+        at the first nonzero entry p of g in (vertex, row, col) order, then
         m == c g on every component.  Over Z, c = m[p] // g[p], so the
         check at p is that g[p] divides m[p]."""
         ring = g.source.ring
@@ -265,7 +265,7 @@ class _PairCache:
                            for i in col)
                 lead, x = gv[i, j], m.component(v)[i, j]
                 break
-        c = ring.element(x / lead if ring.is_field else x // lead)
+        c = ring.div(x, lead) if ring.is_field else x // lead
         if any(m.component(v) != gv.scale(c)
                for v, gv in g.components.items()):
             raise AssertionError("morphism escaped the Hom lattice")

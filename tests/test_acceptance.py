@@ -22,7 +22,6 @@ from strathom.exact_linalg import (
     QQ,
     ZZ,
     ExactMatrix,
-    determinant,
     kernel_basis,
     rank,
     smith_normal_form,
@@ -37,6 +36,7 @@ from strathom.sphere_models import (
     formality_witness_trivial,
 )
 
+from test_exact_linalg import determinant
 from test_rep_complex import TRIVIAL_TABLE, shift_complex_of_reps, table_of
 
 

@@ -259,7 +259,7 @@ def _random_complex(ring, ndeg, seed):
             s = [rng.choice((1, 2, Fraction(1, 2), Fraction(3, 2)))
                  for _ in range(n)]
             scaled.append(([[x * si for x in row] for row, si in zip(t, s)],
-                           [[x / sj for x, sj in zip(row, s)]
+                           [[Fraction(x) / sj for x, sj in zip(row, s)]
                             for row in tinv]))
         bases = scaled
     diffs = {}

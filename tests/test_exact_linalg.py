@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from itertools import combinations
 from math import gcd, lcm
@@ -18,7 +18,6 @@ from strathom.exact_linalg import (
     ExactMatrix,
     PresolvedSolver,
     _snf_any,
-    determinant,
     invariant_factors,
     inverse,
     kernel_basis,
@@ -30,6 +29,45 @@ from strathom.exact_linalg import (
 
 def M(rows, ring=ZZ):
     return ExactMatrix.from_rows(rows, ring)
+
+
+def assert_exact(xs, ring, canonical=False):
+    """The representation of ring values: every x is an int or, over QQ, a
+    Fraction, never a float or any other type.  With `canonical` (values
+    made by `element`, `div` or the Smith transforms) x is an int exactly
+    when it is integral; arithmetic may leave an integral Fraction."""
+    kinds = (int, Fraction) if ring.is_field else (int,)
+    for x in xs:
+        assert type(x) in kinds, f"{x!r} is a {type(x).__name__}"
+        if canonical:
+            assert (type(x) is int) == (x.denominator == 1), repr(x)
+
+
+def determinant(M):
+    """Exact determinant (fraction-free Bareiss; every division is exact)."""
+    if M.rows != M.cols:
+        raise ValueError("determinant of non-square matrix")
+    n = M.rows
+    if n == 0:
+        return M.ring.element(1)
+    a = M.tolist()
+    sign = 1
+    prev = M.ring.element(1)
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return M.ring.element(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = M.ring.div(num, prev)
+        prev = a[k][k]
+    return M.ring.element(sign) * a[n - 1][n - 1]
 
 
 def check_snf(m):
@@ -84,15 +122,21 @@ def test_snf_rejects_rationals():
 
 
 def test_q_kernel_and_solve_hold_fractions():
-    # Smith transforms over Q used to start from the integer identity, so
-    # kernel columns kept int entries and later divisions made floats
+    # integral values over Q are ints, so a true division of two of them
+    # would make a float: kernels, solves and lattice coordinates must
+    # divide by QQ.div and hold ints and Fractions only
     m = M([[0, 2, 0]], QQ)
     k = kernel_basis(m)
     assert k.cols == 2
-    assert _all_fractions(k.entries)
+    assert_exact(k.entries, QQ, canonical=True)
     x = PresolvedSolver(m).solve([Fraction(1, 3)])
     assert x == [0, Fraction(1, 6), 0]
-    assert _all_fractions(x)
+    assert_exact(x, QQ)
+    lat = ColumnLattice(QQ)
+    lat.add(dict(enumerate(m.col(1))))
+    co = lat.coordinates({0: 1})
+    assert co == {0: Fraction(1, 2)}
+    assert_exact(co.values(), QQ, canonical=True)
 
 
 def test_invariant_factors_matches_snf():
@@ -218,8 +262,8 @@ def test_unit_pivot_front_end_matches_dense_engine(r, c, seed, plant):
     """On sparse matrices of up to 40 x 50, mostly +-1 with a few entries
     of +-2..+-6, at most 10% nonzero, and some with planted factors:
     `invariant_factors` over Z equals the nonzero diagonal of the Smith
-    engine on the whole matrix, and over Q it is one Fraction(1) per unit
-    of the Z rank of the row-scaled matrix."""
+    engine on the whole matrix, and over Q it is one 1 per unit of the Z
+    rank of the row-scaled matrix."""
     rng = random.Random(seed)
     density = rng.uniform(0, 0.1)
     rows = [[(rng.choice([1, -1]) if rng.random() < 0.9
@@ -249,7 +293,7 @@ def test_unit_pivot_front_end_matches_dense_engine(r, c, seed, plant):
               for row in q_rows]
     got = invariant_factors(ExactMatrix.from_rows(q_rows, QQ, cols=c))
     assert got == [Fraction(1)] * len(_dense_factors(scaled, c))
-    assert _all_fractions(got)
+    assert_exact(got, QQ, canonical=True)
 
 
 # ---------------------------------------------------------------- products
@@ -269,10 +313,6 @@ _Z_WIDE = st.one_of(
     st.integers(2 ** 62, 2 ** 70), st.integers(-2 ** 70, -2 ** 62))
 
 
-def _all_fractions(xs):
-    return all(type(x) is Fraction for x in xs)
-
-
 # Denominators near 2**40: a row that mixes one with a small denominator
 # scales to integers past 2**40, so its Smith reduction runs on Python ints.
 _BIG_DEN_Q = st.builds(Fraction, st.integers(-3, 3),
@@ -285,8 +325,8 @@ _BIG_DEN_Q = st.builds(Fraction, st.integers(-3, 3),
 def test_q_snf_runs_on_the_integer_engine(data, path, r, c):
     """Over Q, D = U M V = diag(1, ..., 1, 0, ...) with as many ones as the
     row-scaled integer matrix has nonzero determinantal divisors; U and V
-    are invertible, every entry is a Fraction, and the kernel basis has
-    the complementary size."""
+    are invertible, every entry is canonical (an int when integral, else a
+    Fraction), and the kernel basis has the complementary size."""
     entry = _SMALL_Q if path == "small" else st.one_of(_SMALL_Q, _BIG_DEN_Q)
     rows = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
                               min_size=r, max_size=r))
@@ -301,7 +341,7 @@ def test_q_snf_runs_on_the_integer_engine(data, path, r, c):
     assert D == U @ m @ V
     assert D == ExactMatrix.from_rows(
         [[int(i == j < rk) for j in range(c)] for i in range(r)], QQ, cols=c)
-    assert _all_fractions(U.entries + V.entries + D.entries)
+    assert_exact(U.entries + V.entries + D.entries, QQ, canonical=True)
     assert U @ inverse(U) == ExactMatrix.identity(r, QQ)
     assert V @ inverse(V) == ExactMatrix.identity(c, QQ)
     k = kernel_basis(m)
@@ -330,9 +370,9 @@ def test_every_smith_reduction_sees_integers(monkeypatch, capsys):
     assert calls and len(seen) > calls and all(seen)
 
 
-def _read_out(m, kind):
+def _read_out(m, ring):
     """m.tolist(), once `entries`, `col` and m[i, j] agree with it and
-    every entry read is of type kind."""
+    every entry read is exact (`assert_exact`)."""
     rows = m.tolist()
     assert len(rows) == m.rows and all(len(row) == m.cols for row in rows)
     assert m.entries == [x for row in rows for x in row]
@@ -340,8 +380,7 @@ def _read_out(m, kind):
     assert cols == [[row[j] for row in rows] for j in range(m.cols)]
     reads = [m[i, j] for i in range(m.rows) for j in range(m.cols)]
     assert reads == m.entries
-    assert all(type(x) is kind
-               for x in m.entries + reads + [x for c in cols for x in c])
+    assert_exact(m.entries + reads + [x for c in cols for x in c], ring)
     return rows
 
 
@@ -356,12 +395,11 @@ def _ref_product(a, b, r, k, c, zero):
                         (ZZ, _Z_WIDE)]), st.booleans())
 def test_q_products_match_fraction_dot(data, r, k, c, ring_entry, cancel):
     """Every matrix operation equals a Python loop over `tolist()`, entry
-    by entry and type by type (Fractions over Q, ints over Z).  With
+    by entry, and every entry is exact (`assert_exact`).  With
     `cancel`, column 1 of A is minus column 0, row 1 of B is row 0 and
     the rest of A is zero, so every term of A B cancels in pairs; such a
     product, like A - A, must be `is_zero()` and equal to `zeros`."""
     ring, entry = ring_entry
-    kind = Fraction if ring.is_field else int
     zero = ring.element(0)
     a = [[data.draw(entry) for _ in range(k)] for _ in range(r)]
     b = [[data.draw(entry) for _ in range(c)] for _ in range(k)]
@@ -374,15 +412,15 @@ def test_q_products_match_fraction_dot(data, r, k, c, ring_entry, cancel):
         v[1] = v[0]
     A = ExactMatrix.from_rows(a, ring, cols=k)
     B = ExactMatrix.from_rows(b, ring, cols=c)
-    a, b = _read_out(A, kind), _read_out(B, kind)
+    a, b = _read_out(A, ring), _read_out(B, ring)
 
     AB = A @ B
     assert AB.shape == (r, c)
     want = _ref_product(a, b, r, k, c, zero)
-    assert _read_out(AB, kind) == want
+    assert _read_out(AB, ring) == want
     Av = A.matvec(v)
     assert Av == [sum((x * y for x, y in zip(row, v)), zero) for row in a]
-    assert all(type(x) is kind for x in Av)
+    assert_exact(Av, ring)
     if planted:
         assert AB.is_zero() and AB == ExactMatrix.zeros(r, c, ring)
         assert not any(Av)
@@ -390,7 +428,7 @@ def test_q_products_match_fraction_dot(data, r, k, c, ring_entry, cancel):
 
     A2 = ExactMatrix.from_rows(
         [[data.draw(entry) for _ in range(k)] for _ in range(r)], ring, cols=k)
-    a2 = _read_out(A2, kind)
+    a2 = _read_out(A2, ring)
     s = data.draw(entry)
     for got, ref in ((A + A2, [[x + y for x, y in zip(p, q)]
                                for p, q in zip(a, a2)]),
@@ -399,7 +437,7 @@ def test_q_products_match_fraction_dot(data, r, k, c, ring_entry, cancel):
                      (-A, [[-x for x in p] for p in a]),
                      (A.scale(s), [[x * s for x in p] for p in a])):
         assert got.shape == (r, k)
-        assert _read_out(got, kind) == ref
+        assert _read_out(got, ring) == ref
     for cancelled in (A - A, A + (-A), A.scale(0), (A - A) @ B):
         assert cancelled.is_zero()
         assert cancelled == ExactMatrix.zeros(*cancelled.shape, ring)
@@ -411,18 +449,18 @@ def test_q_products_match_fraction_dot(data, r, k, c, ring_entry, cancel):
 
     H = ExactMatrix.hstack([A, A2, A], ring=ring)
     assert H.shape == (r, 3 * k)
-    assert _read_out(H, kind) == [p + q + p for p, q in zip(a, a2)]
+    assert _read_out(H, ring) == [p + q + p for p, q in zip(a, a2)]
     V = ExactMatrix.vstack([A, A2], ring=ring)
     assert V.shape == (2 * r, k)
-    assert _read_out(V, kind) == a + a2
+    assert _read_out(V, ring) == a + a2
     js = data.draw(st.lists(st.integers(0, k - 1), max_size=5)) if k else []
     is_ = data.draw(st.lists(st.integers(0, r - 1), max_size=5)) if r else []
-    assert _read_out(A.take_cols(js), kind) == [[p[j] for j in js] for p in a]
-    assert _read_out(A.take_rows(is_), kind) == [a[i] for i in is_]
-    assert (_read_out(A.submatrix(is_, js), kind)
+    assert _read_out(A.take_cols(js), ring) == [[p[j] for j in js] for p in a]
+    assert _read_out(A.take_rows(is_), ring) == [a[i] for i in is_]
+    assert (_read_out(A.submatrix(is_, js), ring)
             == [[a[i][j] for j in js] for i in is_])
-    assert _read_out(ExactMatrix.zeros(r, c, ring), kind) == [[0] * c] * r
-    assert _read_out(ExactMatrix.identity(r, ring), kind) == [
+    assert _read_out(ExactMatrix.zeros(r, c, ring), ring) == [[0] * c] * r
+    assert _read_out(ExactMatrix.identity(r, ring), ring) == [
         [int(i == j) for j in range(r)] for i in range(r)]
 
 
@@ -451,26 +489,26 @@ def test_q_product_past_the_int64_bound():
     want = Fraction(2 ** 62, 3) + Fraction(2 ** 62, 5)
     assert (A @ B).tolist() == [[want]]
     assert A.matvec([a, Fraction(a, 5)]) == [want]
-    assert _all_fractions((A @ B).entries)
+    assert_exact((A @ B).entries, QQ)
 
 
 def test_q_product_zeros_are_fractions():
-    # 1/2 * 2/3 - 1/3 * 1 cancels to zero
+    # 1/2 * 2/3 - 1/3 * 1 cancels to zero, which is read as the int 0
     A = M([[Fraction(1, 2), Fraction(1, 3)]], QQ)
     B = M([[Fraction(2, 3)], [-1]], QQ)
     assert (A @ B).tolist() == [[0]]
-    assert _all_fractions((A @ B).entries)
+    assert_exact((A @ B).entries, QQ, canonical=True)
     assert A.matvec([Fraction(2, 3), -1]) == [0]
-    assert _all_fractions(A.matvec([Fraction(2, 3), -1]))
+    assert_exact(A.matvec([Fraction(2, 3), -1]), QQ, canonical=True)
 
 
 def test_q_product_with_empty_inner_dimension():
     A = ExactMatrix.zeros(3, 0, QQ)
     B = ExactMatrix.zeros(0, 2, QQ)
     assert A @ B == ExactMatrix.zeros(3, 2, QQ)
-    assert _all_fractions((A @ B).entries)
+    assert_exact((A @ B).entries, QQ, canonical=True)
     assert A.matvec([]) == [0, 0, 0]
-    assert _all_fractions(A.matvec([]))
+    assert_exact(A.matvec([]), QQ, canonical=True)
 
 
 # ---------------------------------------------------------------- kernels
@@ -609,8 +647,7 @@ def test_solve_many_matches_solve(ring, r, c, k, seed):
     _check_against_lattice(m, b, got)
     assert got == [s.solve(col) for col in cols]
     assert all(got[j] is not None for j in range(0, k, 2))
-    kind = Fraction if ring.is_field else int
-    assert all(type(x) is kind for x_s in got if x_s for x in x_s)
+    assert_exact([x for x_s in got if x_s for x in x_s], ring)
 
 
 def test_inverse_unimodular():
@@ -787,7 +824,7 @@ def _reduce_by_every_column(lat, vec):
         if not c:
             continue
         if lat.ring.is_field:
-            q = c / cvec[pr]
+            q = lat.ring.div(c, cvec[pr])
         else:
             q, r = divmod(c, cvec[pr])
             if r:
@@ -823,3 +860,84 @@ def test_reduce_on_the_support_matches_every_column(seed, ring):
         if got is not None:
             assert list(got[0]) == list(want[0])
             assert list(got[1]) == list(want[1])
+            assert_exact(got[0].values(), ring)
+            assert_exact(got[1].values(), ring, canonical=True)
+
+
+# ---------------------------------------------------------------- representation
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([ZZ, QQ]),
+       st.one_of(st.integers(-2 ** 70, 2 ** 70), _SMALL_Q, _BIG_Q),
+       st.one_of(st.integers(-6, 6), _SMALL_Q).filter(bool))
+@example(QQ, Fraction(3, 2), Fraction(3, 4))
+@example(QQ, Fraction(6, 3), 4)
+@example(ZZ, 7, 2)
+def test_element_and_div_are_canonical(ring, a, b):
+    """`element` and `div` give an int exactly when the value is integral;
+    over ZZ a value with a denominator, or a quotient that b does not
+    divide, raises ValueError."""
+    if not ring.is_field and (a.denominator != 1 or b.denominator != 1):
+        with pytest.raises(ValueError):
+            ring.element(a if a.denominator != 1 else b)
+        return
+    x, y = ring.element(a), ring.element(b)
+    assert (x, y) == (a, b)
+    assert_exact([x, y], ring, canonical=True)
+    if not ring.is_field and x % y:
+        with pytest.raises(ValueError):
+            ring.div(x, y)
+        return
+    q = ring.div(x, y)
+    assert q * y == x
+    assert_exact([q], ring, canonical=True)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("x", [2.5, 0.1, 2.0, -0.0])
+def test_element_refuses_floats(ring, x):
+    # ZZ.element(2.5) used to round to 2, and QQ.element(0.1) to give
+    # 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        ring.element(x)
+    with pytest.raises(TypeError):
+        ExactMatrix.from_rows([[x, 1]], ring)
+
+
+def test_true_division_only_in_coeff_ring_div():
+    """No `/` or `/=` in the package outside `CoeffRing.div`: over QQ an
+    integral value is an int, so a true division of two of them would
+    bring floats back."""
+    found = []
+    for path in sorted(Path(exact_linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "CoeffRing":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "div":
+                        allowed.update(map(id, ast.walk(fn)))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Div)
+                    and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_q_n_points_builds_few_fractions(monkeypatch, capsys):
+    """Over Q the sphere models are integral, so the n-point pipeline runs
+    on ints: `formality n-points --n 5 --ring Q` builds at most 2,000
+    Fractions (16,175 when every value over Q was a Fraction)."""
+    built = [0]
+    real = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    assert main(["formality", "n-points", "--n", "5", "--ring", "Q"]) == 0
+    capsys.readouterr()
+    assert built[0] <= 2000

@@ -13,6 +13,8 @@ import pytest
 
 from strathom.exact_linalg import QQ, ZZ, ExactMatrix, _snf_any
 
+from test_exact_linalg import assert_exact
+
 B40 = 2 ** 40
 
 # (rows, ring, number of columns)
@@ -156,6 +158,5 @@ def test_smith_transforms_are_pinned(name):
     U, V, D, diag = _snf_any(m, transforms=True)
     assert [U.tolist(), V.tolist(), D.tolist(), diag] == list(PINNED[name])
     assert D == U @ m @ V
-    kind = F if ring == QQ else int
-    assert all(type(x) is kind for x in U.entries + V.entries + D.entries
-               + diag)
+    assert_exact(U.entries + V.entries + D.entries + diag, ring,
+                 canonical=True)
