@@ -8,6 +8,10 @@ subquotients, on the Smith engine, then see only the residual core
 C'.  Quasi-isomorphisms are detected through acyclicity of the mapping
 cone, for which a rank-and-invariant-factor check avoids transform
 bookkeeping.
+
+Each identity is checked once per object: `validate_complex` (d.d = 0)
+and `ChainMap.validate` (d.f = f.d) remember their problem lists, and
+`mapping_cone` checks its inputs, which imply d^2 = 0 on the cone.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ class ChainComplex:
             if d.rows or d.cols
         }
         self.labels = labels or {}
+        self._problems: Optional[list] = None  # validate_complex
 
     def rank(self, q: int) -> int:
         return self.ranks.get(q, 0)
@@ -61,19 +66,19 @@ class ChainComplex:
 
 
 def validate_complex(C: ChainComplex) -> list:
-    """All shape and d.d = 0 violations; empty list means valid."""
-    problems = []
-    for q in list(C.differentials):
-        d = C.d(q)
-        if d.shape != (C.rank(q + 1), C.rank(q)):
-            problems.append(f"differential at degree {q} has shape "
-                            f"{d.shape}, expected {(C.rank(q + 1), C.rank(q))}")
-    for q in C.degrees():
-        d0, d1 = C.d(q), C.d(q + 1)
-        if d0.cols and d1.rows and d0.rows == d1.cols:
-            if not (d1 @ d0).is_zero():
-                problems.append(f"d.d != 0 at degree {q}")
-    return problems
+    """Misshaped differentials, else the degrees where d.d != 0; the list
+    is remembered on C, and empty means valid."""
+    if C._problems is None:
+        problems = [f"differential at degree {q} has shape {d.shape}, "
+                    f"expected {(C.rank(q + 1), C.rank(q))}"
+                    for q, d in C.differentials.items()
+                    if d.shape != (C.rank(q + 1), C.rank(q))]
+        if not problems:  # d.d needs the shapes
+            problems = [f"d.d != 0 at degree {q}" for q in C.degrees()
+                        if q in C.differentials and q + 1 in C.differentials
+                        and not (C.d(q + 1) @ C.d(q)).is_zero()]
+        C._problems = problems
+    return list(C._problems)
 
 
 class CohomologyModule:
@@ -227,6 +232,7 @@ class ChainMap:
         self.target = target
         self.components = {q: f for q, f in components.items()
                            if f.rows or f.cols}
+        self._problems: Optional[list] = None  # validate
 
     def component(self, q: int) -> ExactMatrix:
         f = self.components.get(q)
@@ -236,21 +242,21 @@ class ChainMap:
         return f
 
     def validate(self) -> list:
-        problems = []
-        for q, f in self.components.items():
-            want = (self.target.rank(q), self.source.rank(q))
-            if f.shape != want:
-                problems.append(f"component at degree {q} has shape "
-                                f"{f.shape}, expected {want}")
-        if problems:
-            return problems
-        degs = set(self.source.degrees()) | set(self.target.degrees())
-        for q in degs:
-            lhs = self.target.d(q) @ self.component(q)
-            rhs = self.component(q + 1) @ self.source.d(q)
-            if lhs != rhs:
-                problems.append(f"does not commute with d at degree {q}")
-        return problems
+        """Misshaped components, else the degrees where d.f != f.d; the
+        list is remembered on the map."""
+        if self._problems is None:
+            X, Y = self.source, self.target
+            problems = [f"component at degree {q} has shape {f.shape}, "
+                        f"expected {(Y.rank(q), X.rank(q))}"
+                        for q, f in self.components.items()
+                        if f.shape != (Y.rank(q), X.rank(q))]
+            if not problems:  # d.f = f.d needs the shapes
+                problems = [f"does not commute with d at degree {q}"
+                            for q in set(X.degrees()) | set(Y.degrees())
+                            if Y.d(q) @ self.component(q)
+                            != self.component(q + 1) @ X.d(q)]
+            self._problems = problems
+        return list(self._problems)
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self . other (other first)."""
@@ -267,11 +273,17 @@ class ChainMap:
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
     """cone(f)^q = source^(q+1) (+) target^q with
-    d(x, y) = (-d_src x, f(x) + d_tgt y)."""
+    d(x, y) = (-d_src x, f(x) + d_tgt y).  ValueError unless both ends and
+    f validate; d^2 on the cone has the blocks d_X^2, d_Y f - f d_X and
+    d_Y^2, so the cone is born valid."""
+    X, Y = f.source, f.target
+    for end, C in (("source", X), ("target", Y)):
+        problems = validate_complex(C)
+        if problems:
+            raise ValueError(f"invalid {end} complex: " + "; ".join(problems))
     problems = f.validate()
     if problems:
         raise ValueError("invalid chain map: " + "; ".join(problems))
-    X, Y = f.source, f.target
     ring = X.ring
     ranks = {}
     degs = set()
@@ -296,9 +308,7 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         blocks = [b for b in (top, bottom) if b is not None]
         diffs[q] = ExactMatrix.vstack(blocks, ring=ring)
     cone = ChainComplex(ring, ranks, diffs)
-    bad = validate_complex(cone)
-    if bad:
-        raise AssertionError("mapping cone failed validation: " + "; ".join(bad))
+    cone._problems = []
     return cone
 
 

@@ -18,16 +18,19 @@ entries, and None is the identity.  Arithmetic is on exact ints, with
 Fractions over Q only where a value has a denominator (`CoeffRing.element`);
 on the integral sphere models it is all ints.  The cohomology product and
 its section check, the quotient's constants, the laws of
-`validate_dg_algebra`, the multiplicativity check of `DgMorphism` and the
-closures of `subalgebra_from_span` and `ideal_from_span` all use it.
-`DgAlgebra.multiply` multiplies two elements directly (`_sparse_product`),
-and `_apply` applies a matrix to a sparse element through the stored
-columns in its support.
+`validate_dg_algebra`, the multiplicativity check of `DgMorphism`, the
+closures of `subalgebra_from_span` and `ideal_from_span` and
+`DgAlgebra.multiply` all use it; `_apply` applies a matrix to a sparse
+element through the stored columns in its support.
+
+Shapes, d.d = 0 and d.f = f.d are checked in `chain_complex` only, once
+per object: `validate_dg_algebra` reads `validate_complex(A.complex())`,
+and a `DgMorphism`'s validation and mapping cone share its one `ChainMap`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .chain_complex import (
@@ -37,6 +40,7 @@ from .chain_complex import (
     cohomology,
     is_quasi_iso,
     QuasiIsoReport,
+    validate_complex,
 )
 from .exact_linalg import (
     CoeffRing,
@@ -49,18 +53,6 @@ from .exact_linalg import (
 Element = Tuple[int, Dict[int, object]]  # (degree, sparse coefficients)
 Table = Dict[Tuple[int, int], dict]      # (i, j) -> {k: c}: e_i * e_j
 Sparse = Dict[object, list]              # index -> [(index', value)]
-
-
-def _sparse_product(table: Optional[Table], c1: dict, c2: dict) -> dict:
-    """Sparse coefficients of x * y under one degree pair's table."""
-    out: dict = {}
-    if table:
-        for i, a in c1.items():
-            for j, b in c2.items():
-                prod = table.get((i, j))
-                if prod:
-                    _vec_axpy(out, prod, a * b)
-    return out
 
 
 def _index(entries: Iterable[tuple]) -> Sparse:
@@ -113,6 +105,11 @@ def _group(terms: dict) -> Table:
     for (s, t, m), c in sorted(terms.items()):
         table.setdefault((s, t), {})[m] = c
     return table
+
+
+def _misshaped(problems: list) -> bool:
+    """Whether a `validate_complex` or `ChainMap.validate` list is shapes."""
+    return bool(problems) and " has shape " in problems[0]
 
 
 def _differ(lhs: dict, rhs: dict) -> set:
@@ -187,8 +184,14 @@ class DgAlgebra:
         return (0, dict(self.unit))
 
     def multiply(self, x: Element, y: Element) -> Element:
+        """x * y through `_bilinear` on the constants meeting both supports."""
         (q1, c1), (q2, c2) = x, y
-        return (q1 + q2, _sparse_product(self.mult.get((q1, q2)), c1, c2))
+        table = self.mult.get((q1, q2)) or {}
+        meet = {(i, j): table[(i, j)] for i in c1 for j in c2
+                if (i, j) in table}
+        terms = _bilinear(meet, None, _index((i, 0, a) for i, a in c1.items()),
+                          _index((j, 0, b) for j, b in c2.items()))
+        return (q1 + q2, {m: c for (_, _, m), c in sorted(terms.items())})
 
     def d_element(self, x: Element) -> Element:
         q, c = x
@@ -267,19 +270,13 @@ def validate_dg_algebra(A: DgAlgebra) -> list:
     d(e_i) * e_j + (-1)^q1 e_i * d(e_j); and (e_i * e_j) * e_k against
     e_i * (e_j * e_k), with the inner products read off the constants as
     maps indexed by (i, j) and (j, k).  Failures come in degree order, then
-    basis order; associativity in (q1, q2, q3, i, j, k) order.
+    basis order; associativity in (q1, q2, q3, i, j, k) order.  Shapes and
+    d.d = 0 come from `validate_complex`, which stops at misshaped
+    differentials.
     """
-    problems = []
-    for q, d in A.diff.items():
-        if d.shape != (A.dim(q + 1), A.dim(q)):
-            problems.append(f"differential at degree {q} has shape {d.shape}, "
-                            f"expected {(A.dim(q + 1), A.dim(q))}")
-    if problems:
+    problems = validate_complex(A.complex())
+    if _misshaped(problems):
         return problems
-    for q in A.degrees():
-        d0, d1 = A.diff.get(q), A.diff.get(q + 1)
-        if d0 is not None and d1 is not None and not (d1 @ d0).is_zero():
-            problems.append(f"d.d != 0 at degree {q}")
     for (q1, q2), table in A.mult.items():
         for (i, j), prod in table.items():
             if i >= A.dim(q1) or j >= A.dim(q2):
@@ -350,6 +347,7 @@ class DgMorphism:
         self.components = {q: m for q, m in components.items()
                            if m.rows and m.cols}
         self.name = name
+        self._chain_map: Optional[ChainMap] = None
 
     def component(self, q: int) -> ExactMatrix:
         m = self.components.get(q)
@@ -363,23 +361,17 @@ class DgMorphism:
         return (q, _apply(self.components.get(q), c))
 
     def chain_map(self) -> ChainMap:
-        return ChainMap(self.source.complex(), self.target.complex(),
-                        dict(self.components))
-
-    def _shape_problems(self) -> list:
-        problems = []
-        for q, m in self.components.items():
-            want = (self.target.dim(q), self.source.dim(q))
-            if m.shape != want:
-                problems.append(f"component at degree {q} has shape "
-                                f"{m.shape}, expected {want}")
-        return problems
+        """The underlying chain map: one per morphism, verdict shared."""
+        if self._chain_map is None:
+            self._chain_map = ChainMap(self.source.complex(),
+                                       self.target.complex(),
+                                       dict(self.components))
+        return self._chain_map
 
     def validate(self) -> list:
-        problems = self._shape_problems()
-        if problems:
+        problems = self.chain_map().validate()
+        if _misshaped(problems):
             return problems
-        problems.extend(self.chain_map().validate())
         A, B = self.source, self.target
         fu = self.apply(A.unit_element())
         if fu[1] != B.unit_element()[1]:
@@ -398,8 +390,8 @@ class DgMorphism:
         source's constants through the columns of f_(q1+q2) against the
         target's constants on the rows of f_q1 and f_q2.
         """
-        problems = self._shape_problems()
-        if problems:
+        problems = self.chain_map().validate()
+        if _misshaped(problems):
             raise ValueError(problems[0])
         A, B = self.source, self.target
         rows = {q: _rows(m) for q, m in self.components.items()}
@@ -423,7 +415,7 @@ def is_quasi_iso_dg(f: DgMorphism) -> QuasiIsoReport:
 # ---------------------------------------------------------------------------
 
 
-def cohomology_algebra(A: DgAlgebra, verify_section: bool = True):
+def cohomology_algebra(A: DgAlgebra):
     """(H with zero differential, per-degree section of H-basis to cocycles).
 
     The product on H multiplies section representatives and reduces back to
@@ -433,8 +425,8 @@ def cohomology_algebra(A: DgAlgebra, verify_section: bool = True):
     cohomology.  Then the cocycles of each degree are the section's lifts
     plus the boundaries, so the product is independent of the section
     exactly when P(z b), P(b z) and P(b b') vanish for lifts z and boundary
-    generators b, b' (the columns of the differential into each degree);
-    `verify_section` checks that with the same call.
+    generators b, b' (the columns of the differential into each degree),
+    which the same call checks.
     """
     profile = cohomology(A.complex())
     for q, mod in profile.modules.items():
@@ -462,8 +454,6 @@ def cohomology_algebra(A: DgAlgebra, verify_section: bool = True):
             prods = _group(_bilinear(table, out, lifts[q1], lifts[q2]))
             if prods:
                 mult[(q1, q2)] = prods
-            if not verify_section:
-                continue
             b1, b2 = bounds.get(q1), bounds.get(q2)
             for X, Y in ((lifts[q1], b2), (b1, lifts[q2]), (b1, b2)):
                 if X is not None and Y is not None and \
@@ -592,6 +582,8 @@ class DgIdeal:
     algebra: DgAlgebra
     lattices: Dict[int, ColumnLattice]
     input_spanned_ideal: bool
+    _complex: Optional[ChainComplex] = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def rank(self, q: int) -> int:
         lat = self.lattices.get(q)
@@ -602,7 +594,10 @@ class DgIdeal:
                 if lat.rank}
 
     def restricted_complex(self) -> ChainComplex:
-        """The ideal as a subcomplex, in its echelon bases."""
+        """The ideal as a subcomplex, in its echelon bases, built once;
+        raises ValueError when d leaves the ideal."""
+        if self._complex is not None:
+            return self._complex
         U = self.algebra
         ranks = {q: lat.rank for q, lat in self.lattices.items()}
         diffs = {}
@@ -618,14 +613,15 @@ class DgIdeal:
                     continue
                 co = tgt.echelon_coordinates(img[1]) if tgt else None
                 if co is None:
-                    raise AssertionError("ideal differential escaped")
+                    raise ValueError("not closed under differential")
                 cols.append(co)
             m = ExactMatrix.from_entries(tgt.rank if tgt else 0, lat.rank, (
                 (i, j, c) for j, co in enumerate(cols)
                 for i, c in co.items()), U.ring)
             if m.rows and m.cols:
                 diffs[q] = m
-        return ChainComplex(U.ring, ranks, diffs)
+        self._complex = ChainComplex(U.ring, ranks, diffs)
+        return self._complex
 
 
 def ideal_from_span(U: DgAlgebra, elements: Sequence[Element]) -> DgIdeal:
@@ -633,7 +629,8 @@ def ideal_from_span(U: DgAlgebra, elements: Sequence[Element]) -> DgIdeal:
 
     Closes the span under two-sided multiplication by the basis of U and
     reports whether the input already spanned the ideal; closure under the
-    differential is verified afterwards and failure is an error.
+    differential is verified afterwards, by building the ideal's
+    `restricted_complex`, and failure is an error.
 
     The closure is semi-naive: a worklist holds every vector whose
     insertion grew a lattice, and each is multiplied once, on both sides,
@@ -676,12 +673,7 @@ def ideal_from_span(U: DgAlgebra, elements: Sequence[Element]) -> DgIdeal:
                         work.append((q + qb, prod))
     lattices = {q: lat for q, lat in lattices.items() if lat.rank}
     ideal = DgIdeal(U, lattices, input_spanned_ideal=not grew_any)
-    for q, lat in lattices.items():
-        tgt = lattices.get(q + 1, ColumnLattice(U.ring))
-        for vec in lat.basis_vectors():
-            img = U.d_element((q, vec))[1]
-            if img and tgt.echelon_coordinates(img) is None:
-                raise ValueError("not closed under differential")
+    ideal.restricted_complex()
     return ideal
 
 
@@ -720,7 +712,7 @@ def quotient(U: DgAlgebra, I: DgIdeal):
     for q in dims:
         d = U.diff.get(q)
         if d is not None and q + 1 in dims:
-            m = (comps[q + 1] @ d).take_cols(keep[q])
+            m = comps[q + 1] @ d.take_cols(keep[q])
             if not m.is_zero():
                 diff[q] = m
     kept = {q: _index((i, s, 1) for s, i in enumerate(rows))
@@ -813,10 +805,10 @@ def verify_formality_chain(chain: FormalityChain) -> ChainVerdict:
         if problems:
             rep["problems"] = problems[:5]
             ok = False
-        qi = is_quasi_iso_dg(f)
-        rep["quasi_iso"] = qi.ok
-        if not qi.ok:
-            ok = False
+        # the cone of a map that is not a chain map is not a complex
+        rep["quasi_iso"] = not f.chain_map().validate() and \
+            is_quasi_iso_dg(f).ok
+        ok = ok and rep["quasi_iso"]
         reports.append(rep)
     terminal = algebras[-1]
     if not terminal.has_zero_differential():

@@ -159,6 +159,7 @@ class Representation:
         self._support = [v for v in quiver.vertices if self.stalk_rank[v]]
         self._thin: Optional[bool] = None
         self._path_maps: Dict[Tuple[str, str], ExactMatrix] = {}
+        self._homs: Dict["Representation", List["RepMorphism"]] = {}
 
     def is_thin(self) -> bool:
         """Every stalk of rank <= 1 and every arrow scalar in {0, 1, -1}."""
@@ -453,15 +454,21 @@ def hom_space(V: Representation, W: Representation) -> List[RepMorphism]:
     V and W of rank <= 1 the generator is read off the union-find
     (`_thin_generators`); it is the unique normalized primitive one, so
     it equals the dense route's.  Otherwise `_dense_hom_space` solves the
-    commuting-square system.
+    commuting-square system.  The basis is computed once per pair and
+    remembered on V, as `Representation.path_map` is; callers share it.
     """
-    common = _common_support(V, W)
-    gens = _thin_generators(V, W, common)
-    if gens is None or len(gens) > 1:
-        return _dense_hom_space(V, W)
-    return [RepMorphism(V, W, {v: ExactMatrix.from_rows([[g.get(v, 0)]],
-                                                        V.ring)
-                               for v in common}) for g in gens]
+    basis = V._homs.get(W)
+    if basis is None:
+        common = _common_support(V, W)
+        gens = _thin_generators(V, W, common)
+        if gens is None or len(gens) > 1:
+            basis = _dense_hom_space(V, W)
+        else:
+            basis = [RepMorphism(V, W, {
+                v: ExactMatrix.from_rows([[g.get(v, 0)]], V.ring)
+                for v in common}) for g in gens]
+        V._homs[W] = basis
+    return basis
 
 
 def _dense_hom_space(V: Representation, W: Representation

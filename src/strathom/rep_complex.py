@@ -111,7 +111,8 @@ def validate_resolution(J: ComplexOfReps,
     targets maps a placement degree to (representation, morphism into
     J^degree); the target complex carries zero differentials.  Exactness is
     checked stalkwise over the ring, reporting each failing (vertex,
-    degree).
+    degree).  The checks of J and of d . augmentation = 0 cover every stalk
+    complex and stalk augmentation, which get that verdict.
     """
     failures = []
     problems = validate_complex_of_reps(J)
@@ -134,12 +135,11 @@ def validate_resolution(J: ComplexOfReps,
     for v in J.quiver.vertices:
         target_ranks = {q: rep.rank(v) for q, (rep, _) in targets.items()}
         t_complex = ChainComplex(J.ring, target_ranks, {})
-        comps = {}
-        for q, (rep, morph) in targets.items():
-            m = morph.component(v)
-            if m.rows and m.cols:
-                comps[q] = m
-        verdict = is_quasi_iso(ChainMap(t_complex, J.stalk_complex(v), comps))
+        stalk = J.stalk_complex(v)
+        aug = ChainMap(t_complex, stalk,
+                       {q: m.component(v) for q, (_, m) in targets.items()})
+        stalk._problems = aug._problems = []
+        verdict = is_quasi_iso(aug)
         if not verdict.ok:
             bad_degrees = [q for q, r in verdict.cone_profile.items()
                            if r["betti"] or r["torsion"]]
@@ -213,7 +213,8 @@ class HomBasisElement:
 
 
 class _PairCache:
-    """Hom bases, solvers and composition tables of block representations.
+    """Solvers and composition tables of block representations, whose Hom
+    bases `hom_space` remembers.
 
     Keys are the block objects themselves.  A resolution shares one block
     object per vertex, so End of it meets at most |vertices|^2 pairs.
@@ -222,22 +223,15 @@ class _PairCache:
     """
 
     def __init__(self):
-        self._gens: Dict[tuple, list] = {}
         self._solvers: Dict[tuple, PresolvedSolver] = {}
         self._tables: Dict[tuple, dict] = {}
         self._units: Dict[Representation, tuple] = {}
-
-    def gens(self, a: Representation, b: Representation) -> list:
-        key = (a, b)
-        if key not in self._gens:
-            self._gens[key] = hom_space(a, b)
-        return self._gens[key]
 
     def coordinates(self, a: Representation, b: Representation,
                     morphisms: Sequence[RepMorphism]) -> List[tuple]:
         """Sparse coordinates of morphisms a -> b: read off the generator
         at rank 1 (`_ratio`), else with one solve."""
-        gens = self.gens(a, b)
+        gens = hom_space(a, b)
         if not gens:
             if not all(g.is_zero() for g in morphisms):
                 raise AssertionError("morphism escaped the Hom lattice")
@@ -273,11 +267,11 @@ class _PairCache:
 
     def table(self, a: Representation, b: Representation,
               c: Representation) -> Dict[Tuple[int, int], tuple]:
-        """{(k, l): coordinates of gens(b, c)[k] . gens(a, b)[l]} for the
-        nonzero composites; built once per triple."""
+        """{(k, l): coordinates of hom_space(b, c)[k] . hom_space(a, b)[l]}
+        for the nonzero composites; built once per triple."""
         key = (a, b, c)
         if key not in self._tables:
-            outer, inner = self.gens(b, c), self.gens(a, b)
+            outer, inner = hom_space(b, c), hom_space(a, b)
             kl = [(k, l) for k in range(len(outer)) for l in range(len(inner))]
             coords = self.coordinates(
                 a, c, [outer[k].compose(inner[l]) for k, l in kl]) if kl else []
@@ -366,7 +360,7 @@ class HomComplex:
                 meet = {bi for v in arep._support for bi in at.get(v, ())}
                 for bi in sorted(meet):
                     bname, brep = yt.blocks[bi]
-                    for k, gen in enumerate(self.pairs.gens(arep, brep)):
+                    for k, gen in enumerate(hom_space(arep, brep)):
                         out.append(HomBasisElement(
                             p, ai, bi, k, gen,
                             _label_for(aname, bname, k, p)))

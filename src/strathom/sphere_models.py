@@ -69,7 +69,6 @@ class SphereModel:
         self.poset = StratPoset(strata, covers, acyclicity_asserted=True)
         self.quiver = Quiver(self.poset)
         self._closure: Dict[str, Representation] = {}
-        self._gens: Dict[tuple, RepMorphism] = {}
 
     def irange(self):
         return range(1, self.n + 1)
@@ -96,14 +95,11 @@ class SphereModel:
     def generator(self, a: Tuple[str, Representation],
                   b: Tuple[str, Representation]) -> RepMorphism:
         """Canonical generator of Hom(a, b) of named blocks; 1 when a = b."""
-        key = (a[1], b[1])
-        if key not in self._gens:
-            basis = hom_space(*key)
-            if len(basis) != 1:
-                raise ValueError(f"Hom({a[0]}, {b[0]}) has rank "
-                                 f"{len(basis)}, no canonical generator")
-            self._gens[key] = basis[0]
-        return self._gens[key]
+        basis = hom_space(a[1], b[1])
+        if len(basis) != 1:
+            raise ValueError(f"Hom({a[0]}, {b[0]}) has rank {len(basis)}, "
+                             "no canonical generator")
+        return basis[0]
 
     def hom_rank_table(self) -> Dict[Tuple[str, str], int]:
         reps = {s: self.closure_rep(s) for s in self.poset.strata}

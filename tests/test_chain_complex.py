@@ -143,6 +143,25 @@ def test_cone_of_zero_map():
     assert h.betti(-1) == 1 and h.betti(0) == 1
 
 
+@pytest.mark.parametrize("check", [mapping_cone, is_quasi_iso])
+def test_cone_rejects_a_map_that_does_not_commute(check):
+    # R in degree 0 onto the source of the interval: d f = 1, f d = 0
+    f = ChainMap(point(), interval(), {0: M([[1]])})
+    with pytest.raises(ValueError, match="^invalid chain map: does not "
+                       "commute with d at degree 0$"):
+        check(f)
+
+
+@pytest.mark.parametrize("check", [mapping_cone, is_quasi_iso])
+def test_cone_rejects_an_end_with_nonzero_d_squared(check):
+    bad = ChainComplex(ZZ, {0: 1, 1: 1, 2: 1}, {0: M([[1]]), 1: M([[1]])})
+    for f, end in ((identity_chain_map(bad), "source"),
+                   (ChainMap(point(), bad, {}), "target")):
+        with pytest.raises(ValueError, match=f"^invalid {end} complex: "
+                           "d.d != 0 at degree 0$"):
+            check(f)
+
+
 def test_quasi_iso_identity_and_zero():
     assert is_quasi_iso(identity_chain_map(interval())).ok
     assert is_quasi_iso(identity_chain_map(point())).ok

@@ -275,6 +275,45 @@ def test_formality_chain_rejects_non_quasi_iso():
     assert any(not r["quasi_iso"] for r in verdict.arrow_reports)
 
 
+def _line_with_dx_y(ring=ZZ):
+    """<1, x, y | dx = y> with x in degree 0 and only the unit's
+    products."""
+    return algebra_from_products(
+        ring, basis=[(0, "1"), (0, "x"), (1, "y")], unit_terms={"1": 1},
+        differentials={"x": {"y": 1}},
+        products={**{("1", b): {b: 1} for b in "1xy"},
+                  **{(b, "1"): {b: 1} for b in "xy"}})
+
+
+def test_formality_chain_reports_an_arrow_that_is_no_chain_map():
+    # B = <1> -> A = <1, x, y | dx = y>, 1 -> 1 + x: d f(1) = y but
+    # f(d 1) = 0, so the arrow has no mapping cone; the verdict says so
+    # instead of raising
+    a = _line_with_dx_y()
+    b = algebra_from_products(ZZ, basis=[(0, "1")], unit_terms={"1": 1},
+                              differentials={},
+                              products={("1", "1"): {"1": 1}})
+    f = DgMorphism(b, a, {0: ExactMatrix.from_rows([[1], [1]])})
+    problems = f.validate()
+    assert problems[0] == "does not commute with d at degree 0"
+    with pytest.raises(ValueError, match="^invalid chain map: does not "
+                       "commute with d at degree 0$"):
+        is_quasi_iso_dg(f)
+    verdict = verify_formality_chain(FormalityChain([a, b],
+                                                    [(f, "backward")]))
+    assert not verdict.ok
+    assert verdict.arrow_reports == [
+        {"index": 0, "direction": "backward", "valid": False,
+         "problems": problems[:5], "quasi_iso": False}]
+
+
+def test_ideal_not_closed_under_d_is_rejected():
+    # the ideal generated by x is spanned by x, and d(x) = y escapes it
+    a = _line_with_dx_y()
+    with pytest.raises(ValueError, match="^not closed under differential$"):
+        ideal_from_span(a, [(0, {1: 1})])
+
+
 # ------------------------------------------------------------ bilinear kernel
 
 
@@ -379,8 +418,6 @@ def test_cohomology_algebra_detects_section_dependence():
         },
     )
     assert any("Leibniz" in p for p in validate_dg_algebra(a))
-    H, _ = cohomology_algebra(a, verify_section=False)
-    assert H.dims == {0: 2, 1: 1}
     with pytest.raises(AssertionError,
                        match="cohomology product depends on the section"):
         cohomology_algebra(a)
@@ -402,8 +439,6 @@ def test_cohomology_algebra_section_check_sees_each_term(pair):
                   **{(x, "1"): {x: 1} for x in "zwef"},
                   pair: {"f": 1}},
     )
-    H, _ = cohomology_algebra(a, verify_section=False)
-    assert H.dims == {0: 1, 1: 1, 2: 1}
     with pytest.raises(AssertionError,
                        match="cohomology product depends on the section"):
         cohomology_algebra(a)
@@ -1062,15 +1097,15 @@ def test_ideal_closure_gcd_step():
 
 def test_closures_form_products_only_on_the_support(monkeypatch):
     # the n-point chain and its verification form every product through
-    # the one kernel on the structure constants, none through the
-    # pairwise `_sparse_product` behind `DgAlgebra.multiply`
+    # the one kernel on the structure constants, none element by element
+    # through `DgAlgebra.multiply`
     from strathom.sphere_models import SphereModel, formality_chain_n_points
 
     E = SphereModel(8).resolution_n_points().end_algebra()
     pairwise, kernel = [], []
-    real_pairwise, real_kernel = dg._sparse_product, dg._bilinear
-    monkeypatch.setattr(dg, "_sparse_product", lambda *a: pairwise.append(1)
-                        or real_pairwise(*a))
+    real_pairwise, real_kernel = dg.DgAlgebra.multiply, dg._bilinear
+    monkeypatch.setattr(dg.DgAlgebra, "multiply",
+                        lambda *a: pairwise.append(1) or real_pairwise(*a))
     monkeypatch.setattr(dg, "_bilinear", lambda *a, **k: kernel.append(1)
                         or real_kernel(*a, **k))
     ch = formality_chain_n_points(E, 8)

@@ -461,17 +461,17 @@ def test_rank_one_read_off_rejects_morphisms_off_the_generator(ring):
     the closure of E1."""
     pairs = _PairCache()
     v, w = _line_pair(ring, 1, 0)
-    (g,) = pairs.gens(v, w)
+    (g,) = hom_space(v, w)
     assert [g.component(x)[0, 0] for x in "xy"] == [1, 0]
     assert pairs.coordinates(v, w, [g.scale(-3)]) == [((0, -3),)]
     _escapes(pairs, v, w, _by_vertex(v, w, ring, {"x": 1, "y": 1}))
     v, w = _line_pair(ring, 0, 1)  # g = 0 at x: the lead is at y
-    (g,) = pairs.gens(v, w)
+    (g,) = hom_space(v, w)
     assert pairs.coordinates(v, w, [g.scale(5)]) == [((0, 5),)]
     _escapes(pairs, v, w, _by_vertex(v, w, ring, {"x": 1, "y": 1}))
     m = SphereModel(2, ring)
     a, b = m.closure_rep("H1"), m.closure_rep("E1")
-    (g,) = pairs.gens(a, b)
+    (g,) = hom_space(a, b)
     assert pairs.coordinates(a, b, [g.scale(2)]) == [((0, 2),)]
     off = dict(g.scale(2).components)
     off["P2"] = off["P2"].scale(3)
@@ -483,7 +483,7 @@ def test_rank_one_read_off_checks_divisibility_by_a_non_unit_lead():
     generator g = (2, 1), so m_x must be even over Z."""
     pairs = _PairCache()
     v, w = _line_pair(ZZ, 2, 1)
-    (g,) = pairs.gens(v, w)
+    (g,) = hom_space(v, w)
     assert [g.component(x)[0, 0] for x in "xy"] == [2, 1]
     assert pairs.coordinates(v, w, [_by_vertex(v, w, ZZ, {"x": 6, "y": 3})]) \
         == [((0, 3),)]
@@ -519,8 +519,8 @@ def test_table_build_raises_when_a_composite_escapes_the_lattice(
 def test_end_of_a_coresolution_shares_blocks_and_bounds_hom_calls(
         model2, monkeypatch):
     """Summands at one vertex are one object, across all terms, so End of
-    the coresolution solves at most |vertices|^2 Hom systems."""
-    import strathom.rep_complex as rc
+    the coresolution solves at most |vertices|^2 Hom systems, each once."""
+    import strathom.quiver_rep as qr
 
     reps = [model2.closure_rep(s) for s in ("H1", "E2", "P1")]
     reps.append(model2.constant_rep())
@@ -536,13 +536,13 @@ def test_end_of_a_coresolution_shares_blocks_and_bounds_hom_calls(
         for name, block in t.blocks:
             assert covers.setdefault(name.split(":")[0], block) is block
     calls = []
-    original = rc.hom_space
+    original = qr._thin_generators
 
-    def counted(a, b):
+    def counted(a, b, common):  # one call per solved pair
         calls.append((a, b))
-        return original(a, b)
+        return original(a, b, common)
 
-    monkeypatch.setattr(rc, "hom_space", counted)
+    monkeypatch.setattr(qr, "_thin_generators", counted)
     E = end_dg_algebra(J)
     assert E.total_dim() > 0
     assert len(calls) == len(set(calls)) <= len(model2.quiver.vertices) ** 2
@@ -673,24 +673,26 @@ def test_degree_basis_by_support_matches_all_pairs_on_random_sums(ring,
 
 
 def test_block_pair_visits_grow_linearly_in_n(monkeypatch):
-    """End J has dimension 15n + 2; the block-pair Homs read while
-    building it grow as n too, not as the n^2 block pairs."""
-    calls = {"gens": 0}
-    original = _PairCache.gens
+    """End J has dimension 15n + 2; the block-pair Homs solved while
+    building J and End J grow as n too, not as the n^2 block pairs."""
+    import strathom.quiver_rep as qr
 
-    def counted(self, a, b):
-        calls["gens"] += 1
-        return original(self, a, b)
+    calls = {"solves": 0}
+    original = qr._thin_generators
 
-    monkeypatch.setattr(_PairCache, "gens", counted)
+    def counted(a, b, common):  # one call per solved pair
+        calls["solves"] += 1
+        return original(a, b, common)
+
+    monkeypatch.setattr(qr, "_thin_generators", counted)
     counts = {}
     for n in (20, 40):
-        calls["gens"] = 0
+        calls["solves"] = 0
         J = SphereModel(n).resolution_n_points().complex
         assert HomComplex(J, J).complex.ranks == {
             -1: n, 0: 5 * n + 2, 1: 7 * n, 2: 2 * n}
-        counts[n] = calls["gens"]
-    assert counts[40] <= 2.2 * counts[20]
+        counts[n] = calls["solves"]
+    assert 0 < counts[40] <= 2.2 * counts[20]
 
 
 def test_end_reuses_the_verdict_of_validate_resolution(monkeypatch):

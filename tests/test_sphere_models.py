@@ -431,3 +431,70 @@ def test_de_rham_positive_products_vanish_in_cohomology():
             for i in range(H.dim(q1)):
                 for j in range(H.dim(q2)):
                     assert mult_entry(H, q1, q2, i, j) == {}
+
+
+# ------------------------------------------------------ identities checked once
+
+
+def test_each_identity_is_checked_once_per_object(monkeypatch):
+    """Validating the n = 4 resolution, building End J and the n-point
+    chain and verifying the chain computes d.d = 0 of each complex and
+    d.f = f.d of each chain map at most once, and no mapping cone's d.d.
+
+    A product of two stored matrices is one of these identities when the
+    pair is (d^(q+1), d^q) of a complex, or (d_Y^q, f^q) or (f^(q+1), d_X^q)
+    of a chain map; every product is counted by the identities of its
+    operands, which are kept alive so that no id is reused."""
+    from collections import Counter
+
+    from strathom import chain_complex as cc
+    from strathom.exact_linalg import ExactMatrix
+
+    products, operands = Counter(), []
+    complexes, maps, cones = [], [], set()
+
+    def recorder(cls, seen):
+        real = cls.__init__
+
+        def init(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            seen.append(self)
+        monkeypatch.setattr(cls, "__init__", init)
+
+    def matmul(a, b, real=ExactMatrix.__matmul__):
+        operands.append((a, b))
+        products[(id(a), id(b))] += 1
+        return real(a, b)
+
+    def cone(f, real=cc.mapping_cone):
+        out = real(f)
+        cones.add(id(out))
+        return out
+
+    recorder(cc.ChainComplex, complexes)
+    recorder(cc.ChainMap, maps)
+    monkeypatch.setattr(ExactMatrix, "__matmul__", matmul)
+    monkeypatch.setattr(cc, "mapping_cone", cone)
+    n = 4
+    res = SphereModel(n).resolution_n_points()
+    assert res.validate().ok
+    E = res.end_algebra()
+    assert verify_formality_chain(formality_chain_n_points(E, n).chain).ok
+    assert len(cones) == 2 * n + 2 + 3  # the stalks, then the three arrows
+    checked = 0
+    for C in complexes:
+        for q, d in C.differentials.items():
+            if q + 1 in C.differentials:
+                count = products[(id(C.differentials[q + 1]), id(d))]
+                assert count <= (id(C) not in cones), (C.ranks, q)
+                checked += count
+    for f in maps:
+        for q, m in f.components.items():
+            pairs = ((f.target.differentials.get(q), m),
+                     (m, f.source.differentials.get(q - 1)))
+            for a, b in pairs:
+                if a is not None and b is not None:
+                    count = products[(id(a), id(b))]
+                    assert count <= 1, (f.source.ranks, f.target.ranks, q)
+                    checked += count
+    assert checked
