@@ -1,17 +1,17 @@
 """Bounded cochain complexes of free modules.
 
-Complexes carry per-degree ranks, optional basis labels, and differentials
-d^q: C^q -> C^(q+1).  Cohomology first reduces the whole complex by sparse
-elimination of +-1 pivots (Kaczynski, Mrozek and Slusarek 1998), keeping
-chain maps G: C' -> C and F: C -> C' with F G = 1; the exact ker/im
-subquotients, on the Smith engine, then see only the residual core
-C'.  Quasi-isomorphisms are detected through acyclicity of the mapping
-cone, for which a rank-and-invariant-factor check avoids transform
-bookkeeping.
+Complexes carry per-degree ranks and differentials d^q: C^q -> C^(q+1).
+Cohomology first reduces the whole complex by sparse elimination of +-1
+pivots (Kaczynski, Mrozek and Slusarek 1998), keeping chain maps G: C' ->
+C and F: C -> C' with F G = 1; the exact ker/im subquotients, on the
+Smith engine, then see only the residual core C'.  Quasi-isomorphisms
+are detected through acyclicity of the mapping cone, for which a
+rank-and-invariant-factor check avoids transform bookkeeping.
 
 Each identity is checked once per object: `validate_complex` (d.d = 0)
-and `ChainMap.validate` (d.f = f.d) remember their problem lists, and
-`mapping_cone` checks its inputs, which imply d^2 = 0 on the cone.
+and `ChainMap.validate` (d.f = f.d) remember their problem lists,
+`is_quasi_iso` its verdict, and `mapping_cone` checks its inputs, which
+imply d^2 = 0 on the cone.
 """
 
 from __future__ import annotations
@@ -35,15 +35,13 @@ class ChainComplex:
     """Bounded complex of finitely generated free modules."""
 
     def __init__(self, ring: CoeffRing, ranks: Dict[int, int],
-                 differentials: Dict[int, ExactMatrix],
-                 labels: Optional[Dict[int, list]] = None):
+                 differentials: Dict[int, ExactMatrix]):
         self.ring = ring
         self.ranks = {q: r for q, r in ranks.items() if r}
         self.differentials = {
             q: d for q, d in differentials.items()
             if d.rows or d.cols
         }
-        self.labels = labels or {}
         self._problems: Optional[list] = None  # validate_complex
 
     def rank(self, q: int) -> int:
@@ -233,6 +231,7 @@ class ChainMap:
         self.components = {q: f for q, f in components.items()
                            if f.rows or f.cols}
         self._problems: Optional[list] = None  # validate
+        self._quasi_iso: Optional[QuasiIsoReport] = None  # is_quasi_iso
 
     def component(self, q: int) -> ExactMatrix:
         f = self.components.get(q)
@@ -322,19 +321,17 @@ class QuasiIsoReport:
 
 
 def is_quasi_iso(f: ChainMap) -> QuasiIsoReport:
-    """True iff the mapping cone is acyclic (betti and torsion zero)."""
-    cone = mapping_cone(f)
-    report = cone_report(cone)
-    ok = all(r["betti"] == 0 and not r["torsion"] for r in report.values())
-    return QuasiIsoReport(ok, report)
+    """True iff the mapping cone is acyclic (betti and torsion zero); the
+    verdict is remembered on f, so each map builds its cone once."""
+    if f._quasi_iso is None:
+        report = cone_report(mapping_cone(f))
+        ok = all(not (r["betti"] or r["torsion"]) for r in report.values())
+        f._quasi_iso = QuasiIsoReport(ok, report)
+    return f._quasi_iso
 
 
 def shift(C: ChainComplex, k: int) -> ChainComplex:
     """C[k]^q = C^(q+k), differentials scaled by (-1)^k."""
-    sign = 1 if k % 2 == 0 else -1
-    ranks = {q - k: r for q, r in C.ranks.items()}
-    diffs = {}
-    for q, d in C.differentials.items():
-        diffs[q - k] = d if sign == 1 else -d
-    labels = {q - k: ls for q, ls in C.labels.items()}
-    return ChainComplex(C.ring, ranks, diffs, labels)
+    return ChainComplex(C.ring, {q - k: r for q, r in C.ranks.items()},
+                        {q - k: -d if k % 2 else d
+                         for q, d in C.differentials.items()})

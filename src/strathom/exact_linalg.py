@@ -25,15 +25,14 @@ operation walks the stored entries only:
 - Sparse elimination of +-1 pivots of least Markowitz cost on a
   dict-of-rows copy (`eliminate_unit_pivots`) runs before the Smith
   engine: invariant factors and ranks split off one factor 1 per pivot,
-  and `chain_complex.cohomology` reduces a whole complex to its core.  The
-  core is usually small or empty.  The other transforms (`kernel_basis`,
-  `PresolvedSolver`, `inverse`, a direct `subquotient`) run the Smith
-  engine on the whole matrix.  Hom spaces of thin representations skip
-  `kernel_basis` altogether: see `quiver_rep.hom_space`, which solves them
-  by a signed union-find.
-- Solving (`PresolvedSolver.solve_many`, which `solve` and `subquotient`
-  call) is two products with the Smith transforms and one exact
-  divisibility check.
+  and `chain_complex.cohomology` reduces a whole complex to its core.
+  Smith transforms are left with kernels (`kernel_basis`) and subquotient
+  presentations (`subquotient`, whose `PresolvedSolver` solves by two
+  products with them and one exact divisibility check).
+- Every solve with a unique answer (`inverse`, `lattice_solve`, and Hom
+  coordinates in `rep_complex`) reads coordinates in a `ColumnLattice`,
+  the one reduction of a vector against echelon pivots.  Hom spaces of
+  thin representations need no kernel: see `quiver_rep.hom_space`.
 """
 
 from __future__ import annotations
@@ -681,18 +680,16 @@ class PresolvedSolver:
 def inverse(M: ExactMatrix) -> ExactMatrix:
     """Exact inverse; over ZZ requires M unimodular.
 
-    M is invertible exactly when D = U M V is the identity (the Smith
-    diagonal is 1 on its rank prefix over QQ and >= 0 over ZZ), and then
-    the inverse is V U.
+    Column j of the inverse is the coordinates of e_j in the lattice of the
+    columns of M (`lattice_solve`), and M is invertible over the ring
+    exactly when every e_j lies in that lattice.
     """
     if M.rows != M.cols:
         raise ValueError("inverse of non-square matrix")
-    if M.rows == 0:
-        return ExactMatrix.zeros(0, 0, M.ring)
-    U, V, _, diag = _snf_any(M, transforms=True)
-    if any(d != 1 for d in diag):
+    X = lattice_solve(M, ExactMatrix.identity(M.rows, M.ring))
+    if X is None:
         raise ValueError("matrix is not invertible over the ring")
-    return V @ U
+    return X
 
 
 class SubquotientModule:
@@ -702,16 +699,16 @@ class SubquotientModule:
     representatives of a basis of the free part, as ambient columns.
     """
 
-    def __init__(self, solver: PresolvedSolver, rel_snf: SnfResult):
-        ring = self.ring = solver.ring
+    def __init__(self, solver: PresolvedSolver, U: ExactMatrix, diag: list):
+        """U, diag: the Smith form D = U R V of the relations K R = image."""
+        self.ring = solver.ring
         self._K = solver.M
         self._Usolve = solver
-        diag = rel_snf.diagonal()
         k = self._K.cols
         self._r = sum(1 for d in diag if d != 0)
         self._diag = diag
-        self._U = rel_snf.U
-        self._Uinv = inverse(rel_snf.U) if k else ExactMatrix.zeros(0, 0, ring)
+        self._U = U
+        self._Uinv = inverse(U)
         self.betti = k - self._r
         self.torsion = [d for d in diag[:self._r] if d != 1]
         free_cols = self._Uinv.take_cols(range(self._r, k))
@@ -765,8 +762,8 @@ def subquotient(kernel_gens: ExactMatrix, image_gens: ExactMatrix) -> Subquotien
         raise ValueError("image not contained in kernel")
     rel = ExactMatrix.from_entries(kernel_gens.cols, image_gens.cols, (
         (i, j, x) for j, c in enumerate(sols) for i, x in enumerate(c)), ring)
-    U, V, D, _ = _snf_any(rel, transforms=True)
-    return SubquotientModule(solver, SnfResult(U=U, D=D, V=V))
+    U, _, _, diag = _snf_any(rel, transforms=True)
+    return SubquotientModule(solver, U, diag)
 
 
 def _xgcd(a: int, b: int):
@@ -936,3 +933,22 @@ class ColumnLattice:
 
     def basis_vectors(self) -> list:
         return [dict(c[1]) for c in self.cols]
+
+
+def lattice_solve(G: ExactMatrix, B: ExactMatrix) -> Optional[ExactMatrix]:
+    """X with G X = B: the coordinates of each column of B in a
+    `ColumnLattice` of the columns of G, or None when one is outside their
+    lattice; X is unique when the columns are independent.  Rows are read
+    last to first: a Smith kernel column is e_c plus multiples of pivot
+    columns left of c, so it usually enters the lattice unreduced."""
+    last = G.rows - 1
+    lat = ColumnLattice(G.ring)
+    for j in range(G.cols):
+        lat.add({last - i: x for i, x in G.columns.get(j, {}).items()})
+    entries = []
+    for j, col in B.columns.items():
+        co = lat.coordinates({last - i: x for i, x in col.items()})
+        if co is None:
+            return None
+        entries.extend((i, j, x) for i, x in co.items())
+    return ExactMatrix.from_entries(G.cols, B.cols, entries, G.ring)

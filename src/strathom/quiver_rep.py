@@ -16,6 +16,7 @@ images of those arrows split off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,9 +25,9 @@ from .exact_linalg import (
     CoeffRing,
     ColumnLattice,
     ExactMatrix,
-    PresolvedSolver,
     ZZ,
     kernel_basis,
+    lattice_solve,
     rank,
 )
 
@@ -399,17 +400,35 @@ def _thin_generators(V: Representation, W: Representation,
             for g in gens.values()]
 
 
+def _unknowns(V: Representation, W: Representation
+              ) -> Tuple[Dict[str, int], int]:
+    """The unknowns f_v[i, j] of a morphism V -> W, in (vertex, row, col)
+    order over the common support: where those of each vertex v start
+    (f_v[i, j] is start[v] + i * rank V(v) + j), and their number."""
+    common = _common_support(V, W)
+    *offs, n = accumulate((W.rank(v) * V.rank(v) for v in common), initial=0)
+    return dict(zip(common, offs)), n
+
+
+def _flat(f: RepMorphism, start: Dict[str, int]) -> dict:
+    """The entries of f as {unknown: x}, numbered by `_unknowns`."""
+    out = {}
+    for v, m in f.components.items():
+        at, c = start[v], f.source.stalk_rank[v]
+        for j, col in m.columns.items():
+            for i, x in col.items():
+                out[at + i * c + j] = x
+    return out
+
+
 def _hom_system(V: Representation, W: Representation
                 ) -> Tuple[Optional[ExactMatrix], Dict[str, int]]:
     """The commuting-square system f_b V_ab = W_ab f_a of Hom(V, W) (None
-    without a common support), and the column of f_v[0, 0] for each common
-    vertex v; the unknowns f_v[i, j] run in (vertex, row, col) order."""
-    common = _common_support(V, W)
-    if not common:
+    without a common support) on the unknowns of `_unknowns`, and the
+    column of f_v[0, 0] for each common vertex v."""
+    start, ncols = _unknowns(V, W)
+    if not start:
         return None, {}
-    *offs, ncols = accumulate((W.rank(v) * V.rank(v) for v in common),
-                              initial=0)
-    start = dict(zip(common, offs))
     rows = []
     for a, b in V.quiver.arrows:
         if not W.rank(b) or not V.rank(a):
@@ -464,11 +483,16 @@ def hom_space(V: Representation, W: Representation) -> List[RepMorphism]:
         if gens is None or len(gens) > 1:
             basis = _dense_hom_space(V, W)
         else:
-            basis = [RepMorphism(V, W, {
-                v: ExactMatrix.from_rows([[g.get(v, 0)]], V.ring)
-                for v in common}) for g in gens]
+            basis = [RepMorphism(V, W, {v: _scalar(g.get(v, 0), V.ring)
+                                        for v in common}) for g in gens]
         V._homs[W] = basis
     return basis
+
+
+@lru_cache(maxsize=None)
+def _scalar(x: int, ring: CoeffRing) -> ExactMatrix:
+    """The 1 x 1 matrix [x], shared: matrices are immutable."""
+    return ExactMatrix.from_rows([[x]], ring)
 
 
 def _dense_hom_space(V: Representation, W: Representation
@@ -640,8 +664,8 @@ def _kernel_rep(f: RepMorphism) -> Tuple[Representation, RepMorphism]:
     Where source and target stalks have equal rank, f is an isomorphism
     and the kernel is 0; where the target stalk is 0, the kernel is the
     whole source stalk and an arrow into it is the source's arrow on the
-    kernel basis.  Only the other stalks take a kernel basis, and only
-    arrows into them a solve."""
+    kernel basis.  Only the other stalks take a kernel basis, and an arrow
+    into one is read in it (`lattice_solve`)."""
     V, W = f.source, f.target
     quiver, ring = V.quiver, V.ring
     bases = {}
@@ -651,15 +675,15 @@ def _kernel_rep(f: RepMorphism) -> Tuple[Representation, RepMorphism]:
         elif V.rank(v) != W.rank(v):
             bases[v] = kernel_basis(f.component(v))
     stalks = {v: b.cols for v, b in bases.items()}
-    solvers = {v: PresolvedSolver(b) for v, b in bases.items()
-               if b.cols and W.rank(v)}
     arrows = {}
     for a, b in quiver.arrows:
         if not stalks.get(a) or not stalks.get(b):
             continue
         image = V.arrow(a, b) @ bases[a]
-        if b in solvers:
-            image = _solve_all(solvers[b], image, "kernel not arrow-stable")
+        if W.rank(b):
+            image = lattice_solve(bases[b], image)
+            if image is None:
+                raise AssertionError("kernel not arrow-stable")
         arrows[(a, b)] = image
     K = Representation(quiver, ring, stalks, arrows)
     incl = RepMorphism(K, V, {v: bases[v] for v in bases if bases[v].cols})
@@ -837,36 +861,6 @@ def hom_complex_against(res: ProjectiveResolution,
         diffs[q] = ExactMatrix.from_entries(ranks[q + 1], ranks[q], entries,
                                             W.ring)
     return ChainComplex(W.ring, ranks, diffs)
-
-
-def _stack_flat(morphisms: Sequence[RepMorphism]) -> ExactMatrix:
-    """Morphisms V -> W (at least one) as the columns of one matrix: the
-    entries of each, in (vertex, row, col) order over the common support of
-    V and W, as `_hom_system` numbers its unknowns."""
-    V, W = morphisms[0].source, morphisms[0].target
-    entries = []
-    at = 0
-    for v in V._support:
-        if W.stalk_rank[v]:
-            c = V.stalk_rank[v]
-            for t, m in enumerate(morphisms):
-                entries.extend((at + i * c + j, t, x) for j, col in
-                               m.component(v).columns.items()
-                               for i, x in col.items())
-            at += W.stalk_rank[v] * c
-    return ExactMatrix.from_entries(at, len(morphisms), entries, V.ring)
-
-
-def _solve_all(solver: PresolvedSolver, B: ExactMatrix,
-               failure: str) -> ExactMatrix:
-    """The coordinates of every column of B, as the columns of one matrix;
-    AssertionError(failure) when a column lies outside the lattice."""
-    cols = solver.solve_many(B)
-    if any(c is None for c in cols):
-        raise AssertionError(failure)
-    return ExactMatrix.from_entries(solver.M.cols, B.cols, (
-        (i, j, x) for j, c in enumerate(cols) for i, x in enumerate(c)),
-        B.ring)
 
 
 def ext_all(V: Representation, W: Representation, qmax: int,

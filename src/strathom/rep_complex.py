@@ -14,20 +14,21 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chain_complex import ChainComplex, ChainMap, is_quasi_iso
 from .dg import DgAlgebra
-from .exact_linalg import CoeffRing, ExactMatrix, PresolvedSolver
+from .exact_linalg import CoeffRing, ColumnLattice, ExactMatrix
 from .quiver_rep import (
     Quiver,
     RepMorphism,
     Representation,
-    _solve_all,
-    _stack_flat,
+    _flat,
     _support_index,
+    _unknowns,
     hom_space,
     validate_representation,
 )
@@ -213,8 +214,8 @@ class HomBasisElement:
 
 
 class _PairCache:
-    """Solvers and composition tables of block representations, whose Hom
-    bases `hom_space` remembers.
+    """Hom lattices and composition tables of block representations, whose
+    Hom bases `hom_space` remembers.
 
     Keys are the block objects themselves.  A resolution shares one block
     object per vertex, so End of it meets at most |vertices|^2 pairs.
@@ -223,47 +224,31 @@ class _PairCache:
     """
 
     def __init__(self):
-        self._solvers: Dict[tuple, PresolvedSolver] = {}
+        self._lattices: Dict[tuple, tuple] = {}
         self._tables: Dict[tuple, dict] = {}
         self._units: Dict[Representation, tuple] = {}
 
     def coordinates(self, a: Representation, b: Representation,
                     morphisms: Sequence[RepMorphism]) -> List[tuple]:
-        """Sparse coordinates of morphisms a -> b: read off the generator
-        at rank 1 (`_ratio`), else with one solve."""
-        gens = hom_space(a, b)
-        if not gens:
-            if not all(g.is_zero() for g in morphisms):
+        """Sparse coordinates of morphisms a -> b on `hom_space(a, b)`, read
+        in one `ColumnLattice` of its independent flattened generators per
+        pair; AssertionError when a morphism is outside their lattice."""
+        pair = self._lattices.get((a, b))
+        if pair is None:
+            start, _ = _unknowns(a, b)
+            lat = ColumnLattice(a.ring)
+            for g in hom_space(a, b):
+                lat.add(_flat(g, start))
+            pair = self._lattices[(a, b)] = (start, lat)
+        start, lat = pair
+        element = a.ring.element
+        out = []
+        for m in morphisms:
+            co = lat.coordinates(_flat(m, start))
+            if co is None:
                 raise AssertionError("morphism escaped the Hom lattice")
-            return [()] * len(morphisms)
-        if len(gens) == 1:
-            return [self._ratio(gens[0], m) for m in morphisms]
-        solver = self._solvers.get((a, b))
-        if solver is None:
-            solver = self._solvers[(a, b)] = PresolvedSolver(_stack_flat(gens))
-        X = _solve_all(solver, _stack_flat(morphisms),
-                       "morphism escaped the Hom lattice")
-        return [tuple(sorted(X.columns.get(j, {}).items()))
-                for j in range(X.cols)]
-
-    @staticmethod
-    def _ratio(g: RepMorphism, m: RepMorphism) -> tuple:
-        """Coordinates of m on the one generator g: c = ring.div(m[p], g[p])
-        at the first nonzero entry p of g in (vertex, row, col) order, then
-        m == c g on every component.  Over Z, c = m[p] // g[p], so the
-        check at p is that g[p] divides m[p]."""
-        ring = g.source.ring
-        for v, gv in g.components.items():
-            if not gv.is_zero():
-                i, j = min((i, j) for j, col in gv.columns.items()
-                           for i in col)
-                lead, x = gv[i, j], m.component(v)[i, j]
-                break
-        c = ring.div(x, lead) if ring.is_field else x // lead
-        if any(m.component(v) != gv.scale(c)
-               for v, gv in g.components.items()):
-            raise AssertionError("morphism escaped the Hom lattice")
-        return ((0, c),) if c else ()
+            out.append(tuple(sorted((k, element(x)) for k, x in co.items())))
+        return out
 
     def table(self, a: Representation, b: Representation,
               c: Representation) -> Dict[Tuple[int, int], tuple]:
@@ -334,6 +319,7 @@ class HomComplex:
         # generator k of the block pair sits at that index + k
         self._start: Dict[int, Dict[tuple, int]] = {}
         self._label_index: Dict[int, Dict[tuple, List[int]]] = {}
+        self._rendered: Dict[int, List[str]] = {}
         for m, bs in self.basis.items():
             starts = self._start[m] = {}
             for i, e in enumerate(bs):
@@ -372,16 +358,16 @@ class HomComplex:
     def ranks(self) -> Dict[int, int]:
         return {m: len(b) for m, b in sorted(self.basis.items())}
 
-    def labels(self, m: int) -> List[HomLabel]:
-        return [e.label for e in self.basis.get(m, [])]
-
     def rendered_labels(self, m: int) -> List[str]:
-        """Superscripted exactly where (kind, indices) repeats in degree m."""
-        labels = self.labels(m)
-        counts: Dict[tuple, int] = {}
-        for l in labels:
-            counts[(l.kind, l.indices)] = counts.get((l.kind, l.indices), 0) + 1
-        return [l.render(counts[(l.kind, l.indices)] > 1) for l in labels]
+        """Superscripted exactly where (kind, indices) repeats in degree m;
+        rendered once per degree, and the list is shared (`EndAlgebra`,
+        `differential_table`)."""
+        if m not in self._rendered:
+            labels = [e.label for e in self.basis.get(m, [])]
+            counts = Counter((l.kind, l.indices) for l in labels)
+            self._rendered[m] = [l.render(counts[(l.kind, l.indices)] > 1)
+                                 for l in labels]
+        return self._rendered[m]
 
     def find(self, m: int, kind: str, indices: tuple,
              p: Optional[int] = None) -> int:
@@ -464,8 +450,7 @@ class HomComplex:
                 entries.extend((i, j, c) for i, c in col.items())
             diffs[m] = ExactMatrix.from_entries(
                 len(self.basis[m + 1]), len(basis), entries, self.ring)
-        labels = {m: self.rendered_labels(m) for m in self.basis}
-        return ChainComplex(self.ring, ranks, diffs, labels)
+        return ChainComplex(self.ring, ranks, diffs)
 
     def differential_table(self, m: int) -> List[Tuple[str, Dict[str, object]]]:
         """Rows (label, {target label: coefficient}) of d on degree m."""

@@ -611,3 +611,23 @@ def test_python_dash_m_strathom_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["expected"]["pass"] is True
+
+
+@pytest.mark.parametrize("scenario", ["one-point", "trivial"])
+def test_witness_builds_each_cone_once(scenario, monkeypatch, capsys):
+    """`_witness_from_representatives` and the CLI both ask whether the
+    witness is a quasi-isomorphism; the map keeps its verdict, so each of
+    the run's seven chain maps gets one mapping cone, not eight."""
+    from strathom import chain_complex
+
+    cones = []
+
+    def cone(f, real=chain_complex.mapping_cone):
+        cones.append(f)
+        return real(f)
+
+    monkeypatch.setattr(chain_complex, "mapping_cone", cone)
+    code, out = run_json(capsys, "formality", scenario)
+    assert code == 0
+    assert out["results"]["witness_quasi_iso"] is True
+    assert len(cones) == len({id(f) for f in cones}) == 7

@@ -307,6 +307,29 @@ def test_formality_chain_reports_an_arrow_that_is_no_chain_map():
          "problems": problems[:5], "quasi_iso": False}]
 
 
+def test_formality_chain_reports_an_algebra_that_is_no_complex():
+    # <1, x, y, z | dx = y, dy = z> has d.d != 0, so no arrow touching it
+    # has a mapping cone; the verdict says so instead of raising
+    a = algebra_from_products(
+        ZZ, basis=[(0, "1"), (1, "x"), (2, "y"), (3, "z")],
+        unit_terms={"1": 1}, differentials={"x": {"y": 1}, "y": {"z": 1}},
+        products={**{("1", b): {b: 1} for b in "1xyz"},
+                  **{(b, "1"): {b: 1} for b in "xyz"}})
+    ident = DgMorphism(a, a, {q: ExactMatrix.identity(a.dim(q))
+                              for q in a.degrees()})
+    with pytest.raises(ValueError, match="^invalid source complex: d.d != 0 "
+                       "at degree 1$"):
+        is_quasi_iso_dg(ident)
+    verdict = verify_formality_chain(FormalityChain([a, a],
+                                                    [(ident, "forward")]))
+    assert not verdict.ok
+    assert verdict.arrow_reports == [
+        {"index": 0, "direction": "forward", "valid": True,
+         "quasi_iso": False}]
+    assert verdict.notes[:2] == [
+        f"algebra {i} is not a complex: d.d != 0 at degree 1" for i in (0, 1)]
+
+
 def test_ideal_not_closed_under_d_is_rejected():
     # the ideal generated by x is spanned by x, and d(x) = y escapes it
     a = _line_with_dx_y()

@@ -656,6 +656,49 @@ def test_inverse_unimodular():
     assert m @ mi == ExactMatrix.identity(2)
 
 
+def _smith_inverse(m):
+    """Reference route for `inverse`: V U when D = U M V is the identity."""
+    if m.rows == 0:
+        return ExactMatrix.zeros(0, 0, m.ring)
+    U, V, _, diag = _snf_any(m, transforms=True)
+    if any(d != 1 for d in diag):
+        raise ValueError("matrix is not invertible over the ring")
+    return V @ U
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([ZZ, QQ]),
+       st.sampled_from(["small", "planted", "singular"]), st.integers(0, 5),
+       st.sampled_from([1, 2, 3]))
+def test_lattice_inverse_matches_smith_route(data, ring, kind, n, den):
+    """`inverse` by `ColumnLattice` equals V U from the Smith transforms, and
+    raises the same error on singular input and, over Z, on input that is
+    not unimodular: planted diagonals (1, ..., 1, 2, 6, 0, ...) under unit
+    operations, random small entries (over Q divided by den), and random
+    matrices with a repeated row."""
+    if kind == "planted":
+        rows, _ = _planted(n, n, data.draw(st.integers(0, n)),
+                           data.draw(_UNIT_OPS))
+    else:
+        rows = [[data.draw(st.integers(-3, 3)) for _ in range(n)]
+                for _ in range(n)]
+        if kind == "singular" and n:
+            rows[-1] = list(rows[0]) if n > 1 else [0]
+    if ring.is_field:
+        rows = [[Fraction(x, den) for x in row] for row in rows]
+    m = ExactMatrix.from_rows(rows, ring, cols=n)
+    try:
+        want = _smith_inverse(m)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            inverse(m)
+        return
+    got = inverse(m)
+    assert got == want
+    assert m @ got == ExactMatrix.identity(n, ring)
+    assert_exact(got.entries, ring, canonical=True)
+
+
 # ---------------------------------------------------------------- subquotients
 
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from strathom.chain_complex import cohomology, cone_report, validate_complex
 from strathom.dg import DgMorphism, is_quasi_iso_dg, validate_dg_algebra
@@ -402,30 +402,56 @@ def _betti(E):
     return {q: r["betti"] for q, r in cone_report(E.complex()).items()}
 
 
+def _largest_hom_read(*homs):
+    """The largest Hom rank of a block pair whose coordinates were read."""
+    return max((len(hom_space(a, b)) for hom in homs
+                for a, b in hom.pairs._lattices), default=0)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2 ** 32))
+@example(1)
 def test_tables_match_pairwise_route_on_random_coresolutions(seed):
     """On injective coresolutions of random reps, over Z and Q: End's unit,
     differential and structure constants, and the differential of
     Hom(X, Y) for X != Y, equal the pairwise route; H(End) has the same
     Betti numbers over Q as over Z.  Closure blocks have Hom ranks <= 1, so
     the cone of the identity of a random rep V (one block V per term)
-    checks tables with several generators per block pair."""
-    ends = {}
+    checks tables with several generators per block pair
+    (`test_random_coresolution_tables_meet_hom_pairs_of_rank_two`)."""
+    assume(_tables_match_pairwise_route(seed) is not None)
+
+
+def test_random_coresolution_tables_meet_hom_pairs_of_rank_two():
+    """Seed 1, an example of the test above, reads coordinates on a block
+    pair of Hom rank >= 2 over both rings."""
+    assert min(_tables_match_pairwise_route(1).values()) >= 2
+
+
+def _tables_match_pairwise_route(seed):
+    """The checks of the test above on one seed: {ring: the largest Hom
+    rank of a block pair read}, or None when X has total rank over 20."""
+    ends, largest = {}, {}
     for ring in (ZZ, QQ):
         rng = random.Random(seed)
         quiver = _random_quiver(rng)
         v, w = _random_rep(quiver, ring, rng), _random_rep(quiver, ring, rng)
         X, Y = _coresolution_complex(v), _coresolution_complex(w)
-        assume(sum(t.total_rank() for t in X.terms.values()) <= 20)
+        if sum(t.total_rank() for t in X.terms.values()) > 20:
+            return None
         ends[ring] = E = end_dg_algebra(X)
         _check_end(E)
-        _check_differential(HomComplex(X, Y))
+        hxy = HomComplex(X, Y)
+        _check_differential(hxy)
         cone = ComplexOfReps(quiver, ring, {0: v, 1: v},
                              {0: _identity_morphism(v)})
-        _check_end(end_dg_algebra(cone))
-        _check_differential(HomComplex(cone, Y))
+        E_cone = end_dg_algebra(cone)
+        _check_end(E_cone)
+        h_cone_y = HomComplex(cone, Y)
+        _check_differential(h_cone_y)
+        largest[ring] = _largest_hom_read(E.hom, hxy, E_cone.hom, h_cone_y)
     assert _betti(ends[ZZ]) == _betti(ends[QQ])
+    return largest
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ])
