@@ -2,10 +2,10 @@
 
 Layers, bottom up:
 
-  exact_linalg    Smith normal form, kernels, solving, subquotients over
+  exact_linalg    Smith normal form, kernels and solving over
                   arbitrary-precision integers or exact rationals
-  chain_complex   bounded cochain complexes, cohomology, mapping cones,
-                  quasi-isomorphism tests
+  chain_complex   bounded cochain complexes, cohomology read off Smith
+                  forms, mapping cones, quasi-isomorphism tests
   quiver_rep      posets, quivers, representations, Hom and Ext
   rep_complex     complexes of representations, labeled Hom complexes,
                   endomorphism dg algebras
@@ -22,11 +22,9 @@ from .exact_linalg import (
     CoeffRing,
     ExactMatrix,
     SnfResult,
-    SubquotientModule,
     invariant_factors,
     kernel_basis,
     smith_normal_form,
-    subquotient,
 )
 from .chain_complex import (
     ChainComplex,

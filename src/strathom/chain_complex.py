@@ -3,8 +3,8 @@
 Complexes carry per-degree ranks and differentials d^q: C^q -> C^(q+1).
 Cohomology first reduces the whole complex by sparse elimination of +-1
 pivots (Kaczynski, Mrozek and Slusarek 1998), keeping chain maps G: C' ->
-C and F: C -> C' with F G = 1; the exact ker/im subquotients, on the
-Smith engine, then see only the residual core C'.  Quasi-isomorphisms
+C and F: C -> C' with F G = 1; the Smith forms of the residual core C'
+then give kernel, torsion, lifts and projections.  Quasi-isomorphisms
 are detected through acyclicity of the mapping cone, for which a
 rank-and-invariant-factor check avoids transform bookkeeping.
 
@@ -22,12 +22,11 @@ from typing import Dict, List, Optional, Sequence
 from .exact_linalg import (
     CoeffRing,
     ExactMatrix,
-    SubquotientModule,
+    PresolvedSolver,
     _vec_axpy,
     eliminate_unit_pivots,
     invariant_factors,
-    kernel_basis,
-    subquotient,
+    inverse,
 )
 
 
@@ -80,21 +79,40 @@ def validate_complex(C: ChainComplex) -> list:
 
 
 class CohomologyModule:
-    """H^q of C, read off `core`, the subquotient H^q(C') of the reduced
-    complex, through the degree-q components of G: C' -> C and F: C -> C'
-    (`_reduce_units`): `lift` = G lift', projections and coordinates read
-    F x in the core.  d is d^q of C."""
+    """H^q = ker d'^q / im d'^(q-1) of the reduced complex C', read off
+    Smith forms (`PresolvedSolver`) and carried to C by the degree-q
+    components of G: C' -> C and F: C -> C' (`_reduce_units`).
 
-    def __init__(self, core: SubquotientModule, G: ExactMatrix,
-                 F: ExactMatrix, d: ExactMatrix):
-        self.core = core
-        self.betti = core.betti
-        self.torsion = core.torsion
-        self.is_zero = core.is_zero
-        self.lift = G @ core.lift
+    With V the column transform of d'^q and s its rank, K = V[:, s:] is a
+    kernel basis and K+ = V^-1[s:, :] reads coordinates in it.  The image
+    of d'^(q-1) there is R = K+ d'^(q-1); with U R W its Smith form of rank
+    r, the factors past 1 are the torsion, `lift` = G K U^-1[:, r:], and
+    U K+ F sends a cocycle of C to its torsion (rows below r) and free
+    (rows from r) coordinates.  d is d^q of C."""
+
+    def __init__(self, d_out: ExactMatrix, d_in: ExactMatrix,
+                 G: ExactMatrix, F: ExactMatrix, d: ExactMatrix):
+        ker = PresolvedSolver(d_out)
+        n, s = d_out.cols, ker.rank
+        K = ker.V.take_cols(range(s, n))
+        self._Kplus = inverse(ker.V).take_rows(range(s, n))
+        rel = PresolvedSolver(self._Kplus @ d_in)
+        r = rel.rank
+        self._U, self._diag = rel.U, rel.diag[:r]
+        self.betti = n - s - r
+        self.torsion = [x for x in self._diag if x != 1]
+        self.is_zero = self.betti == 0 and not self.torsion
+        self.lift = G @ (K @ inverse(rel.U).take_cols(range(r, n - s)))
         self._F = F
         self._d = d
-        self._proj: Optional[ExactMatrix] = None
+        self._coords: Optional[tuple] = None
+
+    def _coordinate_matrix(self) -> tuple:
+        """(U K+ F, its rows from r on), computed once."""
+        if self._coords is None:
+            P = self._U @ self._Kplus @ self._F
+            self._coords = P, P.take_rows(range(len(self._diag), P.rows))
+        return self._coords
 
     def coordinates(self, x: Sequence):
         """Free-part and torsion coordinates of the class of x.  Raises
@@ -102,14 +120,14 @@ class CohomologyModule:
         non-cocycle can be a cocycle of C'."""
         if any(self._d.matvec(x)):
             raise ValueError("not a cocycle")
-        return self.core.coordinates(self._F.matvec(x))
+        y = self._coordinate_matrix()[0].matvec(x)
+        r = len(self._diag)
+        return y[r:], [y[i] % t for i, t in enumerate(self._diag) if t != 1]
 
     def projection_matrix(self) -> ExactMatrix:
-        """Matrix sending a cocycle of C to its free-part coordinates:
-        proj' F; undefined off the cocycles, as for `SubquotientModule`."""
-        if self._proj is None:
-            self._proj = self.core.projection_matrix() @ self._F
-        return self._proj
+        """Matrix sending a cocycle of C to its free-part coordinates: the
+        rows of U K+ F from r on; undefined off the cocycles."""
+        return self._coordinate_matrix()[1]
 
 
 @dataclass
@@ -183,8 +201,8 @@ def cohomology(C: ChainComplex) -> CohomologyProfile:
     """Exact cohomology with representative lifts in every degree.
 
     `_reduce_units` first reduces C to C' by sparse elimination of +-1
-    pivots, and only C' goes through `kernel_basis` and `subquotient`
-    (every sphere model leaves C' with no differential).  Complexes are
+    pivots, and only C' reaches the Smith engine (`CohomologyModule`;
+    every sphere model leaves C' with no differential).  Complexes are
     immutable by convention, so the profile is memoized on the instance.
     """
     cached = getattr(C, "_cohomology_profile", None)
@@ -195,8 +213,8 @@ def cohomology(C: ChainComplex) -> CohomologyProfile:
         raise ValueError("invalid complex: " + "; ".join(problems))
     reduced, G, F = _reduce_units(C)
     profile = CohomologyProfile(C.ring, {q: CohomologyModule(
-        subquotient(kernel_basis(reduced.d(q)), reduced.d(q - 1)),
-        G[q], F[q], C.d(q)) for q in C.degrees()})
+        reduced.d(q), reduced.d(q - 1), G[q], F[q], C.d(q))
+        for q in C.degrees()})
     C._cohomology_profile = profile
     return profile
 

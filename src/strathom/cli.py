@@ -503,8 +503,7 @@ def cmd_compute(args) -> int:
                      "arrows": len(quiver.arrows),
                      "acyclicity_asserted": poset.acyclicity_asserted}
     tables: dict = {}
-    action = "end" if args.action == "end-with-resolution" else args.action
-    if action == "hom":
+    if args.action == "hom":
         rows = [["source", "target", "rank"]]
         table = {}
         for a in names:
@@ -514,7 +513,7 @@ def cmd_compute(args) -> int:
                 rows.append([a, b, str(r)])
         results["hom_ranks"] = table
         tables["hom"] = rows
-    elif action == "ext":
+    elif args.action == "ext":
         table = {}
         rows = [["source", "target"] +
                 [f"ext{q}" for q in range(args.qmax + 1)]]
@@ -527,7 +526,7 @@ def cmd_compute(args) -> int:
                 rows.append([a, b] + ranks)
         results["ext"] = table
         tables["ext"] = rows
-    elif action == "end":
+    elif args.action == "end":
         total = direct_sum([reps[a] for a in names], names=names) \
             if len(names) > 1 else reps[names[0]]
         cores = injective_coresolution(total)
@@ -544,7 +543,7 @@ def cmd_compute(args) -> int:
         results["h_betti"] = betti
         if not ring.is_field:
             results["h_torsion"] = torsion
-    elif action == "cohomology":
+    elif args.action == "cohomology":
         # derived sections: Ext against the rep from the constant functor
         const = constant_rep(quiver, ring)
         res = projective_resolution(const)
@@ -558,7 +557,7 @@ def cmd_compute(args) -> int:
         tables["cohomology"] = rows
     report = {
         "command": "compute",
-        "action": action,
+        "action": args.action,
         "ring": args.ring,
         "results": results,
         "tables": tables,
@@ -610,8 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--poset", required=True)
     c.add_argument("--reps", required=True)
     c.add_argument("--action", required=True,
-                   choices=["hom", "ext", "end", "end-with-resolution",
-                            "cohomology"])
+                   choices=["hom", "ext", "end", "cohomology"])
     c.add_argument("--qmax", type=int, default=4)
     common(c)
     c.set_defaults(fn=cmd_compute)

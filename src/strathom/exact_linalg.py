@@ -2,8 +2,7 @@
 
 Everything downstream (complexes, quiver representations, dg algebras) is
 built on the primitives in this module: Smith normal form with unimodular
-transforms, saturated kernel lattices, exact solving, and presentations of
-subquotient modules ker/im.
+transforms, saturated kernel lattices and exact solving.
 
 An `ExactMatrix` stores its nonzero entries by column, {j: {i: x}}, as
 Python ints (so there is no fixed-width overflow); over Q a value with a
@@ -26,9 +25,9 @@ operation walks the stored entries only:
   dict-of-rows copy (`eliminate_unit_pivots`) runs before the Smith
   engine: invariant factors and ranks split off one factor 1 per pivot,
   and `chain_complex.cohomology` reduces a whole complex to its core.
-  Smith transforms are left with kernels (`kernel_basis`) and subquotient
-  presentations (`subquotient`, whose `PresolvedSolver` solves by two
-  products with them and one exact divisibility check).
+  Every Smith transform is read from a `PresolvedSolver`: kernels
+  (`kernel_basis`, trailing columns of V) and the cohomology of the
+  reduced core (`chain_complex.CohomologyModule`).
 - Every solve with a unique answer (`inverse`, `lattice_solve`, and Hom
   coordinates in `rep_complex`) reads coordinates in a `ColumnLattice`,
   the one reduction of a vector against echelon pivots.  Hom spaces of
@@ -549,10 +548,12 @@ def _snf_any(M: ExactMatrix, transforms: bool):
     """(U, V, D, diag) with D = U M V, by `_snf_core` on Python ints.
 
     Over QQ row i is first scaled to integers by the lcm s_i of its
-    denominators.  With D' = U' (S M) V over ZZ, the result is U = E U' S
-    and D = E D' = diag(1, ..., 1, 0, ...), where E = diag(1/d_i) on the
-    nonzero invariant factors d_i of D'; an entry is an int when integral
-    and a Fraction otherwise, and D holds the int 1.
+    denominators (s = 1 and the same columns when every entry is an int;
+    an integral Fraction left by arithmetic takes the scaling path).  With
+    D' = U' (S M) V over ZZ, the result is U = E U' S and D = E D' =
+    diag(1, ..., 1, 0, ...), where E = diag(1/d_i) on the nonzero invariant
+    factors d_i of D'; an entry is an int when integral and a Fraction
+    otherwise, and D holds the int 1.
 
     Without transforms the result is (None, None, None, factors), with
     factors the nonzero invariant factors (over QQ, one 1 per unit of
@@ -561,7 +562,11 @@ def _snf_any(M: ExactMatrix, transforms: bool):
     `_snf_core`.
     """
     field = M.ring.is_field
-    if field:
+    if field and all(type(x) is int for col in M.columns.values()
+                     for x in col.values()):
+        s = [1] * M.rows
+        M = ExactMatrix(ZZ, M.rows, M.cols, M.columns)
+    elif field:
         by_row = M.by_rows()
         s = [math.lcm(*(x.denominator for x in by_row.get(i, {}).values()))
              for i in range(M.rows)]
@@ -615,17 +620,14 @@ def kernel_basis(M: ExactMatrix) -> ExactMatrix:
     Over ZZ the columns generate the full kernel lattice (saturated), via
     the trailing columns of the Smith transform V.
     """
-    if M.cols == 0:
-        return ExactMatrix.zeros(0, 0, M.ring)
-    if M.rows == 0:
-        return ExactMatrix.identity(M.cols, M.ring)
-    _, V, _, diag = _snf_any(M, transforms=True)
-    r = sum(1 for d in diag if d != 0)
-    return V.take_cols(range(r, M.cols))
+    s = PresolvedSolver(M)
+    return s.V.take_cols(range(s.rank, M.cols))
 
 
 class PresolvedSolver:
-    """Reusable exact solver for Mx = b built on one Smith decomposition."""
+    """One Smith decomposition D = U M V (`_snf_any`) with its rank: the
+    transforms that kernels and `chain_complex.cohomology` read, and an
+    exact solver for Mx = b."""
 
     def __init__(self, M: ExactMatrix):
         self.M = M
@@ -690,80 +692,6 @@ def inverse(M: ExactMatrix) -> ExactMatrix:
     if X is None:
         raise ValueError("matrix is not invertible over the ring")
     return X
-
-
-class SubquotientModule:
-    """Presentation of span(kernel_gens) / span(image_gens).
-
-    betti/torsion are the module invariants; `lift` holds cocycle
-    representatives of a basis of the free part, as ambient columns.
-    """
-
-    def __init__(self, solver: PresolvedSolver, U: ExactMatrix, diag: list):
-        """U, diag: the Smith form D = U R V of the relations K R = image."""
-        self.ring = solver.ring
-        self._K = solver.M
-        self._Usolve = solver
-        k = self._K.cols
-        self._r = sum(1 for d in diag if d != 0)
-        self._diag = diag
-        self._U = U
-        self._Uinv = inverse(U)
-        self.betti = k - self._r
-        self.torsion = [d for d in diag[:self._r] if d != 1]
-        free_cols = self._Uinv.take_cols(range(self._r, k))
-        self.lift = self._K @ free_cols
-        self._proj: Optional[ExactMatrix] = None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.betti == 0 and not self.torsion
-
-    def coordinates(self, x: Sequence):
-        """Free-part and torsion coordinates of the class of x.
-
-        Raises ValueError("not a cocycle") when x is outside the kernel span.
-        """
-        c = self._Usolve.solve(x)
-        if c is None:
-            raise ValueError("not a cocycle")
-        y = self._U.matvec(c)
-        free = y[self._r:]
-        tors = [y[i] % self._diag[i]
-                for i in range(self._r) if self._diag[i] != 1]
-        return free, tors
-
-    def projection_matrix(self) -> ExactMatrix:
-        """Matrix sending an ambient cocycle to its free-part coordinates.
-
-        Exists when the kernel basis spans a saturated lattice (always the
-        case for kernels of integer matrices); applying it to a vector
-        outside the kernel span is undefined, so callers must know their
-        input is a cocycle.
-        """
-        if self._proj is None:
-            s = self._Usolve
-            rk = s.rank
-            if rk < self._K.cols or any(d != 1 for d in s.diag[:rk]):
-                raise ValueError("kernel basis is not saturated; "
-                                 "no exact projection matrix")
-            solve_mat = s.V.take_cols(range(rk)) @ s.U.take_rows(range(rk))
-            free_rows = self._U.take_rows(range(self._r, self._K.cols))
-            self._proj = free_rows @ solve_mat
-        return self._proj
-
-
-def subquotient(kernel_gens: ExactMatrix, image_gens: ExactMatrix) -> SubquotientModule:
-    """Invariants and representatives of span(kernel_gens)/span(image_gens)."""
-    ring = kernel_gens.ring
-    solver = PresolvedSolver(kernel_gens)
-    sols = solver.solve_many(image_gens)
-    if None in sols:
-        raise ValueError("image not contained in kernel")
-    rel = ExactMatrix.from_entries(kernel_gens.cols, image_gens.cols, (
-        (i, j, x) for j, c in enumerate(sols) for i, x in enumerate(c)), ring)
-    U, _, _, diag = _snf_any(rel, transforms=True)
-    return SubquotientModule(solver, U, diag)
 
 
 def _xgcd(a: int, b: int):

@@ -76,9 +76,6 @@ class SphereModel:
     def nxt(self, i: int) -> int:
         return i % self.n + 1
 
-    def prv(self, i: int) -> int:
-        return (i - 2) % self.n + 1
-
     # -- representations ---------------------------------------------------
 
     def constant_rep(self) -> Representation:

@@ -19,7 +19,6 @@ from strathom.exact_linalg import (
     ZZ,
     ExactMatrix,
     kernel_basis,
-    subquotient,
 )
 from strathom.sphere_models import SphereModel, formality_chain_n_points
 
@@ -221,9 +220,59 @@ def test_shift_cohomology_degree_shift():
 
 
 def test_cohomology_rejects_invalid():
+    # d^1 d^0 != 0: the image of d^0 is not in the kernel of d^1
     c = ChainComplex(ZZ, {0: 1, 1: 1, 2: 1}, {0: M([[1]]), 1: M([[1]])})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invalid complex"):
         cohomology(c)
+
+
+def test_cohomology_free_rank_one():
+    # Z in degree 0, no differential
+    h = cohomology(point())
+    assert (h.betti(0), h.torsion(0)) == (1, [])
+
+
+def test_cohomology_torsion_depends_on_the_ring():
+    # 0 -> Q --2--> Q -> 0: 2 is a unit, so H = 0 (over Z, H^1 = Z/2:
+    # test_cohomology_times_two)
+    h = cohomology(ChainComplex(QQ, {0: 1, 1: 1}, {0: M([[2]], QQ)}))
+    assert (h.betti(1), h.torsion(1)) == (0, []) and h.is_zero()
+
+
+def test_cohomology_lift_and_coordinates():
+    # Z --(0, 3)--> Z^2: H^1 = Z^2 / <(0, 3)> = Z + Z/3
+    c = ChainComplex(ZZ, {0: 1, 1: 2}, {0: M([[0], [3]])})
+    mod = cohomology(c).modules[1]
+    assert (mod.betti, mod.torsion) == (1, [3])
+    assert mod.coordinates(mod.lift.col(0)) == ([1], [0])
+    assert mod.coordinates([0, 3]) == ([0], [0])
+    free, tors = mod.coordinates([0, 1])
+    assert free == [0] and tors != [0]
+    assert (mod.projection_matrix() @ c.d(0)).is_zero()
+
+
+def test_cohomology_coordinates_reject_non_cocycle():
+    # Z^2 --(2 2)--> Z: (1, 0) is no cocycle
+    mod = cohomology(ChainComplex(ZZ, {0: 2, 1: 1},
+                                  {0: M([[2, 2]])})).modules[0]
+    assert mod.betti == 1
+    with pytest.raises(ValueError, match="not a cocycle"):
+        mod.coordinates([1, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2 ** 32))
+def test_cohomology_zz_vs_qq(n, b, seed):
+    """Z^b --A--> Z^n with A = 3 * random: no torsion over Q, and the same
+    Betti numbers over Z and Q when there is none over Z."""
+    rng = random.Random(seed)
+    rows = [[3 * rng.randint(-2, 2) for _ in range(b)] for _ in range(n)]
+    hz, hq = (cohomology(ChainComplex(ring, {0: b, 1: n},
+                                      {0: M(rows, ring)} if b else {}))
+              for ring in (ZZ, QQ))
+    assert hq.torsion(1) == []
+    if not hz.torsion(1):
+        assert hz.betti(1) == hq.betti(1)
 
 
 def _unimodular(rng, n):
@@ -308,10 +357,10 @@ def test_cohomology_through_reduction_matches_direct_route(ring, ndeg, k,
     """On random complexes of up to 13 x 13 differentials, mixing +-1
     entries with planted non-units (so that some reduced cores are not
     empty and some have torsion), in 1-4 degrees and shifted by k:
-    Betti numbers and torsion equal the direct route
-    subquotient(kernel_basis(d^q), d^(q-1)) on C itself and `cone_report`;
-    lifts are cocycles, the projection inverts them, coordinates do not
-    see boundaries, and a non-cocycle is rejected."""
+    Betti numbers and torsion equal the invariant-factor route
+    `cone_report` and the planted free ranks; lifts are cocycles, the
+    projection inverts them and kills boundaries, coordinates do not see
+    boundaries, and a non-cocycle is rejected."""
     c, free = _random_complex(ring, ndeg, seed)
     c = shift(c, k)
     rng = random.Random(seed)
@@ -322,15 +371,14 @@ def test_cohomology_through_reduction_matches_direct_route(ring, ndeg, k,
             assert q not in h.modules and q not in report
             continue
         d, d_in = c.d(q), c.d(q - 1)
-        direct = subquotient(kernel_basis(d), d_in)
         mod = h.modules[q]
-        assert (mod.betti, mod.torsion) == (direct.betti, direct.torsion)
         assert (mod.betti, mod.torsion) == (report[q]["betti"],
                                             report[q]["torsion"])
         assert mod.betti == free[q + k]
         assert (d @ mod.lift).is_zero()
         assert mod.projection_matrix() @ mod.lift == \
             ExactMatrix.identity(mod.betti, ring)
+        assert (mod.projection_matrix() @ d_in).is_zero()
         ker = kernel_basis(d)
         z = ker.matvec([ring.element(rng.randint(-3, 3))
                         for _ in range(ker.cols)])

@@ -209,12 +209,20 @@ def test_ext_table_bad_n(capsys):
 def test_compute_end_cross_checks_trivial_scenario(files, capsys):
     poset, reps = files
     code, rep = run_json(capsys, "compute", "--poset", poset, "--reps", reps,
-                         "--action", "end-with-resolution")
+                         "--action", "end")
     assert code == 0
     assert rep["results"]["resolution_exact"]
     # same cohomology as the built-in trivial scenario, through a different
     # (coevaluation) resolution
     assert rep["results"]["h_betti"] == {"0": 1, "2": 1}
+
+
+def test_compute_end_with_resolution_is_no_action(files, capsys):
+    # the old alias of `end` is gone: a usage error, not a second name
+    poset, reps = files
+    assert main(["compute", "--poset", poset, "--reps", reps,
+                 "--action", "end-with-resolution"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_compute_hom_action(files, capsys):

@@ -23,7 +23,6 @@ from strathom.exact_linalg import (
     kernel_basis,
     rank,
     smith_normal_form,
-    subquotient,
 )
 
 
@@ -370,6 +369,35 @@ def test_every_smith_reduction_sees_integers(monkeypatch, capsys):
     assert calls and len(seen) > calls and all(seen)
 
 
+def test_q_snf_of_an_integral_fraction_gives_int_transforms(monkeypatch):
+    """A product can leave an integral Fraction in a QQ matrix (4/3 * 3/2
+    is stored as Fraction(4, 2)), which the all-int path of `_snf_any`
+    must not take: `_snf_core` still sees ints only, U, V and D are
+    int-typed, and they equal those of the all-int twin over QQ and of the
+    same matrix over ZZ."""
+    seen = []
+    real = exact_linalg._snf_core
+
+    def spy(rows, m, n, transforms):
+        seen.extend(type(x) for row in rows.values() for x in row.values())
+        return real(rows, m, n, transforms)
+
+    monkeypatch.setattr(exact_linalg, "_snf_core", spy)
+    m = M([[Fraction(4, 3), 1], [Fraction(2, 3), 1]], QQ) @ \
+        M([[Fraction(3, 2), 0], [0, 1]], QQ)
+    assert Fraction(4, 2) in m.columns[0].values()
+    assert {type(x) for col in m.columns.values()
+            for x in col.values()} == {int, Fraction}
+    U, V, D, _ = _snf_any(m, transforms=True)
+    assert set(seen) == {int}
+    assert D == U @ m @ V == ExactMatrix.identity(2, QQ)
+    assert all(type(x) is int for x in U.entries + V.entries + D.entries)
+    twin = _snf_any(M([[2, 1], [1, 1]], QQ), transforms=True)
+    over_z = _snf_any(M([[2, 1], [1, 1]]), transforms=True)
+    assert (U.columns, V.columns) == (twin[0].columns, twin[1].columns) \
+        == (over_z[0].columns, over_z[1].columns)
+
+
 def _read_out(m, ring):
     """m.tolist(), once `entries`, `col` and m[i, j] agree with it and
     every entry read is exact (`assert_exact`)."""
@@ -697,70 +725,6 @@ def test_lattice_inverse_matches_smith_route(data, ring, kind, n, den):
     assert got == want
     assert m @ got == ExactMatrix.identity(n, ring)
     assert_exact(got.entries, ring, canonical=True)
-
-
-# ---------------------------------------------------------------- subquotients
-
-
-def test_subquotient_free_rank_one():
-    sq = subquotient(M([[1]]), ExactMatrix.zeros(1, 0))
-    assert (sq.betti, sq.torsion) == (1, [])
-
-
-def test_subquotient_z_mod_2():
-    sq = subquotient(M([[1]]), M([[2]]))
-    assert (sq.betti, sq.torsion) == (0, [2])
-
-
-def test_subquotient_rejects_bad_image():
-    with pytest.raises(ValueError, match="image not contained in kernel"):
-        subquotient(M([[2], [0]]), M([[1], [1]]))
-    # a saturated kernel, with the image outside its span
-    with pytest.raises(ValueError, match="image not contained in kernel"):
-        subquotient(M([[1], [0]]), M([[0], [1]]))
-
-
-def test_subquotient_containment_depends_on_the_ring():
-    # 1 is in the Q-span of 2 but not in the Z-span
-    with pytest.raises(ValueError, match="image not contained in kernel"):
-        subquotient(M([[2]]), M([[1]]))
-    sq = subquotient(M([[2]], QQ), M([[1]], QQ))
-    assert (sq.betti, sq.torsion) == (0, [])
-
-
-def test_subquotient_lift_and_coordinates():
-    # Z^2 / <(0, 3)> = Z + Z/3
-    kernel = ExactMatrix.identity(2)
-    image = M([[0], [3]])
-    sq = subquotient(kernel, image)
-    assert sq.betti == 1
-    assert sq.torsion == [3]
-    free, tors = sq.coordinates(sq.lift.col(0))
-    assert free == [1] and tors == [0]
-    free, tors = sq.coordinates([0, 3])
-    assert free == [0] and tors == [0]
-    free, tors = sq.coordinates([0, 1])
-    assert free == [0] and tors != [0]
-
-
-def test_coordinates_rejects_non_cocycle():
-    sq = subquotient(M([[2], [2]]), ExactMatrix.zeros(2, 0))
-    with pytest.raises(ValueError, match="not a cocycle"):
-        sq.coordinates([1, 0])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2 ** 32))
-def test_subquotient_zz_vs_qq(n, b, seed):
-    rng = random.Random(seed)
-    image_rows = [[3 * rng.randint(-2, 2) for _ in range(b)] for _ in range(n)]
-    kz = ExactMatrix.identity(n, ZZ)
-    kq = ExactMatrix.identity(n, QQ)
-    sz = subquotient(kz, M(image_rows, ZZ))
-    sq = subquotient(kq, M(image_rows, QQ))
-    assert sq.torsion == []
-    if not sz.torsion:
-        assert sz.betti == sq.betti
 
 
 # ---------------------------------------------------------------- lattices

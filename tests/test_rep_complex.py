@@ -617,9 +617,8 @@ def test_products_are_built_only_when_read(tmp_path, monkeypatch, capsys):
     poset, reps = tmp_path / "poset.json", tmp_path / "reps.json"
     poset.write_text(json.dumps(POSET_A2))
     reps.write_text(json.dumps(REPS_C))
-    for action in ("end", "end-with-resolution"):
-        assert main(["compute", "--poset", str(poset), "--reps", str(reps),
-                     "--action", action]) == 0
+    assert main(["compute", "--poset", str(poset), "--reps", str(reps),
+                 "--action", "end"]) == 0
     assert calls == []
     assert main(["formality", "n-points", "--n", "4"]) == 0
     assert len(calls) == 1

@@ -1,7 +1,7 @@
 """Pinned Smith transforms: `_snf_any(M, transforms=True)` on fixed
 matrices, recorded as literals.
 
-Kernel bases are trailing columns of V, and solves and subquotients read U,
+Kernel bases are trailing columns of V, and solves and cohomology read U,
 so every output byte rests on the exact U, V and D the Smith engine returns,
 not only on D.  Any change to the pivot rule or to the row and column
 updates shows up here directly, before it reaches the golden tables.

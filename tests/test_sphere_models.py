@@ -21,6 +21,11 @@ from strathom.sphere_models import (
 from test_dg import mult_entry
 
 
+def prv(model, i):
+    """The index before i on the circle of model.n points."""
+    return (i - 2) % model.n + 1
+
+
 def expected_hom_rank(model, s, t):
     """Hom rank oracle: 1 exactly when the target closure nests in the
     source closure (same stratum; hemisphere to anything below it; an arc
@@ -32,7 +37,7 @@ def expected_hom_rank(model, s, t):
         return 1
     if s.startswith("E") and t.startswith("P"):
         i, k = int(s[1:]), int(t[1:])
-        if k == i or k == model.prv(i):
+        if k == i or k == prv(model, i):
             return 1
     return 0
 
@@ -115,7 +120,6 @@ def test_n_point_differential_table_matches_formulas():
         m = SphereModel(n)
         E = m.resolution_n_points().end_algebra()
         hom = E.hom
-        prv = m.prv
 
         def expect(mdeg, kind, idx, p=None):
             return hom.find(mdeg, kind, idx, p)
@@ -142,7 +146,7 @@ def test_n_point_differential_table_matches_formulas():
                 expect(1, "he", (2, i)): 1,
                 expect(1, "he", (1, i)): -1,
                 expect(1, "ep", (i, i)): 1,
-                expect(1, "ep", (i, prv(i))): -1}
+                expect(1, "ep", (i, prv(m, i))): -1}
             assert col(0, expect(0, "p", (i,), 0)) == {}
             assert col(0, expect(0, "p", (i,), 1)) == {
                 expect(1, "ep", (m.nxt(i), i)): 1,
@@ -154,9 +158,11 @@ def test_n_point_differential_table_matches_formulas():
         # degree 1
         for i in range(1, n + 1):
             assert col(1, expect(1, "he", (1, i))) == {
-                expect(2, "hp", (1, i)): 1, expect(2, "hp", (1, prv(i))): -1}
+                expect(2, "hp", (1, i)): 1,
+                expect(2, "hp", (1, prv(m, i))): -1}
             assert col(1, expect(1, "he", (2, i))) == {
-                expect(2, "hp", (2, i)): 1, expect(2, "hp", (2, prv(i))): -1}
+                expect(2, "hp", (2, i)): 1,
+                expect(2, "hp", (2, prv(m, i))): -1}
             assert col(1, expect(1, "hp", (1, i))) == {}
             assert col(1, expect(1, "hp", (2, i))) == {}
             assert col(1, expect(1, "p", (i,))) == {}
