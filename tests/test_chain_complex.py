@@ -226,6 +226,29 @@ def test_cohomology_rejects_invalid():
         cohomology(c)
 
 
+def test_cohomology_rejects_bad_image():
+    # Z --(1, 1)--> Z^2 --(0 1)--> Z: the image (1, 1) lies outside the
+    # kernel, spanned by (1, 0)
+    c = ChainComplex(ZZ, {0: 1, 1: 2, 2: 1},
+                     {0: M([[1], [1]]), 1: M([[0, 1]])})
+    with pytest.raises(ValueError, match="invalid complex"):
+        cohomology(c)
+    # the same kernel, with the image (0, 1) outside its span
+    c = ChainComplex(ZZ, {0: 1, 1: 2, 2: 1},
+                     {0: M([[0], [1]]), 1: M([[0, 1]])})
+    with pytest.raises(ValueError, match="invalid complex"):
+        cohomology(c)
+
+
+def test_cohomology_z_mod_2():
+    # 0 -> Z --2--> Z -> 0, read off the degree-1 module: Z / 2Z
+    mod = cohomology(ChainComplex(ZZ, {0: 1, 1: 1},
+                                  {0: M([[2]])})).modules[1]
+    assert (mod.betti, mod.torsion) == (0, [2])
+    assert mod.coordinates([1]) == ([], [1])
+    assert mod.coordinates([2]) == ([], [0])
+
+
 def test_cohomology_free_rank_one():
     # Z in degree 0, no differential
     h = cohomology(point())
