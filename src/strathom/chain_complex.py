@@ -88,30 +88,37 @@ class CohomologyModule:
     of d'^(q-1) there is R = K+ d'^(q-1); with U R W its Smith form of rank
     r, the factors past 1 are the torsion, `lift` = G K U^-1[:, r:], and
     U K+ F sends a cocycle of C to its torsion (rows below r) and free
-    (rows from r) coordinates.  d is d^q of C."""
+    (rows from r) coordinates.  d is d^q of C.
+
+    A zero core is read directly: K, K+ (when d'^q has no entry) and U (when
+    R has none) are identities, None here, left out of products by `_times`."""
 
     def __init__(self, d_out: ExactMatrix, d_in: ExactMatrix,
                  G: ExactMatrix, F: ExactMatrix, d: ExactMatrix):
-        ker = PresolvedSolver(d_out)
-        n, s = d_out.cols, ker.rank
-        K = ker.V.take_cols(range(s, n))
-        self._Kplus = inverse(ker.V).take_rows(range(s, n))
-        rel = PresolvedSolver(self._Kplus @ d_in)
-        r = rel.rank
-        self._U, self._diag = rel.U, rel.diag[:r]
+        n, s, K, Kplus = d_out.cols, 0, None, None
+        if d_out.columns:
+            ker = PresolvedSolver(d_out)
+            s, K = ker.rank, ker.V.take_cols(range(ker.rank, n))
+            Kplus = inverse(ker.V).take_rows(range(s, n))
+            d_in = Kplus @ d_in
+        r, U, Uinv, self._diag = 0, None, None, []
+        if d_in.columns:
+            rel = PresolvedSolver(d_in)
+            r, U, self._diag = rel.rank, rel.U, rel.diag[:rel.rank]
+            Uinv = inverse(U).take_cols(range(r, n - s))
         self.betti = n - s - r
         self.torsion = [x for x in self._diag if x != 1]
         self.is_zero = self.betti == 0 and not self.torsion
-        self.lift = G @ (K @ inverse(rel.U).take_cols(range(r, n - s)))
-        self._F = F
-        self._d = d
-        self._coords: Optional[tuple] = None
+        self.lift = _times(G, _times(K, Uinv))
+        self._U, self._Kplus, self._F = U, Kplus, F
+        self._d, self._coords = d, None
 
     def _coordinate_matrix(self) -> tuple:
         """(U K+ F, its rows from r on), computed once."""
         if self._coords is None:
-            P = self._U @ self._Kplus @ self._F
-            self._coords = P, P.take_rows(range(len(self._diag), P.rows))
+            P = _times(_times(self._U, self._Kplus), self._F)
+            r = len(self._diag)
+            self._coords = P, P.take_rows(range(r, P.rows)) if r else P
         return self._coords
 
     def coordinates(self, x: Sequence):
@@ -128,6 +135,11 @@ class CohomologyModule:
         """Matrix sending a cocycle of C to its free-part coordinates: the
         rows of U K+ F from r on; undefined off the cocycles."""
         return self._coordinate_matrix()[1]
+
+
+def _times(a: Optional[ExactMatrix], b: Optional[ExactMatrix]):
+    """a @ b, where None stands for an identity factor."""
+    return b if a is None else a if b is None else a @ b
 
 
 @dataclass
@@ -201,8 +213,9 @@ def cohomology(C: ChainComplex) -> CohomologyProfile:
     """Exact cohomology with representative lifts in every degree.
 
     `_reduce_units` first reduces C to C' by sparse elimination of +-1
-    pivots, and only C' reaches the Smith engine (`CohomologyModule`;
-    every sphere model leaves C' with no differential).  Complexes are
+    pivots, and only the nonzero differentials of C' reach the Smith
+    engine (`CohomologyModule`).  Every sphere model leaves C' with no
+    differential, so its H is C' itself, read directly.  Complexes are
     immutable by convention, so the profile is memoized on the instance.
     """
     cached = getattr(C, "_cohomology_profile", None)
@@ -221,22 +234,11 @@ def cohomology(C: ChainComplex) -> CohomologyProfile:
 
 def cone_report(C: ChainComplex) -> Dict[int, dict]:
     """Per-degree betti/torsion of C computed from invariant factors only."""
-    ranks = {}
-    torsion = {}
-    for q, d in C.differentials.items():
-        factors = invariant_factors(d)
-        ranks[q] = len(factors)
-        torsion[q + 1] = [f for f in factors if f != 1]
-    report = {}
-    for q in C.support():
-        n = C.rank(q)
-        if not n:
-            continue
-        report[q] = {
-            "betti": n - ranks.get(q, 0) - ranks.get(q - 1, 0),
-            "torsion": torsion.get(q, []),
-        }
-    return report
+    factors = {q: invariant_factors(d) for q, d in C.differentials.items()}
+    return {q: {"betti": C.rank(q) - len(factors.get(q, ()))
+                - len(factors.get(q - 1, ())),
+                "torsion": [f for f in factors.get(q - 1, ()) if f != 1]}
+            for q in C.degrees()}
 
 
 class ChainMap:
@@ -302,15 +304,8 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     if problems:
         raise ValueError("invalid chain map: " + "; ".join(problems))
     ring = X.ring
-    ranks = {}
-    degs = set()
-    for q in X.degrees():
-        degs.add(q - 1)
-    degs.update(Y.degrees())
-    for q in degs:
-        r = X.rank(q + 1) + Y.rank(q)
-        if r:
-            ranks[q] = r
+    ranks = {q: X.rank(q + 1) + Y.rank(q)
+             for q in {q - 1 for q in X.degrees()} | set(Y.degrees())}
     diffs = {}
     for q in sorted(ranks):
         rows = X.rank(q + 2) + Y.rank(q + 1)

@@ -29,9 +29,10 @@ operation walks the stored entries only:
   (`kernel_basis`, trailing columns of V) and the cohomology of the
   reduced core (`chain_complex.CohomologyModule`).
 - Every solve with a unique answer (`inverse`, `lattice_solve`, and Hom
-  coordinates in `rep_complex`) reads coordinates in a `ColumnLattice`,
-  the one reduction of a vector against echelon pivots.  Hom spaces of
-  thin representations need no kernel: see `quiver_rep.hom_space`.
+  coordinates of pairs that are not thin in `rep_complex`) reads
+  coordinates in a `ColumnLattice`, the one reduction of a vector against
+  echelon pivots.  Hom spaces of thin representations need no kernel: see
+  `quiver_rep.hom_space`.
 """
 
 from __future__ import annotations
@@ -684,10 +685,14 @@ def inverse(M: ExactMatrix) -> ExactMatrix:
 
     Column j of the inverse is the coordinates of e_j in the lattice of the
     columns of M (`lattice_solve`), and M is invertible over the ring
-    exactly when every e_j lies in that lattice.
+    exactly when every e_j lies in that lattice.  An identity M, checked
+    column by column, is its own inverse and comes back as it is.
     """
     if M.rows != M.cols:
         raise ValueError("inverse of non-square matrix")
+    if len(M.columns) == M.cols and all(
+            col == {j: 1} for j, col in M.columns.items()):
+        return M
     X = lattice_solve(M, ExactMatrix.identity(M.rows, M.ring))
     if X is None:
         raise ValueError("matrix is not invertible over the ring")

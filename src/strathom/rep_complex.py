@@ -214,25 +214,44 @@ class HomBasisElement:
 
 
 class _PairCache:
-    """Hom lattices and composition tables of block representations, whose
-    Hom bases `hom_space` remembers.
+    """Hom coordinates and composition tables of block representations,
+    whose Hom bases `hom_space` remembers.
 
     Keys are the block objects themselves.  A resolution shares one block
     object per vertex, so End of it meets at most |vertices|^2 pairs.
     Coordinates are sparse: tuples of (generator index, nonzero coefficient)
-    pairs in generator order.
+    pairs in generator order.  A thin pair of Hom rank <= 1 is read by sign
+    (`_by_sign`), with no lattice; any other pair, in a `ColumnLattice`.
     """
 
     def __init__(self):
         self._lattices: Dict[tuple, tuple] = {}
+        self._signs: Dict[tuple, Optional[dict]] = {}
         self._tables: Dict[tuple, dict] = {}
         self._units: Dict[Representation, tuple] = {}
 
+    def _generator(self, a: Representation,
+                   b: Representation) -> Optional[dict]:
+        """The generator of Hom(a, b) as {vertex: +-1} ({} for Hom 0), or
+        None unless a and b are thin with Hom of rank <= 1."""
+        if (a, b) not in self._signs:
+            gens = hom_space(a, b)
+            thin = len(gens) <= 1 and a.is_thin() and b.is_thin()
+            self._signs[(a, b)] = {
+                v: m[0, 0] for g in gens for v, m in g.components.items()
+                if m.columns} if thin else None
+        return self._signs[(a, b)]
+
     def coordinates(self, a: Representation, b: Representation,
                     morphisms: Sequence[RepMorphism]) -> List[tuple]:
-        """Sparse coordinates of morphisms a -> b on `hom_space(a, b)`, read
-        in one `ColumnLattice` of its independent flattened generators per
+        """Sparse coordinates of morphisms a -> b on `hom_space(a, b)`, by
+        sign or in a `ColumnLattice` of its flattened generators kept per
         pair; AssertionError when a morphism is outside their lattice."""
+        element = a.ring.element
+        g = self._generator(a, b)
+        if g is not None:
+            return [_by_sign(g, {v: x[0, 0] for v, x in m.components.items()
+                                 if x.columns}, element) for m in morphisms]
         pair = self._lattices.get((a, b))
         if pair is None:
             start, _ = _unknowns(a, b)
@@ -241,7 +260,6 @@ class _PairCache:
                 lat.add(_flat(g, start))
             pair = self._lattices[(a, b)] = (start, lat)
         start, lat = pair
-        element = a.ring.element
         out = []
         for m in morphisms:
             co = lat.coordinates(_flat(m, start))
@@ -253,13 +271,21 @@ class _PairCache:
     def table(self, a: Representation, b: Representation,
               c: Representation) -> Dict[Tuple[int, int], tuple]:
         """{(k, l): coordinates of hom_space(b, c)[k] . hom_space(a, b)[l]}
-        for the nonzero composites; built once per triple."""
+        for the nonzero composites; built once per triple, on thin pairs
+        from the product of the generators' signs."""
         key = (a, b, c)
         if key not in self._tables:
-            outer, inner = hom_space(b, c), hom_space(a, b)
-            kl = [(k, l) for k in range(len(outer)) for l in range(len(inner))]
-            coords = self.coordinates(
-                a, c, [outer[k].compose(inner[l]) for k, l in kl]) if kl else []
+            inner, outer = self._generator(a, b), self._generator(b, c)
+            whole = self._generator(a, c) if inner and outer else {}
+            if None in (inner, outer, whole):
+                bc, ab = hom_space(b, c), hom_space(a, b)
+                kl = [(k, l) for k in range(len(bc)) for l in range(len(ab))]
+                coords = self.coordinates(a, c, [bc[k].compose(ab[l])
+                                                 for k, l in kl]) if kl else []
+            else:
+                kl, coords = [(0, 0)], [_by_sign(whole, {
+                    v: s * inner[v] for v, s in outer.items() if v in inner},
+                    a.ring.element)]
             self._tables[key] = {x: co for x, co in zip(kl, coords) if co}
         return self._tables[key]
 
@@ -271,6 +297,19 @@ class _PairCache:
                                        for v in a.support()})
             self._units[a] = self.coordinates(a, a, [ident])[0]
         return self._units[a]
+
+
+def _by_sign(g: dict, m: dict, element) -> tuple:
+    """Coordinates of m ({vertex: nonzero scalar}) on the generator g
+    ({vertex: +-1}): read at one vertex, then m is checked to be that
+    multiple of g."""
+    if not m:
+        return ()
+    v = next(iter(m))
+    x = m[v] * g.get(v, 0)
+    if not x or {w: x * s for w, s in g.items()} != m:
+        raise AssertionError("morphism escaped the Hom lattice")
+    return ((0, element(x)),)
 
 
 def _block_components(d: RepMorphism) -> Dict[Tuple[int, int], RepMorphism]:

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from strathom import chain_complex
 from strathom.chain_complex import (
     ChainComplex,
     ChainMap,
+    _reduce_units,
     cohomology,
     cone_report,
     is_quasi_iso,
@@ -18,7 +21,9 @@ from strathom.exact_linalg import (
     QQ,
     ZZ,
     ExactMatrix,
+    PresolvedSolver,
     kernel_basis,
+    lattice_solve,
 )
 from strathom.sphere_models import SphereModel, formality_chain_n_points
 
@@ -416,3 +421,98 @@ def test_cohomology_through_reduction_matches_direct_route(ring, ndeg, k,
             if any(d.col(j)):
                 with pytest.raises(ValueError, match="not a cocycle"):
                     mod.coordinates(e)
+
+
+def _plus_times(c, p, t):
+    """c (+) (R --t--> R in degrees p and p + 1), the new basis vectors
+    last in both degrees."""
+    ranks = dict(c.ranks)
+    for q in (p, p + 1):
+        ranks[q] = c.rank(q) + 1
+    diffs = {}
+    for q in set(c.differentials) | {p}:
+        entries = [(i, j, x) for j, col in c.d(q).columns.items()
+                   for i, x in col.items()]
+        if q == p:
+            entries.append((c.rank(p + 1), c.rank(p), t))
+        diffs[q] = ExactMatrix.from_entries(ranks.get(q + 1, 0),
+                                            ranks.get(q, 0), entries, c.ring)
+    return ChainComplex(c.ring, ranks, diffs)
+
+
+def _smith_route(d_out, d_in, G, F):
+    """A `CohomologyModule` by the full Smith route, identities included:
+    Smith forms of d'^q and of R = K+ d'^(q-1) even when they are zero, and
+    every inverse through `lattice_solve`.  Returns (betti, the nonzero
+    diagonal of R, lift, U K+ F, its free rows)."""
+    def inv(m):
+        return lattice_solve(m, ExactMatrix.identity(m.rows, m.ring))
+
+    ker = PresolvedSolver(d_out)
+    n, s = d_out.cols, ker.rank
+    K = ker.V.take_cols(range(s, n))
+    Kplus = inv(ker.V).take_rows(range(s, n))
+    rel = PresolvedSolver(Kplus @ d_in)
+    r = rel.rank
+    P = rel.U @ Kplus @ F
+    return (n - s - r, rel.diag[:r],
+            G @ (K @ inv(rel.U).take_cols(range(r, n - s))), P,
+            P.take_rows(range(r, P.rows)))
+
+
+def test_torsion_next_to_a_zero_core():
+    """Z --(2, 0)--> Z^2 --(0 1)--> Z: the unit pivot leaves the core
+    Z --2--> Z, so H^1 = Z/2 sits on a zero d'^1, and d'^0 = (2) is the
+    only matrix that reaches a Smith form."""
+    c = ChainComplex(ZZ, {0: 1, 1: 2, 2: 1},
+                     {0: M([[2], [0]]), 1: M([[0, 1]])})
+    reduced, _, _ = _reduce_units(c)
+    assert reduced.d(0) == M([[2]]) and not reduced.d(1).columns
+    solved = []
+    with mock.patch.object(chain_complex, "PresolvedSolver",
+                           lambda m: solved.append(m) or PresolvedSolver(m)):
+        h = cohomology(c)
+    assert solved == [M([[2]]), M([[2]])]  # d'^0, and R in degree 1
+    assert [(h.betti(q), h.torsion(q)) for q in range(3)] == \
+        [(0, []), (0, [2]), (0, [])]
+    assert h.modules[1].coordinates([1, 0]) == ([], [1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(1, 4), st.integers(-1, 3),
+       st.integers(0, 2 ** 32))
+@example(ZZ, 3, 0, 1)
+@example(QQ, 2, 1, 2)
+def test_zero_cores_read_directly_match_the_smith_route(ring, ndeg, p, seed):
+    """Complexes of `_random_complex` (zero cores wherever its planted
+    factors are +-1, nonzero ones at 2, 3 and 6) plus R --2--> R in degrees
+    p and p + 1, so that a nonzero core, with torsion over Z, sits next to
+    zero ones: only matrices with an entry reach a Smith form, and Betti
+    numbers, torsion, lifts, projections and coordinates equal the full
+    Smith route on the same reduction."""
+    c = _plus_times(_random_complex(ring, ndeg, seed)[0], p, 2)
+    reduced, G, F = _reduce_units(c)
+    assert reduced.d(p).columns  # the 2 stays in the core
+    solved = []
+    with mock.patch.object(chain_complex, "PresolvedSolver",
+                           lambda m: solved.append(m) or PresolvedSolver(m)):
+        h = cohomology(c)
+    assert all(m.columns for m in solved)
+    rng = random.Random(seed)
+    for q in c.degrees():
+        mod = h.modules[q]
+        betti, diag, lift, P, proj = _smith_route(
+            reduced.d(q), reduced.d(q - 1), G[q], F[q])
+        assert (mod.betti, mod.torsion) == (betti,
+                                            [x for x in diag if x != 1])
+        assert mod.lift == lift and mod.projection_matrix() == proj
+        ker, d_in = kernel_basis(c.d(q)), c.d(q - 1)
+        for _ in range(3):
+            x = ker.matvec([ring.element(rng.randint(-3, 3))
+                            for _ in range(ker.cols)])
+            b = d_in.matvec([ring.element(rng.randint(-3, 3))
+                             for _ in range(d_in.cols)])
+            x = [u + v for u, v in zip(x, b)]
+            y, r = P.matvec(x), len(diag)
+            assert mod.coordinates(x) == (
+                y[r:], [y[i] % t for i, t in enumerate(diag) if t != 1])

@@ -684,6 +684,38 @@ def test_inverse_unimodular():
     assert m @ mi == ExactMatrix.identity(2)
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_inverse_returns_an_identity_as_it_is(ring, monkeypatch):
+    """An identity comes back as the same object, with no `lattice_solve`;
+    a unimodular matrix that is not the identity still goes through it,
+    and a matrix that is not invertible still raises ValueError."""
+    calls = []
+    solve = exact_linalg.lattice_solve
+    monkeypatch.setattr(exact_linalg, "lattice_solve",
+                        lambda G, B: calls.append(G) or solve(G, B))
+    for n in range(4):
+        ident = ExactMatrix.identity(n, ring)
+        assert inverse(ident) is ident
+    assert calls == []
+    for rows, inv in (([[2, 1], [1, 1]], [[1, -1], [-1, 2]]),
+                      ([[0, 1], [1, 0]], [[0, 1], [1, 0]]),
+                      ([[1, 0], [0, -1]], [[1, 0], [0, -1]]),
+                      ([[1, 1], [0, 1]], [[1, -1], [0, 1]])):
+        m = M(rows, ring)
+        assert inverse(m) == M(inv, ring)
+        assert calls[-1] is m
+    assert len(calls) == 4
+    singular = [M([[1, 0], [0, 0]], ring), M([[1, 1], [1, 1]], ring)]
+    if not ring.is_field:
+        singular.append(M([[1, 0], [0, 2]]))
+    for m in singular:
+        with pytest.raises(ValueError,
+                           match="^matrix is not invertible over the ring$"):
+            inverse(m)
+    with pytest.raises(ValueError, match="^inverse of non-square matrix$"):
+        inverse(M([[1, 0]], ring))
+
+
 def _smith_inverse(m):
     """Reference route for `inverse`: V U when D = U M V is the identity."""
     if m.rows == 0:

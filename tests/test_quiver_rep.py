@@ -685,14 +685,49 @@ def test_ext_table_takes_few_smith_reductions_with_transforms(monkeypatch,
 
 def test_n_points_takes_few_smith_reductions_with_transforms(monkeypatch,
                                                              capsys):
-    """Hom coordinates and inverses are read by `ColumnLattice`, and
-    cohomology reads the Smith forms of the reduced core and of its
-    relations only, with none for a kernel basis: 16 reductions with
-    transforms on `formality n-points --n 30`, all of zero matrices,
-    against 35 with a Smith-reduced kernel basis per core degree and 56
-    with Smith solves and inverses."""
-    assert 0 < _smith_reductions_with_transforms(
-        monkeypatch, capsys, ["formality", "n-points", "--n", "30"]) <= 16
+    """Hom coordinates and inverses are read by `ColumnLattice` or by sign,
+    and cohomology reads every sphere core directly, since it has no
+    differential: no reduction with transforms on `formality n-points --n
+    30`, against 16 (all of zero matrices) with a Smith form per core
+    degree, 35 with a Smith-reduced kernel basis per core degree and 56
+    with Smith solves and inverses.  The ext-table guard above shows that
+    the counter hooks."""
+    assert _smith_reductions_with_transforms(
+        monkeypatch, capsys, ["formality", "n-points", "--n", "30"]) == 0
+
+
+def _calls(monkeypatch, capsys, module, name, argv):
+    """The number of calls of module.name during one CLI run."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    return len(calls)
+
+
+def test_n_points_inverts_only_what_is_not_an_identity(monkeypatch, capsys):
+    """`inverse` returns an identity as it is, and every sphere core is
+    read with no inverse: one `lattice_solve` on `formality n-points --n
+    30` (39 when identities went through it)."""
+    assert _calls(monkeypatch, capsys, exact_linalg, "lattice_solve",
+                  ["formality", "n-points", "--n", "30"]) <= 1
+
+
+def test_n_points_builds_no_hom_lattice(monkeypatch, capsys):
+    """Every block pair of the n-point resolution is thin with Hom of rank
+    <= 1, so `_PairCache` reads coordinates and composition tables by sign
+    and builds no `ColumnLattice` (242 at n = 30 with a lattice per
+    pair)."""
+    import strathom.rep_complex as rc
+
+    assert _calls(monkeypatch, capsys, rc, "ColumnLattice",
+                  ["formality", "n-points", "--n", "30"]) == 0
 
 
 def _comparable_pairs(quiver):

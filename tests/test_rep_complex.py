@@ -520,6 +520,85 @@ def test_rank_one_read_off_checks_divisibility_by_a_non_unit_lead():
     assert pairs.coordinates(v, w, [half]) == [((0, Fraction(1, 2)),)]
 
 
+def _lattice_route():
+    """A `_PairCache` that reads every pair in a `ColumnLattice` and builds
+    every table by `RepMorphism.compose`: the route of every pair before
+    the read by sign, kept as the reference for it."""
+    pairs = _PairCache()
+    pairs._generator = lambda a, b: None
+    return pairs
+
+
+def _sphere_blocks(n, ring):
+    """The distinct block representations of the n-point resolution, and
+    for n = 2 of the one-point and trivial ones too."""
+    model = SphereModel(n, ring)
+    resolutions = [model.resolution_n_points()]
+    if n == 2:
+        resolutions += [model.resolution_one_point(),
+                        model.resolution_trivial()]
+    blocks = {id(b): b for res in resolutions
+              for t in res.complex.terms.values() for _, b in t.blocks}
+    return list(blocks.values())
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sign_read_matches_the_lattice_route_on_sphere_blocks(n, ring):
+    """Every block pair of the sphere resolutions is thin with Hom of rank
+    <= 1 and is read by sign, with no lattice; its units, coordinates
+    (multiples of the generator, and zero) and the tables of every block
+    triple equal the lattice route's."""
+    blocks = _sphere_blocks(n, ring)
+    signs, lattice = _PairCache(), _lattice_route()
+    scalars = (1, -1, 3, Fraction(1, 2) if ring.is_field else -2)
+    for a in blocks:
+        assert signs.unit(a) == lattice.unit(a)
+        for b in blocks:
+            assert signs._generator(a, b) is not None
+            morphisms = [g.scale(x) for g in hom_space(a, b)
+                         for x in scalars] + [RepMorphism(a, b, {})]
+            assert signs.coordinates(a, b, morphisms) == \
+                lattice.coordinates(a, b, morphisms)
+            for c in blocks:
+                assert signs.table(a, b, c) == lattice.table(a, b, c)
+    assert not signs._lattices and lattice._lattices
+
+
+def _escapes_table(pairs, key):
+    with pytest.raises(AssertionError,
+                       match="^morphism escaped the Hom lattice$"):
+        pairs.table(*key)
+    assert key not in pairs._tables
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_sign_read_rejects_a_flipped_sign_or_a_dropped_vertex(ring):
+    """On the 2-point sphere, g: I_H1 -> I_E1 is 1 on the closure of E1.
+    A morphism equal to g but for one flipped sign or one dropped vertex,
+    and a table whose generators were mutated that way, raise the escape
+    error and give no coordinate."""
+    m = SphereModel(2, ring)
+    h, e, p = (m.closure_rep(s) for s in ("H1", "E1", "P1"))
+    pairs = _PairCache()
+    g = pairs._generator(h, e)
+    assert g == {"E1": 1, "P1": 1, "P2": 1}
+    assert pairs.coordinates(h, e, hom_space(h, e)) == [((0, 1),)]
+    for v in g:
+        comps = dict(hom_space(h, e)[0].components)
+        flipped = dict(comps, **{v: comps[v].scale(-1)})
+        _escapes(pairs, h, e, RepMorphism(h, e, flipped))
+        del comps[v]
+        _escapes(pairs, h, e, RepMorphism(h, e, comps))
+    assert pairs.table(h, h, e) == pairs.table(h, e, p) == {(0, 0): ((0, 1),)}
+    pairs = _PairCache()
+    pairs._signs[(h, h)] = dict(pairs._generator(h, h), P1=-1)  # flipped
+    _escapes_table(pairs, (h, h, e))
+    pairs = _PairCache()
+    pairs._signs[(e, e)] = {"E1": 1, "P2": 1}  # the composite drops P1
+    _escapes_table(pairs, (h, e, e))
+
+
 def test_table_build_raises_when_a_composite_escapes_the_lattice(
         monkeypatch):
     """Doubling the generators of Hom(I_H, I_P) puts the composite
