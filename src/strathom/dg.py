@@ -12,16 +12,16 @@ nonzero coefficients of out(x_s * y_t)_m, where x_s = sum_i left[i, s] e_i
 and y_t = sum_j right[j, t] e_j.  Each term comes from one structure
 constant and the nonzero entries it meets, so the work follows the number
 of constants and nothing dense is built.  The maps are sparse
-{index: [(index', value)]}: `_cols` reads them off the stored columns of
-an `ExactMatrix` and `_rows` off its row view, `_index` off any list of
-entries, and None is the identity.  Arithmetic is on exact ints, with
-Fractions over Q only where a value has a denominator (`CoeffRing.element`);
-on the integral sphere models it is all ints.  The cohomology product and
-its section check, the quotient's constants, the laws of
-`validate_dg_algebra`, the multiplicativity check of `DgMorphism`, the
-closures of `subalgebra_from_span` and `ideal_from_span` and
-`DgAlgebra.multiply` all use it; `_apply` applies a matrix to a sparse
-element through the stored columns in its support.
+{index: {index': value}}, the format of an `ExactMatrix`'s stored
+`columns` and of its row view `by_rows()`, which are read as they are;
+`_index` builds one from a list of entries, and None is the identity.
+Arithmetic is on exact ints, with Fractions over Q only where a value has
+a denominator (`CoeffRing.element`); on the integral sphere models it is
+all ints.  The cohomology product and its section check, the quotient's
+constants, the laws of `validate_dg_algebra`, the multiplicativity check
+of `DgMorphism`, the closures of `subalgebra_from_span` and
+`ideal_from_span` and `DgAlgebra.multiply` all use it; `_apply` applies a
+matrix to a sparse element through the stored columns in its support.
 
 Shapes, d.d = 0 and d.f = f.d are checked in `chain_complex` only, once
 per object: `validate_dg_algebra` reads `validate_complex(A.complex())`,
@@ -52,25 +52,15 @@ from .exact_linalg import (
 
 Element = Tuple[int, Dict[int, object]]  # (degree, sparse coefficients)
 Table = Dict[Tuple[int, int], dict]      # (i, j) -> {k: c}: e_i * e_j
-Sparse = Dict[object, list]              # index -> [(index', value)]
+Sparse = Dict[object, dict]              # index -> {index': value}
 
 
 def _index(entries: Iterable[tuple]) -> Sparse:
-    """{a: [(b, v), ...]} for the entries (a, b, v)."""
+    """{a: {b: v}} for the entries (a, b, v), each (a, b) given once."""
     out: Sparse = {}
     for a, b, v in entries:
-        out.setdefault(a, []).append((b, v))
+        out.setdefault(a, {})[b] = v
     return out
-
-
-def _rows(M: ExactMatrix) -> Sparse:
-    """{i: [(j, M[i, j])]} over the nonzero entries of M."""
-    return {i: list(row.items()) for i, row in M.by_rows().items()}
-
-
-def _cols(M: ExactMatrix) -> Sparse:
-    """{j: [(i, M[i, j])]} over the nonzero entries of M."""
-    return {j: list(col.items()) for j, col in M.columns.items()}
 
 
 def _bilinear(table: Optional[Table], out: Optional[Sparse] = None,
@@ -78,9 +68,9 @@ def _bilinear(table: Optional[Table], out: Optional[Sparse] = None,
               right: Optional[Sparse] = None) -> dict:
     """{(s, t, m): c} for the nonzero coefficients c of out(x_s * y_t)_m.
 
-    left maps i to the (s, x_s[i]), right maps j to the (t, y_t[j]) and
-    out maps k to the (m, out[m, k]); None is the identity, and an index
-    a map lacks contributes nothing.
+    left maps i to {s: x_s[i]}, right maps j to {t: y_t[j]} and out maps k
+    to {m: out[m, k]}, as `ExactMatrix.by_rows()` and `columns` store them;
+    None is the identity, and an index a map lacks contributes nothing.
     """
     acc: dict = {}
     for (i, j), prod in (table or {}).items():
@@ -88,8 +78,10 @@ def _bilinear(table: Optional[Table], out: Optional[Sparse] = None,
         ys = ((j, 1),) if right is None else right.get(j)
         if not (xs and ys):
             continue
+        xs = xs if left is None else xs.items()
+        ys = ys if right is None else ys.items()
         for k, c in prod.items():
-            for m, p in ((k, 1),) if out is None else out.get(k, ()):
+            for m, p in ((k, 1),) if out is None else out.get(k, {}).items():
                 cp = c * p
                 for s, v in xs:
                     cpv = cp * v
@@ -303,8 +295,8 @@ def validate_dg_algebra(A: DgAlgebra) -> list:
                 problems.append(f"1*b != b for {A.label(q, i)}")
             if i in bad_right:
                 problems.append(f"b*1 != b for {A.label(q, i)}")
-    d_rows = {q: _rows(d) for q, d in A.diff.items()}
-    d_cols = {q: _cols(d) for q, d in A.diff.items()}
+    d_rows = {q: d.by_rows() for q, d in A.diff.items()}
+    d_cols = {q: d.columns for q, d in A.diff.items()}
     for q1 in degs:
         sign = -1 if q1 % 2 else 1
         for q2 in degs:
@@ -394,8 +386,8 @@ class DgMorphism:
         if _misshaped(problems):
             raise ValueError(problems[0])
         A, B = self.source, self.target
-        rows = {q: _rows(m) for q, m in self.components.items()}
-        cols = {q: _cols(m) for q, m in self.components.items()}
+        rows = {q: m.by_rows() for q, m in self.components.items()}
+        cols = {q: m.columns for q, m in self.components.items()}
         for q1 in A.degrees():
             for q2 in A.degrees():
                 lhs = _bilinear(A.mult.get((q1, q2)), cols.get(q1 + q2, {}))
@@ -436,9 +428,9 @@ def cohomology_algebra(A: DgAlgebra):
                 f"(degree {q}, torsion {mod.torsion})")
     section = {q: mod.lift for q, mod in profile.modules.items() if mod.betti}
     dims = {q: mod.betti for q, mod in profile.modules.items() if mod.betti}
-    lifts = {q: _rows(lift) for q, lift in section.items()}
-    proj = {q: _cols(profile.modules[q].projection_matrix()) for q in dims}
-    bounds = {q + 1: _rows(d) for q, d in A.diff.items()}
+    lifts = {q: lift.by_rows() for q, lift in section.items()}
+    proj = {q: profile.modules[q].projection_matrix().columns for q in dims}
+    bounds = {q + 1: d.by_rows() for q, d in A.diff.items()}
     mult: Dict[Tuple[int, int], Table] = {}
     for q1 in section:
         for q2 in section:
@@ -717,14 +709,14 @@ def quotient(U: DgAlgebra, I: DgIdeal):
                 diff[q] = m
     kept = {q: _index((i, s, 1) for s, i in enumerate(rows))
             for q, rows in keep.items()}
-    by_col = {q: _cols(P) for q, P in comps.items()}
     mult: Dict[Tuple[int, int], Table] = {}
     for q1 in dims:
         for q2 in dims:
             if q1 + q2 not in dims:
                 continue
-            table = _group(_bilinear(U.constants(q1, q2), by_col[q1 + q2],
-                                     kept[q1], kept[q2]))
+            table = _group(_bilinear(U.constants(q1, q2),
+                                     comps[q1 + q2].columns, kept[q1],
+                                     kept[q2]))
             if table:
                 mult[(q1, q2)] = table
     labels = {q: [U.label(q, i) for i in rows] for q, rows in keep.items()}
@@ -759,20 +751,12 @@ class ChainVerdict:
 
 def _induced_on_cohomology(f: DgMorphism, src_prof: CohomologyProfile,
                            tgt_prof: CohomologyProfile) -> Dict[int, ExactMatrix]:
-    out = {}
-    ring = f.source.ring
-    for q, mod in src_prof.modules.items():
-        tmod = tgt_prof.modules.get(q)
-        bsrc = mod.betti
-        btgt = tmod.betti if tmod else 0
-        if not bsrc and not btgt:
-            continue
-        if not btgt:
-            out[q] = ExactMatrix.zeros(0, bsrc, ring)
-            continue
-        # chain maps send cocycles to cocycles: project the mapped lifts
-        out[q] = tmod.projection_matrix() @ (f.component(q) @ mod.lift)
-    return out
+    """H(f) in free-part coordinates, in every degree with cohomology:
+    chain maps send cocycles to cocycles, so the mapped lifts project.  f
+    is a quasi-isomorphism, so both sides have the same Betti numbers."""
+    return {q: tgt_prof.modules[q].projection_matrix()
+            @ (f.component(q) @ mod.lift)
+            for q, mod in src_prof.modules.items() if mod.betti}
 
 
 def verify_formality_chain(chain: FormalityChain) -> ChainVerdict:
@@ -828,7 +812,12 @@ def verify_formality_chain(chain: FormalityChain) -> ChainVerdict:
                 for mod in prof.modules.values():
                     if mod.torsion:
                         raise ValueError("torsion cohomology in the chain")
-            total: Optional[Dict[int, ExactMatrix]] = None
+            # H(A_0) -> ... -> H(terminal), which is the terminal algebra
+            # itself: with no differential, its cohomology takes no pivot
+            # and its lift and projection are identities
+            identification = {
+                q: ExactMatrix.identity(mod.betti, terminal.ring)
+                for q, mod in profiles[0].modules.items() if mod.betti}
             for idx, (f, direction) in enumerate(chain.arrows):
                 if direction == "forward":
                     step = _induced_on_cohomology(
@@ -837,34 +826,8 @@ def verify_formality_chain(chain: FormalityChain) -> ChainVerdict:
                     step = _induced_on_cohomology(
                         f, profiles[idx + 1], profiles[idx])
                     step = {q: inverse(m) for q, m in step.items()}
-                if total is None:
-                    total = step
-                else:
-                    total = {q: step[q] @ m for q, m in total.items()}
-            if total is None:  # chain with a single algebra
-                total = {q: ExactMatrix.identity(mod.betti, terminal.ring)
-                         for q, mod in profiles[0].modules.items()
-                         if mod.betti}
-            # identify H(terminal) with terminal itself (zero differential)
-            tprof = profiles[-1]
-            tfix = {}
-            for q, mod in tprof.modules.items():
-                if mod.betti:
-                    if mod.lift.rows != mod.lift.cols:
-                        raise ValueError(
-                            f"lift of H(terminal) at degree {q} has shape "
-                            f"{mod.lift.shape}, expected "
-                            f"{(mod.lift.rows, mod.lift.rows)}")
-                    tfix[q] = inverse(mod.lift)
-            identification = {}
-            for q, m in total.items():
-                t = tfix.get(q)
-                if t is not None and t.cols != m.rows:
-                    raise ValueError(
-                        f"degree {q}: the terminal basis change of shape "
-                        f"{t.shape} does not compose with the induced map "
-                        f"of shape {m.shape}")
-                identification[q] = m if t is None else t @ m
+                identification = {q: step[q] @ m
+                                  for q, m in identification.items()}
             # the identification must carry the product of H(A_0) to the
             # product of the terminal algebra
             H0, _ = cohomology_algebra(algebras[0])

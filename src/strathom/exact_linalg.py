@@ -28,10 +28,12 @@ operation walks the stored entries only:
   Every Smith transform is read from a `PresolvedSolver`: kernels
   (`kernel_basis`, trailing columns of V) and the cohomology of the
   reduced core (`chain_complex.CohomologyModule`).
-- Every solve with a unique answer (`inverse`, `lattice_solve`, and Hom
-  coordinates of pairs that are not thin in `rep_complex`) reads
-  coordinates in a `ColumnLattice`, the one reduction of a vector against
-  echelon pivots.  Hom spaces of thin representations need no kernel: see
+- Every solve with a unique answer (`inverse`, and `lattice_solve`, which
+  also reads the Hom coordinates of `quiver_rep.hom_coordinates` on pairs
+  whose generator the union-find does not give) reads coordinates in a
+  `ColumnLattice`.  `ColumnLattice.reduce` is the one reduction of a
+  vector against echelon pivots: queries read it, and `add` inserts
+  through it.  Hom spaces of thin representations need no kernel: see
   `quiver_rep.hom_space`.
 """
 
@@ -633,12 +635,7 @@ class PresolvedSolver:
     def __init__(self, M: ExactMatrix):
         self.M = M
         self.ring = M.ring
-        if M.rows and M.cols:
-            self.U, self.V, _, self.diag = _snf_any(M, transforms=True)
-        else:
-            self.U = ExactMatrix.identity(M.rows, M.ring)
-            self.V = ExactMatrix.identity(M.cols, M.ring)
-            self.diag = []
+        self.U, self.V, _, self.diag = _snf_any(M, transforms=True)
         self.rank = sum(1 for d in self.diag if d != 0)
 
     def solve(self, b: Sequence) -> Optional[list]:
@@ -720,6 +717,14 @@ def _vec_axpy(dst: dict, src: dict, c):
             dst[k] = w
 
 
+def _combine(x, a: dict, y, b: dict) -> dict:
+    """x a + y b, without zeros."""
+    out: dict = {}
+    _vec_axpy(out, a, x)
+    _vec_axpy(out, b, y)
+    return out
+
+
 class ColumnLattice:
     """Column span over the ring in echelon form, with membership queries.
 
@@ -728,8 +733,8 @@ class ColumnLattice:
     original generators.  Over ZZ membership means exact lattice membership,
     not rational span membership.
 
-    `reduce` is the one reduction against the echelon columns; the
-    coordinate queries read its result.  When every pivot is a unit, the
+    `reduce` is the one reduction against the echelon columns; `add` and
+    the coordinate queries read its result.  When every pivot is a unit, the
     coordinate directions away from the pivot rows (`kept_rows`) span a
     complement, and `split_projection` gives the matrix that projects along
     the lattice onto them, so quotients by the lattice (dg quotients,
@@ -750,55 +755,47 @@ class ColumnLattice:
         """Insert a generator; returns True when the lattice grew.
 
         Each stored column keeps coordinates expressing it as a combination
-        of the original generators, so coordinate queries stay exact.
+        of the original generators, so coordinate queries stay exact.  The
+        generator is reduced (`reduce`); a remainder whose lowest row has no
+        pivot becomes a new column, and at a pivot p that does not divide
+        the entry c it meets, the two columns are combined so that the
+        pivot becomes gcd(p, c), and the rest is reduced again.
         """
         key = coord_key if coord_key is not None else self.ngens
         self.ngens += 1
-        vec = {k: self.ring.element(v) for k, v in vec.items() if v != 0}
         coords = {key: self.ring.element(1)}  # vec == sum coords[g] * gen_g
         grew = False
-        field = self.ring.is_field
-        while vec:
+        while True:
+            vec, out, stuck = self.reduce(vec)
+            for idx, q in out.items():
+                _vec_axpy(coords, self.cols[idx][2], -q)
+            if not vec:
+                return grew
             pr = min(vec)
             idx = bisect_left(self.cols, (pr,))  # (pr,) sorts first at pr
-            if pr not in self._by_row:
+            if pr != stuck:
                 self._by_row[pr] = (pr, vec, coords)
                 self.cols.insert(idx, self._by_row[pr])
                 return True
+            # the 2x2 change of generators [[x, y], [-c/g, p/g]] has
+            # determinant 1
             _, cvec, ccoords = self._by_row[pr]
-            p = cvec[pr]
-            c = vec[pr]
-            if field or c % p == 0:
-                q = self.ring.div(c, p) if field else c // p
-                _vec_axpy(vec, cvec, -q)
-                _vec_axpy(coords, ccoords, -q)
-                continue
-            # combine columns so the pivot becomes gcd(p, c); the 2x2 change
-            # of generators [[x, y], [-c/g, p/g]] has determinant 1
+            p, c = cvec[pr], vec[pr]
             g, x, y = _xgcd(p, c)
-            newvec = {}
-            _vec_axpy(newvec, cvec, x)
-            _vec_axpy(newvec, vec, y)
-            newco = {}
-            _vec_axpy(newco, ccoords, x)
-            _vec_axpy(newco, coords, y)
-            restvec = {}
-            _vec_axpy(restvec, vec, p // g)
-            _vec_axpy(restvec, cvec, -(c // g))
-            restco = {}
-            _vec_axpy(restco, coords, p // g)
-            _vec_axpy(restco, ccoords, -(c // g))
-            self.cols[idx] = self._by_row[pr] = (pr, newvec, newco)
-            vec, coords = restvec, restco
+            self.cols[idx] = self._by_row[pr] = (
+                pr, _combine(x, cvec, y, vec), _combine(x, ccoords, y, coords))
+            vec, coords = (_combine(p // g, vec, -(c // g), cvec),
+                           _combine(p // g, coords, -(c // g), ccoords))
             grew = True
-        return grew
 
-    def reduce(self, vec: dict) -> Optional[tuple]:
-        """(remainder, {echelon column index: multiple taken off}), or None
-        when over ZZ a pivot does not divide the entry it meets.  The
-        remainder is zero at every pivot row.  Only the pivots met are
-        visited, in pivot order: a heap starts with the pivot rows of the
-        vector's support and gets those of each column taken off."""
+    def reduce(self, vec: dict) -> tuple:
+        """(remainder, {echelon column index: multiple taken off}, stuck),
+        with stuck the first pivot row whose pivot, over ZZ, does not
+        divide the entry it meets, where the reduction stops, or None; the
+        remainder of a reduction that does not stop is zero at every pivot
+        row.  Only the pivots met are visited, in pivot order: a heap
+        starts with the pivot rows of the vector's support and gets those
+        of each column taken off."""
         v = {k: self.ring.element(x) for k, x in vec.items() if x != 0}
         out: dict = {}
         field = self.ring.is_field
@@ -818,19 +815,19 @@ class ColumnLattice:
             else:
                 q, r = divmod(c, p)
                 if r != 0:
-                    return None
+                    return v, out, pr
             out[bisect_left(self.cols, (pr,))] = q
             _vec_axpy(v, cvec, -q)
             for k in cvec:
                 if k in by_row and k not in queued:
                     queued.add(k)
                     heapq.heappush(heap, k)
-        return v, out
+        return v, out, None
 
     def echelon_coordinates(self, vec: dict) -> Optional[dict]:
         """Coordinates of vec in the echelon basis columns, or None."""
-        red = self.reduce(vec)
-        return None if red is None or red[0] else red[1]
+        rest, out, _ = self.reduce(vec)
+        return None if rest else out
 
     def coordinates(self, vec: dict) -> Optional[dict]:
         """Coordinates of vec in the original generators, or None."""

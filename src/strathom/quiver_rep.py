@@ -6,7 +6,11 @@ poset to free modules, so validation reduces to comparing composite matrices
 along parallel arrow paths.  Hom spaces are kernels of the commuting-square
 linear system; for thin representations (stalks of rank <= 1, arrows in
 {0, +-1}) a signed union-find over the common support solves the squares
-instead, and gives the basis whenever the rank is at most 1.  Ext groups
+instead, and gives the basis whenever the rank is at most 1.  Each pair
+keeps one record, the basis and the union-find's generator when there is
+one, and Hom coordinates, composition tables and units are read from it
+(`hom_coordinates`, `hom_table`, `hom_unit`): by sign on the generator,
+else by one exact solve on the flattened basis.  Ext groups
 are read from the stalks of the target, since Hom(P_x, W) = W(x), against
 projective resolutions whose covers generate only the top of each stalk,
 what the arrows into it miss: minimal over QQ, and over ZZ wherever the
@@ -160,7 +164,8 @@ class Representation:
         self._support = [v for v in quiver.vertices if self.stalk_rank[v]]
         self._thin: Optional[bool] = None
         self._path_maps: Dict[Tuple[str, str], ExactMatrix] = {}
-        self._homs: Dict["Representation", List["RepMorphism"]] = {}
+        self._homs: Dict["Representation", tuple] = {}  # `_hom`
+        self._tables: Dict[tuple, dict] = {}  # `hom_table`
 
     def is_thin(self) -> bool:
         """Every stalk of rank <= 1 and every arrow scalar in {0, 1, -1}."""
@@ -410,15 +415,15 @@ def _unknowns(V: Representation, W: Representation
     return dict(zip(common, offs)), n
 
 
-def _flat(f: RepMorphism, start: Dict[str, int]) -> dict:
-    """The entries of f as {unknown: x}, numbered by `_unknowns`."""
-    out = {}
-    for v, m in f.components.items():
-        at, c = start[v], f.source.stalk_rank[v]
-        for j, col in m.columns.items():
-            for i, x in col.items():
-                out[at + i * c + j] = x
-    return out
+def _flat(morphisms: Sequence[RepMorphism], V: Representation,
+          W: Representation) -> ExactMatrix:
+    """The morphisms V -> W as the columns of a matrix, one row per
+    unknown of `_unknowns`."""
+    start, n = _unknowns(V, W)
+    return ExactMatrix.from_entries(n, len(morphisms), (
+        (start[v] + i * V.stalk_rank[v] + j, k, x)
+        for k, f in enumerate(morphisms) for v, m in f.components.items()
+        for j, col in m.columns.items() for i, x in col.items()), V.ring)
 
 
 def _hom_system(V: Representation, W: Representation
@@ -474,19 +479,91 @@ def hom_space(V: Representation, W: Representation) -> List[RepMorphism]:
     (`_thin_generators`); it is the unique normalized primitive one, so
     it equals the dense route's.  Otherwise `_dense_hom_space` solves the
     commuting-square system.  The basis is computed once per pair and
-    remembered on V, as `Representation.path_map` is; callers share it.
+    remembered on V (`_hom`); callers share it.
     """
-    basis = V._homs.get(W)
-    if basis is None:
+    return _hom(V, W)[0]
+
+
+def _hom(V: Representation, W: Representation
+         ) -> Tuple[List[RepMorphism], Optional[Dict[str, int]]]:
+    """The record of the pair, remembered on V, as `Representation.path_map`
+    is: the basis of `hom_space`, and its generator as {vertex: +-1} ({}
+    for Hom 0) when the union-find gives the basis, else None."""
+    record = V._homs.get(W)
+    if record is None:
         common = _common_support(V, W)
         gens = _thin_generators(V, W, common)
         if gens is None or len(gens) > 1:
-            basis = _dense_hom_space(V, W)
+            record = _dense_hom_space(V, W), None
         else:
             basis = [RepMorphism(V, W, {v: _scalar(g.get(v, 0), V.ring)
                                         for v in common}) for g in gens]
-        V._homs[W] = basis
-    return basis
+            record = basis, gens[0] if gens else {}
+        V._homs[W] = record
+    return record
+
+
+def hom_coordinates(V: Representation, W: Representation,
+                    morphisms: Sequence[RepMorphism]) -> List[tuple]:
+    """Coordinates of morphisms V -> W on `hom_space(V, W)`, each a tuple
+    of (generator index, nonzero coefficient) in generator order: by sign
+    (`_by_sign`) when the union-find gave the basis, else by `lattice_solve`
+    on the flattened basis.  AssertionError when a morphism is outside the
+    lattice of the basis."""
+    basis, sign = _hom(V, W)
+    if sign is not None:
+        return [_by_sign(sign, {v: x[0, 0] for v, x in m.components.items()
+                                if x.columns}, V.ring.element)
+                for m in morphisms]
+    X = lattice_solve(_flat(basis, V, W), _flat(morphisms, V, W))
+    if X is None:
+        raise AssertionError("morphism escaped the Hom lattice")
+    return [tuple(sorted(X.columns.get(j, {}).items()))
+            for j in range(len(morphisms))]
+
+
+def _by_sign(g: dict, m: dict, element) -> tuple:
+    """Coordinates of m ({vertex: nonzero scalar}) on the generator g
+    ({vertex: +-1}): read at one vertex, then m is checked to be that
+    multiple of g."""
+    if not m:
+        return ()
+    v = next(iter(m))
+    x = m[v] * g.get(v, 0)
+    if not x or {w: x * s for w, s in g.items()} != m:
+        raise AssertionError("morphism escaped the Hom lattice")
+    return ((0, element(x)),)
+
+
+def hom_table(U: Representation, V: Representation,
+              W: Representation) -> Dict[Tuple[int, int], tuple]:
+    """{(k, l): coordinates of hom_space(V, W)[k] . hom_space(U, V)[l]} for
+    the nonzero composites, built once per triple and remembered on U;
+    from the product of the generators' signs when all three pairs have
+    one."""
+    table = U._tables.get((V, W))
+    if table is None:
+        (inner_basis, inner), (outer_basis, outer) = _hom(U, V), _hom(V, W)
+        whole = _hom(U, W)[1] if inner and outer else {}
+        if None in (inner, outer, whole):
+            kl = [(k, l) for k in range(len(outer_basis))
+                  for l in range(len(inner_basis))]
+            coords = hom_coordinates(U, W, [
+                outer_basis[k].compose(inner_basis[l]) for k, l in kl]) \
+                if kl else []
+        else:
+            kl, coords = [(0, 0)], [_by_sign(whole, {
+                v: s * inner[v] for v, s in outer.items() if v in inner},
+                U.ring.element)]
+        table = U._tables[(V, W)] = {x: co for x, co in zip(kl, coords)
+                                     if co}
+    return table
+
+
+def hom_unit(V: Representation) -> tuple:
+    """Coordinates of the identity of V on `hom_space(V, V)`."""
+    return hom_coordinates(V, V, [RepMorphism(V, V, {
+        v: ExactMatrix.identity(V.rank(v), V.ring) for v in V._support})])[0]
 
 
 @lru_cache(maxsize=None)
@@ -776,10 +853,8 @@ def _cokernel_rep(f: RepMorphism):
         if not W.rank(v):
             continue
         lat = ColumnLattice(ring)
-        comp = f.component(v)
-        for j in range(comp.cols):
-            lat.add({i: comp[i, j] for i in range(comp.rows)
-                     if comp[i, j] != 0})
+        for col in f.component(v).columns.values():
+            lat.add(col)
         try:
             keep[v], proj[v] = lat.split_projection(W.rank(v))
         except ValueError as exc:

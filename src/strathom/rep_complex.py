@@ -4,7 +4,10 @@ A complex of representations carries named blocks in every term; the Hom
 complex between two such complexes gets its basis from the block-pair Hom
 spaces, labeled in the h/e/p convention for closure-representation blocks
 ("H1" -> "E2" gives he_12, and so on), with the source term degree kept on
-every label so that labels can be disambiguated with a superscript.
+every label so that labels can be disambiguated with a superscript.  The
+coordinates, composition tables and units of block pairs are those of
+`quiver_rep` (`hom_coordinates`, `hom_table`, `hom_unit`), which
+remembers them on the blocks.
 
 Sign convention throughout: d(f) = d_Y . f - (-1)^|f| f . d_X.  The mapping
 cone and shift conventions live in chain_complex.
@@ -21,15 +24,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chain_complex import ChainComplex, ChainMap, is_quasi_iso
 from .dg import DgAlgebra
-from .exact_linalg import CoeffRing, ColumnLattice, ExactMatrix
+from .exact_linalg import CoeffRing, ExactMatrix
 from .quiver_rep import (
     Quiver,
     RepMorphism,
     Representation,
-    _flat,
     _support_index,
-    _unknowns,
+    hom_coordinates,
     hom_space,
+    hom_table,
+    hom_unit,
     validate_representation,
 )
 
@@ -213,105 +217,6 @@ class HomBasisElement:
     label: HomLabel
 
 
-class _PairCache:
-    """Hom coordinates and composition tables of block representations,
-    whose Hom bases `hom_space` remembers.
-
-    Keys are the block objects themselves.  A resolution shares one block
-    object per vertex, so End of it meets at most |vertices|^2 pairs.
-    Coordinates are sparse: tuples of (generator index, nonzero coefficient)
-    pairs in generator order.  A thin pair of Hom rank <= 1 is read by sign
-    (`_by_sign`), with no lattice; any other pair, in a `ColumnLattice`.
-    """
-
-    def __init__(self):
-        self._lattices: Dict[tuple, tuple] = {}
-        self._signs: Dict[tuple, Optional[dict]] = {}
-        self._tables: Dict[tuple, dict] = {}
-        self._units: Dict[Representation, tuple] = {}
-
-    def _generator(self, a: Representation,
-                   b: Representation) -> Optional[dict]:
-        """The generator of Hom(a, b) as {vertex: +-1} ({} for Hom 0), or
-        None unless a and b are thin with Hom of rank <= 1."""
-        if (a, b) not in self._signs:
-            gens = hom_space(a, b)
-            thin = len(gens) <= 1 and a.is_thin() and b.is_thin()
-            self._signs[(a, b)] = {
-                v: m[0, 0] for g in gens for v, m in g.components.items()
-                if m.columns} if thin else None
-        return self._signs[(a, b)]
-
-    def coordinates(self, a: Representation, b: Representation,
-                    morphisms: Sequence[RepMorphism]) -> List[tuple]:
-        """Sparse coordinates of morphisms a -> b on `hom_space(a, b)`, by
-        sign or in a `ColumnLattice` of its flattened generators kept per
-        pair; AssertionError when a morphism is outside their lattice."""
-        element = a.ring.element
-        g = self._generator(a, b)
-        if g is not None:
-            return [_by_sign(g, {v: x[0, 0] for v, x in m.components.items()
-                                 if x.columns}, element) for m in morphisms]
-        pair = self._lattices.get((a, b))
-        if pair is None:
-            start, _ = _unknowns(a, b)
-            lat = ColumnLattice(a.ring)
-            for g in hom_space(a, b):
-                lat.add(_flat(g, start))
-            pair = self._lattices[(a, b)] = (start, lat)
-        start, lat = pair
-        out = []
-        for m in morphisms:
-            co = lat.coordinates(_flat(m, start))
-            if co is None:
-                raise AssertionError("morphism escaped the Hom lattice")
-            out.append(tuple(sorted((k, element(x)) for k, x in co.items())))
-        return out
-
-    def table(self, a: Representation, b: Representation,
-              c: Representation) -> Dict[Tuple[int, int], tuple]:
-        """{(k, l): coordinates of hom_space(b, c)[k] . hom_space(a, b)[l]}
-        for the nonzero composites; built once per triple, on thin pairs
-        from the product of the generators' signs."""
-        key = (a, b, c)
-        if key not in self._tables:
-            inner, outer = self._generator(a, b), self._generator(b, c)
-            whole = self._generator(a, c) if inner and outer else {}
-            if None in (inner, outer, whole):
-                bc, ab = hom_space(b, c), hom_space(a, b)
-                kl = [(k, l) for k in range(len(bc)) for l in range(len(ab))]
-                coords = self.coordinates(a, c, [bc[k].compose(ab[l])
-                                                 for k, l in kl]) if kl else []
-            else:
-                kl, coords = [(0, 0)], [_by_sign(whole, {
-                    v: s * inner[v] for v, s in outer.items() if v in inner},
-                    a.ring.element)]
-            self._tables[key] = {x: co for x, co in zip(kl, coords) if co}
-        return self._tables[key]
-
-    def unit(self, a: Representation) -> tuple:
-        """Coordinates of the identity of a."""
-        if a not in self._units:
-            ident = RepMorphism(a, a, {v: ExactMatrix.identity(a.rank(v),
-                                                               a.ring)
-                                       for v in a.support()})
-            self._units[a] = self.coordinates(a, a, [ident])[0]
-        return self._units[a]
-
-
-def _by_sign(g: dict, m: dict, element) -> tuple:
-    """Coordinates of m ({vertex: nonzero scalar}) on the generator g
-    ({vertex: +-1}): read at one vertex, then m is checked to be that
-    multiple of g."""
-    if not m:
-        return ()
-    v = next(iter(m))
-    x = m[v] * g.get(v, 0)
-    if not x or {w: x * s for w, s in g.items()} != m:
-        raise AssertionError("morphism escaped the Hom lattice")
-    return ((0, element(x)),)
-
-
 def _block_components(d: RepMorphism) -> Dict[Tuple[int, int], RepMorphism]:
     """The nonzero block morphisms of a morphism of direct sums, keyed
     (source block, target block); each keeps its nonzero components only.
@@ -346,7 +251,6 @@ class HomComplex:
             raise ValueError("complexes live on different quivers")
         self.X, self.Y = X, Y
         self.ring = X.ring
-        self.pairs = _PairCache()
         xdeg, ydeg = X.degrees(), Y.degrees()
         self.basis: Dict[int, List[HomBasisElement]] = {}
         if xdeg and ydeg:
@@ -449,7 +353,7 @@ class HomComplex:
         leaving: Dict[Tuple[int, int], list] = {}
         entering: Dict[Tuple[int, int], list] = {}
         for (a, b), group in groups.items():
-            coords = self.pairs.coordinates(a, b, [x[3] for x in group])
+            coords = hom_coordinates(a, b, [x[3] for x in group])
             for (q, ai, bi, _), co in zip(group, coords):
                 leaving.setdefault((q, ai), []).append((bi, b, co))
                 entering.setdefault((q, bi), []).append((ai, a, co))
@@ -473,7 +377,7 @@ class HomComplex:
                 # d_Y . f: blocks bi -> ci of d_Y leaving f's target block
                 for ci, c, coords in self._dY_from.get(
                         (e.p + m, e.dst_block), ()):
-                    table = self.pairs.table(a, b, c)
+                    table = hom_table(a, b, c)
                     for r, x in coords:
                         for s, y in table.get((r, e.k), ()):
                             i = starts[(e.p, e.src_block, ci)] + s
@@ -481,7 +385,7 @@ class HomComplex:
                 # -(-1)^m f . d_X: blocks a0 -> ai of d_X entering f's source
                 for a0i, a0, coords in self._dX_into.get(
                         (e.p - 1, e.src_block), ()):
-                    table = self.pairs.table(a0, a, b)
+                    table = hom_table(a0, a, b)
                     for r, x in coords:
                         for s, y in table.get((e.k, r), ()):
                             i = starts[(e.p - 1, a0i, e.dst_block)] + s
@@ -522,7 +426,7 @@ class EndAlgebra(DgAlgebra):
         unit: Dict[int, object] = {}
         for p in hom.X.degrees():
             for ai, (_, arep) in enumerate(hom.X.term(p).blocks):
-                coords = hom.pairs.unit(arep)
+                coords = hom_unit(arep)
                 if coords:
                     i0 = hom._start[0][(p, ai, ai)]
                     for r, c in coords:
@@ -557,8 +461,8 @@ def _end_products(hom: HomComplex
                 if not starts:
                     continue
                 for i, f in by_src.get((m1, g.p + m2, g.dst_block), ()):
-                    coords = hom.pairs.table(
-                        a, b, f.morphism.target).get((f.k, g.k))
+                    coords = hom_table(a, b, f.morphism.target).get(
+                        (f.k, g.k))
                     if coords:
                         i0 = starts[(g.p, g.src_block, f.dst_block)]
                         mult.setdefault((m1, m2), {})[(i, j)] = {

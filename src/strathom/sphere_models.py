@@ -89,15 +89,6 @@ class SphereModel:
             self._closure[s] = closure_rep(self.quiver, s, self.ring)
         return self._closure[s]
 
-    def generator(self, a: Tuple[str, Representation],
-                  b: Tuple[str, Representation]) -> RepMorphism:
-        """Canonical generator of Hom(a, b) of named blocks; 1 when a = b."""
-        basis = hom_space(a[1], b[1])
-        if len(basis) != 1:
-            raise ValueError(f"Hom({a[0]}, {b[0]}) has rank {len(basis)}, "
-                             "no canonical generator")
-        return basis[0]
-
     def hom_rank_table(self) -> Dict[Tuple[str, str], int]:
         reps = {s: self.closure_rep(s) for s in self.poset.strata}
         return {(s, t): hom_rank(reps[s], reps[t])
@@ -113,11 +104,17 @@ class SphereModel:
                         entries: Dict[Tuple[int, int], int]) -> RepMorphism:
         """Morphism of direct sums given by +-1 multiples of canonical
         generators per (target block, source block) position, each entry
-        visited at the vertices where its generator has a component."""
+        visited at the vertices where its generator has a component.  The
+        canonical generator of Hom(a, b) is its one basis element (1 when
+        a = b)."""
         terms: Dict[str, list] = {}
         for (di, si), c in entries.items():
-            gen = self.generator(src.blocks[si], dst.blocks[di])
-            for v, g in gen.components.items():
+            (a, arep), (b, brep) = src.blocks[si], dst.blocks[di]
+            basis = hom_space(arep, brep)
+            if len(basis) != 1:
+                raise ValueError(f"Hom({a}, {b}) has rank {len(basis)}, "
+                                 "no canonical generator")
+            for v, g in basis[0].components.items():
                 r0, c0 = dst.block_offsets(v)[di], src.block_offsets(v)[si]
                 terms.setdefault(v, []).extend(
                     (r0 + i, c0 + j, c * x)

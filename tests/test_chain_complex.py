@@ -478,6 +478,34 @@ def test_torsion_next_to_a_zero_core():
     assert h.modules[1].coordinates([1, 0]) == ([], [1])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([ZZ, QQ]),
+       st.dictionaries(st.integers(-2, 3), st.integers(0, 4), max_size=5),
+       st.booleans())
+def test_zero_differential_cohomology_has_identity_lift_and_projection(
+        ring, ranks, stored):
+    """A complex with zero differential, stored as zero matrices or not
+    at all, takes no pivot and no Smith form: every degree is free of its
+    full rank, and its lift and projection are identities.
+    `verify_formality_chain` reads the terminal algebra of a chain as its
+    own cohomology on this ground."""
+    diffs = {q: ExactMatrix.zeros(ranks.get(q + 1, 0), r, ring)
+             for q, r in ranks.items()} if stored else {}
+    c = ChainComplex(ring, ranks, diffs)
+    calls = []
+    with mock.patch.object(chain_complex, "PresolvedSolver",
+                           lambda m: calls.append(m)), \
+            mock.patch.object(chain_complex, "inverse",
+                              lambda m: calls.append(m)):
+        h = cohomology(c)
+    assert calls == []
+    assert sorted(h.modules) == c.degrees()
+    for q, mod in h.modules.items():
+        one = ExactMatrix.identity(c.rank(q), ring)
+        assert (mod.betti, mod.torsion) == (c.rank(q), [])
+        assert mod.lift == one and mod.projection_matrix() == one
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([ZZ, QQ]), st.integers(1, 4), st.integers(-1, 3),
        st.integers(0, 2 ** 32))

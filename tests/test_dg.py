@@ -382,9 +382,9 @@ def _random_bilinear_case(kind, seed):
 def test_bilinear_matches_multiply(kind, seed):
     A, q1, q2, X, Y, P = _random_bilinear_case(kind, seed)
     got = dg._bilinear(A.mult.get((q1, q2)),
-                       None if P is None else dg._cols(P),
-                       None if X is None else dg._rows(X),
-                       None if Y is None else dg._rows(Y))
+                       None if P is None else P.columns,
+                       None if X is None else X.by_rows(),
+                       None if Y is None else Y.by_rows())
 
     def columns(M, q):
         if M is None:
@@ -483,7 +483,7 @@ def test_formality_chain_rejects_misshaped_identification(monkeypatch):
     assert not verdict.ok
     assert len(verdict.notes) == 1
     note = verdict.notes[0]
-    assert note.startswith("identification failed: degree 2")
+    assert note.startswith("identification failed: component at degree 2")
     assert "(1, 1)" in note and "(2, 1)" in note
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bisect import bisect_left
 from itertools import combinations
 from math import gcd, lcm
 
@@ -855,7 +856,8 @@ def test_split_projection_property(n, seed, ring):
 
 def _reduce_by_every_column(lat, vec):
     """Reference for `ColumnLattice.reduce`: walk every echelon column in
-    pivot order and take off the multiple that clears its pivot row."""
+    pivot order and take off the multiple that clears its pivot row; stop
+    at the first pivot row whose pivot does not divide the entry."""
     v = {k: lat.ring.element(x) for k, x in vec.items() if x != 0}
     out = {}
     for idx, (pr, cvec, _) in enumerate(lat.cols):
@@ -867,10 +869,10 @@ def _reduce_by_every_column(lat, vec):
         else:
             q, r = divmod(c, cvec[pr])
             if r:
-                return None
+                return v, out, pr
         out[idx] = q
         exact_linalg._vec_axpy(v, cvec, -q)
-    return v, out
+    return v, out, None
 
 
 @settings(max_examples=100, deadline=None)
@@ -878,7 +880,8 @@ def _reduce_by_every_column(lat, vec):
 def test_reduce_on_the_support_matches_every_column(seed, ring):
     """Sparse generators with non-unit entries (so that over ZZ the gcd
     step rewrites columns) and sparse queries, members and not: the
-    remainder, its key order and the multiples equal the full walk's."""
+    remainder, its key order, the multiples and the row where a pivot
+    does not divide equal the full walk's."""
     rng = random.Random(seed)
     n = rng.randint(1, 14)
     lat = ColumnLattice(ring)
@@ -896,11 +899,89 @@ def test_reduce_on_the_support_matches_every_column(seed, ring):
     for vec in queries:
         got, want = lat.reduce(vec), _reduce_by_every_column(lat, vec)
         assert got == want
-        if got is not None:
-            assert list(got[0]) == list(want[0])
-            assert list(got[1]) == list(want[1])
-            assert_exact(got[0].values(), ring)
-            assert_exact(got[1].values(), ring, canonical=True)
+        assert list(got[0]) == list(want[0])
+        assert list(got[1]) == list(want[1])
+        assert_exact(got[0].values(), ring)
+        assert_exact(got[1].values(), ring, canonical=True)
+
+
+def _insert_by_own_walk(lat, vec):
+    """Reference for `ColumnLattice.add`: the insertion that walked the
+    pivots itself.  At the lowest row of the vector it reduces by the
+    pivot there, recombines with the xgcd when the pivot does not divide,
+    and stores the vector as it is when the row has no pivot."""
+    ring, key = lat.ring, lat.ngens
+    lat.ngens += 1
+    vec = {k: ring.element(v) for k, v in vec.items() if v != 0}
+    coords = {key: ring.element(1)}
+    grew = False
+    axpy = exact_linalg._vec_axpy
+    while vec:
+        pr = min(vec)
+        idx = bisect_left(lat.cols, (pr,))
+        if pr not in lat._by_row:
+            lat._by_row[pr] = (pr, vec, coords)
+            lat.cols.insert(idx, lat._by_row[pr])
+            return True
+        _, cvec, ccoords = lat._by_row[pr]
+        p, c = cvec[pr], vec[pr]
+        if ring.is_field or c % p == 0:
+            q = ring.div(c, p)
+            axpy(vec, cvec, -q)
+            axpy(coords, ccoords, -q)
+            continue
+        g, x, y = exact_linalg._xgcd(p, c)
+        newvec, newco, restvec, restco = {}, {}, {}, {}
+        axpy(newvec, cvec, x)
+        axpy(newvec, vec, y)
+        axpy(newco, ccoords, x)
+        axpy(newco, coords, y)
+        axpy(restvec, vec, p // g)
+        axpy(restvec, cvec, -(c // g))
+        axpy(restco, coords, p // g)
+        axpy(restco, ccoords, -(c // g))
+        lat.cols[idx] = lat._by_row[pr] = (pr, newvec, newco)
+        vec, coords = restvec, restco
+        grew = True
+    return grew
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([ZZ, QQ]))
+@example(170, ZZ)  # a pivot whose sign differs after an xgcd step
+def test_add_through_reduce_matches_the_own_walk(seed, ring):
+    """Generators with planted non-unit pivots, so that over ZZ the xgcd
+    step runs: after every insertion `add` reports the same growth, the
+    same pivot rows and the same lattice as the insertion that walked the
+    pivots itself, and every stored column is the combination of the
+    generators its coordinates name.  Pivot values are the same up to
+    sign: a pivot made by the xgcd takes the sign of the entry it met,
+    which `add` reads after reducing stored columns further (over QQ, with
+    no xgcd, they are the same outright)."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    lat, ref = ColumnLattice(ring), ColumnLattice(ring)
+    gens = []
+    for _ in range(rng.randint(1, 9)):
+        lead = rng.randrange(n)
+        g = {lead: rng.choice([2, 3, -4, 6])}
+        g.update((i, rng.choice([1, -1, 2, -3, 5])) for i in
+                 rng.sample(range(n), rng.randint(0, min(3, n))) if i != lead)
+        gens.append(g)
+        assert lat.add(g) == _insert_by_own_walk(ref, g)
+        assert [c[0] for c in lat.cols] == [c[0] for c in ref.cols]
+        pivots = [(c[1][c[0]], r[1][r[0]]) for c, r in zip(lat.cols, ref.cols)]
+        assert all(abs(x) == abs(y) for x, y in pivots)
+        if ring.is_field:
+            assert all(x == y for x, y in pivots)
+        for one, other in ((lat, ref), (ref, lat)):
+            assert all(other.echelon_coordinates(v) is not None
+                       for v in one.basis_vectors())
+        for _, vec, co in lat.cols:
+            assert _combine([co.get(k, 0) for k in range(len(gens))],
+                            gens) == vec
+    assert_exact([x for _, vec, co in lat.cols
+                  for x in (*vec.values(), *co.values())], ring)
 
 
 # ---------------------------------------------------------------- representation

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -719,15 +721,35 @@ def test_n_points_inverts_only_what_is_not_an_identity(monkeypatch, capsys):
                   ["formality", "n-points", "--n", "30"]) <= 1
 
 
-def test_n_points_builds_no_hom_lattice(monkeypatch, capsys):
-    """Every block pair of the n-point resolution is thin with Hom of rank
-    <= 1, so `_PairCache` reads coordinates and composition tables by sign
-    and builds no `ColumnLattice` (242 at n = 30 with a lattice per
-    pair)."""
-    import strathom.rep_complex as rc
-
-    assert _calls(monkeypatch, capsys, rc, "ColumnLattice",
-                  ["formality", "n-points", "--n", "30"]) == 0
+def test_n_points_builds_no_hom_lattice(monkeypatch, capsys, tmp_path):
+    """Every block pair that End J reads is thin with Hom of rank <= 1, so
+    `quiver_rep.hom_coordinates` and `hom_table` read it by sign and never
+    flatten a Hom basis for the dense read (`_flat`, then `lattice_solve`):
+    on `formality n-points --n 30` (242 lattices when every pair had one),
+    `one-point` and `trivial`, and on `compute --action end` of
+    `bench/gen.py` seed 1, index 0 (24 lattices), over Z and Q.  The unit
+    of a stalk of rank 2 takes the dense read, so the counter hooks."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    poset, reps = str(tmp_path / "poset.json"), str(tmp_path / "reps.json")
+    gen.write_instance(1, 0, "full", poset, reps)
+    calls = []
+    original = quiver_rep._flat
+    monkeypatch.setattr(quiver_rep, "_flat",
+                        lambda *args: calls.append(args) or original(*args))
+    for ring in ("Z", "Q"):
+        for argv in (["formality", "n-points", "--n", "30"],
+                     ["formality", "one-point"], ["formality", "trivial"],
+                     ["compute", "--action", "end", "--poset", poset,
+                      "--reps", reps]):
+            assert cli.main(argv + ["--ring", ring]) == 0
+            capsys.readouterr()
+    assert calls == []
+    quiver = Quiver(StratPoset([("x", 0)], []))
+    quiver_rep.hom_unit(Representation(quiver, ZZ, {"x": 2}, {}))
+    assert len(calls) == 2
 
 
 def _comparable_pairs(quiver):

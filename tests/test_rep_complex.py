@@ -1,10 +1,12 @@
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from strathom import quiver_rep as qr
 from strathom.chain_complex import cohomology, cone_report, validate_complex
 from strathom.dg import DgMorphism, is_quasi_iso_dg, validate_dg_algebra
 from strathom.exact_linalg import QQ, ZZ, ExactMatrix, PresolvedSolver
@@ -15,14 +17,16 @@ from strathom.quiver_rep import (
     StratPoset,
     closure_rep,
     direct_sum,
+    hom_coordinates,
     hom_space,
+    hom_table,
+    hom_unit,
     injective_coresolution,
     projective_resolution,
 )
 from strathom.rep_complex import (
     ComplexOfReps,
     HomComplex,
-    _PairCache,
     _label_for,
     end_dg_algebra,
     validate_complex_of_reps,
@@ -402,12 +406,6 @@ def _betti(E):
     return {q: r["betti"] for q, r in cone_report(E.complex()).items()}
 
 
-def _largest_hom_read(*homs):
-    """The largest Hom rank of a block pair whose coordinates were read."""
-    return max((len(hom_space(a, b)) for hom in homs
-                for a, b in hom.pairs._lattices), default=0)
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2 ** 32))
 @example(1)
@@ -430,8 +428,12 @@ def test_random_coresolution_tables_meet_hom_pairs_of_rank_two():
 
 def _tables_match_pairwise_route(seed):
     """The checks of the test above on one seed: {ring: the largest Hom
-    rank of a block pair read}, or None when X has total rank over 20."""
+    rank of a block pair read by `lattice_solve`}, or None when X has total
+    rank over 20.  Here `hom_coordinates` is the one caller of
+    `quiver_rep.lattice_solve`, whose first argument is the flattened
+    basis, one column per generator."""
     ends, largest = {}, {}
+    solve = qr.lattice_solve
     for ring in (ZZ, QQ):
         rng = random.Random(seed)
         quiver = _random_quiver(rng)
@@ -439,17 +441,17 @@ def _tables_match_pairwise_route(seed):
         X, Y = _coresolution_complex(v), _coresolution_complex(w)
         if sum(t.total_rank() for t in X.terms.values()) > 20:
             return None
-        ends[ring] = E = end_dg_algebra(X)
-        _check_end(E)
-        hxy = HomComplex(X, Y)
-        _check_differential(hxy)
-        cone = ComplexOfReps(quiver, ring, {0: v, 1: v},
-                             {0: _identity_morphism(v)})
-        E_cone = end_dg_algebra(cone)
-        _check_end(E_cone)
-        h_cone_y = HomComplex(cone, Y)
-        _check_differential(h_cone_y)
-        largest[ring] = _largest_hom_read(E.hom, hxy, E_cone.hom, h_cone_y)
+        ranks = []
+        with mock.patch.object(qr, "lattice_solve", lambda G, B: ranks.append(
+                G.cols) or solve(G, B)):
+            ends[ring] = E = end_dg_algebra(X)
+            _check_end(E)
+            _check_differential(HomComplex(X, Y))
+            cone = ComplexOfReps(quiver, ring, {0: v, 1: v},
+                                 {0: _identity_morphism(v)})
+            _check_end(end_dg_algebra(cone))
+            _check_differential(HomComplex(cone, Y))
+        largest[ring] = max(ranks, default=0)
     assert _betti(ends[ZZ]) == _betti(ends[QQ])
     return largest
 
@@ -474,10 +476,10 @@ def _by_vertex(v, w, ring, entries):
                               for x, c in entries.items()})
 
 
-def _escapes(pairs, v, w, morphism):
+def _escapes(v, w, morphism):
     with pytest.raises(AssertionError,
                        match="^morphism escaped the Hom lattice$"):
-        pairs.coordinates(v, w, [morphism])
+        hom_coordinates(v, w, [morphism])
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ])
@@ -485,53 +487,54 @@ def test_rank_one_read_off_rejects_morphisms_off_the_generator(ring):
     """Hom(V, W) = <g> on x < y with g = 0 at y (W's arrow is 0) or at x
     (V's arrow is 0); and Hom(I_H1, I_E1) on the 2-point sphere, g = 1 on
     the closure of E1."""
-    pairs = _PairCache()
     v, w = _line_pair(ring, 1, 0)
     (g,) = hom_space(v, w)
     assert [g.component(x)[0, 0] for x in "xy"] == [1, 0]
-    assert pairs.coordinates(v, w, [g.scale(-3)]) == [((0, -3),)]
-    _escapes(pairs, v, w, _by_vertex(v, w, ring, {"x": 1, "y": 1}))
+    assert hom_coordinates(v, w, [g.scale(-3)]) == [((0, -3),)]
+    _escapes(v, w, _by_vertex(v, w, ring, {"x": 1, "y": 1}))
     v, w = _line_pair(ring, 0, 1)  # g = 0 at x: the lead is at y
     (g,) = hom_space(v, w)
-    assert pairs.coordinates(v, w, [g.scale(5)]) == [((0, 5),)]
-    _escapes(pairs, v, w, _by_vertex(v, w, ring, {"x": 1, "y": 1}))
+    assert hom_coordinates(v, w, [g.scale(5)]) == [((0, 5),)]
+    _escapes(v, w, _by_vertex(v, w, ring, {"x": 1, "y": 1}))
     m = SphereModel(2, ring)
     a, b = m.closure_rep("H1"), m.closure_rep("E1")
     (g,) = hom_space(a, b)
-    assert pairs.coordinates(a, b, [g.scale(2)]) == [((0, 2),)]
+    assert hom_coordinates(a, b, [g.scale(2)]) == [((0, 2),)]
     off = dict(g.scale(2).components)
     off["P2"] = off["P2"].scale(3)
-    _escapes(pairs, a, b, RepMorphism(a, b, off))
+    _escapes(a, b, RepMorphism(a, b, off))
 
 
 def test_rank_one_read_off_checks_divisibility_by_a_non_unit_lead():
     """V --2--> V, W --1--> W: the square 2 f_y = f_x gives the non-thin
     generator g = (2, 1), so m_x must be even over Z."""
-    pairs = _PairCache()
     v, w = _line_pair(ZZ, 2, 1)
     (g,) = hom_space(v, w)
     assert [g.component(x)[0, 0] for x in "xy"] == [2, 1]
-    assert pairs.coordinates(v, w, [_by_vertex(v, w, ZZ, {"x": 6, "y": 3})]) \
+    assert hom_coordinates(v, w, [_by_vertex(v, w, ZZ, {"x": 6, "y": 3})]) \
         == [((0, 3),)]
-    _escapes(pairs, v, w, _by_vertex(v, w, ZZ, {"x": 3, "y": 1}))
-    _escapes(pairs, v, w, _by_vertex(v, w, ZZ, {"x": 1, "y": 0}))
+    _escapes(v, w, _by_vertex(v, w, ZZ, {"x": 3, "y": 1}))
+    _escapes(v, w, _by_vertex(v, w, ZZ, {"x": 1, "y": 0}))
     v, w = _line_pair(QQ, 2, 1)  # over Q, g = (1, 1/2)
     half = _by_vertex(v, w, QQ, {"x": Fraction(1, 2), "y": Fraction(1, 4)})
-    assert pairs.coordinates(v, w, [half]) == [((0, Fraction(1, 2)),)]
+    assert hom_coordinates(v, w, [half]) == [((0, Fraction(1, 2)),)]
 
 
-def _lattice_route():
-    """A `_PairCache` that reads every pair in a `ColumnLattice` and builds
+def _lattice_route(blocks):
+    """The blocks, with the generator cleared from the record of every
+    pair of them, so that `hom_coordinates`, `hom_table` and `hom_unit`
+    read each pair by `lattice_solve` on its flattened basis and build
     every table by `RepMorphism.compose`: the route of every pair before
     the read by sign, kept as the reference for it."""
-    pairs = _PairCache()
-    pairs._generator = lambda a, b: None
-    return pairs
+    for a in blocks:
+        for b in blocks:
+            a._homs[b] = (hom_space(a, b), None)
+    return blocks
 
 
 def _sphere_blocks(n, ring):
     """The distinct block representations of the n-point resolution, and
-    for n = 2 of the one-point and trivial ones too."""
+    for n = 2 of the one-point and trivial ones too, from a new model."""
     model = SphereModel(n, ring)
     resolutions = [model.resolution_n_points()]
     if n == 2:
@@ -544,32 +547,41 @@ def _sphere_blocks(n, ring):
 
 @pytest.mark.parametrize("ring", [ZZ, QQ])
 @pytest.mark.parametrize("n", range(2, 9))
-def test_sign_read_matches_the_lattice_route_on_sphere_blocks(n, ring):
+def test_sign_read_matches_the_lattice_route_on_sphere_blocks(n, ring,
+                                                             monkeypatch):
     """Every block pair of the sphere resolutions is thin with Hom of rank
-    <= 1 and is read by sign, with no lattice; its units, coordinates
-    (multiples of the generator, and zero) and the tables of every block
-    triple equal the lattice route's."""
-    blocks = _sphere_blocks(n, ring)
-    signs, lattice = _PairCache(), _lattice_route()
+    <= 1 and is read by sign, with no `lattice_solve`; its units,
+    coordinates (multiples of the generator, and zero) and the tables of
+    every block triple equal the lattice route's, on the same blocks of a
+    second model."""
     scalars = (1, -1, 3, Fraction(1, 2) if ring.is_field else -2)
-    for a in blocks:
-        assert signs.unit(a) == lattice.unit(a)
-        for b in blocks:
-            assert signs._generator(a, b) is not None
-            morphisms = [g.scale(x) for g in hom_space(a, b)
-                         for x in scalars] + [RepMorphism(a, b, {})]
-            assert signs.coordinates(a, b, morphisms) == \
-                lattice.coordinates(a, b, morphisms)
-            for c in blocks:
-                assert signs.table(a, b, c) == lattice.table(a, b, c)
-    assert not signs._lattices and lattice._lattices
+    solves = []
+    solve = qr.lattice_solve
+    monkeypatch.setattr(qr, "lattice_solve",
+                        lambda G, B: solves.append(G) or solve(G, B))
+
+    def read(blocks):
+        return ([hom_unit(a) for a in blocks],
+                [hom_coordinates(a, b, [g.scale(x) for g in hom_space(a, b)
+                                        for x in scalars]
+                                 + [RepMorphism(a, b, {})])
+                 for a in blocks for b in blocks],
+                [hom_table(a, b, c)
+                 for a in blocks for b in blocks for c in blocks])
+
+    blocks = _sphere_blocks(n, ring)
+    signs = read(blocks)
+    assert all(qr._hom(a, b)[1] is not None for a in blocks for b in blocks)
+    assert not solves
+    assert read(_lattice_route(_sphere_blocks(n, ring))) == signs
+    assert solves
 
 
-def _escapes_table(pairs, key):
+def _escapes_table(a, b, c):
     with pytest.raises(AssertionError,
                        match="^morphism escaped the Hom lattice$"):
-        pairs.table(*key)
-    assert key not in pairs._tables
+        hom_table(a, b, c)
+    assert (b, c) not in a._tables
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ])
@@ -580,45 +592,41 @@ def test_sign_read_rejects_a_flipped_sign_or_a_dropped_vertex(ring):
     error and give no coordinate."""
     m = SphereModel(2, ring)
     h, e, p = (m.closure_rep(s) for s in ("H1", "E1", "P1"))
-    pairs = _PairCache()
-    g = pairs._generator(h, e)
+    g = qr._hom(h, e)[1]
     assert g == {"E1": 1, "P1": 1, "P2": 1}
-    assert pairs.coordinates(h, e, hom_space(h, e)) == [((0, 1),)]
+    assert hom_coordinates(h, e, hom_space(h, e)) == [((0, 1),)]
     for v in g:
         comps = dict(hom_space(h, e)[0].components)
         flipped = dict(comps, **{v: comps[v].scale(-1)})
-        _escapes(pairs, h, e, RepMorphism(h, e, flipped))
+        _escapes(h, e, RepMorphism(h, e, flipped))
         del comps[v]
-        _escapes(pairs, h, e, RepMorphism(h, e, comps))
-    assert pairs.table(h, h, e) == pairs.table(h, e, p) == {(0, 0): ((0, 1),)}
-    pairs = _PairCache()
-    pairs._signs[(h, h)] = dict(pairs._generator(h, h), P1=-1)  # flipped
-    _escapes_table(pairs, (h, h, e))
-    pairs = _PairCache()
-    pairs._signs[(e, e)] = {"E1": 1, "P2": 1}  # the composite drops P1
-    _escapes_table(pairs, (h, e, e))
+        _escapes(h, e, RepMorphism(h, e, comps))
+    assert hom_table(h, h, e) == hom_table(h, e, p) == {(0, 0): ((0, 1),)}
+    m = SphereModel(2, ring)  # new blocks, with no table remembered
+    h, e = m.closure_rep("H1"), m.closure_rep("E1")
+    basis, sign = qr._hom(h, h)
+    h._homs[h] = (basis, dict(sign, P1=-1))  # flipped
+    _escapes_table(h, h, e)
+    m = SphereModel(2, ring)
+    h, e = m.closure_rep("H1"), m.closure_rep("E1")
+    e._homs[e] = (hom_space(e, e), {"E1": 1, "P2": 1})  # the composite drops P1
+    _escapes_table(h, e, e)
 
 
-def test_table_build_raises_when_a_composite_escapes_the_lattice(
-        monkeypatch):
-    """Doubling the generators of Hom(I_H, I_P) puts the composite
+def test_table_build_raises_when_a_composite_escapes_the_lattice():
+    """Doubling the generators of Hom(I_H, I_P), and clearing their
+    generator so that they are read by `lattice_solve`, puts the composite
     e . h of two undoubled generators outside their lattice."""
-    import strathom.rep_complex as rc
-
-    original = rc.hom_space
-
-    def doubled(a, b):
-        gens = original(a, b)
-        if len(a.support()) == 5 and len(b.support()) == 1:
-            return [g.scale(2) for g in gens]
-        return gens
-
-    monkeypatch.setattr(rc, "hom_space", doubled)
     J = SphereModel(2).resolution_trivial().complex
+    blocks = {id(b): b for t in J.terms.values() for _, b in t.blocks}
+    for a in blocks.values():
+        for b in blocks.values():
+            if len(a.support()) == 5 and len(b.support()) == 1:
+                a._homs[b] = ([g.scale(2) for g in hom_space(a, b)], None)
     with pytest.raises(AssertionError,
                        match="^morphism escaped the Hom lattice$") as info:
         end_dg_algebra(J)
-    assert any(entry.name == "table" for entry in info.traceback)
+    assert any(entry.name == "hom_table" for entry in info.traceback)
 
 
 def test_end_of_a_coresolution_shares_blocks_and_bounds_hom_calls(
