@@ -16,7 +16,6 @@ imply d^2 = 0 on the cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .exact_linalg import (
@@ -142,12 +141,12 @@ def _times(a: Optional[ExactMatrix], b: Optional[ExactMatrix]):
     return b if a is None else a if b is None else a @ b
 
 
-@dataclass
 class CohomologyProfile:
     """Per-degree modules H^q = ker d^q / im d^(q-1)."""
 
-    ring: CoeffRing
-    modules: Dict[int, CohomologyModule]
+    def __init__(self, ring: CoeffRing, modules: Dict[int, CohomologyModule]):
+        self.ring = ring
+        self.modules = modules
 
     def betti(self, q: int) -> int:
         m = self.modules.get(q)
@@ -324,10 +323,10 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     return cone
 
 
-@dataclass
 class QuasiIsoReport:
-    ok: bool
-    cone_profile: Dict[int, dict]
+    def __init__(self, ok: bool, cone_profile: Dict[int, dict]):
+        self.ok = ok
+        self.cone_profile = cone_profile
 
     def __bool__(self):
         return self.ok

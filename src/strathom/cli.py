@@ -442,6 +442,8 @@ def _build_reps(data: dict, quiver: Quiver, ring) -> Dict[str, Representation]:
     out = {}
     for spec_index, rep in enumerate(data["reps"]):
         at = ("reps", spec_index)
+        if rep["name"] in out:
+            raise fault(at + ("name",), f"duplicate name {rep['name']!r}")
         stalks = {}
         for v, r in rep["stalks"].items():
             if v not in quiver.poset._idx:

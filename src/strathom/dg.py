@@ -30,7 +30,6 @@ and a `DgMorphism`'s validation and mapping cone share its one `ChainMap`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .chain_complex import (
@@ -567,15 +566,15 @@ def subalgebra_from_span(A: DgAlgebra, elements: Sequence[Element],
     return sub, incl
 
 
-@dataclass
 class DgIdeal:
     """Two-sided dg ideal of a DgAlgebra, presented by per-degree lattices."""
 
-    algebra: DgAlgebra
-    lattices: Dict[int, ColumnLattice]
-    input_spanned_ideal: bool
-    _complex: Optional[ChainComplex] = field(default=None, init=False,
-                                             repr=False, compare=False)
+    def __init__(self, algebra: DgAlgebra, lattices: Dict[int, ColumnLattice],
+                 input_spanned_ideal: bool):
+        self.algebra = algebra
+        self.lattices = lattices
+        self.input_spanned_ideal = input_spanned_ideal
+        self._complex: Optional[ChainComplex] = None
 
     def rank(self, q: int) -> int:
         lat = self.lattices.get(q)
@@ -730,20 +729,22 @@ def quotient(U: DgAlgebra, I: DgIdeal):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FormalityChain:
     """Zig-zag A_0 <-...-> A_k; the terminal algebra has zero differential."""
 
-    algebras: List[DgAlgebra]
-    arrows: List[Tuple[DgMorphism, str]]  # direction: "forward" | "backward"
+    def __init__(self, algebras: List[DgAlgebra],
+                 arrows: List[Tuple[DgMorphism, str]]):
+        self.algebras = algebras
+        self.arrows = arrows    # direction: "forward" | "backward"
 
 
-@dataclass
 class ChainVerdict:
-    ok: bool
-    arrow_reports: List[dict]
-    notes: List[str]
-    identification: Optional[Dict[int, ExactMatrix]] = None
+    def __init__(self, ok: bool, arrow_reports: List[dict], notes: List[str],
+                 identification: Optional[Dict[int, ExactMatrix]] = None):
+        self.ok = ok
+        self.arrow_reports = arrow_reports
+        self.notes = notes
+        self.identification = identification
 
     def __bool__(self):
         return self.ok

@@ -43,9 +43,8 @@ import heapq
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class CoeffRing:
@@ -349,8 +348,7 @@ class ExactMatrix:
         return ExactMatrix(mats[0].ring, at, c, out)
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """Smith decomposition D = U @ M @ V with U, V unimodular."""
 
     U: ExactMatrix

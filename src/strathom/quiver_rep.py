@@ -19,7 +19,6 @@ images of those arrows split off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -668,15 +667,17 @@ def closure_rep(quiver: Quiver, s: str, ring: CoeffRing = ZZ) -> Representation:
     return constant_rep(quiver, ring, quiver.poset.down_set(s))
 
 
-@dataclass
 class ProjectiveResolution:
     """... -> Q_1 -> Q_0 --aug--> V with each Q_i a sum of projectives."""
 
-    target: Representation
-    terms: List[Representation]          # Q_0, Q_1, ...
-    maps: List[RepMorphism]              # maps[i]: Q_[i+1] -> Q_i
-    augmentation: RepMorphism            # Q_0 -> V
-    vertices: List[List[str]]            # x of each summand P_x of Q_i
+    def __init__(self, target: Representation, terms: List[Representation],
+                 maps: List[RepMorphism], augmentation: RepMorphism,
+                 vertices: List[List[str]]):
+        self.target = target
+        self.terms = terms                  # Q_0, Q_1, ...
+        self.maps = maps                    # maps[i]: Q_[i+1] -> Q_i
+        self.augmentation = augmentation    # Q_0 -> V
+        self.vertices = vertices            # x of each summand P_x of Q_i
 
     def length(self) -> int:
         return len(self.terms) - 1
@@ -794,14 +795,15 @@ def projective_resolution(V: Representation,
     raise ValueError(f"resolution did not terminate within {max_len} steps")
 
 
-@dataclass
 class InjectiveCoresolution:
     """V --aug--> T_0 -> T_1 -> ... with each T_i a sum of closure reps."""
 
-    target: Representation
-    terms: List[Representation]
-    maps: List[RepMorphism]             # maps[i]: T_i -> T_(i+1)
-    augmentation: RepMorphism           # V -> T_0
+    def __init__(self, target: Representation, terms: List[Representation],
+                 maps: List[RepMorphism], augmentation: RepMorphism):
+        self.target = target
+        self.terms = terms
+        self.maps = maps                    # maps[i]: T_i -> T_(i+1)
+        self.augmentation = augmentation    # V -> T_0
 
 
 def _coevaluation_embedding(V: Representation,

@@ -18,9 +18,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .chain_complex import ChainComplex, ChainMap, is_quasi_iso
 from .dg import DgAlgebra
@@ -98,10 +97,10 @@ def validate_complex_of_reps(X: ComplexOfReps) -> list:
     return list(problems)
 
 
-@dataclass
 class ResolutionReport:
-    ok: bool
-    failures: List[dict]
+    def __init__(self, ok: bool, failures: List[dict]):
+        self.ok = ok
+        self.failures = failures
 
     def __bool__(self):
         return self.ok
@@ -159,8 +158,7 @@ def validate_resolution(J: ComplexOfReps,
 _BLOCK_RE = re.compile(r"^([HEP])(\d+)$")
 
 
-@dataclass(frozen=True)
-class HomLabel:
+class HomLabel(NamedTuple):
     """Label of a block-pair Hom generator, with its source term degree."""
 
     kind: str          # "h" | "e" | "p" | "he" | "hp" | "ep" | "gen"
@@ -207,14 +205,15 @@ def _label_for(src_name: str, dst_name: str, k: int, p: int) -> HomLabel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class HomBasisElement:
-    p: int              # source term degree
-    src_block: int
-    dst_block: int
-    k: int              # index inside the block-pair hom basis
-    morphism: RepMorphism   # block source rep -> block target rep
-    label: HomLabel
+    def __init__(self, p: int, src_block: int, dst_block: int, k: int,
+                 morphism: RepMorphism, label: HomLabel):
+        self.p = p                      # source term degree
+        self.src_block = src_block
+        self.dst_block = dst_block
+        self.k = k                      # index inside the block-pair hom basis
+        self.morphism = morphism        # block source rep -> block target rep
+        self.label = label
 
 
 def _block_components(d: RepMorphism) -> Dict[Tuple[int, int], RepMorphism]:

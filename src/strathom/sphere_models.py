@@ -14,7 +14,6 @@ tau with d(tau) = omega|_D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .chain_complex import ChainComplex, cone_report
@@ -177,13 +176,14 @@ class SphereModel:
         return self._resolution(list(self.irange()))
 
 
-@dataclass
 class Resolution:
     """A complex of representations together with its augmentation data."""
 
-    model: SphereModel
-    complex: ComplexOfReps
-    targets: Dict[int, Tuple[Representation, RepMorphism]]
+    def __init__(self, model: SphereModel, complex: ComplexOfReps,
+                 targets: Dict[int, Tuple[Representation, RepMorphism]]):
+        self.model = model
+        self.complex = complex
+        self.targets = targets
 
     def validate(self):
         return validate_resolution(self.complex, self.targets)
@@ -238,19 +238,22 @@ def formality_witness_one_point(E: EndAlgebra) -> DgMorphism:
                                          "witness-one-point")
 
 
-@dataclass
 class NPointChain:
     """End J <- U ->> U/I <- H(U/I) with all the intermediate objects."""
 
-    end_algebra: EndAlgebra
-    sub: DgAlgebra
-    inclusion: DgMorphism
-    ideal: DgIdeal
-    quot: DgAlgebra
-    projection: DgMorphism
-    h_quot: DgAlgebra
-    h_inclusion: DgMorphism
-    chain: FormalityChain
+    def __init__(self, end_algebra: EndAlgebra, sub: DgAlgebra,
+                 inclusion: DgMorphism, ideal: DgIdeal, quot: DgAlgebra,
+                 projection: DgMorphism, h_quot: DgAlgebra,
+                 h_inclusion: DgMorphism, chain: FormalityChain):
+        self.end_algebra = end_algebra
+        self.sub = sub
+        self.inclusion = inclusion
+        self.ideal = ideal
+        self.quot = quot
+        self.projection = projection
+        self.h_quot = h_quot
+        self.h_inclusion = h_inclusion
+        self.chain = chain
 
 
 def _subalgebra_span_n_points(E: EndAlgebra, n: int):
@@ -339,15 +342,17 @@ _DERHAM_ENTRY = {
 }
 
 
-@dataclass
 class DeRhamModel:
     """Finite model of the matrix algebra of forms on a marked n-sphere."""
 
-    n: int
-    algebra: DgAlgebra
-    entry_of: Dict[str, Tuple[int, int]]
-    h_algebra: DgAlgebra
-    projection: DgMorphism
+    def __init__(self, n: int, algebra: DgAlgebra,
+                 entry_of: Dict[str, Tuple[int, int]], h_algebra: DgAlgebra,
+                 projection: DgMorphism):
+        self.n = n
+        self.algebra = algebra
+        self.entry_of = entry_of
+        self.h_algebra = h_algebra
+        self.projection = projection
 
     def entry_complexes(self) -> Dict[Tuple[int, int], ChainComplex]:
         """The underlying complex splits by matrix entry; d preserves it."""

@@ -451,12 +451,18 @@ def test_cli_runs_do_not_import_jsonschema(files):
             for a in ("ext", "hom", "end", "cohomology")]
     runs += [["formality", "trivial"], ["ext-table", "--n", "3"]]
     src = str(Path(__file__).resolve().parents[1] / "src")
+    # jsonschema stays unloaded, and so do dataclasses and the modules it
+    # pulls in; only what the import and the runs added counts, so that a
+    # site hook which preloads one of them does not fail this
     code = (
         "import os, sys\n"
+        "before = set(sys.modules)\n"
         "from strathom.cli import main\n"
         f"codes = [main(argv + ['--out-file', os.devnull])\n"
         f"         for argv in {runs!r}]\n"
-        "print(*codes, 'jsonschema' in sys.modules)\n")
+        "added = set(sys.modules) - before\n"
+        "print(*codes, 'jsonschema' in sys.modules,\n"
+        "      *sorted(added & {'dataclasses', 'inspect', 'ast', 'dis'}))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           timeout=120)
@@ -517,6 +523,21 @@ def test_compute_input_errors_name_json_paths(tmp_path, capsys, path, value,
                  "--action", "hom"])
     assert code == 2
     assert capsys.readouterr().err == f"error: reps file: {message}\n"
+
+
+def test_compute_refuses_duplicate_rep_names(tmp_path, capsys):
+    """A second rep named C used to replace the first, so `ext` reported
+    one pair C->C of the second rep alone."""
+    poset, reps = tmp_path / "poset.json", tmp_path / "reps.json"
+    poset.write_text(json.dumps(POSET_A2))
+    reps.write_text(json.dumps({"reps": [
+        {"name": "C", "stalks": {"P1": 1, "E1": 1}},
+        {"name": "C", "stalks": {"P1": 1, "E1": 0}}]}))
+    code = main(["compute", "--poset", str(poset), "--reps", str(reps),
+                 "--action", "ext"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: reps file: $.reps[1].name: duplicate name 'C'\n")
 
 
 def _compute_with_arrow(tmp_path, entry, ring):

@@ -18,6 +18,7 @@ from strathom.exact_linalg import (
     ColumnLattice,
     ExactMatrix,
     PresolvedSolver,
+    SnfResult,
     _snf_any,
     invariant_factors,
     inverse,
@@ -119,6 +120,19 @@ def test_snf_rectangular():
 def test_snf_rejects_rationals():
     with pytest.raises(ValueError):
         smith_normal_form(M([[1]], QQ))
+
+
+def test_snf_result_is_frozen_and_compares_by_value():
+    """Two reductions of one matrix are equal records that refuse
+    assignment.  The record hashes by value wherever its fields hash;
+    ExactMatrix defines __eq__ and so does not."""
+    a = smith_normal_form(M([[2, 4], [6, 8]]))
+    b = smith_normal_form(M([[2, 4], [6, 8]]))
+    assert a == b and a is not b
+    with pytest.raises(AttributeError):
+        a.D = b.D
+    assert SnfResult(1, 2, 3) == SnfResult(1, 2, 3) != SnfResult(1, 2, 4)
+    assert hash(SnfResult(1, 2, 3)) == hash(SnfResult(1, 2, 3))
 
 
 def test_q_kernel_and_solve_hold_fractions():

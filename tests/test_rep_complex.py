@@ -27,6 +27,7 @@ from strathom.quiver_rep import (
 from strathom.rep_complex import (
     ComplexOfReps,
     HomComplex,
+    HomLabel,
     _label_for,
     end_dg_algebra,
     validate_complex_of_reps,
@@ -683,6 +684,15 @@ def test_find_agrees_with_a_scan_of_the_labels(n):
             assert err.value.args[0] == (
                 f"label ({kind}, {indices}, p={p}) matches {len(hits)} "
                 f"basis elements in degree {m}")
+
+
+def test_hom_labels_are_frozen_and_hash_by_value():
+    a, b = _label_for("H1", "P2", 0, 1), HomLabel("hp", (1, 2), 1)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert len({a, b, HomLabel("hp", (1, 2), 0)}) == 2
+    with pytest.raises(AttributeError):
+        a.p = 0
+    assert a.render(ambiguous=True) == "hp_12^(1)"
 
 
 def test_products_are_built_only_when_read(tmp_path, monkeypatch, capsys):
