@@ -1,12 +1,12 @@
 """Bounded cochain complexes of free modules.
 
 Complexes carry per-degree ranks and differentials d^q: C^q -> C^(q+1).
-Cohomology first reduces the whole complex by sparse elimination of +-1
-pivots (Kaczynski, Mrozek and Slusarek 1998), keeping chain maps G: C' ->
-C and F: C -> C' with F G = 1; the Smith forms of the residual core C'
-then give kernel, torsion, lifts and projections.  Quasi-isomorphisms
-are detected through acyclicity of the mapping cone, for which a
-rank-and-invariant-factor check avoids transform bookkeeping.
+`cohomology` reduces a complex once, by sparse elimination of +-1 pivots
+(Kaczynski, Mrozek and Slusarek 1998), to a core C' with homotopy
+equivalences G: C' -> C and F: C -> C', F G = 1, and keeps all three on its
+profile; the Smith forms of C' give kernel, torsion, lifts and projections.
+f: X -> Y is a quasi-isomorphism iff F_Y f G_X is, so `is_quasi_iso` reads
+the invariant factors (`cone_report`) of the cone between the two cores.
 
 Each identity is checked once per object: `validate_complex` (d.d = 0)
 and `ChainMap.validate` (d.f = f.d) remember their problem lists,
@@ -142,11 +142,14 @@ def _times(a: Optional[ExactMatrix], b: Optional[ExactMatrix]):
 
 
 class CohomologyProfile:
-    """Per-degree modules H^q = ker d^q / im d^(q-1)."""
+    """Per-degree modules H^q = ker d^q / im d^(q-1) of C, read off the core
+    C' of `_reduce_units`, which is kept with its per-degree G and F."""
 
-    def __init__(self, ring: CoeffRing, modules: Dict[int, CohomologyModule]):
-        self.ring = ring
-        self.modules = modules
+    def __init__(self, C: ChainComplex):
+        self.ring = C.ring
+        self.reduced, self.G, self.F = R, G, F = _reduce_units(C)
+        self.modules = {q: CohomologyModule(R.d(q), R.d(q - 1), G[q], F[q],
+                                            C.d(q)) for q in C.degrees()}
 
     def betti(self, q: int) -> int:
         m = self.modules.get(q)
@@ -205,29 +208,22 @@ def _reduce_units(C: ChainComplex):
         (t, i, v) for t, row in enumerate(fq.values())
         for i, v in row.items()), ring) for q, fq in f.items()}
     reduced = ChainComplex(ring, {q: len(gq) for q, gq in g.items()}, diffs)
+    reduced._problems = []  # a summand of the complex C
     return reduced, G, F
 
 
 def cohomology(C: ChainComplex) -> CohomologyProfile:
-    """Exact cohomology with representative lifts in every degree.
-
-    `_reduce_units` first reduces C to C' by sparse elimination of +-1
-    pivots, and only the nonzero differentials of C' reach the Smith
-    engine (`CohomologyModule`).  Every sphere model leaves C' with no
-    differential, so its H is C' itself, read directly.  Complexes are
-    immutable by convention, so the profile is memoized on the instance.
-    """
+    """Exact cohomology with representative lifts in every degree.  Only
+    the nonzero differentials of the core C' reach the Smith engine, and
+    every sphere model leaves C' none.  Complexes are immutable by
+    convention, so the profile is memoized on the instance."""
     cached = getattr(C, "_cohomology_profile", None)
     if cached is not None:
         return cached
     problems = validate_complex(C)
     if problems:
         raise ValueError("invalid complex: " + "; ".join(problems))
-    reduced, G, F = _reduce_units(C)
-    profile = CohomologyProfile(C.ring, {q: CohomologyModule(
-        reduced.d(q), reduced.d(q - 1), G[q], F[q], C.d(q))
-        for q in C.degrees()})
-    C._cohomology_profile = profile
+    C._cohomology_profile = profile = CohomologyProfile(C)
     return profile
 
 
@@ -302,41 +298,46 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     problems = f.validate()
     if problems:
         raise ValueError("invalid chain map: " + "; ".join(problems))
-    ring = X.ring
     ranks = {q: X.rank(q + 1) + Y.rank(q)
              for q in {q - 1 for q in X.degrees()} | set(Y.degrees())}
     diffs = {}
-    for q in sorted(ranks):
-        rows = X.rank(q + 2) + Y.rank(q + 1)
-        cols = ranks[q]
-        if not rows or not cols:
-            continue
-        top = ExactMatrix.hstack(
-            [-X.d(q + 1), ExactMatrix.zeros(X.rank(q + 2), Y.rank(q), ring)],
-            ring=ring) if X.rank(q + 2) else None
-        bottom = ExactMatrix.hstack(
-            [f.component(q + 1), Y.d(q)], ring=ring) if Y.rank(q + 1) else None
-        blocks = [b for b in (top, bottom) if b is not None]
-        diffs[q] = ExactMatrix.vstack(blocks, ring=ring)
-    cone = ChainComplex(ring, ranks, diffs)
+    for q in sorted(ranks):  # [[-d_X, 0], [f, d_Y]], column by column
+        top = X.rank(q + 2)
+        cols = {j: {i: -x for i, x in col.items()}
+                for j, col in X.d(q + 1).columns.items()}
+        for j, col in f.component(q + 1).columns.items():
+            cols.setdefault(j, {}).update((top + i, x) for i, x in col.items())
+        for j, col in Y.d(q).columns.items():
+            cols[X.rank(q + 1) + j] = {top + i: x for i, x in col.items()}
+        if top + Y.rank(q + 1):
+            diffs[q] = ExactMatrix(X.ring, top + Y.rank(q + 1), ranks[q], cols)
+    cone = ChainComplex(X.ring, ranks, diffs)
     cone._problems = []
     return cone
 
 
 class QuasiIsoReport:
     def __init__(self, ok: bool, cone_profile: Dict[int, dict]):
-        self.ok = ok
-        self.cone_profile = cone_profile
+        self.ok, self.cone_profile = ok, cone_profile
 
     def __bool__(self):
         return self.ok
 
 
 def is_quasi_iso(f: ChainMap) -> QuasiIsoReport:
-    """True iff the mapping cone is acyclic (betti and torsion zero); the
-    verdict is remembered on f, so each map builds its cone once."""
+    """True iff cone(f) is acyclic, read off the cone of F_Y f G_X between
+    the cores that `cohomology` keeps, whose `cone_profile` has the nonzero
+    entries of cone(f).  ValueError unless f and its ends validate."""
     if f._quasi_iso is None:
-        report = cone_report(mapping_cone(f))
+        if validate_complex(f.source) or validate_complex(f.target) \
+                or f.validate():
+            mapping_cone(f)  # raises, naming the invalid end or the map
+        hx, hy = cohomology(f.source), cohomology(f.target)
+        core = ChainMap(hx.reduced, hy.reduced, {
+            q: hy.F[q] @ (m @ hx.G[q]) for q, m in f.components.items()
+            if q in hx.G and q in hy.F})
+        core._problems = []  # F_Y, f and G_X are chain maps
+        report = cone_report(mapping_cone(core))
         ok = all(not (r["betti"] or r["torsion"]) for r in report.values())
         f._quasi_iso = QuasiIsoReport(ok, report)
     return f._quasi_iso

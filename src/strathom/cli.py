@@ -23,7 +23,6 @@ import json
 import re
 import sys
 import time
-import traceback
 from fractions import Fraction
 from typing import Dict
 
@@ -630,6 +629,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:
+        import traceback  # only here: it costs the import a few ms
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

@@ -21,7 +21,7 @@ from collections import Counter
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .chain_complex import ChainComplex, ChainMap, is_quasi_iso
+from .chain_complex import ChainComplex, ChainMap, cone_report, mapping_cone
 from .dg import DgAlgebra
 from .exact_linalg import CoeffRing, ExactMatrix
 from .quiver_rep import (
@@ -58,15 +58,6 @@ class ComplexOfReps:
 
     def differential(self, q: int) -> Optional[RepMorphism]:
         return self.differentials.get(q)
-
-    def stalk_complex(self, v: str) -> ChainComplex:
-        ranks = {q: t.rank(v) for q, t in self.terms.items()}
-        diffs = {}
-        for q, d in self.differentials.items():
-            m = d.component(v)
-            if m.rows and m.cols:
-                diffs[q] = m
-        return ChainComplex(self.ring, ranks, diffs)
 
 
 def validate_complex_of_reps(X: ComplexOfReps) -> list:
@@ -114,9 +105,11 @@ def validate_resolution(J: ComplexOfReps,
 
     targets maps a placement degree to (representation, morphism into
     J^degree); the target complex carries zero differentials.  Exactness is
-    checked stalkwise over the ring, reporting each failing (vertex,
-    degree).  The checks of J and of d . augmentation = 0 cover every stalk
-    complex and stalk augmentation, which get that verdict.
+    checked over the ring on one cone, of the augmentation summed over all
+    vertex stalks; only if that is not acyclic does each vertex get its own,
+    to report each failing (vertex, degrees).  The checks of J and of
+    d . augmentation = 0 cover these complexes and maps, which get that
+    verdict.
     """
     failures = []
     problems = validate_complex_of_reps(J)
@@ -134,21 +127,33 @@ def validate_resolution(J: ComplexOfReps,
         if nxt is not None and not nxt.compose(morph).is_zero():
             failures.append({"structural":
                              f"d . augmentation != 0 at degree {q}"})
-    if failures:
-        return ResolutionReport(False, failures)
-    for v in J.quiver.vertices:
-        target_ranks = {q: rep.rank(v) for q, (rep, _) in targets.items()}
-        t_complex = ChainComplex(J.ring, target_ranks, {})
-        stalk = J.stalk_complex(v)
-        aug = ChainMap(t_complex, stalk,
-                       {q: m.component(v) for q, (_, m) in targets.items()})
-        stalk._problems = aug._problems = []
-        verdict = is_quasi_iso(aug)
-        if not verdict.ok:
-            bad_degrees = [q for q, r in verdict.cone_profile.items()
-                           if r["betti"] or r["torsion"]]
-            failures.append({"vertex": v, "degrees": bad_degrees})
+    if not failures and _inexact_degrees(J, targets, J.quiver.vertices):
+        failures = [{"vertex": v, "degrees": bad} for v in J.quiver.vertices
+                    for bad in [_inexact_degrees(J, targets, [v])] if bad]
     return ResolutionReport(not failures, failures)
+
+
+def _inexact_degrees(J: ComplexOfReps, targets: dict,
+                     vertices: Sequence[str]) -> List[int]:
+    """The degrees where the cone of the augmentation, summed over the
+    stalks at vertices (block-diagonal, in their order), has cohomology."""
+    def summed(d: RepMorphism) -> ExactMatrix:
+        cols, r0, c0 = {}, 0, 0
+        for v in vertices:
+            for j, col in d.component(v).columns.items():
+                cols[c0 + j] = {r0 + i: x for i, x in col.items()}
+            r0, c0 = r0 + d.target.rank(v), c0 + d.source.rank(v)
+        return ExactMatrix(J.ring, r0, c0, cols)
+
+    comps = {q: summed(m) for q, (_, m) in targets.items()}
+    source = ChainComplex(J.ring, {q: m.cols for q, m in comps.items()}, {})
+    stalks = ChainComplex(J.ring, {
+        q: sum(t.rank(v) for v in vertices) for q, t in J.terms.items()}, {
+        q: summed(d) for q, d in J.differentials.items()})
+    aug = ChainMap(source, stalks, comps)
+    source._problems = stalks._problems = aug._problems = []
+    return [q for q, r in cone_report(mapping_cone(aug)).items()
+            if r["betti"] or r["torsion"]]
 
 
 # ---------------------------------------------------------------------------

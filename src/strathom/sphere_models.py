@@ -203,12 +203,6 @@ def _witness_from_representatives(E: EndAlgebra, elements, labels,
     if not sub.has_zero_differential():
         raise ValueError("representative system is not made of cocycles "
                          "closed under d")
-    h_betti = {q: m["betti"] for q, m in cone_report(E.complex()).items()
-               if m["betti"]}
-    if {q: n for q, n in sub.dims.items()} != h_betti:
-        raise ValueError(
-            f"representative system has dimensions {sub.dims}, cohomology "
-            f"has {h_betti}")
     if not is_quasi_iso_dg(incl).ok:
         raise ValueError("representative system does not represent a basis "
                          "of cohomology")

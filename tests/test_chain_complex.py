@@ -423,6 +423,80 @@ def test_cohomology_through_reduction_matches_direct_route(ring, ndeg, k,
                     mod.coordinates(e)
 
 
+def _block_sum(A, B):
+    """A (+) B, the basis of A first in every degree."""
+    def block(a, b):
+        entries = [(i, j, x) for j, col in a.columns.items()
+                   for i, x in col.items()]
+        entries += [(a.rows + i, a.cols + j, x) for j, col in b.columns.items()
+                    for i, x in col.items()]
+        return ExactMatrix.from_entries(a.rows + b.rows, a.cols + b.cols,
+                                        entries, A.ring)
+    degrees = set(A.degrees()) | set(B.degrees())
+    return ChainComplex(A.ring, {q: A.rank(q) + B.rank(q) for q in degrees},
+                        {q: block(A.d(q), B.d(q)) for q in degrees})
+
+
+def _random_chain_map(ring, seed):
+    """f: X -> X (+) W, k times the identity onto X plus d h + h d for a
+    random h of small integers, so f is homotopic to (k, 0).  X is a
+    `_random_complex` (planted non-units: torsion and cores with a nonzero
+    differential); W is empty, the cone of an identity (contractible) or
+    another `_random_complex`.  f is a quasi-isomorphism iff k acts
+    invertibly on H(X) and W is acyclic."""
+    rng = random.Random(seed)
+    X, _ = _random_complex(ring, rng.randint(1, 3), seed)
+    W = rng.choice((
+        lambda: ChainComplex(ring, {}, {}),
+        lambda: mapping_cone(identity_chain_map(
+            _random_complex(ring, 2, seed + 1)[0])),
+        lambda: _random_complex(ring, rng.randint(1, 3), seed + 1)[0]))()
+    Y = _block_sum(X, W)
+    k = rng.choice((1, -1, 2, 3, 6))
+    h = {q: ExactMatrix.from_entries(Y.rank(q - 1), X.rank(q), (
+        (i, j, rng.choice((0, 0, 1, -1, 2, 3)))
+        for i in range(Y.rank(q - 1)) for j in range(X.rank(q))), ring)
+        for q in range(min(X.support(), default=0),
+                       max(X.support(), default=0) + 2)}
+    comps = {q: ExactMatrix.from_entries(Y.rank(q), X.rank(q), (
+        (i, i, k) for i in range(X.rank(q))), ring)
+        + Y.d(q - 1) @ h[q] + h[q + 1] @ X.d(q) for q in X.degrees()}
+    f = ChainMap(X, Y, comps)
+    assert f.validate() == []
+    return f
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
+def test_quasi_iso_on_reduced_cores_matches_the_direct_cone(ring):
+    """On seeded random chain maps, `is_quasi_iso` (the cone of F_Y f G_X
+    between the reduced cores) gives the verdict of the cone of f itself,
+    and the nonzero entries of its `cone_profile` are those of the direct
+    cone's report; the maps cover non-unit entries, cores with a nonzero
+    differential, torsion cones (over Z) and maps that are not
+    quasi-isomorphisms."""
+    seen = set()
+    for seed in range(80):
+        f = _random_chain_map(ring, seed)
+        direct = {q: r for q, r in cone_report(mapping_cone(f)).items()
+                  if r["betti"] or r["torsion"]}
+        report = is_quasi_iso(f)
+        assert report.ok == (not direct), seed
+        assert {q: r for q, r in report.cone_profile.items()
+                if r["betti"] or r["torsion"]} == direct, seed
+        seen.add("ok" if report.ok else "not ok")
+        if any(r["torsion"] for r in direct.values()):
+            seen.add("torsion")
+        if any(abs(x) > 1 for m in f.components.values()
+               for col in m.columns.values() for x in col.values()):
+            seen.add("non-unit entries")
+        if any(not d.is_zero() for C in (f.source, f.target)
+               for d in cohomology(C).reduced.differentials.values()):
+            seen.add("core with a differential")
+    assert seen == {"ok", "not ok", "non-unit entries",
+                    "core with a differential"} | (
+        set() if ring.is_field else {"torsion"})
+
+
 def _plus_times(c, p, t):
     """c (+) (R --t--> R in degrees p and p + 1), the new basis vectors
     last in both degrees."""

@@ -452,7 +452,8 @@ def test_cli_runs_do_not_import_jsonschema(files):
     runs += [["formality", "trivial"], ["ext-table", "--n", "3"]]
     src = str(Path(__file__).resolve().parents[1] / "src")
     # jsonschema stays unloaded, and so do dataclasses and the modules it
-    # pulls in; only what the import and the runs added counts, so that a
+    # pulls in, and traceback (only an internal error prints one) with
+    # tokenize; only what the import and the runs added counts, so that a
     # site hook which preloads one of them does not fail this
     code = (
         "import os, sys\n"
@@ -462,7 +463,8 @@ def test_cli_runs_do_not_import_jsonschema(files):
         f"         for argv in {runs!r}]\n"
         "added = set(sys.modules) - before\n"
         "print(*codes, 'jsonschema' in sys.modules,\n"
-        "      *sorted(added & {'dataclasses', 'inspect', 'ast', 'dis'}))\n")
+        "      *sorted(added & {'dataclasses', 'inspect', 'ast', 'dis',\n"
+        "                       'traceback', 'tokenize'}))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           timeout=120)
@@ -645,18 +647,36 @@ def test_python_dash_m_strathom_runs_the_cli():
 @pytest.mark.parametrize("scenario", ["one-point", "trivial"])
 def test_witness_builds_each_cone_once(scenario, monkeypatch, capsys):
     """`_witness_from_representatives` and the CLI both ask whether the
-    witness is a quasi-isomorphism; the map keeps its verdict, so each of
-    the run's seven chain maps gets one mapping cone, not eight."""
-    from strathom import chain_complex
+    witness is a quasi-isomorphism; the map keeps its verdict, so the run
+    builds two mapping cones: one over all stalks of the resolution, and
+    one for the witness, between the reduced complexes that the profiles of
+    its two ends keep.  No complex is reduced twice."""
+    from strathom import chain_complex, rep_complex
 
-    cones = []
+    cones = {chain_complex: [], rep_complex: []}
+    reduced = []
 
-    def cone(f, real=chain_complex.mapping_cone):
-        cones.append(f)
-        return real(f)
+    def counting(module):
+        def cone(f, real=module.mapping_cone):
+            cones[module].append(f)
+            return real(f)
+        return cone
 
-    monkeypatch.setattr(chain_complex, "mapping_cone", cone)
+    def reduce_units(C, real=chain_complex._reduce_units):
+        reduced.append(C)
+        return real(C)
+
+    for module in cones:
+        monkeypatch.setattr(module, "mapping_cone", counting(module))
+    monkeypatch.setattr(chain_complex, "_reduce_units", reduce_units)
     code, out = run_json(capsys, "formality", scenario)
     assert code == 0
     assert out["results"]["witness_quasi_iso"] is True
-    assert len(cones) == len({id(f) for f in cones}) == 7
+    assert len(cones[rep_complex]) == len(cones[chain_complex]) == 1
+    (witness,) = cones[chain_complex]
+    assert len(reduced) == len({id(C) for C in reduced}) == 2
+    # the cone's ends are the cores memoized on the profiles, which
+    # reading them again does not recompute
+    cores = [chain_complex.cohomology(C).reduced for C in reduced[:2]]
+    assert len(reduced) == 2
+    assert {id(witness.source), id(witness.target)} == {id(C) for C in cores}

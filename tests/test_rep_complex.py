@@ -1,13 +1,23 @@
+import importlib.util
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from strathom import quiver_rep as qr
-from strathom.chain_complex import cohomology, cone_report, validate_complex
+from strathom.chain_complex import (
+    ChainComplex,
+    ChainMap,
+    cohomology,
+    cone_report,
+    mapping_cone,
+    validate_complex,
+)
+from strathom.cli import _build_reps
 from strathom.dg import DgMorphism, is_quasi_iso_dg, validate_dg_algebra
 from strathom.exact_linalg import QQ, ZZ, ExactMatrix, PresolvedSolver
 from strathom.quiver_rep import (
@@ -16,6 +26,7 @@ from strathom.quiver_rep import (
     RepMorphism,
     StratPoset,
     closure_rep,
+    constant_rep,
     direct_sum,
     hom_coordinates,
     hom_space,
@@ -254,6 +265,78 @@ def test_validate_resolution_names_failing_vertices_and_degrees():
     assert report.failures == [{"vertex": "P1", "degrees": [0]},
                                {"vertex": "P2", "degrees": [0]},
                                {"vertex": "P3", "degrees": [0]}]
+
+
+def _generated_coresolution(seed, ring):
+    """(J, targets) as `compute --action end` builds them on the
+    `bench/gen.py` instance (seed, index 0, shape full): the injective
+    coresolution of the direct sum of its representations."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    poset_doc, reps_doc = gen.instance(seed, 0, "full")
+    quiver = Quiver(StratPoset(
+        [(s["name"], s["dim"]) for s in poset_doc["strata"]],
+        [tuple(c) for c in poset_doc["covers"]], acyclicity_asserted=True))
+    reps = _build_reps(reps_doc, quiver, ring)
+    names = sorted(reps)
+    total = direct_sum([reps[a] for a in names], names=names)
+    cores = injective_coresolution(total)
+    J = ComplexOfReps(quiver, ring, dict(enumerate(cores.terms)),
+                      dict(enumerate(cores.maps)))
+    return J, {0: (total, cores.augmentation)}
+
+
+def _inexact_stalks(J, targets):
+    """{vertex: the degrees where the cone of its stalk augmentation has
+    cohomology}, one cone per vertex, each checked as a chain map."""
+    out = {}
+    for v in J.quiver.vertices:
+        source = ChainComplex(J.ring, {q: rep.rank(v) for q, (rep, _)
+                                       in targets.items()}, {})
+        stalk = ChainComplex(J.ring,
+                             {q: t.rank(v) for q, t in J.terms.items()},
+                             {q: d.component(v)
+                              for q, d in J.differentials.items()})
+        aug = ChainMap(source, stalk, {q: m.component(v)
+                                       for q, (_, m) in targets.items()})
+        out[v] = [q for q, r in cone_report(mapping_cone(aug)).items()
+                  if r["betti"] or r["torsion"]]
+    return out
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_summed_stalk_check_is_the_conjunction_of_the_vertex_checks(seed,
+                                                                    ring):
+    """`validate_resolution` decides exactness on one cone, summed over all
+    stalks.  On coresolutions of generated instances its verdict is the
+    conjunction of one cone per vertex, and its failures are theirs: as
+    built (exact); with twice the augmentation (not exact over Z only);
+    and, for every vertex v in turn, with the simple representation at v
+    placed in the top degree and sent to 0, which is not exact at v
+    alone."""
+    J, targets = _generated_coresolution(seed, ring)
+    top = max(J.degrees())
+    assert top > 0
+    (total, aug), = targets.values()
+    cases = [targets, {0: (total, aug.scale(2))}]
+    for v in J.quiver.vertices:
+        simple = constant_rep(J.quiver, ring, [v])
+        cases.append({**targets,
+                      top: (simple, RepMorphism(simple, J.term(top), {}))})
+    verdicts = []
+    for case in cases:
+        stalks = _inexact_stalks(J, case)
+        report = validate_resolution(J, case)
+        assert report.failures == [{"vertex": v, "degrees": bad}
+                                   for v, bad in stalks.items() if bad]
+        assert report.ok == all(not bad for bad in stalks.values())
+        verdicts.append((report.ok, len(report.failures)))
+    assert verdicts[:2] == [(True, 0), (True, 0) if ring.is_field
+                            else (False, len(total.support()))]
+    assert verdicts[2:] == [(False, 1)] * len(J.quiver.vertices)
 
 
 def test_complex_of_reps_validation(model2, J_trivial):

@@ -446,6 +446,8 @@ def test_each_identity_is_checked_once_per_object(monkeypatch):
     """Validating the n = 4 resolution, building End J and the n-point
     chain and verifying the chain computes d.d = 0 of each complex and
     d.f = f.d of each chain map at most once, and no mapping cone's d.d.
+    It reduces each complex at most once, and builds one mapping cone for
+    all stalks of the resolution and one for each of the three arrows.
 
     A product of two stored matrices is one of these identities when the
     pair is (d^(q+1), d^q) of a complex, or (d_Y^q, f^q) or (f^(q+1), d_X^q)
@@ -453,11 +455,11 @@ def test_each_identity_is_checked_once_per_object(monkeypatch):
     operands, which are kept alive so that no id is reused."""
     from collections import Counter
 
-    from strathom import chain_complex as cc
+    from strathom import chain_complex as cc, rep_complex
     from strathom.exact_linalg import ExactMatrix
 
-    products, operands = Counter(), []
-    complexes, maps, cones = [], [], set()
+    products, operands, reduced = Counter(), [], Counter()
+    complexes, maps, cones = [], [], {cc: set(), rep_complex: set()}
 
     def recorder(cls, seen):
         real = cls.__init__
@@ -472,21 +474,32 @@ def test_each_identity_is_checked_once_per_object(monkeypatch):
         products[(id(a), id(b))] += 1
         return real(a, b)
 
-    def cone(f, real=cc.mapping_cone):
-        out = real(f)
-        cones.add(id(out))
-        return out
+    def counting(module):
+        def cone(f, real=module.mapping_cone):
+            out = real(f)
+            cones[module].add(id(out))
+            return out
+        return cone
+
+    def reduce_units(C, real=cc._reduce_units):
+        reduced[id(C)] += 1
+        return real(C)
 
     recorder(cc.ChainComplex, complexes)
     recorder(cc.ChainMap, maps)
     monkeypatch.setattr(ExactMatrix, "__matmul__", matmul)
-    monkeypatch.setattr(cc, "mapping_cone", cone)
+    for module in cones:
+        monkeypatch.setattr(module, "mapping_cone", counting(module))
+    monkeypatch.setattr(cc, "_reduce_units", reduce_units)
     n = 4
     res = SphereModel(n).resolution_n_points()
     assert res.validate().ok
     E = res.end_algebra()
     assert verify_formality_chain(formality_chain_n_points(E, n).chain).ok
-    assert len(cones) == 2 * n + 2 + 3  # the stalks, then the three arrows
+    # one cone over all stalks, then one for each of the three arrows
+    assert (len(cones[rep_complex]), len(cones[cc])) == (1, 3)
+    assert reduced and max(reduced.values()) == 1
+    cones = cones[cc] | cones[rep_complex]
     checked = 0
     for C in complexes:
         for q, d in C.differentials.items():
