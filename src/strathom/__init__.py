@@ -7,10 +7,11 @@ Layers, bottom up:
   chain_complex   bounded cochain complexes, cohomology read off Smith
                   forms, mapping cones, quasi-isomorphism tests
   quiver_rep      posets, quivers, representations, Hom and Ext
-  rep_complex     complexes of representations, labeled Hom complexes,
-                  endomorphism dg algebras
   dg              dg algebras with structure constants, sub-algebras,
                   ideals, quotients, formality chains
+  rep_complex     complexes of representations, labeled Hom complexes,
+                  endomorphism dg algebras (an `EndAlgebra` is a
+                  `DgAlgebra`)
   sphere_models   the marked-sphere models, their resolutions, formality
                   witnesses, and the finite de Rham algebra
   cli             the `strathom` command

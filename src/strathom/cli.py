@@ -183,10 +183,11 @@ def cmd_formality(args) -> int:
             tables["differential"].extend(rows)
         if scenario == "one-point":
             cc = E.complex()
+            d_ranks = {q: rank(cc.d(q)) for q in (-1, 0, 1, 2)}
             results["kernel_ranks"] = {
-                str(q): cc.rank(q) - rank(cc.d(q)) for q in (-1, 0, 1, 2)}
+                str(q): cc.rank(q) - r for q, r in d_ranks.items()}
             results["image_ranks"] = {
-                str(q): rank(cc.d(q)) for q in (-1, 0, 1)}
+                str(q): d_ranks[q] for q in (-1, 0, 1)}
         if scenario != "n-points":
             w = (formality_witness_trivial if scenario == "trivial"
                  else formality_witness_one_point)(E)

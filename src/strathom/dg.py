@@ -576,39 +576,32 @@ class DgIdeal:
         self.input_spanned_ideal = input_spanned_ideal
         self._complex: Optional[ChainComplex] = None
 
-    def rank(self, q: int) -> int:
-        lat = self.lattices.get(q)
-        return lat.rank if lat else 0
-
     def ranks(self) -> Dict[int, int]:
         return {q: lat.rank for q, lat in sorted(self.lattices.items())
                 if lat.rank}
 
     def restricted_complex(self) -> ChainComplex:
-        """The ideal as a subcomplex, in its echelon bases, built once;
-        raises ValueError when d leaves the ideal."""
+        """The ideal as a subcomplex, in its echelon bases (by pivot row),
+        built once; raises ValueError when d leaves the ideal."""
         if self._complex is not None:
             return self._complex
         U = self.algebra
         ranks = {q: lat.rank for q, lat in self.lattices.items()}
         diffs = {}
         for q, lat in self.lattices.items():
-            if not lat.rank:
-                continue
             tgt = self.lattices.get(q + 1)
-            cols = []
-            for vec in lat.basis_vectors():
+            at = {pr: i for i, pr in enumerate(sorted(tgt.columns))} \
+                if tgt else {}
+            entries = []
+            for j, vec in enumerate(lat.basis_vectors()):
                 img = U.d_element((q, vec))
                 if not img[1]:
-                    cols.append({})
                     continue
                 co = tgt.echelon_coordinates(img[1]) if tgt else None
                 if co is None:
                     raise ValueError("not closed under differential")
-                cols.append(co)
-            m = ExactMatrix.from_entries(tgt.rank if tgt else 0, lat.rank, (
-                (i, j, c) for j, co in enumerate(cols)
-                for i, c in co.items()), U.ring)
+                entries.extend((at[pr], j, c) for pr, c in co.items())
+            m = ExactMatrix.from_entries(len(at), lat.rank, entries, U.ring)
             if m.rows and m.cols:
                 diffs[q] = m
         self._complex = ChainComplex(U.ring, ranks, diffs)
@@ -739,12 +732,10 @@ class FormalityChain:
 
 
 class ChainVerdict:
-    def __init__(self, ok: bool, arrow_reports: List[dict], notes: List[str],
-                 identification: Optional[Dict[int, ExactMatrix]] = None):
+    def __init__(self, ok: bool, arrow_reports: List[dict], notes: List[str]):
         self.ok = ok
         self.arrow_reports = arrow_reports
         self.notes = notes
-        self.identification = identification
 
     def __bool__(self):
         return self.ok
@@ -805,7 +796,6 @@ def verify_formality_chain(chain: FormalityChain) -> ChainVerdict:
     if not terminal.has_zero_differential():
         notes.append("terminal algebra has a nonzero differential")
         ok = False
-    identification = None
     if ok:
         try:
             profiles = [cohomology(A.complex()) for A in algebras]
@@ -840,4 +830,4 @@ def verify_formality_chain(chain: FormalityChain) -> ChainVerdict:
         except ValueError as exc:
             notes.append(f"identification failed: {exc}")
             ok = False
-    return ChainVerdict(ok, reports, notes, identification)
+    return ChainVerdict(ok, reports, notes)

@@ -14,7 +14,7 @@ operation walks the stored entries only:
 - Products (`ExactMatrix.__matmul__` and `matvec`) multiply each stored
   entry of the right operand into one stored column of the left operand,
   as in LinBox's sparse black-box products (Dumas et al. 2002, "LinBox: A
-  Generic Library for Exact Linear Algebra"); sums, stacks and slices
+  Generic Library for Exact Linear Algebra"); sums and slices
   move stored entries only.
 - Smith reduction (`_snf_core`) is sparse too: it eliminates on a dict of
   rows of Python ints, so there are no growth bounds, no overflow restart
@@ -42,7 +42,6 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -64,18 +63,14 @@ class CoeffRing:
     def element(self, x):
         """x in the ring: an int, or over QQ a Fraction when x is not
         integral.  A float raises TypeError, since it may be rounded."""
-        if self.kind == "integers":
-            if type(x) is int:
-                return x
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError(f"{x} is not an integer")
-                return int(x)
-            return operator.index(x)
         if type(x) is int:
             return x
         if isinstance(x, Fraction):
-            return x.numerator if x.denominator == 1 else x
+            if x.denominator == 1:
+                return x.numerator
+            if self.kind == "integers":
+                raise ValueError(f"{x} is not an integer")
+            return x
         return operator.index(x)
 
     def div(self, a, b):
@@ -311,41 +306,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.ring}, {self.tolist()})"
-
-    @staticmethod
-    def hstack(mats: Sequence["ExactMatrix"], rows: Optional[int] = None,
-               ring: CoeffRing = ZZ) -> "ExactMatrix":
-        mats = list(mats)
-        if not mats:
-            return ExactMatrix.zeros(rows or 0, 0, ring)
-        r = mats[0].rows
-        out = {}
-        at = 0
-        for m in mats:
-            if m.rows != r:
-                raise ValueError("hstack row mismatch")
-            for j, col in m.columns.items():
-                out[at + j] = col
-            at += m.cols
-        return ExactMatrix(mats[0].ring, r, at, out)
-
-    @staticmethod
-    def vstack(mats: Sequence["ExactMatrix"], cols: Optional[int] = None,
-               ring: CoeffRing = ZZ) -> "ExactMatrix":
-        mats = list(mats)
-        if not mats:
-            return ExactMatrix.zeros(0, cols or 0, ring)
-        c = mats[0].cols
-        out: dict = {}
-        at = 0
-        for m in mats:
-            if m.cols != c:
-                raise ValueError("vstack col mismatch")
-            for j, col in m.columns.items():
-                out.setdefault(j, {}).update(
-                    (at + i, x) for i, x in col.items())
-            at += m.rows
-        return ExactMatrix(mats[0].ring, at, c, out)
 
 
 class SnfResult(NamedTuple):
@@ -726,10 +686,13 @@ def _combine(x, a: dict, y, b: dict) -> dict:
 class ColumnLattice:
     """Column span over the ring in echelon form, with membership queries.
 
-    Vectors are sparse dicts {row: value}.  Each inserted generator carries a
-    coordinate dict so that membership queries can report coordinates in the
-    original generators.  Over ZZ membership means exact lattice membership,
-    not rational span membership.
+    Vectors are sparse dicts {row: value}.  `columns` holds the echelon
+    basis by pivot row, {pivot row: (vec dict, coords dict)}: the pivot row
+    is the lowest row of vec, and coords express vec as a combination of
+    the original generators, so that membership queries can report
+    coordinates in them.  Over ZZ membership means exact lattice
+    membership, not rational span membership, and every pivot is positive:
+    the pivots are then the Hermite diagonal, whatever the insertion order.
 
     `reduce` is the one reduction against the echelon columns; `add` and
     the coordinate queries read its result.  When every pivot is a unit, the
@@ -741,23 +704,20 @@ class ColumnLattice:
 
     def __init__(self, ring: CoeffRing):
         self.ring = ring
-        self.cols: list = []  # (pivot_row, vec dict, coords dict), sorted
-        self._by_row: dict = {}  # pivot row -> its entry of cols
+        self.columns: dict = {}
         self.ngens = 0
 
     @property
     def rank(self) -> int:
-        return len(self.cols)
+        return len(self.columns)
 
     def add(self, vec: dict, coord_key=None) -> bool:
         """Insert a generator; returns True when the lattice grew.
 
-        Each stored column keeps coordinates expressing it as a combination
-        of the original generators, so coordinate queries stay exact.  The
-        generator is reduced (`reduce`); a remainder whose lowest row has no
-        pivot becomes a new column, and at a pivot p that does not divide
-        the entry c it meets, the two columns are combined so that the
-        pivot becomes gcd(p, c), and the rest is reduced again.
+        The generator is reduced (`reduce`); a remainder whose lowest row
+        has no pivot becomes a new column, and at a pivot p that does not
+        divide the entry c it meets, the two columns are combined so that
+        the pivot becomes gcd(p, c), and the rest is reduced again.
         """
         key = coord_key if coord_key is not None else self.ngens
         self.ngens += 1
@@ -765,40 +725,44 @@ class ColumnLattice:
         grew = False
         while True:
             vec, out, stuck = self.reduce(vec)
-            for idx, q in out.items():
-                _vec_axpy(coords, self.cols[idx][2], -q)
+            for pr, q in out.items():
+                _vec_axpy(coords, self.columns[pr][1], -q)
             if not vec:
                 return grew
             pr = min(vec)
-            idx = bisect_left(self.cols, (pr,))  # (pr,) sorts first at pr
             if pr != stuck:
-                self._by_row[pr] = (pr, vec, coords)
-                self.cols.insert(idx, self._by_row[pr])
+                self._store(pr, vec, coords)
                 return True
             # the 2x2 change of generators [[x, y], [-c/g, p/g]] has
             # determinant 1
-            _, cvec, ccoords = self._by_row[pr]
+            cvec, ccoords = self.columns[pr]
             p, c = cvec[pr], vec[pr]
             g, x, y = _xgcd(p, c)
-            self.cols[idx] = self._by_row[pr] = (
-                pr, _combine(x, cvec, y, vec), _combine(x, ccoords, y, coords))
+            self._store(pr, _combine(x, cvec, y, vec),
+                        _combine(x, ccoords, y, coords))
             vec, coords = (_combine(p // g, vec, -(c // g), cvec),
                            _combine(p // g, coords, -(c // g), ccoords))
             grew = True
 
+    def _store(self, pr: int, vec: dict, coords: dict):
+        if vec[pr] < 0 and not self.ring.is_field:
+            vec = {k: -x for k, x in vec.items()}
+            coords = {k: -x for k, x in coords.items()}
+        self.columns[pr] = (vec, coords)
+
     def reduce(self, vec: dict) -> tuple:
-        """(remainder, {echelon column index: multiple taken off}, stuck),
-        with stuck the first pivot row whose pivot, over ZZ, does not
-        divide the entry it meets, where the reduction stops, or None; the
-        remainder of a reduction that does not stop is zero at every pivot
-        row.  Only the pivots met are visited, in pivot order: a heap
-        starts with the pivot rows of the vector's support and gets those
-        of each column taken off."""
+        """(remainder, {pivot row: multiple taken off}, stuck), with stuck
+        the first pivot row whose pivot, over ZZ, does not divide the entry
+        it meets, where the reduction stops, or None; the remainder of a
+        reduction that does not stop is zero at every pivot row.  Only the
+        pivots met are visited, in pivot order: a heap starts with the
+        pivot rows of the vector's support and gets those of each column
+        taken off."""
         v = {k: self.ring.element(x) for k, x in vec.items() if x != 0}
         out: dict = {}
         field = self.ring.is_field
-        by_row = self._by_row
-        heap = [k for k in v if k in by_row]
+        columns = self.columns
+        heap = [k for k in v if k in columns]
         heapq.heapify(heap)
         queued = set(heap)
         while heap:
@@ -806,7 +770,7 @@ class ColumnLattice:
             c = v.get(pr)
             if not c:
                 continue
-            cvec = by_row[pr][1]
+            cvec = columns[pr][0]
             p = cvec[pr]
             if field:
                 q = self.ring.div(c, p)
@@ -814,16 +778,17 @@ class ColumnLattice:
                 q, r = divmod(c, p)
                 if r != 0:
                     return v, out, pr
-            out[bisect_left(self.cols, (pr,))] = q
+            out[pr] = q
             _vec_axpy(v, cvec, -q)
             for k in cvec:
-                if k in by_row and k not in queued:
+                if k in columns and k not in queued:
                     queued.add(k)
                     heapq.heappush(heap, k)
         return v, out, None
 
     def echelon_coordinates(self, vec: dict) -> Optional[dict]:
-        """Coordinates of vec in the echelon basis columns, or None."""
+        """Coordinates of vec in the echelon columns, by pivot row, or
+        None."""
         rest, out, _ = self.reduce(vec)
         return None if rest else out
 
@@ -833,8 +798,8 @@ class ColumnLattice:
         if co is None:
             return None
         coords: dict = {}
-        for idx, q in co.items():
-            _vec_axpy(coords, self.cols[idx][2], q)
+        for pr, q in co.items():
+            _vec_axpy(coords, self.columns[pr][1], q)
         return coords
 
     def kept_rows(self, dim: int) -> list:
@@ -842,13 +807,12 @@ class ColumnLattice:
         a complement of the lattice.  Raises ValueError("pivot p") at the
         first pivot p that is not a unit, which over ZZ is when the quotient
         has torsion and no such complement exists."""
-        field = self.ring.is_field
-        pivots = set()
-        for pr, cvec, _ in self.cols:
-            if not field and cvec[pr] not in (1, -1):
-                raise ValueError(f"pivot {cvec[pr]}")
-            pivots.add(pr)
-        return [i for i in range(dim) if i not in pivots]
+        if not self.ring.is_field:
+            for pr in sorted(self.columns):
+                p = self.columns[pr][0][pr]
+                if p != 1:
+                    raise ValueError(f"pivot {p}")
+        return [i for i in range(dim) if i not in self.columns]
 
     def split_projection(self, dim: int) -> Tuple[list, ExactMatrix]:
         """(kept rows, P): `kept_rows(dim)`, and P, of shape len(kept) x dim,
@@ -860,7 +824,8 @@ class ColumnLattice:
             for i, c in self.reduce({j: 1})[0].items()), self.ring)
 
     def basis_vectors(self) -> list:
-        return [dict(c[1]) for c in self.cols]
+        """The echelon columns in pivot-row order."""
+        return [dict(self.columns[pr][0]) for pr in sorted(self.columns)]
 
 
 def lattice_solve(G: ExactMatrix, B: ExactMatrix) -> Optional[ExactMatrix]:

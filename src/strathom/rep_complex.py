@@ -16,7 +16,6 @@ cone and shift conventions live in chain_complex.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -226,16 +225,19 @@ def _block_components(d: RepMorphism) -> Dict[Tuple[int, int], RepMorphism]:
     (source block, target block); each keeps its nonzero components only.
 
     Only the nonzero entries of d are visited, each placed in its block by
-    bisection of the block offsets."""
+    a table of the block that holds each row and each column."""
     src, dst = d.source, d.target
     comps: Dict[Tuple[int, int], dict] = {}
     for v, full in d.components.items():
         roff, coff = dst.block_offsets(v), src.block_offsets(v)
+        rblock, cblock = ([b for b in range(len(off) - 1)
+                           for _ in range(off[b], off[b + 1])]
+                          for off in (roff, coff))
         blocks: Dict[Tuple[int, int], list] = {}
         for j, col in full.columns.items():
-            ai = bisect_right(coff, j) - 1
+            ai = cblock[j]
             for i, x in col.items():
-                bi = bisect_right(roff, i) - 1
+                bi = rblock[i]
                 blocks.setdefault((ai, bi), []).append(
                     (i - roff[bi], j - coff[ai], x))
         for (ai, bi), entries in blocks.items():
@@ -298,9 +300,6 @@ class HomComplex:
                             p, ai, bi, k, gen,
                             _label_for(aname, bname, k, p)))
         return out
-
-    def rank(self, m: int) -> int:
-        return len(self.basis.get(m, []))
 
     def ranks(self) -> Dict[int, int]:
         return {m: len(b) for m, b in sorted(self.basis.items())}
@@ -436,8 +435,9 @@ class EndAlgebra(DgAlgebra):
                     for r, c in coords:
                         unit[i0 + r] = c
         labels = {m: hom.rendered_labels(m) for m in hom.basis}
-        self._init_complex(hom.ring, dict(cc.ranks), labels, unit,
-                           dict(cc.differentials))
+        self._init_complex(hom.ring, cc.ranks, labels, unit,
+                           cc.differentials)
+        self._complex = cc
 
     @cached_property
     def mult(self) -> Dict[Tuple[int, int], Dict[Tuple[int, int], dict]]:

@@ -154,7 +154,7 @@ class SphereModel:
             w = self._sum([f"P{i}" for i in marked])
             targets[0] = (w, self._block_morphism(
                 w, arcs, {(self.n + k, k): 1 for k in range(len(marked))}))
-        return Resolution(self, J, targets)
+        return Resolution(J, targets)
 
     def resolution_trivial(self) -> "Resolution":
         """The hemisphere/arc/point coresolution of the constant
@@ -179,9 +179,8 @@ class SphereModel:
 class Resolution:
     """A complex of representations together with its augmentation data."""
 
-    def __init__(self, model: SphereModel, complex: ComplexOfReps,
+    def __init__(self, complex: ComplexOfReps,
                  targets: Dict[int, Tuple[Representation, RepMorphism]]):
-        self.model = model
         self.complex = complex
         self.targets = targets
 
@@ -233,20 +232,18 @@ def formality_witness_one_point(E: EndAlgebra) -> DgMorphism:
 
 
 class NPointChain:
-    """End J <- U ->> U/I <- H(U/I) with all the intermediate objects."""
+    """End J <- U ->> U/I <- H(U/I) with all the intermediate objects; End J
+    is `chain.algebras[0]`, and the inclusions are `chain.arrows[0][0]` and
+    `chain.arrows[2][0]`."""
 
-    def __init__(self, end_algebra: EndAlgebra, sub: DgAlgebra,
-                 inclusion: DgMorphism, ideal: DgIdeal, quot: DgAlgebra,
+    def __init__(self, sub: DgAlgebra, ideal: DgIdeal, quot: DgAlgebra,
                  projection: DgMorphism, h_quot: DgAlgebra,
-                 h_inclusion: DgMorphism, chain: FormalityChain):
-        self.end_algebra = end_algebra
+                 chain: FormalityChain):
         self.sub = sub
-        self.inclusion = inclusion
         self.ideal = ideal
         self.quot = quot
         self.projection = projection
         self.h_quot = h_quot
-        self.h_inclusion = h_inclusion
         self.chain = chain
 
 
@@ -290,30 +287,20 @@ def formality_chain_n_points(E: EndAlgebra, n: int) -> NPointChain:
     zig-zag End J <- U ->> U/I <- H(U/I)."""
     elements, labels = _subalgebra_span_n_points(E, n)
     sub, incl = subalgebra_from_span(E, elements, labels=labels, name="U")
-    # ideal generators in the coordinates of U's basis: U^1 is ordered
-    # he_11..he_1n, he_21..he_2n, hp_11..hp_1n, e_11, e_1n,
-    # e_ii - e_i(i-1) for i = 2..n, then p_1..p_n
-    ideal_gens = []
-    for i in range(2, n + 1):
-        ideal_gens.append((1, {i - 1: sub.ring.element(1)}))
-    for i in range(2, n + 1):
-        ideal_gens.append((2, {i - 1: sub.ring.element(1),
-                               i - 2: sub.ring.element(-1)}))
+    one = sub.ring.element(1)
+    at = {(q, label): i for q, names in sub.labels.items()
+          for i, label in enumerate(names)}
+    ideal_gens = [(1, {at[1, f"he_1{i}"]: one}) for i in range(2, n + 1)]
+    ideal_gens += [(2, {at[2, f"hp_1{i}"]: one, at[2, f"hp_1{i - 1}"]: -one})
+                   for i in range(2, n + 1)]
     ideal = ideal_from_span(sub, ideal_gens)
     quot, proj = quotient(sub, ideal)
-    reps = [quot.unit_element()]
-    rep_labels = ["1"]
-    for i in range(1, n + 1):
-        reps.append(proj.apply((0, {2 + n + (i - 1): sub.ring.element(1)})))
-        rep_labels.append(f"p{i}^(0)")
-    for i in range(1, n + 1):
-        reps.append(proj.apply((1, {2 * n + (i - 1): sub.ring.element(1)})))
-        rep_labels.append(f"hp_1{i}")
-    for i in range(1, n + 1):
-        reps.append(proj.apply((1, {4 * n + 1 + (i - 1): sub.ring.element(1)})))
-        rep_labels.append(f"p{i}")
-    reps.append(proj.apply((2, {0: sub.ring.element(1)})))
-    rep_labels.append("hp_11")
+    kept = ([(0, f"p{i}^(0)") for i in range(1, n + 1)]
+            + [(1, f"hp_1{i}") for i in range(1, n + 1)]
+            + [(1, f"p{i}") for i in range(1, n + 1)] + [(2, "hp_11")])
+    reps = [quot.unit_element()] + [proj.apply((q, {at[q, label]: one}))
+                                    for q, label in kept]
+    rep_labels = ["1"] + [label for _, label in kept]
     h_quot, h_incl = subalgebra_from_span(quot, reps, labels=rep_labels,
                                           name="H(U/I)")
     if not h_quot.has_zero_differential():
@@ -321,7 +308,7 @@ def formality_chain_n_points(E: EndAlgebra, n: int) -> NPointChain:
     chain = FormalityChain(
         [E, sub, quot, h_quot],
         [(incl, "backward"), (proj, "forward"), (h_incl, "backward")])
-    return NPointChain(E, sub, incl, ideal, quot, proj, h_quot, h_incl, chain)
+    return NPointChain(sub, ideal, quot, proj, h_quot, chain)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,90 @@ def test_z_and_de_rham_golden_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `compute` stdout on the bench/gen.py instances (seed 1, shape
+# full), by (action, ring, index)
+COMPUTE_GOLDEN = {
+    ("hom", "Z", 0):
+        "5b320d88ea0b8c9d6992e1eea4971e4d1d72541348d44ebfec5211837743a159",
+    ("hom", "Z", 1):
+        "e82ee0c1f5d0ddee4020af640d7e8f3b17613bdcd321aba73f00aeaf08c1598a",
+    ("hom", "Q", 0):
+        "dde29e6ad8669508c1c477720ca9cf04b300201205e57af5adc4f452e2f84e07",
+    ("hom", "Q", 1):
+        "9cdd4dbd7ee1a2f6d8f49ec7e64d5465df83106b6c680b64de7bed603dd17145",
+    ("ext", "Z", 0):
+        "8cce7c099848fa96005c017ce8d731c4cb73889f4a0f8789e03d9280f7d2f4ab",
+    ("ext", "Z", 1):
+        "db0129f233b42b54d0de8c20fc33ac64aaa14aebd916c358e8652f8fe6730e04",
+    ("ext", "Q", 0):
+        "86921c0650fb096eefff230ab59e5792c29b88b3fb163b6cbd9e2762e69a0d68",
+    ("ext", "Q", 1):
+        "34b27ae149bbdf57f7e1939084fbc0b80f3d0a801ca03749bb3c7d5772a77178",
+    ("end", "Z", 0):
+        "8679e0c7f2a69b3a9dfa08a1756ecd2b97c36900a7cac2d28ba679f64c07a0d9",
+    ("end", "Z", 1):
+        "dc7dc178e2d5b698b8c27ec126f9e5688abe79f28e219d0293b0a8b04c152f2e",
+    ("end", "Q", 0):
+        "9cc19d751f35e6834d8dfc608e1eea9cd0314acf556cc2d820d84264d25038a4",
+    ("end", "Q", 1):
+        "5ec243b7fa217b668170e4705ca50d428eab513abda07aa569341b6821c95547",
+    ("cohomology", "Z", 0):
+        "ea06e4e89cee8ca4bf91097da121f9b6029e92f69965dc470abe24b6cdd70db6",
+    ("cohomology", "Z", 1):
+        "eb0bb1d01cb3483632ecf048a81e8bd4159b73261c1e71344a947d4500f0aae7",
+    ("cohomology", "Q", 0):
+        "33d6c1b5c3f5ad58ec71769c79dca51fc2ae16de7289253ef8fd625fb641edad",
+    ("cohomology", "Q", 1):
+        "b4fdfeb7b235164243cc6dd29a52a3dea628f50ea1584b1e9f7e9ccad3653f70",
+}
+
+
+@pytest.mark.parametrize("action,ring,index", sorted(COMPUTE_GOLDEN))
+def test_compute_golden_bytes(tmp_path, capsys, action, ring, index):
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    poset, reps = tmp_path / "poset.json", tmp_path / "reps.json"
+    gen.write_instance(1, index, "full", str(poset), str(reps))
+    code, out = run(capsys, "compute", "--poset", str(poset), "--reps",
+                    str(reps), "--action", action, "--ring", ring)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        COMPUTE_GOLDEN[(action, ring, index)]
+
+
+# entries with denominators, so that Q Smith forms scale rows; the two
+# paths P1 -> H1 agree: 1/3 * 3/2 = -1 * -1/2
+REPS_FRACTIONS = {"reps": [
+    {"name": "V", "stalks": {"P1": 1, "E1": 1},
+     "arrows": {"(P1,E1)": [["3/2"]]}},
+    {"name": "W", "stalks": {"P1": 1, "E1": 1, "E2": 1, "H1": 1},
+     "arrows": {"(P1,E1)": [["3/2"]], "(P1,E2)": [["-1/2"]],
+                "(E1,H1)": [["1/3"]], "(E2,H1)": [[-1]]}}]}
+
+
+@pytest.mark.parametrize("action,digest", [
+    ("hom",
+     "dfac4c13b7da07959d741f95056fd9551bec4bcc32847abdfe100ea900b45e03"),
+    ("ext",
+     "3dd4c3fe63703d7bc9f84137d3533dd79c1666c6bddd59b5d3cb0c8c17ee9bf5"),
+    ("end",
+     "58dea948e53c8276abaa3b62790cf678a7669756a3dd4cb1e849f870564b4839"),
+    ("cohomology",
+     "427990dfcce045aebe5a31b33e7b028449aad94c7a086d733c126b6ce3ccb012"),
+])
+def test_compute_fraction_input_golden_bytes(tmp_path, capsys, action,
+                                             digest):
+    poset, reps = tmp_path / "poset.json", tmp_path / "reps.json"
+    poset.write_text(json.dumps(POSET_A2))
+    reps.write_text(json.dumps(REPS_FRACTIONS))
+    code, out = run(capsys, "compute", "--poset", str(poset), "--reps",
+                    str(reps), "--action", action, "--ring", "Q")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_timing_flag_adds_field(capsys):
     code, rep = run_json(capsys, "formality", "trivial", "--timing")
     assert code == 0

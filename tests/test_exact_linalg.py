@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bisect import bisect_left
 from itertools import combinations
 from math import gcd, lcm
 
@@ -490,12 +489,6 @@ def test_q_products_match_fraction_dot(data, r, k, c, ring_entry, cancel):
     assert (A == A.scale(2)) == (a == [[0] * k] * r)
     assert A != ExactMatrix.zeros(r, k + 1, ring)
 
-    H = ExactMatrix.hstack([A, A2, A], ring=ring)
-    assert H.shape == (r, 3 * k)
-    assert _read_out(H, ring) == [p + q + p for p, q in zip(a, a2)]
-    V = ExactMatrix.vstack([A, A2], ring=ring)
-    assert V.shape == (2 * r, k)
-    assert _read_out(V, ring) == a + a2
     js = data.draw(st.lists(st.integers(0, k - 1), max_size=5)) if k else []
     is_ = data.draw(st.lists(st.integers(0, r - 1), max_size=5)) if r else []
     assert _read_out(A.take_cols(js), ring) == [[p[j] for j in js] for p in a]
@@ -874,7 +867,8 @@ def _reduce_by_every_column(lat, vec):
     at the first pivot row whose pivot does not divide the entry."""
     v = {k: lat.ring.element(x) for k, x in vec.items() if x != 0}
     out = {}
-    for idx, (pr, cvec, _) in enumerate(lat.cols):
+    for pr in sorted(lat.columns):
+        cvec = lat.columns[pr][0]
         c = v.get(pr)
         if not c:
             continue
@@ -884,7 +878,7 @@ def _reduce_by_every_column(lat, vec):
             q, r = divmod(c, cvec[pr])
             if r:
                 return v, out, pr
-        out[idx] = q
+        out[pr] = q
         exact_linalg._vec_axpy(v, cvec, -q)
     return v, out, None
 
@@ -904,8 +898,7 @@ def test_reduce_on_the_support_matches_every_column(seed, ring):
             for _ in range(rng.randint(0, 8))]
     for g in gens:
         lat.add(g)
-        assert [c[0] for c in lat.cols] == sorted(c[0] for c in lat.cols)
-        assert all(c[0] == min(c[1]) for c in lat.cols)
+        assert all(pr == min(vec) for pr, (vec, _) in lat.columns.items())
     queries = [_combine([rng.randint(-2, 2) for _ in gens], gens)
                for _ in range(3)]
     queries += [{i: rng.randint(-3, 3) for i in
@@ -923,21 +916,26 @@ def _insert_by_own_walk(lat, vec):
     """Reference for `ColumnLattice.add`: the insertion that walked the
     pivots itself.  At the lowest row of the vector it reduces by the
     pivot there, recombines with the xgcd when the pivot does not divide,
-    and stores the vector as it is when the row has no pivot."""
+    and stores the vector as it is when the row has no pivot; over ZZ a
+    stored column with a negative pivot is negated, coordinates too."""
     ring, key = lat.ring, lat.ngens
     lat.ngens += 1
     vec = {k: ring.element(v) for k, v in vec.items() if v != 0}
     coords = {key: ring.element(1)}
     grew = False
     axpy = exact_linalg._vec_axpy
+
+    def store(pr, vec, coords):
+        sign = -1 if vec[pr] < 0 and not ring.is_field else 1
+        lat.columns[pr] = ({k: sign * x for k, x in vec.items()},
+                           {k: sign * x for k, x in coords.items()})
+
     while vec:
         pr = min(vec)
-        idx = bisect_left(lat.cols, (pr,))
-        if pr not in lat._by_row:
-            lat._by_row[pr] = (pr, vec, coords)
-            lat.cols.insert(idx, lat._by_row[pr])
+        if pr not in lat.columns:
+            store(pr, vec, coords)
             return True
-        _, cvec, ccoords = lat._by_row[pr]
+        cvec, ccoords = lat.columns[pr]
         p, c = cvec[pr], vec[pr]
         if ring.is_field or c % p == 0:
             q = ring.div(c, p)
@@ -954,48 +952,71 @@ def _insert_by_own_walk(lat, vec):
         axpy(restvec, cvec, -(c // g))
         axpy(restco, coords, p // g)
         axpy(restco, ccoords, -(c // g))
-        lat.cols[idx] = lat._by_row[pr] = (pr, newvec, newco)
+        store(pr, newvec, newco)
         vec, coords = restvec, restco
         grew = True
     return grew
+
+
+def _pivots(lat):
+    return {pr: vec[pr] for pr, (vec, _) in lat.columns.items()}
+
+
+def _planted_generators(rng, n, count):
+    """Generators with planted non-unit leads, so that over ZZ the xgcd
+    step runs."""
+    gens = []
+    for _ in range(count):
+        lead = rng.randrange(n)
+        g = {lead: rng.choice([2, 3, -4, 6])}
+        g.update((i, rng.choice([1, -1, 2, -3, 5])) for i in
+                 rng.sample(range(n), rng.randint(0, min(3, n))) if i != lead)
+        gens.append(g)
+    return gens
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32), st.sampled_from([ZZ, QQ]))
 @example(170, ZZ)  # a pivot whose sign differs after an xgcd step
 def test_add_through_reduce_matches_the_own_walk(seed, ring):
-    """Generators with planted non-unit pivots, so that over ZZ the xgcd
-    step runs: after every insertion `add` reports the same growth, the
-    same pivot rows and the same lattice as the insertion that walked the
-    pivots itself, and every stored column is the combination of the
-    generators its coordinates name.  Pivot values are the same up to
-    sign: a pivot made by the xgcd takes the sign of the entry it met,
-    which `add` reads after reducing stored columns further (over QQ, with
-    no xgcd, they are the same outright)."""
+    """After every insertion `add` reports the same growth, the same
+    pivots and the same lattice as the insertion that walked the pivots
+    itself, and every stored column is the combination of the generators
+    its coordinates name; over ZZ every pivot is positive."""
     rng = random.Random(seed)
     n = rng.randint(1, 9)
     lat, ref = ColumnLattice(ring), ColumnLattice(ring)
-    gens = []
-    for _ in range(rng.randint(1, 9)):
-        lead = rng.randrange(n)
-        g = {lead: rng.choice([2, 3, -4, 6])}
-        g.update((i, rng.choice([1, -1, 2, -3, 5])) for i in
-                 rng.sample(range(n), rng.randint(0, min(3, n))) if i != lead)
-        gens.append(g)
+    gens = _planted_generators(rng, n, rng.randint(1, 9))
+    for k, g in enumerate(gens):
         assert lat.add(g) == _insert_by_own_walk(ref, g)
-        assert [c[0] for c in lat.cols] == [c[0] for c in ref.cols]
-        pivots = [(c[1][c[0]], r[1][r[0]]) for c, r in zip(lat.cols, ref.cols)]
-        assert all(abs(x) == abs(y) for x, y in pivots)
-        if ring.is_field:
-            assert all(x == y for x, y in pivots)
+        assert _pivots(lat) == _pivots(ref)
+        assert ring.is_field or all(p > 0 for p in _pivots(lat).values())
         for one, other in ((lat, ref), (ref, lat)):
             assert all(other.echelon_coordinates(v) is not None
                        for v in one.basis_vectors())
-        for _, vec, co in lat.cols:
-            assert _combine([co.get(k, 0) for k in range(len(gens))],
-                            gens) == vec
-    assert_exact([x for _, vec, co in lat.cols
+        for vec, co in lat.columns.values():
+            assert _combine([co.get(j, 0) for j in range(k + 1)],
+                            gens[:k + 1]) == vec
+    assert_exact([x for vec, co in lat.columns.values()
                   for x in (*vec.values(), *co.values())], ring)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32))
+@example(170)
+def test_pivots_over_z_do_not_depend_on_insertion_order(seed):
+    """The same ZZ generators inserted in shuffled orders give the same
+    {pivot row: pivot}: the Hermite diagonal of their lattice."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    gens = _planted_generators(rng, n, rng.randint(1, 9))
+    seen = []
+    for _ in range(4):
+        lat = ColumnLattice(ZZ)
+        for g in rng.sample(gens, len(gens)):
+            lat.add(g)
+        seen.append(_pivots(lat))
+    assert all(p == seen[0] for p in seen)
 
 
 # ---------------------------------------------------------------- representation
@@ -1058,6 +1079,33 @@ def test_true_division_only_in_coeff_ring_div():
                     and id(node) not in allowed):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_private_definition_is_referenced():
+    """Every underscore-private function, method and class of the package
+    is named, as a `Name` or an `Attribute`, somewhere in the package
+    outside its own definition, so that a refactor cannot leave a dead
+    private helper behind."""
+    trees = [ast.parse(path.read_text()) for path in
+             sorted(Path(exact_linalg.__file__).parent.glob("*.py"))]
+    defs, refs = [], []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and \
+                    node.name.startswith("_") and not node.name.endswith("__"):
+                defs.append(node)
+            elif isinstance(node, ast.Name):
+                refs.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, node))
+    dead = []
+    for d in defs:
+        inside = set(map(id, ast.walk(d)))
+        if not any(name == d.name and id(node) not in inside
+                   for name, node in refs):
+            dead.append(f"{d.name} (line {d.lineno})")
+    assert dead == []
 
 
 def test_q_n_points_builds_few_fractions(monkeypatch, capsys):

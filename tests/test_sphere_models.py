@@ -291,6 +291,85 @@ def test_formality_chain_small_n(n):
     assert verdict.ok, (verdict.arrow_reports, verdict.notes)
 
 
+def _by_offsets(ch, n):
+    """Reference: the ideal generators and H(U/I) representatives at the
+    positions of U's basis that the span's order gives, with no element of
+    the span dropped."""
+    gens = [(1, {i - 1: 1}) for i in range(2, n + 1)]
+    gens += [(2, {i - 1: 1, i - 2: -1}) for i in range(2, n + 1)]
+    proj = ch.projection
+    reps = [ch.quot.unit_element()]
+    reps += [proj.apply((0, {2 + n + (i - 1): 1})) for i in range(1, n + 1)]
+    reps += [proj.apply((1, {2 * n + (i - 1): 1})) for i in range(1, n + 1)]
+    reps += [proj.apply((1, {4 * n + 1 + (i - 1): 1}))
+             for i in range(1, n + 1)]
+    reps.append(proj.apply((2, {0: 1})))
+    return gens, reps
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12, 21])
+def test_chain_addresses_u_by_label(monkeypatch, n, ring):
+    """The ideal generators and the H(U/I) representatives, which
+    `formality_chain_n_points` finds by label in U's basis, are the vectors
+    at the offsets of the span's order."""
+    from strathom import sphere_models
+
+    seen = {}
+    real_ideal = sphere_models.ideal_from_span
+    real_span = sphere_models.subalgebra_from_span
+
+    def ideal(U, elements):
+        seen["gens"] = list(elements)
+        return real_ideal(U, elements)
+
+    def span(A, elements, **kw):
+        seen.setdefault("spans", []).append(list(elements))
+        return real_span(A, elements, **kw)
+
+    monkeypatch.setattr(sphere_models, "ideal_from_span", ideal)
+    monkeypatch.setattr(sphere_models, "subalgebra_from_span", span)
+    E = SphereModel(n, ring=ring).resolution_n_points().end_algebra()
+    ch = formality_chain_n_points(E, n)
+    gens, reps = _by_offsets(ch, n)
+    assert seen["gens"] == gens
+    assert seen["spans"][1] == reps
+
+
+def test_chain_survives_a_redundant_spanning_element(monkeypatch):
+    """With sum_p^(1) also placed ahead of U^0's p-block, its later copy is
+    redundant and dropped from U's basis, so the p-block starts one
+    position further on: the chain found by label still verifies, and each
+    H(U/I) basis element is the class of the U basis element of its
+    label."""
+    from strathom import sphere_models
+
+    n = 4
+    real = sphere_models._subalgebra_span_n_points
+
+    def with_redundant(E, n):
+        elements, labels = real(E, n)
+        at, dup = labels.index("p1^(0)"), labels.index("sum_p^(1)")
+        elements.insert(at, elements[dup])
+        labels.insert(at, labels[dup])
+        return elements, labels
+
+    monkeypatch.setattr(sphere_models, "_subalgebra_span_n_points",
+                        with_redundant)
+    E = SphereModel(n).resolution_n_points().end_algebra()
+    ch = formality_chain_n_points(E, n)
+    assert ch.sub.labels[0].index("sum_p^(1)") == 2 + n
+    verdict = verify_formality_chain(ch.chain)
+    assert verdict.ok, (verdict.arrow_reports, verdict.notes)
+    h_incl = ch.chain.arrows[2][0]
+    for q, labels in ch.h_quot.labels.items():
+        for k, label in enumerate(labels):
+            if label != "1":
+                i = ch.sub.labels[q].index(label)
+                assert h_incl.apply((q, {k: 1})) == \
+                    ch.projection.apply((q, {i: 1})), label
+
+
 def test_quotient_identifies_hp_classes():
     n = 3
     E = SphereModel(n).resolution_n_points().end_algebra()
