@@ -118,6 +118,8 @@ class Quiver:
         for a, b in self.arrows:
             self._out[a].append(b)
             self._in[b].append(a)
+        # {ring: {x: P_x}}, shared by every projective resolution on it
+        self._projectives: Dict[CoeffRing, Dict[str, Representation]] = {}
 
     def paths(self, src: str, dst: str) -> List[List[str]]:
         """All directed Hasse paths src -> ... -> dst."""
@@ -185,8 +187,9 @@ class Representation:
         return m
 
     def path_matrix(self, path: Sequence[str]) -> ExactMatrix:
-        m = ExactMatrix.identity(self.rank(path[0]), self.ring)
-        for a, b in zip(path, path[1:]):
+        m = (self.arrow(path[0], path[1]) if len(path) > 1
+             else ExactMatrix.identity(self.rank(path[0]), self.ring))
+        for a, b in zip(path[1:], path[2:]):
             m = self.arrow(a, b) @ m
         return m
 
@@ -678,13 +681,13 @@ class ProjectiveResolution:
         self.maps = maps                    # maps[i]: Q_[i+1] -> Q_i
         self.augmentation = augmentation    # Q_0 -> V
         self.vertices = vertices            # x of each summand P_x of Q_i
+        self._yoneda: Optional[list] = None  # `hom_complex_against`
 
     def length(self) -> int:
         return len(self.terms) - 1
 
 
-def _evaluation_cover(V: Representation,
-                      projectives: Dict[str, Representation]):
+def _evaluation_cover(V: Representation):
     """Surjection from a sum of projectives onto V, and the generator
     vertex x of each summand P_x of the cover.
 
@@ -694,11 +697,11 @@ def _evaluation_cover(V: Representation,
     otherwise (a non-unit pivot, over ZZ only).  The map is onto by
     induction up the poset, since the image at x holds the arrows' images
     and the kept e_k span a complement of them.  Over QQ every pivot is a
-    unit, so this is the projective cover.
-
-    `projectives` holds the one P_x per vertex that every cover of a
-    resolution shares; missing ones are built and added."""
+    unit, so this is the projective cover.  The P_x come from the quiver's
+    `_projectives`, built at the first use; the component at v reads only
+    the summands present there (`_support_index`)."""
     quiver, ring = V.quiver, V.ring
+    projectives = quiver._projectives.setdefault(ring, {})
     piece_info = []  # (vertex x, basis index k)
     for x in V.support():
         lat = ColumnLattice(ring)
@@ -717,21 +720,14 @@ def _evaluation_cover(V: Representation,
     pieces = [projectives[x] for x, _ in piece_info]
     cover = direct_sum(pieces, names=[f"P[{x}:{k}]" for x, k in piece_info],
                        quiver=quiver, ring=ring)
+    at = _support_index(pieces)
     comps = {}
-    for v in quiver.vertices:
-        rv = V.rank(v)
-        cv = cover.rank(v)
-        if not rv or not cv:
-            continue
-        entries = []
-        col = 0
-        for (x, k), piece in zip(piece_info, pieces):
-            if piece.rank(v):
-                # generator of P_x at v maps to the image of e_k in V(v)
-                entries.extend((i, col, y) for i, y in
-                               V.path_map(x, v).columns.get(k, {}).items())
-                col += 1
-        comps[v] = ExactMatrix.from_entries(rv, cv, entries, ring)
+    for v in V._support:
+        # generator of P_x at v maps to the image of e_k in V(v)
+        comps[v] = ExactMatrix.from_entries(V.rank(v), cover.rank(v), (
+            (i, col, y) for col, (x, k) in enumerate(
+                piece_info[p] for p in at[v])
+            for i, y in V.path_map(x, v).columns.get(k, {}).items()), ring)
     return cover, RepMorphism(cover, V, comps), [x for x, _ in piece_info]
 
 
@@ -781,14 +777,13 @@ def projective_resolution(V: Representation,
     """
     if max_len is None:
         max_len = len(V.quiver.vertices) + 2
-    projectives: Dict[str, Representation] = {}
-    cover, aug, xs = _evaluation_cover(V, projectives)
+    cover, aug, xs = _evaluation_cover(V)
     terms, maps, vertices, onto = [cover], [], [xs], aug
     for _ in range(max_len + 1):
         K, incl = _kernel_rep(onto)
         if K.is_zero():
             return ProjectiveResolution(V, terms, maps, aug, vertices)
-        cover, onto, xs = _evaluation_cover(K, projectives)
+        cover, onto, xs = _evaluation_cover(K)
         terms.append(cover)
         vertices.append(xs)
         maps.append(incl.compose(onto))
@@ -907,37 +902,43 @@ def hom_complex_against(res: ProjectiveResolution,
     summand c of Q_(q+1), at its vertex y_c, goes under d to the scalars
     s_(b,c) on the summands b of Q_q present at y_c, so block (c, b) of the
     differential is s_(b,c) W(x_b -> y_c).  No linear system is solved.
+    The blocks (y_c, c, [(b, s_(b,c))]) do not depend on W; they are read
+    once per resolution (`_yoneda_blocks`) and kept on it.
     """
-    leq, vertices = W.quiver.poset.leq, res.vertices
+    if res._yoneda is None:
+        res._yoneda = [_yoneda_blocks(res, q) for q in range(len(res.maps))]
     offsets = [list(accumulate((W.rank(x) for x in xs), initial=0))
-               for xs in vertices]
+               for xs in res.vertices]
     ranks = {q: offs[-1] for q, offs in enumerate(offsets)}
     diffs = {}
-    for q, d in enumerate(res.maps):
+    for q, blocks in enumerate(res._yoneda):
         if not ranks[q] or not ranks[q + 1]:
             continue
-        src, dst = offsets[q], offsets[q + 1]
-        entries = []
-        for y in dict.fromkeys(y for y in vertices[q + 1] if W.rank(y)):
-            # the summands of Q_q and of Q_(q+1) present at y, in stalk order
-            rows, cols = ([b for b, x in enumerate(xs) if leq(x, y)]
-                          for xs in (vertices[q], vertices[q + 1]))
-            comp = d.component(y).columns
-            for j, c in enumerate(cols):
-                if vertices[q + 1][c] != y:
-                    continue
-                for i, s in comp.get(j, {}).items():
-                    b = rows[i]
-                    x = vertices[q][b]
-                    if not W.rank(x):
-                        continue
-                    entries.extend(
-                        (dst[c] + k, src[b] + l, s * w)
-                        for l, col in W.path_map(x, y).columns.items()
-                        for k, w in col.items())
-        diffs[q] = ExactMatrix.from_entries(ranks[q + 1], ranks[q], entries,
-                                            W.ring)
+        src, dst, xs = offsets[q], offsets[q + 1], res.vertices[q]
+        diffs[q] = ExactMatrix.from_entries(ranks[q + 1], ranks[q], (
+            (dst[c] + k, src[b] + l, s * w)
+            for y, c, column in blocks if W.rank(y)
+            for b, s in column if W.rank(xs[b])
+            for l, col in W.path_map(xs[b], y).columns.items()
+            for k, w in col.items()), W.ring)
     return ChainComplex(W.ring, ranks, diffs)
+
+
+def _yoneda_blocks(res: ProjectiveResolution, q: int) -> list:
+    """[(y_c, c, [(b, s_(b,c))])] of the map Q_(q+1) -> Q_q, by y_c in
+    first-summand order, then by c: the scalars of d at y_c on the
+    summands b of Q_q present there."""
+    leq, d = res.target.quiver.poset.leq, res.maps[q]
+    blocks = []
+    for y in dict.fromkeys(res.vertices[q + 1]):
+        # the summands of Q_q and of Q_(q+1) present at y, in stalk order
+        rows, cols = ([b for b, x in enumerate(xs) if leq(x, y)]
+                      for xs in (res.vertices[q], res.vertices[q + 1]))
+        comp = d.component(y).columns
+        blocks.extend((y, c, [(rows[i], s) for i, s in comp[j].items()])
+                      for j, c in enumerate(cols)
+                      if res.vertices[q + 1][c] == y and j in comp)
+    return blocks
 
 
 def ext_all(V: Representation, W: Representation, qmax: int,

@@ -232,18 +232,13 @@ def formality_witness_one_point(E: EndAlgebra) -> DgMorphism:
 
 
 class NPointChain:
-    """End J <- U ->> U/I <- H(U/I) with all the intermediate objects; End J
-    is `chain.algebras[0]`, and the inclusions are `chain.arrows[0][0]` and
-    `chain.arrows[2][0]`."""
+    """End J <- U ->> U/I <- H(U/I) as `chain`, with U and I: the algebras
+    are `chain.algebras`, the projection is `chain.arrows[1][0]` and the
+    inclusions are `chain.arrows[0][0]` and `chain.arrows[2][0]`."""
 
-    def __init__(self, sub: DgAlgebra, ideal: DgIdeal, quot: DgAlgebra,
-                 projection: DgMorphism, h_quot: DgAlgebra,
-                 chain: FormalityChain):
+    def __init__(self, sub: DgAlgebra, ideal: DgIdeal, chain: FormalityChain):
         self.sub = sub
         self.ideal = ideal
-        self.quot = quot
-        self.projection = projection
-        self.h_quot = h_quot
         self.chain = chain
 
 
@@ -308,7 +303,7 @@ def formality_chain_n_points(E: EndAlgebra, n: int) -> NPointChain:
     chain = FormalityChain(
         [E, sub, quot, h_quot],
         [(incl, "backward"), (proj, "forward"), (h_incl, "backward")])
-    return NPointChain(sub, ideal, quot, proj, h_quot, chain)
+    return NPointChain(sub, ideal, chain)
 
 
 # ---------------------------------------------------------------------------

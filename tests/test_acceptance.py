@@ -233,7 +233,8 @@ def test_criterion_7_property_suites():
         for n in (2, 3, 4):
             En = SphereModel(n).resolution_n_points().end_algebra()
             chain = formality_chain_n_points(En, n)
-            algebras.extend([En, chain.sub, chain.quot, chain.h_quot])
+            algebras.extend([En, chain.sub, chain.chain.algebras[2],
+                             chain.chain.algebras[3]])
         dr = de_rham_model(3)
         algebras.extend([dr.algebra, dr.h_algebra])
         for A in algebras:

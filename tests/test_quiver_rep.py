@@ -23,6 +23,7 @@ from strathom.exact_linalg import (
     kernel_basis,
 )
 from strathom.quiver_rep import (
+    ProjectiveResolution,
     Quiver,
     RepMorphism,
     Representation,
@@ -507,13 +508,22 @@ def _hom_complex_by_solves(res, w):
                         diffs)
 
 
-def _check_stalk_route(res, w):
-    cc, solved = hom_complex_against(res, w), _hom_complex_by_solves(res, w)
-    assert validate_complex(cc) == []
-    assert cc.ranks == solved.ranks
-    report = cone_report(cc)
-    assert report == cone_report(solved)
-    return report
+def _check_stalk_route(res, targets):
+    """Hom(res, W) by stalks equals the solve route for every W of targets,
+    run on res in their order and on a copy of res in reverse order, so
+    that each index of summand blocks is built by a different target; both
+    orders give the same complexes and the same index."""
+    copy = ProjectiveResolution(res.target, res.terms, res.maps,
+                                res.augmentation, res.vertices)
+    forward = [hom_complex_against(res, w) for w in targets]
+    backward = [hom_complex_against(copy, w) for w in reversed(targets)]
+    assert res._yoneda == copy._yoneda
+    for w, cc, again in zip(targets, forward, reversed(backward)):
+        solved = _hom_complex_by_solves(res, w)
+        assert validate_complex(cc) == []
+        assert cc.ranks == again.ranks == solved.ranks
+        assert cc.differentials == again.differentials
+        assert cone_report(cc) == cone_report(solved)
 
 
 @settings(max_examples=120, deadline=None)
@@ -522,7 +532,8 @@ def test_stalk_route_matches_solve_route(ring, seed):
     rng = random.Random(seed)
     quiver = _random_quiver(rng)
     v, w = _random_rep(quiver, ring, rng), _random_rep(quiver, ring, rng)
-    _check_stalk_route(projective_resolution(v), w)
+    _check_stalk_route(projective_resolution(v),
+                       [w, v, _random_rep(quiver, ring, rng)])
     assert hom_rank(v, w) == len(quiver_rep._dense_hom_space(v, w))
 
 
@@ -532,7 +543,7 @@ def test_stalk_route_keeps_torsion(ring, torsion):
     has length 0 and the Hom complex has no degree 1."""
     v = _times_two(ring)
     res = projective_resolution(v)
-    _check_stalk_route(res, v)
+    _check_stalk_route(res, [v])
     assert ext_all(v, v, 1, res)[1] == (0, torsion)
     if ring.is_field:
         assert res.length() == 0
@@ -543,9 +554,7 @@ def test_stalk_route_on_sphere_closure_reps(n):
     m = SphereModel(n)
     reps = [m.closure_rep(s) for s in m.poset.strata]
     for v in reps:
-        res = projective_resolution(v)
-        for w in reps:
-            _check_stalk_route(res, w)
+        _check_stalk_route(projective_resolution(v), reps)
 
 
 def test_resolution_records_generator_vertices(q2):
@@ -582,16 +591,16 @@ def test_ext_all_reads_stalks_without_hom_solves(monkeypatch):
 # ------------------------------------------------------------ minimal covers
 
 
-def _full_cover(V, projectives):
+def _full_cover(V):
     """Reference cover: one P_x on every basis vector e_k of every stalk
-    V(x), whatever the arrows into x already reach."""
+    V(x), whatever the arrows into x already reach.  It builds its own P_x,
+    one per vertex of the support, and reads none from the quiver."""
     quiver, ring = V.quiver, V.ring
     pieces, piece_info = [], []
     for x in V.support():
-        if x not in projectives:
-            projectives[x] = indecomposable_projective(quiver, x, ring)
+        p = indecomposable_projective(quiver, x, ring)
         for k in range(V.rank(x)):
-            pieces.append(projectives[x])
+            pieces.append(p)
             piece_info.append((x, k))
     cover = direct_sum(pieces, names=[f"P[{x}:{k}]" for x, k in piece_info],
                        quiver=quiver, ring=ring)
@@ -659,6 +668,54 @@ def test_minimal_cover_matches_full_cover_on_sphere_closure_reps(ring):
         _check_minimal_cover(m.closure_rep(s), m.constant_rep())
 
 
+def _on_fresh_quiver(v):
+    """v rebuilt on a new quiver of the same poset, which shares no P_x."""
+    return Representation(Quiver(v.quiver.poset), v.ring, v.stalk_rank,
+                          v.arrow_map)
+
+
+def _check_shared_projectives(reps):
+    """Resolutions of reps, all on one quiver, equal those built each on a
+    fresh quiver: generator vertices, term ranks and every component of
+    every map and of the augmentation, in order.  Every summand at x of
+    every term is the quiver's one P_x."""
+    quiver, ring = reps[0].quiver, reps[0].ring
+    shared = [projective_resolution(v) for v in reps]
+    for v, res in zip(reps, shared):
+        alone = projective_resolution(_on_fresh_quiver(v))
+        assert res.vertices == alone.vertices
+        assert [t.stalk_rank for t in res.terms] == \
+            [t.stalk_rank for t in alone.terms]
+        for f, g in zip(res.maps + [res.augmentation],
+                        alone.maps + [alone.augmentation]):
+            assert list(f.components.items()) == list(g.components.items())
+        for term, xs in zip(res.terms, res.vertices):
+            for (_, block), x in zip(term.blocks, xs):
+                assert block is quiver._projectives[ring][x]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_shared_projectives_change_no_resolution_of_closure_reps(ring):
+    m = SphereModel(4, ring)
+    _check_shared_projectives([m.closure_rep(s) for s in m.poset.strata])
+    # two resolutions hold one P_x object for every x they both use
+    a, b = ({x: block for term, xs in zip(res.terms, res.vertices)
+             for (_, block), x in zip(term.blocks, xs)}
+            for res in (projective_resolution(m.closure_rep(s))
+                        for s in ("H1", "H2")))
+    assert set(a) & set(b) == set(m.poset.strata)
+    assert all(a[x] is b[x] for x in a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(0, 2 ** 32))
+def test_shared_projectives_change_no_resolution_of_random_reps(ring, seed):
+    rng = random.Random(seed)
+    quiver = _random_quiver(rng)
+    _check_shared_projectives([_random_rep(quiver, ring, rng)
+                               for _ in range(3)])
+
+
 def _smith_reductions_with_transforms(monkeypatch, capsys, argv):
     """The number of `_snf_any(..., transforms=True)` calls of one CLI run."""
     calls = []
@@ -683,6 +740,19 @@ def test_ext_table_takes_few_smith_reductions_with_transforms(monkeypatch,
     and 180 with a Smith solver per kernel basis."""
     assert 0 < _smith_reductions_with_transforms(
         monkeypatch, capsys, ["ext-table", "--n", "12", "--qmax", "4"]) <= 90
+
+
+def test_ext_table_builds_each_projective_once(monkeypatch, capsys):
+    """The 26 resolutions of `ext-table --n 12 --qmax 4` share one P_x per
+    vertex, and path maps start from their first arrow: 26 builds of a P_x
+    (196 with one table per resolution) and 432 matrix products (720 when
+    every path map started from an identity)."""
+    argv = ["ext-table", "--n", "12", "--qmax", "4"]
+    assert 0 < _calls(monkeypatch, capsys, quiver_rep,
+                      "indecomposable_projective", argv) <= 26
+    monkeypatch.undo()
+    assert 0 < _calls(monkeypatch, capsys, ExactMatrix, "__matmul__",
+                      argv) <= 432
 
 
 def test_n_points_takes_few_smith_reductions_with_transforms(monkeypatch,
@@ -786,6 +856,33 @@ def test_path_map_is_the_first_path_matrix_once_per_pair(ring):
         m = v.path_map(a, b)
         assert m == v.path_matrix(quiver.paths(a, b)[0])
         assert v.path_map(a, b) is m
+
+
+def _path_matrix_from_identity(v, path):
+    """Reference: the product along path folded from the identity."""
+    m = ExactMatrix.identity(v.rank(path[0]), v.ring)
+    for a, b in zip(path, path[1:]):
+        m = v.arrow(a, b) @ m
+    return m
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_path_matrix_matches_the_product_from_the_identity(ring):
+    """Every Hasse path of random representations, of lengths 0, 1 and at
+    least 2, through zero stalks too, where `arrow` is a zero matrix."""
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(40):
+        quiver = _random_quiver(rng)
+        v = _random_rep(quiver, ring, rng)
+        for a, b in _comparable_pairs(quiver):
+            for path in quiver.paths(a, b):
+                m = v.path_matrix(path)
+                assert m.shape == (v.rank(b), v.rank(a))
+                assert m == _path_matrix_from_identity(v, path)
+                seen.add(min(len(path) - 1, 2))
+                seen.update("zero" for x in path if not v.rank(x))
+    assert seen == {0, 1, 2, "zero"}
 
 
 @pytest.mark.parametrize("n", range(2, 9))

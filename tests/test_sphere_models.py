@@ -297,8 +297,8 @@ def _by_offsets(ch, n):
     the span dropped."""
     gens = [(1, {i - 1: 1}) for i in range(2, n + 1)]
     gens += [(2, {i - 1: 1, i - 2: -1}) for i in range(2, n + 1)]
-    proj = ch.projection
-    reps = [ch.quot.unit_element()]
+    proj = ch.chain.arrows[1][0]
+    reps = [ch.chain.algebras[2].unit_element()]
     reps += [proj.apply((0, {2 + n + (i - 1): 1})) for i in range(1, n + 1)]
     reps += [proj.apply((1, {2 * n + (i - 1): 1})) for i in range(1, n + 1)]
     reps += [proj.apply((1, {4 * n + 1 + (i - 1): 1}))
@@ -362,29 +362,29 @@ def test_chain_survives_a_redundant_spanning_element(monkeypatch):
     verdict = verify_formality_chain(ch.chain)
     assert verdict.ok, (verdict.arrow_reports, verdict.notes)
     h_incl = ch.chain.arrows[2][0]
-    for q, labels in ch.h_quot.labels.items():
+    for q, labels in ch.chain.algebras[3].labels.items():
         for k, label in enumerate(labels):
             if label != "1":
                 i = ch.sub.labels[q].index(label)
                 assert h_incl.apply((q, {k: 1})) == \
-                    ch.projection.apply((q, {i: 1})), label
+                    ch.chain.arrows[1][0].apply((q, {i: 1})), label
 
 
 def test_quotient_identifies_hp_classes():
     n = 3
     E = SphereModel(n).resolution_n_points().end_algebra()
     ch = formality_chain_n_points(E, n)
-    proj = ch.projection
+    quot, proj = ch.chain.algebras[2], ch.chain.arrows[1][0]
     # hp_11, hp_12, hp_13 in degree 2 of U project to the same class
     images = [proj.apply((2, {i: 1}))[1] for i in range(n)]
     assert images[0] == images[1] == images[2]
     assert images[0]
     # quotient ranks drop by the ideal ranks; degree 2 goes 2n -> n+1
-    assert dict(ch.quot.dims) == {0: 2 * n + 3, 1: 4 * n + 2, 2: n + 1}
+    assert dict(quot.dims) == {0: 2 * n + 3, 1: 4 * n + 2, 2: n + 1}
     # projection composed with inclusion-of-complement is the identity on
     # complement coordinates: quotient labels name ambient basis directions
-    for q in ch.quot.degrees():
-        for k, lab in enumerate(ch.quot.labels[q]):
+    for q in quot.degrees():
+        for k, lab in enumerate(quot.labels[q]):
             i = ch.sub.labels[q].index(lab)
             assert proj.apply((q, {i: 1}))[1] == {k: 1}
 
@@ -393,8 +393,9 @@ def test_h_quot_basis_labels():
     n = 3
     E = SphereModel(n).resolution_n_points().end_algebra()
     ch = formality_chain_n_points(E, n)
-    assert ch.h_quot.dims == {0: n + 1, 1: 2 * n, 2: 1}
-    assert ch.h_quot.labels[2] == ["hp_11"]
+    h_quot = ch.chain.algebras[3]
+    assert h_quot.dims == {0: n + 1, 1: 2 * n, 2: 1}
+    assert h_quot.labels[2] == ["hp_11"]
 
 
 def test_broken_ideal_breaks_the_chain():
