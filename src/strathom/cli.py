@@ -195,8 +195,8 @@ def cmd_formality(args) -> int:
                 w.validate() == [] and is_quasi_iso_dg(w).ok)
         else:
             chain = formality_chain_n_points(E, n)
-            results["sub_ranks"] = {str(q): d for q, d
-                                    in sorted(chain.sub.dims.items())}
+            results["sub_ranks"] = {str(q): d for q, d in sorted(
+                chain.chain.algebras[1].dims.items())}
             results["ideal_ranks"] = {str(q): r for q, r
                                       in chain.ideal.ranks().items()}
             results["ideal_acyclic"] = bool(

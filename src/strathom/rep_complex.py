@@ -4,10 +4,11 @@ A complex of representations carries named blocks in every term; the Hom
 complex between two such complexes gets its basis from the block-pair Hom
 spaces, labeled in the h/e/p convention for closure-representation blocks
 ("H1" -> "E2" gives he_12, and so on), with the source term degree kept on
-every label so that labels can be disambiguated with a superscript.  The
-coordinates, composition tables and units of block pairs are those of
-`quiver_rep` (`hom_coordinates`, `hom_table`, `hom_unit`), which
-remembers them on the blocks.
+every label so that labels can be disambiguated with a superscript.  Labels,
+like the products of End (`EndAlgebra.mult`), are made on first read, once
+per degree (`HomComplex.labels`).  The coordinates, composition tables and
+units of block pairs are those of `quiver_rep` (`hom_coordinates`,
+`hom_table`, `hom_unit`), which remembers them on the blocks.
 
 Sign convention throughout: d(f) = d_Y . f - (-1)^|f| f . d_X.  The mapping
 cone and shift conventions live in chain_complex.
@@ -55,9 +56,6 @@ class ComplexOfReps:
     def term(self, q: int) -> Optional[Representation]:
         return self.terms.get(q)
 
-    def differential(self, q: int) -> Optional[RepMorphism]:
-        return self.differentials.get(q)
-
 
 def validate_complex_of_reps(X: ComplexOfReps) -> list:
     """Structural problems of X, remembered on X: `end_dg_algebra` does not
@@ -75,11 +73,9 @@ def validate_complex_of_reps(X: ComplexOfReps) -> list:
             continue
         problems.extend(f"degree {q}: {p}" for p in d.validate())
     for q in X.degrees():
-        d0 = X.differential(q)
-        d1 = X.differential(q + 1)
-        if d0 is not None and d1 is not None:
-            if not d1.compose(d0).is_zero():
-                problems.append(f"d.d != 0 at degree {q}")
+        d0, d1 = X.differentials.get(q), X.differentials.get(q + 1)
+        if d0 and d1 and not d1.compose(d0).is_zero():
+            problems.append(f"d.d != 0 at degree {q}")
     for q, t in X.terms.items():
         bad = validate_representation(t)
         problems.extend(f"term {q}: {p}" for p in bad)
@@ -122,7 +118,7 @@ def validate_resolution(J: ComplexOfReps,
             continue
         bad = morph.validate()
         failures.extend({"structural": f"degree {q}: {p}"} for p in bad)
-        nxt = J.differential(q)
+        nxt = J.differentials.get(q)
         if nxt is not None and not nxt.compose(morph).is_zero():
             failures.append({"structural":
                              f"d . augmentation != 0 at degree {q}"})
@@ -210,14 +206,16 @@ def _label_for(src_name: str, dst_name: str, k: int, p: int) -> HomLabel:
 
 
 class HomBasisElement:
+    __slots__ = ("p", "src_block", "dst_block", "k", "morphism", "names")
+
     def __init__(self, p: int, src_block: int, dst_block: int, k: int,
-                 morphism: RepMorphism, label: HomLabel):
+                 morphism: RepMorphism, names: Tuple[str, str]):
         self.p = p                      # source term degree
         self.src_block = src_block
         self.dst_block = dst_block
         self.k = k                      # index inside the block-pair hom basis
         self.morphism = morphism        # block source rep -> block target rep
-        self.label = label
+        self.names = names              # (source name, target name) of the blocks
 
 
 def _block_components(d: RepMorphism) -> Dict[Tuple[int, int], RepMorphism]:
@@ -249,7 +247,7 @@ def _block_components(d: RepMorphism) -> Dict[Tuple[int, int], RepMorphism]:
 
 
 class HomComplex:
-    """Hom(X, Y) as a ChainComplex plus the labeled block basis behind it."""
+    """Hom(X, Y) as a ChainComplex plus the block basis behind it."""
 
     def __init__(self, X: ComplexOfReps, Y: ComplexOfReps):
         if X.quiver.vertices != Y.quiver.vertices or \
@@ -259,20 +257,17 @@ class HomComplex:
         self.ring = X.ring
         xdeg, ydeg = X.degrees(), Y.degrees()
         self.basis: Dict[int, List[HomBasisElement]] = {}
-        if xdeg and ydeg:
-            for m in range(ydeg[0] - xdeg[-1], ydeg[-1] - xdeg[0] + 1):
-                basis = self._degree_basis(m)
-                if basis:
-                    self.basis[m] = basis
         # (p, src_block, dst_block) -> index of its generator 0 in degree m;
         # generator k of the block pair sits at that index + k
         self._start: Dict[int, Dict[tuple, int]] = {}
+        if xdeg and ydeg:
+            for m in range(ydeg[0] - xdeg[-1], ydeg[-1] - xdeg[0] + 1):
+                basis, starts = self._degree_basis(m)
+                if basis:
+                    self.basis[m], self._start[m] = basis, starts
+        self._labels: Dict[int, List[HomLabel]] = {}
         self._label_index: Dict[int, Dict[tuple, List[int]]] = {}
         self._rendered: Dict[int, List[str]] = {}
-        for m, bs in self.basis.items():
-            starts = self._start[m] = {}
-            for i, e in enumerate(bs):
-                starts.setdefault((e.p, e.src_block, e.dst_block), i)
         dX = self._differential_blocks(X)
         self._dX_into = dX[1]
         self._dY_from = (dX if Y is X else self._differential_blocks(Y))[0]
@@ -280,11 +275,11 @@ class HomComplex:
 
     # -- basis ------------------------------------------------------------
 
-    def _degree_basis(self, m: int) -> List[HomBasisElement]:
+    def _degree_basis(self, m: int) -> Tuple[List[HomBasisElement], dict]:
         """The block-pair Hom generators of degree m, in (p, source block,
         target block, k) order, over the pairs whose supports meet (a Hom
-        between disjoint supports is 0), by an index of blocks by vertex."""
-        out = []
+        between disjoint supports is 0), and where each pair's run starts."""
+        out, starts = [], {}
         for p in self.X.degrees():
             xt = self.X.term(p)
             yt = self.Y.term(p + m)
@@ -295,21 +290,30 @@ class HomComplex:
                 meet = {bi for v in arep._support for bi in at.get(v, ())}
                 for bi in sorted(meet):
                     bname, brep = yt.blocks[bi]
-                    for k, gen in enumerate(hom_space(arep, brep)):
-                        out.append(HomBasisElement(
-                            p, ai, bi, k, gen,
-                            _label_for(aname, bname, k, p)))
-        return out
+                    gens, names = hom_space(arep, brep), (aname, bname)
+                    if gens:
+                        starts[(p, ai, bi)] = len(out)
+                    out.extend(HomBasisElement(p, ai, bi, k, gen, names)
+                               for k, gen in enumerate(gens))
+        return out, starts
 
     def ranks(self) -> Dict[int, int]:
         return {m: len(b) for m, b in sorted(self.basis.items())}
+
+    def labels(self, m: int) -> List[HomLabel]:
+        """The labels of degree m in basis order, made in one pass the first
+        time they are read; `rendered_labels` and `find` read this list."""
+        if m not in self._labels:
+            self._labels[m] = [_label_for(*e.names, e.k, e.p)
+                               for e in self.basis.get(m, [])]
+        return self._labels[m]
 
     def rendered_labels(self, m: int) -> List[str]:
         """Superscripted exactly where (kind, indices) repeats in degree m;
         rendered once per degree, and the list is shared (`EndAlgebra`,
         `differential_table`)."""
         if m not in self._rendered:
-            labels = [e.label for e in self.basis.get(m, [])]
+            labels = self.labels(m)
             counts = Counter((l.kind, l.indices) for l in labels)
             self._rendered[m] = [l.render(counts[(l.kind, l.indices)] > 1)
                                  for l in labels]
@@ -323,8 +327,7 @@ class HomComplex:
         if index is None:
             # (kind, indices, p) and (kind, indices, None) -> positions
             index = self._label_index[m] = {}
-            for i, e in enumerate(self.basis.get(m, [])):
-                l = e.label
+            for i, l in enumerate(self.labels(m)):
                 for key in ((l.kind, l.indices, l.p),
                             (l.kind, l.indices, None)):
                     index.setdefault(key, []).append(i)
@@ -417,11 +420,11 @@ class HomComplex:
 
 
 class EndAlgebra(DgAlgebra):
-    """End(X) with the labeled Hom basis kept alongside the dg structure.
+    """End(X) with the Hom basis kept alongside the dg structure.
 
-    The structure constants are built the first time `mult` is read, so a
-    caller that needs only the complex (ranks, cohomology) never pays for
-    the products."""
+    The structure constants and the labels are built the first time `mult`
+    and `labels` are read, so a caller that needs only the complex (ranks,
+    cohomology) never pays for the products or the labels."""
 
     def __init__(self, hom: HomComplex):
         self.hom = hom
@@ -434,17 +437,16 @@ class EndAlgebra(DgAlgebra):
                     i0 = hom._start[0][(p, ai, ai)]
                     for r, c in coords:
                         unit[i0 + r] = c
-        labels = {m: hom.rendered_labels(m) for m in hom.basis}
-        self._init_complex(hom.ring, cc.ranks, labels, unit,
-                           cc.differentials)
+        self._init_complex(hom.ring, cc.ranks, unit, cc.differentials)
         self._complex = cc
 
     @cached_property
     def mult(self) -> Dict[Tuple[int, int], Dict[Tuple[int, int], dict]]:
         return _end_products(self.hom)
 
-    def element(self, m, terms):
-        return self.hom.element(m, terms)
+    @cached_property
+    def labels(self) -> Dict[int, List[str]]:
+        return {m: self.hom.rendered_labels(m) for m in self.hom.basis}
 
 
 def _end_products(hom: HomComplex

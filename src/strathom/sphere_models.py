@@ -212,7 +212,7 @@ def formality_witness_trivial(E: EndAlgebra) -> DgMorphism:
     """H(End J) -> End J for the trivial stratification: 1 -> 1 and the
     degree-2 class to hp_11."""
     elements = [E.unit_element(),
-                E.element(2, [("hp", (1, 1), None, 1)])]
+                E.hom.element(2, [("hp", (1, 1), None, 1)])]
     return _witness_from_representatives(E, elements, ["1", "hp_11"],
                                          "witness-trivial")
 
@@ -221,10 +221,10 @@ def formality_witness_one_point(E: EndAlgebra) -> DgMorphism:
     """Representative system {1, p1^(0); hp_11, p1; hp_11}."""
     elements = [
         E.unit_element(),
-        E.element(0, [("p", (1,), 0, 1)]),
-        E.element(1, [("hp", (1, 1), None, 1)]),
-        E.element(1, [("p", (1,), None, 1)]),
-        E.element(2, [("hp", (1, 1), None, 1)]),
+        E.hom.element(0, [("p", (1,), 0, 1)]),
+        E.hom.element(1, [("hp", (1, 1), None, 1)]),
+        E.hom.element(1, [("p", (1,), None, 1)]),
+        E.hom.element(2, [("hp", (1, 1), None, 1)]),
     ]
     labels = ["1", "p1^(0)", "hp_11", "p1", "hp_11"]
     return _witness_from_representatives(E, elements, labels,
@@ -232,12 +232,11 @@ def formality_witness_one_point(E: EndAlgebra) -> DgMorphism:
 
 
 class NPointChain:
-    """End J <- U ->> U/I <- H(U/I) as `chain`, with U and I: the algebras
-    are `chain.algebras`, the projection is `chain.arrows[1][0]` and the
-    inclusions are `chain.arrows[0][0]` and `chain.arrows[2][0]`."""
+    """End J <- U ->> U/I <- H(U/I) as `chain`, with I: the algebras are
+    `chain.algebras` (U second), the projection is `chain.arrows[1][0]` and
+    the inclusions are `chain.arrows[0][0]` and `chain.arrows[2][0]`."""
 
-    def __init__(self, sub: DgAlgebra, ideal: DgIdeal, chain: FormalityChain):
-        self.sub = sub
+    def __init__(self, ideal: DgIdeal, chain: FormalityChain):
         self.ideal = ideal
         self.chain = chain
 
@@ -248,7 +247,7 @@ def _subalgebra_span_n_points(E: EndAlgebra, n: int):
     labels = []
 
     def add(m, terms, label):
-        elements.append(E.element(m, terms))
+        elements.append(E.hom.element(m, terms))
         labels.append(label)
 
     add(0, [("h", (1,), None, 1)], "h1")
@@ -303,7 +302,7 @@ def formality_chain_n_points(E: EndAlgebra, n: int) -> NPointChain:
     chain = FormalityChain(
         [E, sub, quot, h_quot],
         [(incl, "backward"), (proj, "forward"), (h_incl, "backward")])
-    return NPointChain(sub, ideal, chain)
+    return NPointChain(ideal, chain)
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def test_criterion_3_n_point_stratification():
                 {-1: n, 0: 5 * n + 2, 1: 7 * n, 2: 2 * n}, n
             assert h_betti(E) == {0: n + 1, 1: 2 * n, 2: 1}, n
             chain = formality_chain_n_points(E, n)
-            assert dict(chain.sub.dims) == \
+            assert dict(chain.chain.algebras[1].dims) == \
                 {0: 2 * n + 3, 1: 5 * n + 1, 2: 2 * n}, n
             assert chain.ideal.ranks() == {1: n - 1, 2: n - 1}, n
             assert cohomology(chain.ideal.restricted_complex()).is_zero(), n
@@ -233,8 +233,7 @@ def test_criterion_7_property_suites():
         for n in (2, 3, 4):
             En = SphereModel(n).resolution_n_points().end_algebra()
             chain = formality_chain_n_points(En, n)
-            algebras.extend([En, chain.sub, chain.chain.algebras[2],
-                             chain.chain.algebras[3]])
+            algebras.extend(chain.chain.algebras[:4])
         dr = de_rham_model(3)
         algebras.extend([dr.algebra, dr.h_algebra])
         for A in algebras:
@@ -251,9 +250,8 @@ def test_criterion_7_property_suites():
                 s = 1 if (k * mdeg) % 2 == 0 else -1
                 comps[mdeg] = ExactMatrix.from_entries(
                     E2.dim(mdeg), E_trivial.dim(mdeg), (
-                        (E2.hom.find(mdeg, e.label.kind, e.label.indices,
-                                     e.label.p - k), i, s)
-                        for i, e in enumerate(E_trivial.hom.basis[mdeg])),
+                        (E2.hom.find(mdeg, l.kind, l.indices, l.p - k), i, s)
+                        for i, l in enumerate(E_trivial.hom.labels(mdeg))),
                     ZZ)
             phi = DgMorphism(E_trivial, E2, comps)
             assert phi.validate() == [], k

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -102,17 +103,15 @@ TRIVIAL_TABLE = {
 def table_of(E, degree):
     """Differential rows keyed by (kind, indices) -> {(kind, indices): c}."""
     hom = E.hom
-    basis = hom.basis[degree]
-    tgt = hom.basis.get(degree + 1, [])
+    tgt = hom.labels(degree + 1)
     d = E.complex().d(degree)
     rows = {}
-    for j, e in enumerate(basis):
+    for j, lab in enumerate(hom.labels(degree)):
         img = {}
         for i in range(d.rows):
             if d[i, j] != 0:
-                lab = tgt[i].label
-                img[(lab.kind, lab.indices)] = d[i, j]
-        rows[(e.label.kind, e.label.indices)] = img
+                img[(tgt[i].kind, tgt[i].indices)] = d[i, j]
+        rows[(lab.kind, lab.indices)] = img
     return rows
 
 
@@ -207,10 +206,9 @@ def test_shift_invariance_of_end(J_trivial, E_trivial):
     for k in (-2, -1, 1, 2):
         E2 = end_dg_algebra(shift_complex_of_reps(X, k))
         match = {}
-        for m, basis in E_trivial.hom.basis.items():
-            for i, e in enumerate(basis):
-                match[(m, i)] = E2.hom.find(m, e.label.kind, e.label.indices,
-                                            e.label.p - k)
+        for m in E_trivial.hom.basis:
+            for i, l in enumerate(E_trivial.hom.labels(m)):
+                match[(m, i)] = E2.hom.find(m, l.kind, l.indices, l.p - k)
         # multiplication agrees on the nose
         for (m1, m2), table in E_trivial.mult.items():
             for (i, j), prod in table.items():
@@ -430,7 +428,8 @@ def _pairwise_differential(hom, m):
     for e in hom.basis[m]:
         F = _embed(hom, m, e)
         col = {}
-        dy, dx = hom.Y.differential(e.p + m), hom.X.differential(e.p - 1)
+        dy = hom.Y.differentials.get(e.p + m)
+        dx = hom.X.differentials.get(e.p - 1)
         parts = []
         if dy is not None:
             parts.append((e.p, 1, dy.compose(F)))
@@ -751,14 +750,14 @@ def test_find_agrees_with_a_scan_of_the_labels(n):
     label that is absent: the index gives the one scanned position, or the
     same KeyError with the number of matches."""
     hom = SphereModel(n).resolution_n_points().end_algebra().hom
-    for m, basis in hom.basis.items():
-        keys = {(e.label.kind, e.label.indices, p) for e in basis
-                for p in (e.label.p, None)}
+    for m in hom.basis:
+        labels = hom.labels(m)
+        keys = {(l.kind, l.indices, p) for l in labels for p in (l.p, None)}
         keys.add(("gen", ("absent",), None))
         for kind, indices, p in keys:
-            hits = [i for i, e in enumerate(basis)
-                    if e.label.kind == kind and e.label.indices == indices
-                    and p in (None, e.label.p)]
+            hits = [i for i, l in enumerate(labels)
+                    if l.kind == kind and l.indices == indices
+                    and p in (None, l.p)]
             if len(hits) == 1:
                 assert hom.find(m, kind, list(indices), p) == hits[0]
                 continue
@@ -817,6 +816,132 @@ def test_products_built_on_first_read_make_a_valid_dg_algebra(seed, ring):
     assert validate_dg_algebra(E) == []
 
 
+# ------------------------------------------------ labels made on first read
+
+
+def test_labels_are_made_once_per_generator_and_only_when_read(
+        tmp_path, monkeypatch, capsys):
+    """`compute --action end` on the inputs of `test_compute_golden_bytes`
+    reports ranks and cohomology only, and makes no Hom-basis label;
+    `formality n-points --n 30` reads every label and makes each once:
+    452 = 30 + 152 + 210 + 60, the rank of End J."""
+    import strathom.rep_complex as rc
+    from strathom.cli import main
+
+    calls = []
+    original = rc._label_for
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rc, "_label_for", counted)
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    poset, reps = tmp_path / "poset.json", tmp_path / "reps.json"
+    for index in (0, 1):
+        gen.write_instance(1, index, "full", str(poset), str(reps))
+        for ring in ("Z", "Q"):
+            capsys.readouterr()
+            assert main(["compute", "--poset", str(poset), "--reps",
+                         str(reps), "--action", "end", "--ring", ring]) == 0
+            ranks = json.loads(capsys.readouterr().out)["results"]
+            assert sum(ranks["end_ranks"].values()) > 0
+    assert calls == []
+    assert main(["formality", "n-points", "--n", "30"]) == 0
+    assert len(calls) == 452
+    capsys.readouterr()
+
+
+def _eager_labels(hom):
+    """Reference: every label of every degree made at once by `_label_for`
+    from the block names of the two terms."""
+    return {m: [_label_for(hom.X.term(e.p).blocks[e.src_block][0],
+                           hom.Y.term(e.p + m).blocks[e.dst_block][0],
+                           e.k, e.p) for e in basis]
+            for m, basis in hom.basis.items()}
+
+
+def _scanned_find(labels, m, kind, indices, p):
+    """The one position of degree m whose label matches, else the KeyError
+    message."""
+    hits = [i for i, l in enumerate(labels) if l.kind == kind
+            and l.indices == indices and p in (None, l.p)]
+    return hits[0] if len(hits) == 1 else (
+        f"label ({kind}, {indices}, p={p}) matches {len(hits)} basis "
+        f"elements in degree {m}")
+
+
+def _check_labels_against_eager(build):
+    """Two fresh End algebras from `build`, one read `find` first and the
+    other rendering first: both equal the eager reference."""
+    for find_first in (True, False):
+        E = build()
+        hom = E.hom
+        assert "labels" not in vars(E) and not hom._labels
+        ref = _eager_labels(hom)
+
+        def finds(m):
+            out = {}
+            keys = {(l.kind, l.indices, p) for l in ref[m]
+                    for p in (l.p, None)} | {("gen", ("absent",), None)}
+            for kind, indices, p in keys:
+                try:
+                    out[(kind, indices, p)] = hom.find(m, kind, indices, p)
+                except KeyError as err:
+                    out[(kind, indices, p)] = err.args[0]
+                assert out[(kind, indices, p)] == _scanned_find(
+                    ref[m], m, kind, indices, p)
+            return out
+
+        if find_first:
+            found = {m: finds(m) for m in ref}
+            rendered = E.labels
+        else:
+            rendered = E.labels
+            found = {m: finds(m) for m in ref}
+        for m, labels in ref.items():
+            counts = Counter((l.kind, l.indices) for l in labels)
+            want = [l.render(counts[(l.kind, l.indices)] > 1) for l in labels]
+            assert hom.labels(m) == labels and hom.labels(m) is hom.labels(m)
+            assert hom.rendered_labels(m) == want and rendered[m] == want
+        assert set(rendered) == set(ref) and E.labels is rendered
+        assert hom.labels(max(ref, default=0) + 1) == []
+        if find_first:
+            first = found
+        else:
+            assert found == first
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+@pytest.mark.parametrize("scenario", ["trivial", "one-point", 2, 3, 4, 5, 6])
+def test_labels_on_first_read_equal_eager_labels_on_sphere_models(scenario,
+                                                                 ring):
+    def build():
+        model = SphereModel(2 if isinstance(scenario, str) else scenario,
+                            ring)
+        res = (model.resolution_trivial() if scenario == "trivial"
+               else model.resolution_one_point() if scenario == "one-point"
+               else model.resolution_n_points())
+        return res.end_algebra()
+
+    _check_labels_against_eager(build)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(0, 2 ** 32))
+def test_labels_on_first_read_equal_eager_labels_on_coresolutions(ring,
+                                                                  seed):
+    def build():
+        rng = random.Random(seed)
+        v = _random_rep(_random_quiver(rng), ring, rng)
+        return end_dg_algebra(_coresolution_complex(v))
+
+    _check_labels_against_eager(build)
+
+
 # ------------------------------------------------ block pairs by support
 
 
@@ -842,8 +967,9 @@ def _check_basis(hom):
     lo = min(Y.degrees(), default=0) - max(X.degrees(), default=0)
     hi = max(Y.degrees(), default=0) - min(X.degrees(), default=0)
     for m in range(lo - 1, hi + 2):
-        got = [(e.p, e.src_block, e.dst_block, e.k, e.label,
-                e.morphism.components) for e in hom.basis.get(m, [])]
+        got = [(e.p, e.src_block, e.dst_block, e.k, label,
+                e.morphism.components)
+               for e, label in zip(hom.basis.get(m, []), hom.labels(m))]
         assert got == _basis_by_all_pairs(hom, m)
         assert (m in hom.basis) == bool(got)
 

@@ -249,10 +249,10 @@ def test_one_point_perturbed_representative_system():
     E = SphereModel(2).resolution_one_point().end_algebra()
     elements = [
         E.unit_element(),
-        E.element(0, [("p", (1,), 0, 1)]),
-        E.element(1, [("hp", (1, 1), None, 1)]),
-        E.element(1, [("p", (1,), None, 1)]),
-        E.element(2, [("hp", (1, 2), None, 1)]),
+        E.hom.element(0, [("p", (1,), 0, 1)]),
+        E.hom.element(1, [("hp", (1, 1), None, 1)]),
+        E.hom.element(1, [("p", (1,), None, 1)]),
+        E.hom.element(2, [("hp", (1, 2), None, 1)]),
     ]
     from strathom.chain_complex import ChainComplex, ChainMap, is_quasi_iso
     from strathom.exact_linalg import ExactMatrix
@@ -283,7 +283,8 @@ def test_one_point_perturbed_representative_system():
 def test_formality_chain_small_n(n):
     E = SphereModel(n).resolution_n_points().end_algebra()
     ch = formality_chain_n_points(E, n)
-    assert dict(ch.sub.dims) == {0: 2 * n + 3, 1: 5 * n + 1, 2: 2 * n}
+    assert dict(ch.chain.algebras[1].dims) == \
+        {0: 2 * n + 3, 1: 5 * n + 1, 2: 2 * n}
     assert ch.ideal.ranks() == {1: n - 1, 2: n - 1}
     assert ch.ideal.input_spanned_ideal
     assert cohomology(ch.ideal.restricted_complex()).is_zero()
@@ -358,14 +359,14 @@ def test_chain_survives_a_redundant_spanning_element(monkeypatch):
                         with_redundant)
     E = SphereModel(n).resolution_n_points().end_algebra()
     ch = formality_chain_n_points(E, n)
-    assert ch.sub.labels[0].index("sum_p^(1)") == 2 + n
+    assert ch.chain.algebras[1].labels[0].index("sum_p^(1)") == 2 + n
     verdict = verify_formality_chain(ch.chain)
     assert verdict.ok, (verdict.arrow_reports, verdict.notes)
     h_incl = ch.chain.arrows[2][0]
     for q, labels in ch.chain.algebras[3].labels.items():
         for k, label in enumerate(labels):
             if label != "1":
-                i = ch.sub.labels[q].index(label)
+                i = ch.chain.algebras[1].labels[q].index(label)
                 assert h_incl.apply((q, {k: 1})) == \
                     ch.chain.arrows[1][0].apply((q, {i: 1})), label
 
@@ -385,7 +386,7 @@ def test_quotient_identifies_hp_classes():
     # complement coordinates: quotient labels name ambient basis directions
     for q in quot.degrees():
         for k, lab in enumerate(quot.labels[q]):
-            i = ch.sub.labels[q].index(lab)
+            i = ch.chain.algebras[1].labels[q].index(lab)
             assert proj.apply((q, {i: 1}))[1] == {k: 1}
 
 
@@ -406,7 +407,7 @@ def test_broken_ideal_breaks_the_chain():
     n = 3
     E = SphereModel(n).resolution_n_points().end_algebra()
     ch = formality_chain_n_points(E, n)
-    sub = ch.sub
+    sub = ch.chain.algebras[1]
     gens = [(1, {i: 1}) for i in range(n)]          # he_11 too
     gens += [(2, {i - 1: 1, i - 2: -1}) for i in range(2, n + 1)]
     bad = ideal_from_span(sub, gens)
