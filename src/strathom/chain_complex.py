@@ -24,8 +24,8 @@ from .exact_linalg import (
     PresolvedSolver,
     _vec_axpy,
     eliminate_unit_pivots,
-    invariant_factors,
     inverse,
+    unit_pivot_factors,
 )
 
 
@@ -228,8 +228,16 @@ def cohomology(C: ChainComplex) -> CohomologyProfile:
 
 
 def cone_report(C: ChainComplex) -> Dict[int, dict]:
-    """Per-degree betti/torsion of C computed from invariant factors only."""
-    factors = {q: invariant_factors(d) for q, d in C.differentials.items()}
+    """Per-degree betti/torsion of C from invariant factors only, in one
+    ascending sweep of +-1 pivots as in `_reduce_units`: d^q is read only
+    on the columns that d^(q-1) did not take as pivot rows, which a
+    unimodular change of basis makes zero.  C must satisfy d.d = 0, which
+    is not checked here; the betti formula needs it too."""
+    factors, taken = {}, {}
+    for q in sorted(C.differentials):
+        d, prev = C.differentials[q], taken.get(q - 1)
+        taken[q], factors[q] = unit_pivot_factors(
+            d, d.columns.keys() - prev if prev else None)
     return {q: {"betti": C.rank(q) - len(factors.get(q, ()))
                 - len(factors.get(q - 1, ())),
                 "torsion": [f for f in factors.get(q - 1, ()) if f != 1]}

@@ -127,17 +127,17 @@ class DgAlgebra:
                  labels: Dict[int, list], unit: Dict[int, object],
                  diff: Dict[int, ExactMatrix],
                  mult: Dict[Tuple[int, int], Dict[Tuple[int, int], dict]]):
-        self._init_complex(ring, dims, unit, diff)
+        self._init_complex(ring, dims, diff)
         self.labels = labels
+        self.unit = dict(unit)
         self.mult = mult
 
     def _init_complex(self, ring: CoeffRing, dims: Dict[int, int],
-                      unit: Dict[int, object], diff: Dict[int, ExactMatrix]):
-        """Everything but the labels and the structure constants, for a
-        subclass that provides `labels` and `mult` itself."""
+                      diff: Dict[int, ExactMatrix]):
+        """Everything but the labels, the unit and the structure constants,
+        for a subclass that provides `labels`, `unit` and `mult` itself."""
         self.ring = ring
         self.dims = {q: n for q, n in dims.items() if n}
-        self.unit = dict(unit)
         self.diff = {q: d for q, d in diff.items() if d.rows and d.cols}
         self._complex: Optional[ChainComplex] = None
 

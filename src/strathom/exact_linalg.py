@@ -422,11 +422,12 @@ def _matrix(entries: Iterable[tuple], rows: int, cols: int, ring: CoeffRing,
 
 
 def eliminate_unit_pivots(M: ExactMatrix, record: Optional[list] = None,
-                          keep=None) -> Tuple[int, dict, dict]:
-    """(k, rows, cols): M after the elimination of k +-1 pivots, as a dict
-    of rows {col: x} of its nonzero entries plus the set of rows of each
-    column.  With `keep`, only the columns j in keep are read; the others
-    count as zero.
+                          keep=None) -> Tuple[list, dict, dict]:
+    """(taken, rows, cols): M after the elimination of +-1 pivots, with
+    taken the pivot rows in the order they were taken, as a dict of rows
+    {col: x} of its nonzero entries plus the set of rows of each column.
+    With `keep`, only the columns j in keep are read; the others count as
+    zero.
 
     Sparse elimination (Dumas, Saunders and Villard 2001): the next pivot
     is a +-1 entry of least Markowitz cost (r - 1)(c - 1), with r and c the
@@ -451,7 +452,7 @@ def eliminate_unit_pivots(M: ExactMatrix, record: Optional[list] = None,
             for i, row in rows.items() for j, x in row.items()
             if x == 1 or x == -1]
     heapq.heapify(heap)
-    k = 0
+    taken = []
     while heap:
         cost, i, j = heapq.heappop(heap)
         row = rows.get(i)
@@ -462,7 +463,7 @@ def eliminate_unit_pivots(M: ExactMatrix, record: Optional[list] = None,
         if now != cost:
             heapq.heappush(heap, (now, i, j))
             continue
-        k += 1
+        taken.append(i)
         del rows[i]
         for c in row:
             cols[c].discard(i)
@@ -487,58 +488,60 @@ def eliminate_unit_pivots(M: ExactMatrix, record: Optional[list] = None,
                     heapq.heappush(heap, (0, r, c))
             if not target:
                 del rows[r]
-    return k, rows, cols
+    return taken, rows, cols
 
 
-def _unit_pivot_core(M: ExactMatrix) -> Tuple[int, dict, int, int]:
-    """(k, C, r, c) with SNF(M) = diag(1, ..., 1) (+) SNF(C) and k ones,
-    for the integer matrix M: `eliminate_unit_pivots` splits off one
-    invariant factor 1 per pivot.  C is the r x c core by rows, on the rows
-    and columns that keep a nonzero entry.
-    """
-    k, rows, cols = eliminate_unit_pivots(M)
+def _integral(M: ExactMatrix) -> Tuple[Optional[list], ExactMatrix]:
+    """(s, S M) over ZZ with S = diag(s): over QQ row i is scaled to
+    integers by the lcm s_i of its denominators (s = 1 and the same columns
+    when every entry is an int; an integral Fraction left by arithmetic
+    takes the scaling path).  Over ZZ, (None, M)."""
+    if not M.ring.is_field:
+        return None, M
+    if all(type(x) is int for col in M.columns.values() for x in col.values()):
+        return [1] * M.rows, ExactMatrix(ZZ, M.rows, M.cols, M.columns)
+    by_row = M.by_rows()
+    s = [math.lcm(*(x.denominator for x in by_row.get(i, {}).values()))
+         for i in range(M.rows)]
+    return s, ExactMatrix(ZZ, M.rows, M.cols, {
+        j: {i: x.numerator * (s[i] // x.denominator) for i, x in col.items()}
+        for j, col in M.columns.items()})
+
+
+def unit_pivot_factors(M: ExactMatrix, keep=None) -> Tuple[list, list]:
+    """(taken, factors): the nonzero invariant factors of M (over QQ, one 1
+    per unit of rank) read on the columns in keep (all when None), and the
+    rows of the +-1 pivots that `eliminate_unit_pivots` took on the
+    integer matrix of `_integral`.  SNF(M) = diag(1, ..., 1) (+) SNF(C),
+    one 1 per pivot, with C the residual core on the rows and columns that
+    keep a nonzero entry; only C reaches `_snf_core`."""
+    taken, rows, cols = eliminate_unit_pivots(_integral(M)[1], keep=keep)
     rpos = {i: t for t, i in enumerate(sorted(rows))}
     cpos = {c: t for t, c in enumerate(sorted(c for c, rs in cols.items()
                                               if rs))}
     core = {rpos[i]: {cpos[c]: x for c, x in row.items()}
             for i, row in rows.items()}
-    return k, core, len(rpos), len(cpos)
+    field = M.ring.is_field
+    return taken, [1] * len(taken) + [1 if field else d for d in _snf_core(
+        core, len(rpos), len(cpos), False)[2] if d]
 
 
 def _snf_any(M: ExactMatrix, transforms: bool):
     """(U, V, D, diag) with D = U M V, by `_snf_core` on Python ints.
 
-    Over QQ row i is first scaled to integers by the lcm s_i of its
-    denominators (s = 1 and the same columns when every entry is an int;
-    an integral Fraction left by arithmetic takes the scaling path).  With
-    D' = U' (S M) V over ZZ, the result is U = E U' S and D = E D' =
-    diag(1, ..., 1, 0, ...), where E = diag(1/d_i) on the nonzero invariant
-    factors d_i of D'; an entry is an int when integral and a Fraction
-    otherwise, and D holds the int 1.
+    Over QQ, `_integral` scales the rows first.  With D' = U' (S M) V over
+    ZZ, the result is U = E U' S and D = E D' = diag(1, ..., 1, 0, ...),
+    where E = diag(1/d_i) on the nonzero invariant factors d_i of D'; an
+    entry is an int when integral and a Fraction otherwise, and D holds the
+    int 1.
 
     Without transforms the result is (None, None, None, factors), with
-    factors the nonzero invariant factors (over QQ, one 1 per unit of
-    rank).  The integer matrix then goes through
-    `_unit_pivot_core` first, and only its residual core reaches
-    `_snf_core`.
+    factors the nonzero invariant factors of `unit_pivot_factors`.
     """
-    field = M.ring.is_field
-    if field and all(type(x) is int for col in M.columns.values()
-                     for x in col.values()):
-        s = [1] * M.rows
-        M = ExactMatrix(ZZ, M.rows, M.cols, M.columns)
-    elif field:
-        by_row = M.by_rows()
-        s = [math.lcm(*(x.denominator for x in by_row.get(i, {}).values()))
-             for i in range(M.rows)]
-        M = ExactMatrix(ZZ, M.rows, M.cols, {
-            j: {i: x.numerator * (s[i] // x.denominator)
-                for i, x in col.items()}
-            for j, col in M.columns.items()})
     if not transforms:
-        k, core, r, c = _unit_pivot_core(M)
-        factors = [1] * k + [d for d in _snf_core(core, r, c, False)[2] if d]
-        return None, None, None, [1] * len(factors) if field else factors
+        return None, None, None, unit_pivot_factors(M)[1]
+    field = M.ring.is_field
+    s, M = _integral(M)
     U, V, diag = _snf_core(M.by_rows(), M.rows, M.cols, True)
     r = sum(1 for d in diag if d != 0)
     V = _matrix(((k, j, x) for j, col in V.items() for k, x in col.items()),
@@ -567,7 +570,7 @@ def smith_normal_form(M: ExactMatrix) -> SnfResult:
 def invariant_factors(M: ExactMatrix) -> list:
     """Nonzero diagonal of the Smith form, without transforms: +-1 pivots
     are eliminated first and only the residual core reaches `_snf_core`
-    (`_unit_pivot_core`)."""
+    (`unit_pivot_factors`)."""
     return _snf_any(M, transforms=False)[3]
 
 

@@ -369,13 +369,14 @@ class HomComplex:
         """d(f) = d_Y . f - (-1)^m f . d_X on each generator f of degree m,
         contracted from the blocks' coordinates and the composition
         tables."""
-        ranks = self.ranks()
+        ranks, element = self.ranks(), self.ring.element
+        field = self.ring.is_field  # products may leave integral Fractions
         diffs = {}
         for m, basis in self.basis.items():
             starts = self._start.get(m + 1)
             if not starts:
                 continue
-            entries = []
+            cols = {}
             sign = -1 if m % 2 else 1
             for j, e in enumerate(basis):
                 a, b = e.morphism.source, e.morphism.target
@@ -396,9 +397,12 @@ class HomComplex:
                         for s, y in table.get((e.k, r), ()):
                             i = starts[(e.p - 1, a0i, e.dst_block)] + s
                             col[i] = col.get(i, 0) - sign * x * y
-                entries.extend((i, j, c) for i, c in col.items())
-            diffs[m] = ExactMatrix.from_entries(
-                len(self.basis[m + 1]), len(basis), entries, self.ring)
+                col = {i: element(c) if field else c
+                       for i, c in col.items() if c}
+                if col:
+                    cols[j] = col
+            diffs[m] = ExactMatrix(self.ring, len(self.basis[m + 1]),
+                                   len(basis), cols)
         return ChainComplex(self.ring, ranks, diffs)
 
     def differential_table(self, m: int) -> List[Tuple[str, Dict[str, object]]]:
@@ -422,14 +426,19 @@ class HomComplex:
 class EndAlgebra(DgAlgebra):
     """End(X) with the Hom basis kept alongside the dg structure.
 
-    The structure constants and the labels are built the first time `mult`
-    and `labels` are read, so a caller that needs only the complex (ranks,
-    cohomology) never pays for the products or the labels."""
+    The unit, the structure constants and the labels are built the first
+    time `unit`, `mult` and `labels` are read, so a caller that needs only
+    the complex (ranks, cohomology) never pays for them."""
 
     def __init__(self, hom: HomComplex):
         self.hom = hom
         cc = hom.complex
-        unit: Dict[int, object] = {}
+        self._init_complex(hom.ring, cc.ranks, cc.differentials)
+        self._complex = cc
+
+    @cached_property
+    def unit(self) -> Dict[int, object]:
+        hom, unit = self.hom, {}
         for p in hom.X.degrees():
             for ai, (_, arep) in enumerate(hom.X.term(p).blocks):
                 coords = hom_unit(arep)
@@ -437,8 +446,7 @@ class EndAlgebra(DgAlgebra):
                     i0 = hom._start[0][(p, ai, ai)]
                     for r, c in coords:
                         unit[i0 + r] = c
-        self._init_complex(hom.ring, cc.ranks, unit, cc.differentials)
-        self._complex = cc
+        return unit
 
     @cached_property
     def mult(self) -> Dict[Tuple[int, int], Dict[Tuple[int, int], dict]]:

@@ -22,6 +22,7 @@ from strathom.exact_linalg import (
     ZZ,
     ExactMatrix,
     PresolvedSolver,
+    invariant_factors,
     kernel_basis,
     lattice_solve,
 )
@@ -435,6 +436,34 @@ def _block_sum(A, B):
     degrees = set(A.degrees()) | set(B.degrees())
     return ChainComplex(A.ring, {q: A.rank(q) + B.rank(q) for q in degrees},
                         {q: block(A.d(q), B.d(q)) for q in degrees})
+
+
+def _per_differential_report(C):
+    """Reference for `cone_report`: the invariant factors of every d^q on
+    its own, with no column dropped."""
+    factors = {q: invariant_factors(d) for q, d in C.differentials.items()}
+    return {q: {"betti": C.rank(q) - len(factors.get(q, ()))
+                - len(factors.get(q - 1, ())),
+                "torsion": [f for f in factors.get(q - 1, ()) if f != 1]}
+            for q in C.degrees()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([ZZ, QQ]), st.integers(1, 4), st.integers(1, 3),
+       st.integers(-1, 2), st.integers(0, 2 ** 32))
+def test_chained_cone_report_equals_per_differential_factors(
+        ring, n1, n2, offset, seed):
+    """`cone_report` reads d^q only on the columns that d^(q-1) did not
+    take as pivot rows, and reports what the invariant factors of each d^q
+    on its own give.  A (+) B[-(n1 + offset)] for two planted complexes
+    (`_random_complex`: non-unit cores and torsion over Z, non-integral
+    Fractions over Q): offset -1 overlaps a degree, 0 joins the two by a
+    stored zero differential, and 1 or 2 leave a gap of zero-rank degrees."""
+    A, _ = _random_complex(ring, n1, seed)
+    B, _ = _random_complex(ring, n2, seed + 1)
+    C = _block_sum(A, shift(B, -(n1 + offset)))
+    assert validate_complex(C) == []
+    assert cone_report(C) == _per_differential_report(C)
 
 
 def _random_chain_map(ring, seed):

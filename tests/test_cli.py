@@ -764,3 +764,70 @@ def test_witness_builds_each_cone_once(scenario, monkeypatch, capsys):
     cores = [chain_complex.cohomology(C).reduced for C in reduced[:2]]
     assert len(reduced) == 2
     assert {id(witness.source), id(witness.target)} == {id(C) for C in cores}
+
+
+def test_every_complex_cone_report_reads_has_zero_square(tmp_path,
+                                                         monkeypatch, capsys):
+    """`cone_report` needs d.d = 0 and does not check it.  Every complex
+    it receives on `formality` (all four scenarios), `ext-table` and
+    `compute` ext, end and cohomology on `bench/gen.py` seed 1 passes
+    `validate_complex`, run afresh on a copy: a mapping cone is marked
+    valid when it is made, and that mark is not what is checked here."""
+    import strathom
+    from strathom import chain_complex
+    from strathom.chain_complex import ChainComplex, validate_complex
+
+    real, seen = chain_complex.cone_report, []
+
+    def checked(C):
+        fresh = ChainComplex(C.ring, C.ranks, C.differentials)
+        seen.append((argv, validate_complex(fresh)))
+        return real(C)
+
+    for name, module in sys.modules.items():
+        if name.split(".")[0] == strathom.__name__ and \
+                getattr(module, "cone_report", None) is real:
+            monkeypatch.setattr(module, "cone_report", checked)
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    poset, reps = tmp_path / "poset.json", tmp_path / "reps.json"
+    gen.write_instance(1, 0, "full", str(poset), str(reps))
+    runs = [["formality", "trivial"], ["formality", "one-point"],
+            ["formality", "n-points", "--n", "4"],
+            ["formality", "de-rham", "--n", "2"],
+            ["ext-table", "--n", "4", "--qmax", "3"]]
+    runs += [["compute", "--poset", str(poset), "--reps", str(reps),
+              "--action", action] for action in ("ext", "end", "cohomology")]
+    for argv in runs:
+        count = len(seen)
+        assert run(capsys, *argv)[0] == 0
+        assert len(seen) > count, argv
+    assert [(a, p) for a, p in seen if p] == []
+
+
+# `compute --action end` on the cell model of S^3 (tests/cell_models.py),
+# C (+) S over Z: the ranks of End J by degree, in a table of their own
+S3_END_RANKS = {"-3": 24, "-2": 164, "-1": 538, "0": 969, "1": 958,
+                "2": 508, "3": 120}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_compute_end_on_the_sphere_cell_model(tmp_path, capsys, d):
+    """H(End J) of the skyscraper at a point plus the constant
+    representation of the cell model of S^d over Z: rank 3 in degree 0
+    and 2 in degree d, no torsion, with an exact coresolution."""
+    from cell_models import sphere_documents, write_documents
+
+    poset, reps = tmp_path / "poset.json", tmp_path / "reps.json"
+    write_documents(sphere_documents(d), poset, reps)
+    code, rep = run_json(capsys, "compute", "--poset", str(poset), "--reps",
+                         str(reps), "--action", "end")
+    assert code == 0
+    results = rep["results"]
+    assert results["h_betti"] == {"0": 3, str(d): 2}
+    assert results["h_torsion"] == {}
+    assert results["resolution_exact"] is True
+    if d == 3:
+        assert results["end_ranks"] == S3_END_RANKS

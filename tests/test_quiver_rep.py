@@ -1,5 +1,4 @@
 import importlib.util
-import itertools
 import random
 from pathlib import Path
 from unittest import mock
@@ -43,6 +42,8 @@ from strathom.quiver_rep import (
 )
 from strathom.rep_complex import ComplexOfReps, HomComplex
 from strathom.sphere_models import SphereModel
+
+from cell_models import boolean_lattice
 
 
 def sphere_poset_2():
@@ -1049,12 +1050,7 @@ def _problems_by_enumeration(V):
 def _boolean_lattice(k: int) -> Quiver:
     """B_k: the subsets of {0..k-1} under inclusion, k! paths from the
     bottom to the top."""
-    subsets = [frozenset(c) for r in range(k + 1)
-               for c in itertools.combinations(range(k), r)]
-    name = lambda s: "b" + "".join(str(i) for i in sorted(s))
-    covers = [(name(s), name(s | {i})) for s in subsets for i in range(k)
-              if i not in s]
-    return Quiver(StratPoset([(name(s), len(s)) for s in subsets], covers))
+    return Quiver(StratPoset(*boolean_lattice(k)))
 
 
 def _with_arrows(V, changed):

@@ -855,6 +855,37 @@ def test_labels_are_made_once_per_generator_and_only_when_read(
     capsys.readouterr()
 
 
+def test_end_unit_is_made_only_when_read(tmp_path, monkeypatch, capsys):
+    """`compute --action end` on the inputs of `test_compute_golden_bytes`
+    never reads the unit of End J, so no `hom_unit` is called; `formality
+    n-points`, which checks the unit laws, reads it."""
+    import strathom.rep_complex as rc
+    from strathom.cli import main
+
+    calls = []
+    original = rc.hom_unit
+
+    def counted(V):
+        calls.append(V)
+        return original(V)
+
+    monkeypatch.setattr(rc, "hom_unit", counted)
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    poset, reps = tmp_path / "poset.json", tmp_path / "reps.json"
+    for index in (0, 1):
+        gen.write_instance(1, index, "full", str(poset), str(reps))
+        for ring in ("Z", "Q"):
+            assert main(["compute", "--poset", str(poset), "--reps",
+                         str(reps), "--action", "end", "--ring", ring]) == 0
+    assert calls == []
+    assert main(["formality", "n-points", "--n", "4"]) == 0
+    assert calls
+    capsys.readouterr()
+
+
 def _eager_labels(hom):
     """Reference: every label of every degree made at once by `_label_for`
     from the block names of the two terms."""
